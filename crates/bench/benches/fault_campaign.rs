@@ -19,6 +19,7 @@ use pgmr_faults::{
     guarded_sites, run_activation_campaign, run_weight_campaign, CampaignConfig, ProfileConfig,
     SiteFilter, ANY_BIT, EXPONENT_BITS,
 };
+use pgmr_nn::network::{Guard, RunPlan};
 use pgmr_nn::{CheckPlan, ProtectionLevel};
 use pgmr_preprocess::Preprocessor;
 use polygraph_mr::suite::Benchmark;
@@ -160,14 +161,15 @@ fn main() {
             // Clean-path throughput of this plan (wall clock, informational:
             // the gate below uses the deterministic checked-layer count).
             let reps = 3;
+            let run = RunPlan { guard: Guard::Plan(plan, 1e-4), ..RunPlan::default() };
+            let mut logits = Vec::new();
             for img in inputs.iter().take(4) {
-                let _ = net.forward_checked_plan(img, false, None, 1e-4, plan);
+                let _ = net.run(img, &run, &mut logits);
             }
             let t0 = Instant::now();
             for _ in 0..reps {
                 for img in &inputs {
-                    net.forward_checked_plan(img, false, None, 1e-4, plan)
-                        .expect("clean planned forward must verify");
+                    net.run(img, &run, &mut logits).expect("clean planned forward must verify");
                 }
             }
             let elapsed = t0.elapsed().as_secs_f64();

@@ -18,20 +18,18 @@
 //! records `nproc` so readers can tell.
 //!
 //! The harness also pins the workspace-arena guarantee: a steady-state
-//! per-image inference loop through `Network::forward_into_logits` is
-//! measured under a counting `#[global_allocator]` and must perform **zero**
-//! heap allocations per image (`infer.allocs_per_image` in the JSON,
-//! asserted to be 0), alongside the arena's peak footprint
+//! per-image inference loop through `Network::run` with a reused logits
+//! buffer is measured under a counting `#[global_allocator]` and must
+//! perform **zero** heap allocations per image (`infer.allocs_per_image`
+//! in the JSON, asserted to be 0), alongside the arena's peak footprint
 //! (`infer.workspace_peak_bytes`, also exported as the
 //! `infer.workspace_bytes` observability gauge).
 //!
-//! Two GEMM-level sections round out the artifact: an autotune sweep of
-//! cache-blocking candidates (every candidate asserted bit-identical to
-//! the default — the tuning-independence contract exercised on real runs)
-//! and a wall-clock comparison of the dense execution modes — full f32,
-//! quantize-to-f32 simulation, and genuinely narrow i8 via
-//! [`pgmr_precision::quant::QuantizedLinear`]. `infer.items_per_s` is the
-//! number CI's `perf_gate` compares against the committed artifact.
+//! A GEMM-level autotune sweep of cache-blocking candidates rounds out the
+//! artifact (every candidate asserted bit-identical to the default — the
+//! tuning-independence contract exercised on real runs).
+//! `infer.items_per_s` is the number CI's `perf_gate` compares against the
+//! committed artifact.
 
 use std::time::Instant;
 
@@ -39,11 +37,10 @@ use pgmr_bench::alloc_counter::{self, CountingAlloc};
 use pgmr_bench::{banner, scale};
 use pgmr_datasets::Split;
 use pgmr_faults::{run_activation_campaign, run_activation_campaign_with, CampaignConfig};
+use pgmr_nn::network::RunPlan;
 use pgmr_nn::WorkerPool;
-use pgmr_precision::quant::{IntKind, QuantizedLinear};
-use pgmr_precision::Precision;
 use pgmr_preprocess::Preprocessor;
-use pgmr_tensor::gemm::{gemm_a_bt_into, gemm_into_tuned, GemmScratch, GemmTuning, DEFAULT_TUNING};
+use pgmr_tensor::gemm::{gemm_into_tuned, GemmScratch, GemmTuning, DEFAULT_TUNING};
 use polygraph_mr::decision::Thresholds;
 use polygraph_mr::ensemble::Ensemble;
 use polygraph_mr::suite::Benchmark;
@@ -82,9 +79,9 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
-/// GEMM shape for the autotune sweep and the quantized comparison: a
-/// dense-sized `[batch, in] × [in, out]` product, big enough that the
-/// packed path engages and cache blocking matters.
+/// GEMM shape for the autotune sweep: a dense-sized `[batch, in] × [in,
+/// out]` product, big enough that the packed path engages and cache
+/// blocking matters.
 const GEMM_SHAPE: (usize, usize, usize) = (64, 512, 512);
 
 /// Sweep repetitions per candidate (first rep warms the scratch).
@@ -132,68 +129,6 @@ fn autotune_gemm() -> Vec<(GemmTuning, f64)> {
         .collect()
 }
 
-/// Wall-clock comparison of the three dense execution modes at one shape:
-/// full f32, quantize-to-f32 simulation (per-call activation rounding at
-/// `Precision(17)` + full-width GEMM — what `QuantizedNetwork` executes),
-/// and genuinely narrow i8 via [`QuantizedLinear`]. Returns items/s
-/// (batch rows per second) for each.
-fn quantized_dense_rates() -> (f64, f64, f64) {
-    let (n, in_f, out_f) = GEMM_SHAPE;
-    let x = fill(0xC, n * in_f);
-    let w = fill(0xD, out_f * in_f);
-    let bias = fill(0xE, out_f);
-    let items = GEMM_REPS * n;
-
-    // Full f32: y = x·Wᵀ + b through the packed kernel.
-    let mut scratch = GemmScratch::new();
-    let mut y = vec![0.0f32; n * out_f];
-    let run_f32 = |y: &mut [f32], scratch: &mut GemmScratch| {
-        for row in y.chunks_mut(out_f) {
-            row.copy_from_slice(&bias);
-        }
-        gemm_a_bt_into(n, in_f, out_f, &x, &w, y, scratch);
-    };
-    run_f32(&mut y, &mut scratch); // warm the packing scratch
-    let (_, f32_rate) = time(items, || {
-        for _ in 0..GEMM_REPS {
-            run_f32(&mut y, &mut scratch);
-            std::hint::black_box(&y);
-        }
-    });
-
-    // Quantize-to-f32 simulation: weights rounded once, activations
-    // rounded per call, arithmetic still full-width.
-    let precision = Precision::new(17);
-    let mut wq = w.clone();
-    precision.quantize_slice(&mut wq);
-    let mut xq = vec![0.0f32; x.len()];
-    let (_, qf32_rate) = time(items, || {
-        for _ in 0..GEMM_REPS {
-            xq.copy_from_slice(&x);
-            precision.quantize_slice(&mut xq);
-            for row in y.chunks_mut(out_f) {
-                row.copy_from_slice(&bias);
-            }
-            gemm_a_bt_into(n, in_f, out_f, &xq, &wq, &mut y, &mut scratch);
-            std::hint::black_box(&y);
-        }
-    });
-
-    // Narrow i8: weights quantized once at construction, activations per
-    // call, products accumulated in i32.
-    let mut ql = QuantizedLinear::from_weights(&w, &bias, in_f, out_f, IntKind::I8);
-    let mut yq = Vec::new();
-    ql.forward(&x, n, &mut yq); // warm the integer scratch
-    let (_, i8_rate) = time(items, || {
-        for _ in 0..GEMM_REPS {
-            ql.forward(&x, n, &mut yq);
-            std::hint::black_box(&yq);
-        }
-    });
-
-    (f32_rate, qf32_rate, i8_rate)
-}
-
 fn main() {
     banner("Throughput", "worker-pool items/s on batch evaluation and fault campaigns");
     let bench = Benchmark::lenet5_digits(scale());
@@ -220,30 +155,24 @@ fn main() {
     }
 
     // Steady-state zero-alloc inference: after one warmup pass, per-image
-    // inference through `Network::forward_into_logits` runs entirely out of
-    // the thread-local workspace arena — the counting allocator proves it
-    // by observing zero allocation events across the measured passes.
+    // inference through `Network::run` with a reused logits buffer runs
+    // entirely out of the thread-local workspace arena — the counting
+    // allocator proves it by observing zero allocation events across the
+    // measured passes.
     let images = data.images();
     let infer_net = system.ensemble_mut().members_mut()[0].network_mut();
+    let plain = RunPlan::default();
     let mut logits = Vec::new();
-    for img in images {
-        infer_net.forward_into_logits(img, &mut logits); // sizes arena + logits
-    }
-    // The allocating reference path over the same images — the "before"
-    // half of the perf note in README.md.
-    let (_, reference_rate) = time(INFER_PASSES * images.len(), || {
-        for _ in 0..INFER_PASSES {
-            for img in images {
-                let _ = infer_net.forward_reference(img, false);
-            }
+    let mut infer = |logits: &mut Vec<f32>| {
+        for img in images {
+            infer_net.run(img, &plain, logits).expect("an unguarded run cannot fault");
         }
-    });
+    };
+    infer(&mut logits); // sizes arena + logits
     let allocs_before = alloc_counter::alloc_events();
     let (_, infer_rate) = time(INFER_PASSES * images.len(), || {
         for _ in 0..INFER_PASSES {
-            for img in images {
-                infer_net.forward_into_logits(img, &mut logits);
-            }
+            infer(&mut logits);
         }
     });
     let infer_allocs = alloc_counter::alloc_events() - allocs_before;
@@ -275,22 +204,12 @@ fn main() {
     let &(best_tuning, best_gmacs) =
         sweep.iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty sweep");
 
-    // Dense execution modes: full f32 vs quantize-to-f32 simulation vs
-    // genuinely narrow i8.
-    let (f32_rate, qf32_rate, i8_rate) = quantized_dense_rates();
-
     println!("{:>22} {:>14} {:>10}", "workload / width", "items/s", "speedup");
     println!("{:>22} {:>14.1} {:>10.2}", "eval seq", seq_eval_rate, 1.0);
     for &(width, rate) in &eval_rates {
         println!("{:>20}x{width} {rate:>14.1} {:>10.2}", "eval", rate / seq_eval_rate);
     }
-    println!("{:>22} {:>14.1} {:>10.2}", "infer reference", reference_rate, 1.0);
-    println!(
-        "{:>22} {:>14.1} {:>10.2}",
-        "infer zero-alloc",
-        infer_rate,
-        infer_rate / reference_rate
-    );
+    println!("{:>22} {:>14.1}", "infer zero-alloc", infer_rate);
     println!(
         "{:>22} allocs/image: {allocs_per_image:.1}   workspace peak: {:.1} KiB",
         "",
@@ -308,15 +227,6 @@ fn main() {
         let marker = if t == best_tuning { "  <- best" } else { "" };
         println!("  mc={:<4} kc={:<4} nc={:<4} {gmacs:>8.2}{marker}", t.mc, t.kc, t.nc);
     }
-    println!("dense modes ({gm}x{gk}x{gn}, rows/s):");
-    println!("  {:<18} {f32_rate:>12.1}", "f32");
-    println!("  {:<18} {qf32_rate:>12.1}   x{:.2} vs f32", "quantize-to-f32", qf32_rate / f32_rate);
-    println!(
-        "  {:<18} {i8_rate:>12.1}   x{:.2} vs f32, x{:.2} vs quantize-to-f32",
-        "i8",
-        i8_rate / f32_rate,
-        i8_rate / qf32_rate
-    );
 
     // Hand-rolled JSON artifact (the workspace has no JSON dependency).
     let workers = |rates: &[(usize, f64)]| -> String {
@@ -326,7 +236,7 @@ fn main() {
     let sweep_fields: Vec<String> =
         sweep.iter().map(|(t, g)| format!("\"{}x{}x{}\": {g:.3}", t.mc, t.kc, t.nc)).collect();
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}, \"reference_items_per_s\": {reference_rate:.3}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}},\n  \"gemm_autotune\": {{\"shape\": \"{gm}x{gk}x{gn}\", \"best\": {{\"mc\": {}, \"kc\": {}, \"nc\": {}, \"gmacs\": {best_gmacs:.3}}}, \"candidates_gmacs\": {{{}}}}},\n  \"quantized_dense\": {{\"shape\": \"{gm}x{gk}x{gn}\", \"f32_rows_per_s\": {f32_rate:.3}, \"quantize_to_f32_rows_per_s\": {qf32_rate:.3}, \"i8_rows_per_s\": {i8_rate:.3}, \"i8_vs_f32\": {:.3}, \"i8_vs_quantize_to_f32\": {:.3}}}\n}}\n",
+        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}},\n  \"gemm_autotune\": {{\"shape\": \"{gm}x{gk}x{gn}\", \"best\": {{\"mc\": {}, \"kc\": {}, \"nc\": {}, \"gmacs\": {best_gmacs:.3}}}, \"candidates_gmacs\": {{{}}}}}\n}}\n",
         data.len(),
         workers(&eval_rates),
         cfg.trials,
@@ -335,8 +245,6 @@ fn main() {
         best_tuning.kc,
         best_tuning.nc,
         sweep_fields.join(", "),
-        i8_rate / f32_rate,
-        i8_rate / qf32_rate,
     );
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     let obs_json = pgmr_obs::global().snapshot().to_json();

@@ -2,9 +2,9 @@
 //!
 //! Bench targets register [`CountingAlloc`] as their `#[global_allocator]`
 //! and read [`alloc_events`] around a measured loop. Steady-state inference
-//! through `pgmr_nn::Network::forward_into_logits` runs out of the
-//! thread-local workspace arena, so after warmup the counter must not move
-//! at all — the throughput bench asserts exactly that and reports
+//! through `pgmr_nn::Network::run` runs out of the thread-local workspace
+//! arena, so after warmup the counter must not move at all — the
+//! throughput bench asserts exactly that and reports
 //! `infer.allocs_per_image` in its JSON artifact.
 
 use std::alloc::{GlobalAlloc, Layout, System};

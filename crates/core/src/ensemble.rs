@@ -3,6 +3,7 @@
 
 use pgmr_datasets::Dataset;
 use pgmr_faults::ActivationInjector;
+use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_nn::{CheckPlan, Network, TrainConfig, TrainReport, Trainer};
 use pgmr_precision::Precision;
@@ -133,36 +134,17 @@ impl Member {
     /// Softmax probabilities for one raw image: the preprocessor is applied
     /// first, then the (possibly quantized, possibly fault-injected)
     /// forward pass.
-    // pgmr-lint: boundary(hot-path-alloc): the predict tier returns a fresh per-request probability vector by contract; the zero-alloc invariant governs the forward_into kernels beneath it
     pub fn predict(&mut self, image: &Tensor) -> Vec<f32> {
-        let x = self.preprocessor.apply(image);
-        let classes = self.network.num_classes();
-        let p = self.precision;
-        let fault = self.fault.as_ref();
-        let logits = if fault.is_none() && p == Precision::FULL {
-            self.network.forward(&x, false)
-        } else {
-            if let Some(inj) = fault {
-                inj.begin_forward();
-            }
-            let hook = |d: &mut [f32]| {
-                if let Some(inj) = fault {
-                    inj.apply(d);
-                }
-                if p != Precision::FULL {
-                    p.quantize_slice(d);
-                }
-            };
-            self.network.forward_with_hook(&x, false, &hook)
-        };
-        debug_assert_eq!(logits.len(), classes);
-        pgmr_tensor::softmax(logits.data())
+        let probs = self.probabilities(image, None).expect("an unguarded run cannot fault");
+        debug_assert_eq!(probs.len(), self.network.num_classes());
+        probs
     }
 
     /// ABFT-guarded prediction: like [`Member::predict`] but every dense
-    /// and convolution output is verified against row/column checksums
-    /// (after the fault/precision hook runs), so transient corruption of a
-    /// guarded activation returns a [`ChecksumFault`] instead of silently
+    /// and convolution output the protection plan selects (every one
+    /// without a plan) is verified against row/column checksums after the
+    /// fault/precision hook runs, so transient corruption of a guarded
+    /// activation returns a [`ChecksumFault`] instead of silently
     /// propagating. `tolerance` is widened via [`Member::abft_tolerance`]
     /// when the member runs at reduced precision.
     pub fn predict_checked(
@@ -170,8 +152,21 @@ impl Member {
         image: &Tensor,
         tolerance: f32,
     ) -> Result<Vec<f32>, ChecksumFault> {
-        let x = self.preprocessor.apply(image);
         let tol = self.abft_tolerance(tolerance);
+        self.probabilities(image, Some(tol))
+    }
+
+    /// The one member forward: preprocess, then [`Network::run`] with the
+    /// fault/precision hook (omitted entirely when neither is active) and,
+    /// given a tolerance, the member's guard; softmax in place over the
+    /// logits.
+    // pgmr-lint: boundary(hot-path-alloc): the predict tier returns a fresh per-request probability vector by contract; the zero-alloc invariant governs the forward_into kernels beneath it
+    fn probabilities(
+        &mut self,
+        image: &Tensor,
+        tolerance: Option<f32>,
+    ) -> Result<Vec<f32>, ChecksumFault> {
+        let x = self.preprocessor.apply(image);
         let p = self.precision;
         let fault = self.fault.as_ref();
         if let Some(inj) = fault {
@@ -185,14 +180,18 @@ impl Member {
                 p.quantize_slice(d);
             }
         };
-        let needs_hook = fault.is_some() || p != Precision::FULL;
-        let hook_opt: Option<pgmr_nn::network::ActivationHook<'_>> =
-            if needs_hook { Some(&hook) } else { None };
-        let logits = match &self.protection {
-            Some(plan) => self.network.forward_checked_plan(&x, false, hook_opt, tol, plan)?,
-            None => self.network.forward_checked(&x, false, hook_opt, tol)?,
+        let hook: ActivationHook<'_> = &hook;
+        let guard = match (tolerance, &self.protection) {
+            (None, _) => Guard::Off,
+            (Some(tol), Some(plan)) => Guard::Plan(plan, tol),
+            (Some(tol), None) => Guard::All(tol),
         };
-        Ok(pgmr_tensor::softmax(logits.data()))
+        let needs_hook = fault.is_some() || p != Precision::FULL;
+        let plan = RunPlan { hook: needs_hook.then_some(hook), guard, ..RunPlan::default() };
+        let mut probs = Vec::new();
+        self.network.run(&x, &plan, &mut probs)?;
+        pgmr_tensor::softmax_in_place(&mut probs);
+        Ok(probs)
     }
 
     /// Probabilities for a set of raw images, one vector per image.

@@ -5,8 +5,10 @@
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
+use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
 use pgmr_nn::{CheckPlan, Network};
+use pgmr_tensor::checksum::ChecksumFault;
 use pgmr_tensor::{argmax, Tensor};
 
 use crate::inject::{
@@ -47,10 +49,10 @@ pub struct CampaignConfig {
     /// Whether the forward pass is ABFT-guarded.
     pub checksums: bool,
     /// Optional selective-protection plan for the guarded forward. `None`
-    /// (the default) verifies every layer; `Some(plan)` routes trials
-    /// through [`Network::forward_checked_plan`], which is how the
-    /// coverage-vs-throughput frontier measures each `top_k` point.
-    /// Ignored when `checksums` is off.
+    /// (the default) verifies every layer; `Some(plan)` guards trials
+    /// with [`Guard::Plan`], which is how the coverage-vs-throughput
+    /// frontier measures each `top_k` point. Ignored when `checksums` is
+    /// off.
     pub plan: Option<CheckPlan>,
 }
 
@@ -156,17 +158,31 @@ fn classify(predicted: usize, golden: usize) -> TrialOutcome {
 /// produced it (sorted by site).
 type TrialResult = (TrialOutcome, Vec<(usize, usize)>);
 
-/// Runs the guarded forward a trial asked for: plan-aware when the config
-/// carries a selective-protection plan, uniformly checked otherwise.
-fn checked_forward(
+/// Runs one trial's forward: ABFT-guarded when the config asks for
+/// checksums (plan-aware when it carries a selective-protection plan,
+/// every guarded layer otherwise), plain when it does not. Returns the
+/// logits, or the checksum fault that detected the corruption.
+fn trial_forward(
     net: &mut Network,
     input: &Tensor,
-    hook: Option<pgmr_nn::network::ActivationHook<'_>>,
+    hook: Option<ActivationHook<'_>>,
     cfg: &CampaignConfig,
-) -> Result<Tensor, pgmr_tensor::checksum::ChecksumFault> {
-    match &cfg.plan {
-        Some(plan) => net.forward_checked_plan(input, false, hook, cfg.tolerance, plan),
-        None => net.forward_checked(input, false, hook, cfg.tolerance),
+) -> Result<Vec<f32>, ChecksumFault> {
+    let guard = match (&cfg.plan, cfg.checksums) {
+        (_, false) => Guard::Off,
+        (Some(plan), true) => Guard::Plan(plan, cfg.tolerance),
+        (None, true) => Guard::All(cfg.tolerance),
+    };
+    let mut logits = Vec::new();
+    net.run(input, &RunPlan { hook, guard, ..RunPlan::default() }, &mut logits)?;
+    Ok(logits)
+}
+
+/// Classifies a trial's forward against the fault-free prediction.
+fn outcome(result: Result<Vec<f32>, ChecksumFault>, golden: usize) -> TrialOutcome {
+    match result {
+        Err(_) => TrialOutcome::Detected,
+        Ok(logits) => classify(argmax(&logits), golden),
     }
 }
 
@@ -188,15 +204,7 @@ fn activation_trial(
     let inj = ActivationInjector::new(&spec);
     inj.begin_forward();
     let hook = |x: &mut [f32]| inj.apply(x);
-    let outcome = if cfg.checksums {
-        match checked_forward(net, input, Some(&hook), cfg) {
-            Err(_) => TrialOutcome::Detected,
-            Ok(logits) => classify(argmax(logits.data()), golden[t % inputs.len()]),
-        }
-    } else {
-        let logits = net.forward_with_hook(input, false, &hook);
-        classify(argmax(logits.data()), golden[t % inputs.len()])
-    };
+    let outcome = outcome(trial_forward(net, input, Some(&hook), cfg), golden[t % inputs.len()]);
     (outcome, inj.site_flips())
 }
 
@@ -214,15 +222,7 @@ fn weight_trial(
         .with_bits(cfg.bits.clone())
         .with_sites(cfg.sites.clone());
     let records = inject_weights(net, &spec);
-    let outcome = if cfg.checksums {
-        match checked_forward(net, input, None, cfg) {
-            Err(_) => TrialOutcome::Detected,
-            Ok(logits) => classify(argmax(logits.data()), golden[t % inputs.len()]),
-        }
-    } else {
-        let logits = net.forward(input, false);
-        classify(argmax(logits.data()), golden[t % inputs.len()])
-    };
+    let outcome = outcome(trial_forward(net, input, None, cfg), golden[t % inputs.len()]);
     let mut by_site: BTreeMap<usize, usize> = BTreeMap::new();
     for r in &records {
         *by_site.entry(r.site).or_insert(0) += 1;

@@ -165,8 +165,9 @@ pub fn guarded_sites(net: &Network) -> Vec<usize> {
 /// Seeded bit-flip injector usable as a [`Network::forward_with_hook`] /
 /// [`Network::forward_checked`] activation hook.
 ///
-/// The hook signature is `&dyn Fn(&mut Tensor)`, so the injector keeps its
-/// RNG and site counter behind interior mutability. Call
+/// The hook signature is `&dyn Fn(&mut [f32])`
+/// ([`pgmr_nn::network::ActivationHook`]), so the injector keeps its RNG
+/// and site counter behind interior mutability. Call
 /// [`ActivationInjector::begin_forward`] before every forward pass to
 /// reset the site counter; the RNG deliberately keeps advancing so
 /// repeated passes (retries) sample fresh faults, while reconstructing the

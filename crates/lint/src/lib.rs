@@ -219,8 +219,7 @@ mod tests {
         let files = vec![
             (
                 "crates/nn/src/network.rs".to_string(),
-                "impl Network { pub fn forward_into_logits(&mut self) { crate::util::helper(); } }\n"
-                    .to_string(),
+                "impl Network { pub fn run(&mut self) { crate::util::helper(); } }\n".to_string(),
             ),
             (
                 "crates/nn/src/util.rs".to_string(),

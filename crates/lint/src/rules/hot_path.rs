@@ -1,26 +1,27 @@
-//! `hot-path-alloc`: the PR 5 invariant — **0 steady-state allocations
-//! per image** — as a workspace-wide static gate instead of one bench.
+//! `hot-path-alloc`: the zero-alloc invariant — **0 steady-state
+//! allocations per image** — as a workspace-wide static gate instead of
+//! one bench.
 //!
 //! Any function reachable (over the call graph) from the zero-alloc
 //! roots must not call an allocating constructor (`Vec::new`, `vec!`,
 //! `.to_vec()`, `.collect()`, `Box::new`, `String::from`, `format!`)
 //! outside the workspace-arena APIs. The roots are the serving-path
-//! entries: `Network::forward_into_logits`, the `Layer::forward_into`
-//! family, `decide_request`, and the serve batcher fold
+//! entries: the forward driver `Network::run`, every layer's
+//! `Layer::forward_into`, `decide_request`, and the serve batcher fold
 //! (`BatchEngine::process`).
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
-//! - the reference-oracle methods (`forward`, `forward_with_checksum`,
-//!   `backward`, and any `*_reference` shim) — the allocating
-//!   train/verify tier the zero-alloc kernels are checked against; the
-//!   only serving edges into them are flow-insensitive `train`
-//!   fallbacks;
+//! - the methods that allocate by design ([`ALLOCATING_FNS`]): `backward`
+//!   and `Network`'s three `Tensor`-returning wrappers (`forward`,
+//!   `forward_with_hook`, `forward_checked`) — callers that want no
+//!   allocation call `run` with a reused logits buffer;
 //! - the arena file itself ([`EXEMPT_FILES`]) — where the hot path's
 //!   memory legitimately comes from;
 //! - any function annotated `pgmr-lint: boundary(hot-path-alloc):
-//!   reason` — a *documented* allocating tier (e.g. `Member::predict`
-//!   returning its per-request probability vector).
+//!   reason` — a *documented* allocating tier (e.g. a layer's
+//!   training-only backward cache, or the member predict tier returning
+//!   its per-request probability vector).
 //!
 //! Individual intentional allocations inside the rule's world instead
 //! take `pgmr-lint: allow(hot-path-alloc): reason` on the site.
@@ -33,9 +34,8 @@ pub const RULE: &str = "hot-path-alloc";
 
 /// Root functions by name; a `Some` owner restricts to that impl type.
 const ROOT_FNS: &[(&str, Option<&str>)] = &[
-    ("forward_into_logits", None),
+    ("run", Some("Network")),
     ("forward_into", None),
-    ("forward_into_with_checksum", None),
     ("decide_request", None),
     ("process", Some("BatchEngine")),
 ];
@@ -43,16 +43,14 @@ const ROOT_FNS: &[(&str, Option<&str>)] = &[
 /// Files whose allocations are the arena implementation itself.
 const EXEMPT_FILES: &[&str] = &["crates/nn/src/workspace.rs"];
 
-/// The allocating reference tier: training/verification oracles the
-/// zero-alloc kernels are checked against for bit-identity. Methods by
-/// these names (and `*_reference` shims) sit past the rule's frontier.
-const REFERENCE_FNS: &[&str] = &["forward", "forward_with_checksum", "backward"];
+/// Methods that allocate by design and sit past the rule's frontier:
+/// backward passes, and the `Tensor`-returning forward wrappers.
+const ALLOCATING_FNS: &[&str] = &["backward", "forward", "forward_with_hook", "forward_checked"];
 
 fn is_frontier(ix: &WorkspaceIndex, id: FnId) -> bool {
     let f = &ix.fns[id];
     f.boundaries.iter().any(|b| b == RULE)
-        || (f.has_self && REFERENCE_FNS.contains(&f.name.as_str()))
-        || f.name.ends_with("_reference")
+        || (f.has_self && ALLOCATING_FNS.contains(&f.name.as_str()))
         || EXEMPT_FILES.contains(&ix.files[f.file].relpath.as_str())
 }
 
@@ -121,7 +119,7 @@ mod tests {
     fn allocation_reachable_from_root_fires_with_witness() {
         let diags = run_on(&[(
             "crates/nn/src/network.rs",
-            "impl Network { pub fn forward_into_logits(&mut self) { helper(); } }\n\
+            "impl Network { pub fn run(&mut self) { helper(); } }\n\
              fn helper() { let v: Vec<u32> = (0..3).collect(); }\n\
              fn cold() { let v: Vec<u32> = Vec::new(); }\n",
         )]);
@@ -129,7 +127,7 @@ mod tests {
         assert_eq!(diags[0].rule, RULE);
         assert_eq!(diags[0].line, 2);
         assert_eq!(diags[0].witness.len(), 2);
-        assert!(diags[0].witness[0].starts_with("pgmr_nn::network::Network::forward_into_logits"));
+        assert!(diags[0].witness[0].starts_with("pgmr_nn::network::Network::run"));
     }
 
     #[test]
@@ -137,8 +135,7 @@ mod tests {
         let diags = run_on(&[
             (
                 "crates/nn/src/network.rs",
-                "impl Network { pub fn forward_into_logits(&mut self) { \
-                 crate::workspace::acquire(); } }\n",
+                "impl Network { pub fn run(&mut self) { crate::workspace::acquire(); } }\n",
             ),
             ("crates/nn/src/workspace.rs", "pub fn acquire() { let v: Vec<u8> = Vec::new(); }\n"),
         ]);
@@ -147,7 +144,7 @@ mod tests {
 
     #[test]
     fn boundary_stops_traversal_into_reference_shims() {
-        let src = "impl Network { pub fn forward_into_logits(&mut self) { self.shim(); } }\n\
+        let src = "impl Network { pub fn run(&mut self) { self.shim(); } }\n\
                    impl Network {\n\
                    // pgmr-lint: boundary(hot-path-alloc): allocating reference oracle\n\
                    fn shim(&self) { self.deep(); }\n\
@@ -166,14 +163,24 @@ mod tests {
     }
 
     #[test]
-    fn reference_oracles_sit_past_the_frontier() {
-        // The trait-default forward_into falls back to the allocating
-        // `forward` oracle; the rule must not chase it.
+    fn allocating_wrappers_sit_past_the_frontier() {
+        // A root reaching an allocate-by-design method (a backward pass, a
+        // Tensor-returning wrapper) must not chase into it.
         let diags = run_on(&[(
-            "crates/nn/src/layer.rs",
-            "trait Layer {\n\
+            "crates/nn/src/network.rs",
+            "impl Network {\n\
              fn forward(&mut self) -> Tensor { let v = vec![0.0]; Tensor::of(v) }\n\
-             fn forward_into(&mut self) { self.forward(); }\n}\n",
+             fn backward(&mut self) -> Tensor { let v = vec![0.0]; Tensor::of(v) }\n\
+             pub fn run(&mut self) { self.forward(); self.backward(); }\n}\n",
+        )]);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn only_networks_run_is_a_root() {
+        let diags = run_on(&[(
+            "crates/nn/src/pool.rs",
+            "impl WorkerPool { pub fn run(&self) { let v: Vec<u8> = Vec::new(); } }\n",
         )]);
         assert!(diags.is_empty(), "{diags:?}");
     }

@@ -4,7 +4,7 @@
 pub struct Network;
 
 impl Network {
-    pub fn forward_into_logits(&mut self) {
+    pub fn run(&mut self) {
         helper();
     }
 }

@@ -5,7 +5,7 @@
 pub struct Engine;
 
 impl Engine {
-    pub fn forward_into_logits(&mut self) {
+    pub fn forward_into(&mut self) {
         // pgmr-lint: allow(hot-path-alloc): fixture — demonstrates a reasoned on-site suppression
         let scratch: Vec<u32> = Vec::new();
         drop(scratch);

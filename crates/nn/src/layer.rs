@@ -244,9 +244,7 @@ impl OutputChecksum {
         OutputChecksum { segments }
     }
 
-    /// Verifies a (possibly corrupted) output against every block. Takes
-    /// the raw row-major data so both the allocating (`Tensor`) and the
-    /// workspace (`ActBuf`) forward paths verify without a copy.
+    /// Verifies a (possibly corrupted) output against every block.
     ///
     /// # Panics
     ///
@@ -264,67 +262,41 @@ impl OutputChecksum {
 ///
 /// The contract mirrors classic define-by-run frameworks:
 ///
-/// 1. `forward` consumes a batch and caches whatever the backward pass
-///    needs. `train` distinguishes training-time behavior (e.g. batch-norm
-///    batch statistics) from inference (running statistics).
+/// 1. `forward_into` consumes a batch and, when `train` is set, caches
+///    whatever the backward pass needs. `train` also distinguishes
+///    training-time behavior (batch-norm batch statistics, dropout masks)
+///    from inference (running statistics, pass-through).
 /// 2. `backward` consumes the gradient w.r.t. the layer's output, updates
 ///    the internal parameter gradients, and returns the gradient w.r.t. the
-///    layer's input. It must be called after `forward` on the same batch.
+///    layer's input. It must be called after a training forward on the
+///    same batch.
 /// 3. `visit_slots` exposes parameters to the optimizer and serializer in a
 ///    stable order.
 ///
 /// Layers must be `Send` so ensembles can be trained on worker threads.
 pub trait Layer: Send {
-    /// Runs the layer on a `[n, …]` batch, caching state for `backward`.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
-
-    /// Like [`Layer::forward`], but additionally returns ABFT checksum
-    /// expectations over the output when the layer's core is a guarded
-    /// GEMM (dense and convolution layers). Layers without a guarded core
-    /// return `None` — their outputs are not ABFT-protected.
-    fn forward_with_checksum(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
-        (self.forward(input, train), None)
-    }
-
-    /// Workspace forward: runs the layer on the batch held in `input`,
-    /// returning the output in a buffer from `ws` (or `input` itself for
-    /// pass-through layers — the ping-pong scheme). The input buffer is
-    /// consumed: implementations must release it to `ws` unless they
-    /// return it. Results are bit-identical to [`Layer::forward`].
+    /// Runs the layer on the batch held in `input`, returning the output in
+    /// a buffer from `ws` (or `input` itself for pass-through layers — the
+    /// ping-pong scheme). The input buffer is consumed: implementations
+    /// must release it to `ws` unless they return it.
     ///
-    /// The default shim routes through the allocating `forward`, keeping
-    /// it the reference implementation; ported layers override this with
-    /// an allocation-free body. Training callers should prefer `forward`
-    /// directly — with `train == true` layers still populate their
-    /// backward caches, which allocate.
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        let x = input.to_tensor();
-        ws.release(input);
-        let y = self.forward(&x, train);
-        ws.adopt(y)
-    }
-
-    /// [`Layer::forward_into`] plus ABFT checksum expectations, mirroring
-    /// [`Layer::forward_with_checksum`]. Layers without a guarded GEMM
-    /// core return `None`.
-    fn forward_into_with_checksum(
+    /// `train` records the backward caches in the same body (those are the
+    /// only allocations a layer makes). `checked` asks a guarded-GEMM layer
+    /// (dense, convolution) to derive ABFT checksum expectations over its
+    /// output; every other layer returns `None`.
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
         train: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        (self.forward_into(input, ws, train), None)
-    }
+        checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>);
 
     /// Propagates gradients; returns the gradient w.r.t. the forward input.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward`.
+    /// Implementations may panic if called before a training forward.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
     /// Visits every `(value, grad)` parameter slot in a stable order.

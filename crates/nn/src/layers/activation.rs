@@ -1,8 +1,8 @@
 //! Activation layers.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
-use pgmr_tensor::{relu, relu_backward, Tensor};
+use pgmr_tensor::{relu_backward, Tensor};
 
 /// Rectified linear unit layer.
 #[derive(Clone, Default)]
@@ -16,30 +16,33 @@ impl Relu {
     pub fn new() -> Self {
         Relu::default()
     }
+
+    /// Keeps the pre-activation input for `backward`.
+    // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
+    fn cache_input(&mut self, input: &ActBuf) {
+        self.input_cache = Some(input.to_tensor());
+    }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.output_elems_per_image = (input.len() / input.shape().dim(0)) as u64;
-        self.input_cache = Some(input.clone());
-        relu(input)
-    }
-
-    fn forward_into(&mut self, mut input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
-        // Inference never calls backward: clamp in place (pass-through) and
-        // skip the input cache. The cost metadata stays fed either way.
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         self.output_elems_per_image = (input.len() / input.dims()[0]) as u64;
-        self.input_cache = None;
+        if train {
+            self.cache_input(&input);
+        } else {
+            self.input_cache = None;
+        }
+        // Elementwise, so it clamps in place (pass-through).
         for v in input.data_mut() {
             *v = v.max(0.0);
         }
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -70,12 +73,13 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
 
     #[test]
     fn forward_and_backward() {
         let mut layer = Relu::new();
         let x = Tensor::from_vec(vec![1, 4], vec![-1., 0., 1., 2.]);
-        let y = layer.forward(&x, true);
+        let y = forward(&mut layer, &x, true);
         assert_eq!(y.data(), &[0., 0., 1., 2.]);
         let dx = layer.backward(&Tensor::ones(vec![1, 4]));
         assert_eq!(dx.data(), &[0., 0., 1., 1.]);
@@ -93,8 +97,9 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[1, 4]);
         buf.data_mut().copy_from_slice(&[-1., 0., 1., 2.]);
-        let out = layer.forward_into(buf, &mut ws, false);
+        let (out, sums) = layer.forward_into(buf, &mut ws, false, true);
         assert_eq!(out.data(), &[0., 0., 1., 2.]);
+        assert!(sums.is_none(), "relu has no guarded GEMM");
         assert!(layer.input_cache.is_none(), "inference must not cache the input");
         assert_eq!(layer.cost().output_elems, 4);
     }

@@ -1,6 +1,6 @@
 //! Per-channel batch normalization for NCHW batches.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -27,8 +27,8 @@ pub struct BatchNorm2d {
 #[derive(Clone)]
 struct BnCache {
     x_hat: Tensor,
+    batch_mean: Vec<f32>,
     batch_var: Vec<f32>,
-    input_dims: Vec<usize>,
 }
 
 impl BatchNorm2d {
@@ -56,113 +56,95 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(c, self.channels, "batchnorm channel mismatch");
+    /// The batch's per-channel mean and variance, folded into the running
+    /// statistics, plus zeroed `x_hat` storage for the backward cache.
+    // pgmr-lint: boundary(hot-path-alloc): training-only batch statistics and backward cache; inference normalizes with the running statistics
+    fn batch_statistics(&mut self, input: &ActBuf) -> BnCache {
+        let (n, c, h, w) = input.as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
         let data = input.data();
-        self.output_elems_per_image = (c * plane) as u64;
-
-        let (mean, var): (Vec<f32>, Vec<f32>) = if train {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for img in 0..n {
-                for (ch, m) in mean.iter_mut().enumerate() {
-                    let base = (img * c + ch) * plane;
-                    *m += data[base..base + plane].iter().sum::<f32>();
-                }
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for img in 0..n {
+            for (ch, m) in mean.iter_mut().enumerate() {
+                let base = (img * c + ch) * plane;
+                *m += data[base..base + plane].iter().sum::<f32>();
             }
-            for m in &mut mean {
-                *m /= count;
-            }
-            for img in 0..n {
-                for ch in 0..c {
-                    let base = (img * c + ch) * plane;
-                    let m = mean[ch];
-                    var[ch] +=
-                        data[base..base + plane].iter().map(|&x| (x - m) * (x - m)).sum::<f32>();
-                }
-            }
-            for v in &mut var {
-                *v /= count;
-            }
-            for ch in 0..c {
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean[ch];
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var[ch];
-            }
-            (mean, var)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
-
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
-        let mut out = vec![0.0f32; data.len()];
-        let mut x_hat = vec![0.0f32; data.len()];
+        }
+        for m in &mut mean {
+            *m /= count;
+        }
         for img in 0..n {
             for ch in 0..c {
                 let base = (img * c + ch) * plane;
                 let m = mean[ch];
-                let inv_std = 1.0 / (var[ch] + self.eps).sqrt();
-                let (g, b) = (gamma[ch], beta[ch]);
-                for i in base..base + plane {
-                    let xh = (data[i] - m) * inv_std;
-                    x_hat[i] = xh;
-                    out[i] = g * xh + b;
-                }
+                var[ch] += data[base..base + plane].iter().map(|&x| (x - m) * (x - m)).sum::<f32>();
             }
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(vec![n, c, h, w], x_hat),
-                batch_var: var,
-                input_dims: vec![n, c, h, w],
-            });
+        for v in &mut var {
+            *v /= count;
         }
-        Tensor::from_vec(vec![n, c, h, w], out)
+        for ch in 0..c {
+            self.running_mean[ch] =
+                (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean[ch];
+            self.running_var[ch] =
+                (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var[ch];
+        }
+        BnCache { x_hat: Tensor::zeros(input.dims().to_vec()), batch_mean: mean, batch_var: var }
     }
+}
 
-    fn forward_into(&mut self, mut input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
-        // Inference normalizes with the running statistics, which depend only
-        // on the channel — the transform is elementwise, so it runs in place
-        // on the input buffer (pass-through, no second buffer needed).
+impl Layer for BatchNorm2d {
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (n, c, h, w) = input.as_nchw();
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
         let plane = h * w;
         self.output_elems_per_image = (c * plane) as u64;
+        // Training normalizes with the batch statistics, inference with the
+        // running ones. Either way the transform is elementwise per channel,
+        // so it runs in place on the input buffer (pass-through).
+        let mut batch = train.then(|| self.batch_statistics(&input));
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
         let data = input.data_mut();
         for img in 0..n {
             for ch in 0..c {
+                let (m, v) = match &batch {
+                    Some(b) => (b.batch_mean[ch], b.batch_var[ch]),
+                    None => (self.running_mean[ch], self.running_var[ch]),
+                };
+                let inv_std = 1.0 / (v + self.eps).sqrt();
                 let base = (img * c + ch) * plane;
-                let m = self.running_mean[ch];
-                let inv_std = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+                let row = &mut data[base..base + plane];
+                for x in row.iter_mut() {
+                    *x = (*x - m) * inv_std;
+                }
+                if let Some(b) = &mut batch {
+                    b.x_hat.data_mut()[base..base + plane].copy_from_slice(row);
+                }
                 let (g, b) = (gamma[ch], beta[ch]);
-                for v in &mut data[base..base + plane] {
-                    *v = g * ((*v - m) * inv_std) + b;
+                for x in row.iter_mut() {
+                    *x = g * *x + b;
                 }
             }
         }
-        input
+        if train {
+            self.cache = batch;
+        }
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("batchnorm backward called before training forward");
-        let dims = &cache.input_dims;
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (n, c, h, w) = cache.x_hat.shape().as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
         let go = grad_output.data();
@@ -203,7 +185,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        Tensor::from_vec(dims.clone(), dx)
+        Tensor::from_vec(vec![n, c, h, w], dx)
     }
 
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
@@ -238,6 +220,7 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -246,7 +229,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let x = Tensor::normal(vec![8, 3, 4, 4], 5.0, 2.0, &mut rng);
         let mut bn = BatchNorm2d::new(3);
-        let y = bn.forward(&x, true);
+        let y = forward(&mut bn, &x, true);
         // Per-channel mean ≈ 0, var ≈ 1 after normalization (gamma=1, beta=0).
         let (n, c, h, w) = y.shape().as_nchw();
         let plane = h * w;
@@ -271,35 +254,14 @@ mod tests {
         // Train on many batches so running stats converge.
         for _ in 0..200 {
             let x = Tensor::normal(vec![4, 2, 2, 2], 3.0, 1.0, &mut rng);
-            let _ = bn.forward(&x, true);
+            let _ = forward(&mut bn, &x, true);
         }
         assert!((bn.running_mean()[0] - 3.0).abs() < 0.2);
         // Inference on a biased batch still normalizes to ≈0 mean using the
         // running statistics, not the batch's own.
         let x = Tensor::filled(vec![1, 2, 2, 2], 3.0);
-        let y = bn.forward(&x, false);
+        let y = forward(&mut bn, &x, false);
         assert!(y.data().iter().all(|v| v.abs() < 0.3), "{:?}", y.data());
-    }
-
-    #[test]
-    fn workspace_forward_matches_allocating() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut bn = BatchNorm2d::new(3);
-        for _ in 0..20 {
-            let x = Tensor::normal(vec![4, 3, 2, 2], 1.0, 0.5, &mut rng);
-            let _ = bn.forward(&x, true);
-        }
-        bn.gamma.value = Tensor::from_vec(vec![3], vec![1.3, 0.8, -0.4]).into();
-        bn.beta.value = Tensor::from_vec(vec![3], vec![0.2, -0.1, 0.05]).into();
-        let x = Tensor::normal(vec![2, 3, 2, 2], 0.7, 1.1, &mut rng);
-        let expected = bn.clone().forward(&x, false);
-
-        let mut ws = crate::workspace::Workspace::new();
-        let mut buf = ws.acquire(&[2, 3, 2, 2]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = bn.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data(), "workspace path must be bit-identical");
     }
 
     #[test]
@@ -312,12 +274,12 @@ mod tests {
         bn.beta.value = Tensor::from_vec(vec![2], vec![0.1, -0.2]).into();
         // Weighted loss so the gradient is not uniform.
         let weights: Vec<f32> = (0..x.len()).map(|i| ((i % 7) as f32) * 0.3 - 1.0).collect();
-        let y = bn.forward(&x, true);
+        let y = forward(&mut bn, &x, true);
         let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
         let dx = bn.backward(&w_t);
 
         let loss = |bn: &mut BatchNorm2d, x: &Tensor| -> f32 {
-            bn.forward(x, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
+            forward(bn, x, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
         };
         let eps = 1e-2;
         for &flat in &[0usize, 5, 13, 30] {

@@ -2,40 +2,9 @@
 //! (DenseNet-style). These give the zoo the two "deep" topologies of the
 //! paper's Table II (ResNet20/ResNet34 and DenseNet40 analogs).
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
-use pgmr_tensor::{relu, relu_backward, Tensor};
-
-/// Concatenates NCHW tensors along the channel axis.
-///
-/// # Panics
-///
-/// Panics if batch or spatial dimensions disagree, or `parts` is empty.
-pub(crate) fn concat_channels(parts: &[&Tensor]) -> Tensor {
-    assert!(!parts.is_empty(), "concat of zero tensors");
-    let (n, _, h, w) = parts[0].shape().as_nchw();
-    let total_c: usize = parts
-        .iter()
-        .map(|t| {
-            let (pn, pc, ph, pw) = t.shape().as_nchw();
-            assert_eq!((pn, ph, pw), (n, h, w), "concat shape mismatch");
-            pc
-        })
-        .sum();
-    let plane = h * w;
-    let mut out = vec![0.0f32; n * total_c * plane];
-    for img in 0..n {
-        let mut ch_off = 0;
-        for t in parts {
-            let (_, pc, _, _) = t.shape().as_nchw();
-            let src = &t.data()[img * pc * plane..(img + 1) * pc * plane];
-            let dst_base = (img * total_c + ch_off) * plane;
-            out[dst_base..dst_base + pc * plane].copy_from_slice(src);
-            ch_off += pc;
-        }
-    }
-    Tensor::from_vec(vec![n, total_c, h, w], out)
-}
+use pgmr_tensor::{relu_backward, Tensor};
 
 /// Extracts channels `[from, to)` of an NCHW tensor.
 ///
@@ -89,6 +58,12 @@ impl Residual {
         assert!(!body.is_empty(), "residual body cannot be empty");
         Residual { body, projection, sum_cache: None }
     }
+
+    /// Keeps the pre-ReLU sum for `backward`.
+    // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
+    fn cache_sum(&mut self, sum: &ActBuf) {
+        self.sum_cache = Some(sum.to_tensor());
+    }
 }
 
 impl Clone for Residual {
@@ -102,44 +77,36 @@ impl Clone for Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut y = input.clone();
-        for layer in &mut self.body {
-            y = layer.forward(&y, train);
-        }
-        let skip = match &mut self.projection {
-            Some(p) => p.forward(input, train),
-            None => input.clone(),
-        };
-        let sum = y.add(&skip);
-        let out = relu(&sum);
-        self.sum_cache = Some(sum);
-        out
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         // The body consumes a copy; the original buffer feeds the skip path.
-        self.sum_cache = None;
         let mut y = ws.acquire(input.dims());
         y.data_mut().copy_from_slice(input.data());
         for layer in &mut self.body {
-            y = layer.forward_into(y, ws, false);
+            y = layer.forward_into(y, ws, train, false).0;
         }
         let skip = match &mut self.projection {
-            Some(p) => p.forward_into(input, ws, false),
+            Some(p) => p.forward_into(input, ws, train, false).0,
             None => input,
         };
         for (a, &b) in y.data_mut().iter_mut().zip(skip.data()) {
-            *a = (*a + b).max(0.0);
+            *a += b;
         }
         ws.release(skip);
-        y
+        if train {
+            self.cache_sum(&y);
+        } else {
+            self.sum_cache = None;
+        }
+        for v in y.data_mut() {
+            *v = v.max(0.0);
+        }
+        (y, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -240,6 +207,12 @@ impl DenseBlock {
     pub fn out_channels(&self) -> usize {
         self.in_c + self.units.len() * self.growth
     }
+
+    /// Keeps one unit's pre-ReLU output for `backward`.
+    // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
+    fn cache_pre_relu(cache: &mut Vec<Tensor>, pre: &ActBuf) {
+        cache.push(pre.to_tensor());
+    }
 }
 
 impl Clone for DenseBlock {
@@ -254,27 +227,13 @@ impl Clone for DenseBlock {
 }
 
 impl Layer for DenseBlock {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (_, c, _, _) = input.shape().as_nchw();
-        assert_eq!(c, self.in_c, "dense block input channel mismatch");
-        self.pre_relu_cache.clear();
-        let mut features = input.clone();
-        for unit in &mut self.units {
-            let pre = unit.forward(&features, train);
-            let y = relu(&pre);
-            self.pre_relu_cache.push(pre);
-            features = concat_channels(&[&features, &y]);
-        }
-        features
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (_, c, _, _) = input.as_nchw();
         assert_eq!(c, self.in_c, "dense block input channel mismatch");
         self.pre_relu_cache.clear();
@@ -283,7 +242,10 @@ impl Layer for DenseBlock {
             // The unit consumes a copy of the running concatenation.
             let mut unit_in = ws.acquire(features.dims());
             unit_in.data_mut().copy_from_slice(features.data());
-            let mut y = unit.forward_into(unit_in, ws, false);
+            let mut y = unit.forward_into(unit_in, ws, train, false).0;
+            if train {
+                Self::cache_pre_relu(&mut self.pre_relu_cache, &y);
+            }
             for v in y.data_mut() {
                 *v = v.max(0.0);
             }
@@ -303,7 +265,7 @@ impl Layer for DenseBlock {
             ws.release(y);
             features = cat;
         }
-        features
+        (features, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -368,19 +330,21 @@ impl Layer for DenseBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
     use crate::layers::Conv2d;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
-    fn concat_and_slice_round_trip() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = Tensor::uniform(vec![2, 3, 4, 4], -1.0, 1.0, &mut rng);
-        let b = Tensor::uniform(vec![2, 2, 4, 4], -1.0, 1.0, &mut rng);
-        let cat = concat_channels(&[&a, &b]);
-        assert_eq!(cat.shape().dims(), &[2, 5, 4, 4]);
-        assert_eq!(slice_channels(&cat, 0, 3), a);
-        assert_eq!(slice_channels(&cat, 3, 5), b);
+    fn slice_channels_extracts_a_channel_range() {
+        // Channel `ch` of image `i` holds the constant `10 i + ch`.
+        let data: Vec<f32> =
+            (0..2).flat_map(|i| (0..5).flat_map(move |ch| [(10 * i + ch) as f32; 4])).collect();
+        let t = Tensor::from_vec(vec![2, 5, 2, 2], data);
+        let s = slice_channels(&t, 1, 3);
+        assert_eq!(s.shape().dims(), &[2, 2, 2, 2]);
+        let want: Vec<f32> = [1.0, 2.0, 11.0, 12.0].iter().flat_map(|&v| [v; 4]).collect();
+        assert_eq!(s.data(), want.as_slice());
     }
 
     #[test]
@@ -389,7 +353,7 @@ mod tests {
         let body: Vec<Box<dyn Layer>> = vec![Box::new(Conv2d::new(4, 4, 6, 6, 3, 1, 1, &mut rng))];
         let mut res = Residual::new(body, None);
         let x = Tensor::uniform(vec![2, 4, 6, 6], -1.0, 1.0, &mut rng);
-        let y = res.forward(&x, true);
+        let y = forward(&mut res, &x, true);
         assert_eq!(y.shape().dims(), x.shape().dims());
         // Output is post-ReLU: non-negative.
         assert!(y.min() >= 0.0);
@@ -402,7 +366,7 @@ mod tests {
         let mut res = Residual::new(body, None);
         let x = Tensor::uniform(vec![1, 2, 4, 4], -1.0, 1.0, &mut rng);
         let weights: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
-        let y = res.forward(&x, true);
+        let y = forward(&mut res, &x, true);
         let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
         let dx = res.backward(&w_t);
         let eps = 1e-3;
@@ -413,7 +377,7 @@ mod tests {
             xm.data_mut()[flat] -= eps;
             let f = |t: &Tensor| -> f32 {
                 let mut probe = res.clone();
-                probe.forward(t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
+                forward(&mut probe, t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
             };
             let numeric = (f(&xp) - f(&xm)) / (2.0 * eps);
             assert!(
@@ -434,40 +398,10 @@ mod tests {
         let mut block = DenseBlock::new(units, 3, 2);
         assert_eq!(block.out_channels(), 7);
         let x = Tensor::uniform(vec![2, 3, 4, 4], -1.0, 1.0, &mut rng);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         assert_eq!(y.shape().dims(), &[2, 7, 4, 4]);
         // The first in_c channels of the output are the input itself.
         assert_eq!(slice_channels(&y, 0, 3), x);
-    }
-
-    #[test]
-    fn workspace_forward_matches_allocating() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut ws = crate::workspace::Workspace::new();
-
-        let body: Vec<Box<dyn Layer>> = vec![Box::new(Conv2d::new(3, 3, 4, 4, 3, 1, 1, &mut rng))];
-        let proj: Box<dyn Layer> = Box::new(Conv2d::new(3, 3, 4, 4, 1, 1, 0, &mut rng));
-        let mut res = Residual::new(body, Some(proj));
-        let x = Tensor::uniform(vec![2, 3, 4, 4], -1.0, 1.0, &mut rng);
-        let expected = res.clone().forward(&x, false);
-        let mut buf = ws.acquire(&[2, 3, 4, 4]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = res.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data(), "residual workspace path must be bit-identical");
-        ws.release(out);
-
-        let units: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new(3, 2, 4, 4, 3, 1, 1, &mut rng)),
-            Box::new(Conv2d::new(5, 2, 4, 4, 3, 1, 1, &mut rng)),
-        ];
-        let mut block = DenseBlock::new(units, 3, 2);
-        let expected = block.clone().forward(&x, false);
-        let mut buf = ws.acquire(&[2, 3, 4, 4]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = block.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data(), "dense block workspace path must be bit-identical");
     }
 
     #[test]
@@ -479,7 +413,7 @@ mod tests {
         ];
         let mut block = DenseBlock::new(units, 2, 2);
         let x = Tensor::uniform(vec![1, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let y = block.forward(&x, true);
+        let y = forward(&mut block, &x, true);
         let weights: Vec<f32> = (0..y.len()).map(|i| (i as f32 * 0.61).cos()).collect();
         let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
         let dx = block.backward(&w_t);
@@ -491,7 +425,7 @@ mod tests {
             xm.data_mut()[flat] -= eps;
             let f = |t: &Tensor| -> f32 {
                 let mut probe = block.clone();
-                probe.forward(t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
+                forward(&mut probe, t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
             };
             let numeric = (f(&xp) - f(&xm)) / (2.0 * eps);
             assert!(

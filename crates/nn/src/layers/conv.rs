@@ -61,15 +61,56 @@ impl Conv2d {
         self.out_c
     }
 
-    /// Workspace forward core (inference only): the im2col patch matrix
-    /// lives in the arena's shared scratch, zero-filled and reused across
-    /// images; the output comes from the arena. Derives per-image ABFT
-    /// expectations inline when `checked` — the inference path keeps no
-    /// `cols_cache` to derive them from afterwards.
-    fn run_into(
+    /// Bias-initialized convolution GEMM for one image: every spatial
+    /// position of channel `ch` starts at `bias[ch]`, then the filter
+    /// matrix multiplies the patch matrix on top.
+    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + scratch
+    fn bias_gemm_into(
+        out_c: usize,
+        patch: usize,
+        spatial: usize,
+        weight: &[f32],
+        bias: &[f32],
+        cols: &[f32],
+        out_img: &mut [f32],
+        scratch: &mut GemmScratch,
+    ) {
+        for (ch, row) in out_img.chunks_mut(spatial).enumerate() {
+            row.fill(bias[ch]);
+        }
+        gemm_into(out_c, patch, spatial, weight, cols, out_img, scratch);
+    }
+
+    /// Keeps one image's patch matrix for `backward`.
+    // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
+    fn cache_cols(&mut self, cols: &[f32]) {
+        self.cols_cache.push(cols.to_vec());
+    }
+
+    /// ABFT expectations for one image's bias-initialized GEMM.
+    fn image_checksums(&self, cols: &[f32]) -> GemmChecksums {
+        let mut sums = GemmChecksums::for_ab(
+            self.out_c,
+            self.geom.patch_len(),
+            self.geom.out_spatial(),
+            self.weight.value.data(),
+            cols,
+        );
+        sums.add_broadcast_col(self.bias.value.data());
+        sums
+    }
+}
+
+impl Layer for Conv2d {
+    /// The im2col patch matrix lives in the arena's shared scratch,
+    /// zero-filled and reused across images; the output comes from the
+    /// arena. Checksum expectations are derived per image while its patch
+    /// matrix is still in the scratch.
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
+        train: bool,
         checked: bool,
     ) -> (ActBuf, Option<OutputChecksum>) {
         let (n, c, h, w) = input.as_nchw();
@@ -103,156 +144,14 @@ impl Conv2d {
                 if checked {
                     segments.push((i * out_stride, self.image_checksums(cols)));
                 }
+                if train {
+                    self.cache_cols(cols);
+                }
             }
         }
         ws.release(input);
         let sums = if checked { Some(OutputChecksum::new(segments)) } else { None };
         (out, sums)
-    }
-
-    /// Bias-initialized convolution GEMM for one image: every spatial
-    /// position of channel `ch` starts at `bias[ch]`, then the filter
-    /// matrix multiplies the patch matrix on top.
-    fn bias_gemm(
-        out_c: usize,
-        patch: usize,
-        spatial: usize,
-        weight: &[f32],
-        bias: &[f32],
-        cols: &[f32],
-        out_img: &mut [f32],
-    ) {
-        let mut scratch = GemmScratch::new();
-        Self::bias_gemm_into(out_c, patch, spatial, weight, bias, cols, out_img, &mut scratch);
-    }
-
-    /// [`Self::bias_gemm`] with caller-owned packing buffers — the
-    /// zero-allocation path; results are bit-identical either way.
-    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + scratch
-    fn bias_gemm_into(
-        out_c: usize,
-        patch: usize,
-        spatial: usize,
-        weight: &[f32],
-        bias: &[f32],
-        cols: &[f32],
-        out_img: &mut [f32],
-        scratch: &mut GemmScratch,
-    ) {
-        for (ch, row) in out_img.chunks_mut(spatial).enumerate() {
-            row.fill(bias[ch]);
-        }
-        gemm_into(out_c, patch, spatial, weight, cols, out_img, scratch);
-    }
-
-    /// ABFT expectations for one image's bias-initialized GEMM.
-    fn image_checksums(&self, cols: &[f32]) -> GemmChecksums {
-        let mut sums = GemmChecksums::for_ab(
-            self.out_c,
-            self.geom.patch_len(),
-            self.geom.out_spatial(),
-            self.weight.value.data(),
-            cols,
-        );
-        sums.add_broadcast_col(self.bias.value.data());
-        sums
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(
-            (c, h, w),
-            (self.geom.in_c, self.geom.in_h, self.geom.in_w),
-            "conv2d input shape mismatch"
-        );
-        let spatial = self.geom.out_spatial();
-        let patch = self.geom.patch_len();
-        let mut out = vec![0.0f32; n * self.out_c * spatial];
-        self.cols_cache.clear();
-        let mut cols = vec![0.0f32; patch * spatial];
-        for i in 0..n {
-            im2col_into(input.image_view(i), &self.geom, &mut cols);
-            Self::bias_gemm(
-                self.out_c,
-                patch,
-                spatial,
-                self.weight.value.data(),
-                self.bias.value.data(),
-                &cols,
-                &mut out[i * self.out_c * spatial..(i + 1) * self.out_c * spatial],
-            );
-            if train {
-                // Backward consumes the patch matrices; inference must not
-                // retain batch-sized buffers.
-                self.cols_cache.push(cols.clone());
-            }
-        }
-        Tensor::from_vec(vec![n, self.out_c, self.geom.out_h, self.geom.out_w], out)
-    }
-
-    fn forward_with_checksum(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(
-            (c, h, w),
-            (self.geom.in_c, self.geom.in_h, self.geom.in_w),
-            "conv2d input shape mismatch"
-        );
-        let spatial = self.geom.out_spatial();
-        let patch = self.geom.patch_len();
-        let mut out = vec![0.0f32; n * self.out_c * spatial];
-        self.cols_cache.clear();
-        let mut cols = vec![0.0f32; patch * spatial];
-        let mut segments = Vec::with_capacity(n);
-        for i in 0..n {
-            im2col_into(input.image_view(i), &self.geom, &mut cols);
-            Self::bias_gemm(
-                self.out_c,
-                patch,
-                spatial,
-                self.weight.value.data(),
-                self.bias.value.data(),
-                &cols,
-                &mut out[i * self.out_c * spatial..(i + 1) * self.out_c * spatial],
-            );
-            segments.push((i * self.out_c * spatial, self.image_checksums(&cols)));
-            if train {
-                self.cols_cache.push(cols.clone());
-            }
-        }
-        let out = Tensor::from_vec(vec![n, self.out_c, self.geom.out_h, self.geom.out_w], out);
-        (out, Some(OutputChecksum::new(segments)))
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, true);
-            return ws.adopt(y);
-        }
-        let (buf, _) = self.run_into(input, ws, false);
-        buf
-    }
-
-    fn forward_into_with_checksum(
-        &mut self,
-        input: ActBuf,
-        ws: &mut Workspace,
-        train: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let (y, sums) = self.forward_with_checksum(&x, true);
-            return (ws.adopt(y), sums);
-        }
-        self.run_into(input, ws, true)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -322,6 +221,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -330,7 +230,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(3, 8, 10, 10, 3, 1, 1, &mut rng);
         let x = Tensor::uniform(vec![2, 3, 10, 10], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = forward(&mut conv, &x, true);
         assert_eq!(y.shape().dims(), &[2, 8, 10, 10]);
     }
 
@@ -342,7 +242,7 @@ mod tests {
         conv.weight.value = Tensor::ones(vec![1, 9]).into();
         conv.bias.value = Tensor::from_vec(vec![1], vec![0.5]).into();
         let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
-        let y = conv.forward(&x, true);
+        let y = forward(&mut conv, &x, true);
         assert_eq!(y.data(), &[45.5]);
     }
 
@@ -352,7 +252,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut conv = Conv2d::new(2, 3, 5, 5, 3, 1, 1, &mut rng);
         let x = Tensor::uniform(vec![1, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = forward(&mut conv, &x, true);
         let ones = Tensor::ones(y.shape().dims().to_vec());
         let dx = conv.backward(&ones);
 
@@ -363,8 +263,8 @@ mod tests {
             xp.data_mut()[flat] += eps;
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let fp = conv.forward(&xp, true).sum();
-            let fm = conv.forward(&xm, true).sum();
+            let fp = forward(&mut conv, &xp, true).sum();
+            let fm = forward(&mut conv, &xm, true).sum();
             let numeric = (fp - fm) / (2.0 * eps);
             let analytic = dx.data()[flat];
             assert!(
@@ -377,15 +277,15 @@ mod tests {
         let mut conv2 = conv.clone();
         conv2.weight.grad.map_in_place(|_| 0.0);
         conv2.bias.grad.map_in_place(|_| 0.0);
-        let y2 = conv2.forward(&x, true);
+        let y2 = forward(&mut conv2, &x, true);
         let _ = conv2.backward(&Tensor::ones(y2.shape().dims().to_vec()));
         for &flat in &[0usize, 5, 17] {
             let mut cp = conv.clone();
             cp.weight.value.data_mut()[flat] += eps;
             let mut cm = conv.clone();
             cm.weight.value.data_mut()[flat] -= eps;
-            let fp = cp.forward(&x, true).sum();
-            let fm = cm.forward(&x, true).sum();
+            let fp = forward(&mut cp, &x, true).sum();
+            let fm = forward(&mut cm, &x, true).sum();
             let numeric = (fp - fm) / (2.0 * eps);
             let analytic = conv2.weight.grad.data()[flat];
             assert!(
@@ -400,27 +300,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(2, 4, 6, 6, 3, 1, 1, &mut rng);
         let x = Tensor::uniform(vec![3, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let _ = conv.forward(&x, true);
+        let _ = forward(&mut conv, &x, true);
         assert_eq!(conv.cols_cache.len(), 3, "training must cache per-image patches");
-        let _ = conv.forward(&x, false);
+        let _ = forward(&mut conv, &x, false);
         assert!(conv.cols_cache.is_empty(), "inference must not retain im2col buffers");
-        let (_, sums) = conv.forward_with_checksum(&x, false);
-        assert!(sums.is_some());
-        assert!(conv.cols_cache.is_empty(), "checked inference must not retain im2col buffers");
-    }
-
-    #[test]
-    fn workspace_forward_matches_allocating() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut conv = Conv2d::new(2, 4, 6, 6, 3, 2, 1, &mut rng);
-        let x = Tensor::uniform(vec![3, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let reference = conv.forward(&x, false);
         let mut ws = Workspace::new();
         let mut buf = ws.acquire(x.shape().dims());
         buf.data_mut().copy_from_slice(x.data());
-        let out = conv.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), reference.shape().dims());
-        assert_eq!(out.data(), reference.data());
+        let (out, sums) = conv.forward_into(buf, &mut ws, false, true);
+        sums.expect("conv emits checksums").verify(out.data(), 1e-4).unwrap();
+        assert!(conv.cols_cache.is_empty(), "checked inference must not retain im2col buffers");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::init::he_normal;
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::checksum::GemmChecksums;
-use pgmr_tensor::gemm::{gemm_a_bt, gemm_a_bt_into, gemm_at_b};
+use pgmr_tensor::gemm::{gemm_a_bt_into, gemm_at_b};
 use pgmr_tensor::Tensor;
 use rand::Rng;
 
@@ -43,18 +43,25 @@ impl Dense {
         self.out_features
     }
 
-    /// Workspace forward core: `y = x W^T + b` into an arena buffer, with
-    /// optional ABFT checksums. Skips the backward `input_cache` — the
-    /// workspace path is inference-only.
-    fn run_into(
+    /// Keeps the batch input for `backward`.
+    // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
+    fn cache_input(&mut self, input: &ActBuf) {
+        self.input_cache = Some(input.to_tensor());
+    }
+}
+
+impl Layer for Dense {
+    fn forward_into(
         &mut self,
         input: ActBuf,
         ws: &mut Workspace,
+        train: bool,
         checked: bool,
     ) -> (ActBuf, Option<OutputChecksum>) {
         assert_eq!(input.dims().len(), 2, "dense expects [n, features]");
         let n = input.dims()[0];
         assert_eq!(input.dims()[1], self.in_features, "dense input feature mismatch");
+        // y = x (n x in) * W^T (in x out) + bias
         let mut out = ws.acquire(&[n, self.out_features]);
         for row in out.data_mut().chunks_mut(self.out_features) {
             row.copy_from_slice(self.bias.value.data());
@@ -80,75 +87,13 @@ impl Dense {
             // pgmr-lint: allow(hot-path-alloc): inside the `checked.then` ABFT arm — runs only for guarded passes, never on the unguarded serving path
             OutputChecksum::new(vec![(0, sums)])
         });
-        self.input_cache = None;
+        if train {
+            self.cache_input(&input);
+        } else {
+            self.input_cache = None;
+        }
         ws.release(input);
         (out, sums)
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "dense expects [n, features]");
-        let n = input.shape().dim(0);
-        assert_eq!(input.shape().dim(1), self.in_features, "dense input feature mismatch");
-        let mut out = vec![0.0f32; n * self.out_features];
-        // y = x (n x in) * W^T (in x out) + bias
-        for row in out.chunks_mut(self.out_features) {
-            row.copy_from_slice(self.bias.value.data());
-        }
-        gemm_a_bt(
-            n,
-            self.in_features,
-            self.out_features,
-            input.data(),
-            self.weight.value.data(),
-            &mut out,
-        );
-        self.input_cache = Some(input.clone());
-        Tensor::from_vec(vec![n, self.out_features], out)
-    }
-
-    fn forward_with_checksum(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
-        let out = self.forward(input, train);
-        let n = input.shape().dim(0);
-        let mut sums = GemmChecksums::for_a_bt(
-            n,
-            self.in_features,
-            self.out_features,
-            input.data(),
-            self.weight.value.data(),
-        );
-        sums.add_broadcast_row(self.bias.value.data());
-        (out, Some(OutputChecksum::new(vec![(0, sums)])))
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
-        self.run_into(input, ws, false).0
-    }
-
-    fn forward_into_with_checksum(
-        &mut self,
-        input: ActBuf,
-        ws: &mut Workspace,
-        train: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let (y, sums) = self.forward_with_checksum(&x, train);
-            return (ws.adopt(y), sums);
-        }
-        self.run_into(input, ws, true)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -211,6 +156,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -221,7 +167,7 @@ mod tests {
         dense.weight.value = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]).into();
         dense.bias.value = Tensor::from_vec(vec![2], vec![1., 2.]).into();
         let x = Tensor::from_vec(vec![1, 2], vec![3., 4.]);
-        let y = dense.forward(&x, true);
+        let y = forward(&mut dense, &x, true);
         assert_eq!(y.data(), &[4., 6.]);
     }
 
@@ -230,7 +176,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut dense = Dense::new(4, 3, &mut rng);
         let x = Tensor::uniform(vec![2, 4], -1.0, 1.0, &mut rng);
-        let y = dense.forward(&x, true);
+        let y = forward(&mut dense, &x, true);
         let dx = dense.backward(&Tensor::ones(y.shape().dims().to_vec()));
 
         let eps = 1e-3;
@@ -239,39 +185,38 @@ mod tests {
             xp.data_mut()[flat] += eps;
             let mut xm = x.clone();
             xm.data_mut()[flat] -= eps;
-            let numeric =
-                (dense.forward(&xp, true).sum() - dense.forward(&xm, true).sum()) / (2.0 * eps);
+            let numeric = (forward(&mut dense, &xp, true).sum()
+                - forward(&mut dense, &xm, true).sum())
+                / (2.0 * eps);
             assert!((numeric - dx.data()[flat]).abs() < 1e-2);
         }
 
         let mut probe = dense.clone();
         probe.weight.grad.map_in_place(|_| 0.0);
         probe.bias.grad.map_in_place(|_| 0.0);
-        let y2 = probe.forward(&x, true);
+        let y2 = forward(&mut probe, &x, true);
         let _ = probe.backward(&Tensor::ones(y2.shape().dims().to_vec()));
         for flat in 0..probe.weight.value.len() {
             let mut wp = dense.clone();
             wp.weight.value.data_mut()[flat] += eps;
             let mut wm = dense.clone();
             wm.weight.value.data_mut()[flat] -= eps;
-            let numeric = (wp.forward(&x, true).sum() - wm.forward(&x, true).sum()) / (2.0 * eps);
+            let numeric =
+                (forward(&mut wp, &x, true).sum() - forward(&mut wm, &x, true).sum()) / (2.0 * eps);
             assert!((numeric - probe.weight.grad.data()[flat]).abs() < 1e-2);
         }
     }
 
     #[test]
-    fn workspace_forward_matches_allocating() {
+    fn checked_inference_verifies_and_keeps_no_cache() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut dense = Dense::new(5, 4, &mut rng);
         let x = Tensor::uniform(vec![3, 5], -1.0, 1.0, &mut rng);
-        let expected = dense.clone().forward(&x, false);
-
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire(&[3, 5]);
         buf.data_mut().copy_from_slice(x.data());
-        let (out, sums) = dense.forward_into_with_checksum(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data(), "workspace path must be bit-identical");
+        let (out, sums) = dense.forward_into(buf, &mut ws, false, true);
+        assert_eq!(out.dims(), &[3, 4]);
         sums.expect("dense emits checksums").verify(out.data(), 1e-4).unwrap();
         assert!(dense.input_cache.is_none(), "inference must not cache the input");
     }
@@ -281,7 +226,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut dense = Dense::new(2, 2, &mut rng);
         let x = Tensor::uniform(vec![3, 2], -1.0, 1.0, &mut rng);
-        let y = dense.forward(&x, true);
+        let y = forward(&mut dense, &x, true);
         let _ = dense.backward(&Tensor::ones(y.shape().dims().to_vec()));
         assert_eq!(dense.bias.grad.data(), &[3.0, 3.0]);
     }

@@ -1,6 +1,6 @@
 //! Shape adapter between convolutional and dense stages.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -18,16 +18,13 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let dims = input.shape().dims().to_vec();
-        assert!(dims.len() >= 2, "flatten expects a batched tensor");
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        self.input_dims = Some(dims);
-        input.reshape(vec![n, rest])
-    }
-
-    fn forward_into(&mut self, mut input: ActBuf, _ws: &mut Workspace, _train: bool) -> ActBuf {
+    fn forward_into(
+        &mut self,
+        mut input: ActBuf,
+        _ws: &mut Workspace,
+        _train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let dims = input.dims();
         assert!(dims.len() >= 2, "flatten expects a batched tensor");
         let n = dims[0];
@@ -41,7 +38,7 @@ impl Layer for Flatten {
             None => self.input_dims = Some(input.dims().to_vec()),
         }
         input.set_dims(&[n, rest]);
-        input
+        (input, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -72,12 +69,13 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
 
     #[test]
     fn round_trips_shape() {
         let mut flat = Flatten::new();
         let x = Tensor::from_vec(vec![2, 2, 1, 2], (0..8).map(|v| v as f32).collect());
-        let y = flat.forward(&x, true);
+        let y = forward(&mut flat, &x, true);
         assert_eq!(y.shape().dims(), &[2, 4]);
         let dx = flat.backward(&y);
         assert_eq!(dx.shape().dims(), x.shape().dims());

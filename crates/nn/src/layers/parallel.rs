@@ -1,6 +1,7 @@
 //! Parallel multi-branch layers (GoogLeNet/Inception-style blocks).
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use super::composite::slice_channels;
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -50,36 +51,20 @@ impl Clone for Parallel {
 }
 
 impl Layer for Parallel {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut outputs = Vec::with_capacity(self.branches.len());
-        self.branch_channels.clear();
-        for branch in &mut self.branches {
-            let mut y = input.clone();
-            for layer in branch.iter_mut() {
-                y = layer.forward(&y, train);
-            }
-            let (_, c, _, _) = y.shape().as_nchw();
-            self.branch_channels.push(c);
-            outputs.push(y);
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        concat_channels(&refs)
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         self.branch_channels.clear();
         let mut outs = std::mem::take(&mut self.branch_outs);
         for branch in &mut self.branches {
             let mut y = ws.acquire(input.dims());
             y.data_mut().copy_from_slice(input.data());
             for layer in branch.iter_mut() {
-                y = layer.forward_into(y, ws, false);
+                y = layer.forward_into(y, ws, train, false).0;
             }
             let (_, c, _, _) = y.as_nchw();
             self.branch_channels.push(c);
@@ -111,7 +96,7 @@ impl Layer for Parallel {
             ws.release(t);
         }
         self.branch_outs = outs;
-        cat
+        (cat, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -183,50 +168,10 @@ impl Layer for Parallel {
     }
 }
 
-/// Concatenates NCHW tensors along the channel axis.
-fn concat_channels(parts: &[&Tensor]) -> Tensor {
-    let (n, _, h, w) = parts[0].shape().as_nchw();
-    let total_c: usize = parts
-        .iter()
-        .map(|t| {
-            let (pn, pc, ph, pw) = t.shape().as_nchw();
-            assert_eq!((pn, ph, pw), (n, h, w), "branch output shape mismatch");
-            pc
-        })
-        .sum();
-    let plane = h * w;
-    let mut out = vec![0.0f32; n * total_c * plane];
-    for img in 0..n {
-        let mut ch_off = 0;
-        for t in parts {
-            let (_, pc, _, _) = t.shape().as_nchw();
-            let src = &t.data()[img * pc * plane..(img + 1) * pc * plane];
-            let dst = (img * total_c + ch_off) * plane;
-            out[dst..dst + pc * plane].copy_from_slice(src);
-            ch_off += pc;
-        }
-    }
-    Tensor::from_vec(vec![n, total_c, h, w], out)
-}
-
-/// Extracts channels `[from, to)` of an NCHW tensor.
-fn slice_channels(t: &Tensor, from: usize, to: usize) -> Tensor {
-    let (n, c, h, w) = t.shape().as_nchw();
-    assert!(from < to && to <= c, "bad channel slice {from}..{to} of {c}");
-    let plane = h * w;
-    let out_c = to - from;
-    let mut out = vec![0.0f32; n * out_c * plane];
-    for img in 0..n {
-        let src = (img * c + from) * plane;
-        let dst = img * out_c * plane;
-        out[dst..dst + out_c * plane].copy_from_slice(&t.data()[src..src + out_c * plane]);
-    }
-    Tensor::from_vec(vec![n, out_c, h, w], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
     use crate::layers::{Conv2d, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -245,9 +190,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = block(&mut rng);
         let x = Tensor::uniform(vec![2, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let y = p.forward(&x, true);
+        let y = forward(&mut p, &x, true);
         assert_eq!(y.shape().dims(), &[2, 5, 5, 5]);
         assert_eq!(p.branch_count(), 2);
+        assert!(p.branch_outs.is_empty(), "branch buffers must drain back to the arena");
     }
 
     #[test]
@@ -255,14 +201,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = block(&mut rng);
         let x = Tensor::uniform(vec![1, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let y = p.forward(&x, true);
+        let y = forward(&mut p, &x, true);
         let weights: Vec<f32> = (0..y.len()).map(|i| (i as f32 * 0.29).sin()).collect();
         let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
         let dx = p.backward(&w_t);
         let eps = 1e-3;
         let f = |t: &Tensor| -> f32 {
             let mut probe = p.clone();
-            probe.forward(t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
+            forward(&mut probe, t, true).data().iter().zip(&weights).map(|(a, b)| a * b).sum()
         };
         for &flat in &[0usize, 11, 29, 49] {
             let mut xp = x.clone();
@@ -276,22 +222,6 @@ mod tests {
                 dx.data()[flat]
             );
         }
-    }
-
-    #[test]
-    fn workspace_forward_matches_allocating() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut p = block(&mut rng);
-        let x = Tensor::uniform(vec![2, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let expected = p.clone().forward(&x, false);
-
-        let mut ws = crate::workspace::Workspace::new();
-        let mut buf = ws.acquire(&[2, 2, 5, 5]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = p.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data(), "parallel workspace path must be bit-identical");
-        assert!(p.branch_outs.is_empty(), "branch buffers must drain back to the arena");
     }
 
     #[test]

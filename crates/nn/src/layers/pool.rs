@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, LayerCost, ParamSlot};
+use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
 use crate::workspace::{ActBuf, Workspace};
 use pgmr_tensor::Tensor;
 
@@ -43,16 +43,24 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.as_nchw();
         let k = self.window;
         assert!(h >= k && w >= k, "pool window {k} larger than spatial dims {h}x{w}");
         let oh = h / k;
         let ow = w / k;
-        let data = input.data();
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut out = ws.acquire(&[n, c, oh, ow]);
+        // Only training builds the argmax routing table `backward` needs;
+        // inference clears it (capacity is retained).
         self.argmax_cache.clear();
-        self.argmax_cache.reserve(out.len());
+        let data = input.data();
+        let od = out.data_mut();
         let mut oi = 0;
         for img in 0..n {
             for ch in 0..c {
@@ -70,52 +78,10 @@ impl Layer for MaxPool2d {
                                 }
                             }
                         }
-                        out[oi] = best;
-                        self.argmax_cache.push(best_idx);
-                        oi += 1;
-                    }
-                }
-            }
-        }
-        self.input_shape = Some(vec![n, c, h, w]);
-        self.output_elems_per_image = (c * oh * ow) as u64;
-        Tensor::from_vec(vec![n, c, oh, ow], out)
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
-        let (n, c, h, w) = input.as_nchw();
-        let k = self.window;
-        assert!(h >= k && w >= k, "pool window {k} larger than spatial dims {h}x{w}");
-        let oh = h / k;
-        let ow = w / k;
-        let mut out = ws.acquire(&[n, c, oh, ow]);
-        // Inference never calls backward: drop the argmax routing table
-        // (capacity is retained) instead of repopulating it.
-        self.argmax_cache.clear();
-        let data = input.data();
-        let od = out.data_mut();
-        let mut oi = 0;
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                let idx = base + (oy * k + dy) * w + (ox * k + dx);
-                                if data[idx] > best {
-                                    best = data[idx];
-                                }
-                            }
-                        }
                         od[oi] = best;
+                        if train {
+                            self.argmax_cache.push(best_idx);
+                        }
                         oi += 1;
                     }
                 }
@@ -124,7 +90,7 @@ impl Layer for MaxPool2d {
         record_shape(&mut self.input_shape, [n, c, h, w]);
         self.output_elems_per_image = (c * oh * ow) as u64;
         ws.release(input);
-        out
+        (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -174,28 +140,13 @@ impl AvgPoolGlobal {
 }
 
 impl Layer for AvgPoolGlobal {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
-        let plane = h * w;
-        let data = input.data();
-        let mut out = vec![0.0f32; n * c];
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * plane;
-                out[img * c + ch] = data[base..base + plane].iter().sum::<f32>() / plane as f32;
-            }
-        }
-        self.input_shape = Some(vec![n, c, h, w]);
-        Tensor::from_vec(vec![n, c], out)
-    }
-
-    fn forward_into(&mut self, input: ActBuf, ws: &mut Workspace, train: bool) -> ActBuf {
-        if train {
-            let x = input.to_tensor();
-            ws.release(input);
-            let y = self.forward(&x, train);
-            return ws.adopt(y);
-        }
+    fn forward_into(
+        &mut self,
+        input: ActBuf,
+        ws: &mut Workspace,
+        _train: bool,
+        _checked: bool,
+    ) -> (ActBuf, Option<OutputChecksum>) {
         let (n, c, h, w) = input.as_nchw();
         let plane = h * w;
         let mut out = ws.acquire(&[n, c]);
@@ -209,7 +160,7 @@ impl Layer for AvgPoolGlobal {
         }
         record_shape(&mut self.input_shape, [n, c, h, w]);
         ws.release(input);
-        out
+        (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -250,6 +201,7 @@ impl Layer for AvgPoolGlobal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::forward;
 
     #[test]
     fn maxpool_picks_maximum() {
@@ -263,7 +215,7 @@ mod tests {
             ],
         );
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x, true);
+        let y = forward(&mut pool, &x, true);
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4., 8., 12., 16.]);
     }
@@ -272,7 +224,7 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 9., 3., 4.]);
         let mut pool = MaxPool2d::new(2);
-        let _ = pool.forward(&x, true);
+        let _ = forward(&mut pool, &x, true);
         let dx = pool.backward(&Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]));
         assert_eq!(dx.data(), &[0., 5., 0., 0.]);
     }
@@ -281,47 +233,26 @@ mod tests {
     fn maxpool_truncates_ragged_edges() {
         let x = Tensor::ones(vec![1, 1, 5, 5]);
         let mut pool = MaxPool2d::new(2);
-        let y = pool.forward(&x, true);
+        let y = forward(&mut pool, &x, true);
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
     }
 
     #[test]
-    fn workspace_forward_matches_allocating() {
-        let x = Tensor::from_vec(
-            vec![1, 1, 4, 4],
-            vec![
-                1., 2., 5., 6., //
-                3., 4., 7., 8., //
-                9., 10., 13., 14., //
-                11., 12., 15., 16.,
-            ],
-        );
-        let mut ws = crate::workspace::Workspace::new();
-
+    fn maxpool_inference_builds_no_routing() {
+        let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 9., 3., 4.]);
         let mut pool = MaxPool2d::new(2);
-        let expected = pool.clone().forward(&x, false);
-        let mut buf = ws.acquire(&[1, 1, 4, 4]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = pool.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data());
+        let _ = forward(&mut pool, &x, true);
+        assert_eq!(pool.argmax_cache, vec![1]);
+        let y = forward(&mut pool, &x, false);
+        assert_eq!(y.data(), &[9.]);
         assert!(pool.argmax_cache.is_empty(), "inference must not build argmax routing");
-        ws.release(out);
-
-        let mut gap = AvgPoolGlobal::new();
-        let expected = gap.clone().forward(&x, false);
-        let mut buf = ws.acquire(&[1, 1, 4, 4]);
-        buf.data_mut().copy_from_slice(x.data());
-        let out = gap.forward_into(buf, &mut ws, false);
-        assert_eq!(out.dims(), expected.shape().dims());
-        assert_eq!(out.data(), expected.data());
     }
 
     #[test]
     fn avgpool_averages_plane() {
         let x = Tensor::from_vec(vec![1, 2, 2, 2], vec![1., 2., 3., 4., 10., 10., 10., 10.]);
         let mut pool = AvgPoolGlobal::new();
-        let y = pool.forward(&x, true);
+        let y = forward(&mut pool, &x, true);
         assert_eq!(y.data(), &[2.5, 10.0]);
     }
 
@@ -329,7 +260,7 @@ mod tests {
     fn avgpool_backward_spreads_gradient() {
         let x = Tensor::ones(vec![1, 1, 2, 2]);
         let mut pool = AvgPoolGlobal::new();
-        let _ = pool.forward(&x, true);
+        let _ = forward(&mut pool, &x, true);
         let dx = pool.backward(&Tensor::from_vec(vec![1, 1], vec![8.0]));
         assert_eq!(dx.data(), &[2., 2., 2., 2.]);
     }

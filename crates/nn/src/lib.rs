@@ -12,9 +12,11 @@
 //!   types consumed by the `pgmr-perf` GPU model,
 //! * [`layers`] — convolution, dense, pooling, batch-norm, ReLU, flatten,
 //!   residual blocks and DenseNet-style dense blocks,
-//! * [`network`] — [`network::Network`], a sequential container
-//!   with prediction, parameter-visiting, and activation-hook support (the
-//!   hook is how `pgmr-precision` simulates truncating load/store values),
+//! * [`network`] — [`network::Network`], a sequential container whose
+//!   single driver [`network::Network::run`] executes every forward pass
+//!   from a [`network::RunPlan`]: an activation hook (how
+//!   `pgmr-precision` simulates truncating load/store values), a training
+//!   flag, and an ABFT/duplication [`network::Guard`],
 //! * [`loss`] — softmax cross-entropy,
 //! * [`optim`] — SGD with momentum and weight decay,
 //! * [`train`] — a mini-batch trainer with seeded shuffling and step LR
@@ -27,9 +29,9 @@
 //!   the plan-aware ABFT forward pass,
 //! * [`zoo`] — the six benchmark architectures of the paper's Table II,
 //!   scaled to this repository's synthetic datasets,
-//! * [`workspace`] — the reusable inference arena behind the
-//!   zero-allocation `forward_into` layer family (one per thread, reused
-//!   across members and batches),
+//! * [`workspace`] — the activation arena every layer's single
+//!   `forward_into` body computes into (one per thread for inference,
+//!   reused across members and batches),
 //! * [`serialize`] — a versioned binary parameter codec,
 //! * [`store`] — the process-wide model store: digest-verified weight
 //!   arenas shared read-only across tenants (owned↔shared `ParamSlot`

@@ -1,8 +1,8 @@
-//! Sequential network container.
+//! Sequential network container and its forward driver.
 
 use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::protect::CheckPlan;
-use crate::workspace::{with_thread_workspace, ActBuf, Workspace};
+use crate::workspace::{with_thread_workspace, Workspace};
 use pgmr_tensor::checksum::{ChecksumFault, ChecksumKind};
 use pgmr_tensor::{softmax, Tensor};
 
@@ -10,6 +10,54 @@ use pgmr_tensor::{softmax, Tensor};
 /// output, receiving the activation's raw row-major data — the simulated
 /// load/store boundary for precision truncation and fault injection.
 pub type ActivationHook<'a> = &'a dyn Fn(&mut [f32]);
+
+/// What a [`Network::run`] verifies, each variant with its tolerance.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Guard<'a> {
+    /// Nothing: no checksums, no duplication, no protection accounting.
+    #[default]
+    Off,
+    /// Every guarded (top-level dense / convolution) layer, at the given
+    /// tolerance.
+    All(f32),
+    /// The layers a selective-protection [`CheckPlan`] checks, plus its
+    /// duplicated layer, at the given tolerance.
+    Plan(&'a CheckPlan, f32),
+}
+
+impl Guard<'_> {
+    fn checks(self, layer: usize) -> bool {
+        match self {
+            Guard::Off => false,
+            Guard::All(_) => true,
+            Guard::Plan(plan, _) => plan.checks(layer),
+        }
+    }
+
+    fn duplicates(self, layer: usize) -> bool {
+        matches!(self, Guard::Plan(plan, _) if plan.duplicates(layer))
+    }
+
+    fn tolerance(self) -> f32 {
+        match self {
+            Guard::Off => 0.0,
+            Guard::All(t) | Guard::Plan(_, t) => t,
+        }
+    }
+}
+
+/// How one [`Network::run`] executes. `RunPlan::default()` is the plain
+/// inference forward.
+#[derive(Clone, Copy, Default)]
+pub struct RunPlan<'a> {
+    /// Runs on the network input and on every layer output.
+    pub hook: Option<ActivationHook<'a>>,
+    /// Training mode: layers use batch statistics and dropout masks and
+    /// record the caches [`Network::backward`] consumes.
+    pub train: bool,
+    /// What the run verifies.
+    pub guard: Guard<'a>,
+}
 
 /// A feed-forward network: an ordered stack of [`Layer`]s ending in a
 /// logit-producing head.
@@ -81,132 +129,153 @@ impl Network {
         self.layers.len()
     }
 
-    /// Runs the forward pass, producing `[n, num_classes]` logits.
+    /// The forward driver: every forward pass — plain, hooked, guarded,
+    /// duplicated, training — is one call here. The input is copied into
+    /// an arena buffer and ping-ponged through every layer's
+    /// [`Layer::forward_into`]; the `[n, num_classes]` logits land in
+    /// `logits` (cleared and refilled, so a caller-reused vector reaches a
+    /// steady state with no heap traffic).
     ///
-    /// Training runs on the allocating [`Layer::forward`] path (backward
-    /// passes need the caches it populates); inference runs on the
-    /// workspace [`Layer::forward_into`] path, reusing this thread's
-    /// activation arena across calls. The two are bit-identical.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            return self.forward_reference(input, train);
+    /// The plan's `hook` runs on the input and after every layer — the
+    /// reduced-precision load/store simulation and fault-injection point —
+    /// *before* that layer's output is verified, which is exactly where a
+    /// transient fault lands between a GEMM and its consumer. A hook that
+    /// merely perturbs values within the tolerance (rounding at a matching
+    /// tolerance) passes.
+    ///
+    /// The plan's [`Guard`] picks what is verified. Checked layers derive
+    /// Huang–Abraham checksums inside their own GEMM and verify them;
+    /// unchecked layers pay no checksum derivation. Only top-level dense
+    /// and convolution layers are guarded: convolutions nested inside a
+    /// residual, dense or parallel block run unverified. At most one layer
+    /// may additionally be *duplicated*: it is recomputed from a pristine
+    /// copy of its input in inference mode, with no hook (so injector site
+    /// counters advance identically with or without duplication), and
+    /// compared element-wise under the checksum verifier's
+    /// relative-plus-absolute bound; a disagreement is a
+    /// [`ChecksumKind::Recompute`] fault. The first fault is returned
+    /// instead of logits.
+    ///
+    /// Guarded runs flush the number of guarded layers verified / skipped
+    /// and duplicate executions to the `abft.checked_total`,
+    /// `abft.skipped_total` and `dup.exec_total` counters once per pass
+    /// (also on the early-fault path); unguarded runs do no protection
+    /// accounting.
+    ///
+    /// Inference reuses this thread's workspace arena. Training uses a
+    /// workspace of its own, so threads that train keep no training-sized
+    /// buffers and `infer.workspace_bytes` keeps meaning inference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` is combined with a guard, if a check plan's layer
+    /// count disagrees with the network's, or if the head produces the
+    /// wrong class count.
+    pub fn run(
+        &mut self,
+        input: &Tensor,
+        plan: &RunPlan<'_>,
+        logits: &mut Vec<f32>,
+    ) -> Result<(), ChecksumFault> {
+        if plan.train {
+            assert!(matches!(plan.guard, Guard::Off), "guarded training is not supported");
+            return self.run_in(input, plan, &mut Workspace::new(), logits);
         }
         with_thread_workspace(|ws| {
-            let out = self.forward_ws(input, ws, None);
-            let t = out.to_tensor();
-            ws.release(out);
+            let verdict = self.run_in(input, plan, ws, logits);
             ws.report_peak();
-            t
+            verdict
         })
     }
 
-    /// Reference allocating forward pass. Inference callers normally go
-    /// through [`Network::forward`]; this variant exists as the semantic
-    /// baseline the workspace path is pinned against in the parity tests.
-    pub fn forward_reference(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        assert_eq!(
-            x.shape().dims().last(),
-            Some(&self.num_classes),
-            "head produced wrong class count"
-        );
-        x
-    }
-
-    /// Workspace forward core: input copied into an arena buffer, then
-    /// ping-ponged through every layer. The optional `hook` runs on the
-    /// input and after every layer.
-    fn forward_ws(
+    fn run_in(
         &mut self,
         input: &Tensor,
+        plan: &RunPlan<'_>,
         ws: &mut Workspace,
-        hook: Option<ActivationHook<'_>>,
-    ) -> ActBuf {
+        logits: &mut Vec<f32>,
+    ) -> Result<(), ChecksumFault> {
+        let guard = plan.guard;
+        let guarded = !matches!(guard, Guard::Off);
+        if let Guard::Plan(check_plan, _) = guard {
+            self.assert_plan(check_plan);
+        }
+        let mut tally = ProtectTally::default();
         let mut x = ws.acquire(input.shape().dims());
         x.data_mut().copy_from_slice(input.data());
-        if let Some(h) = hook {
+        if let Some(h) = plan.hook {
             h(x.data_mut());
         }
-        for layer in &mut self.layers {
-            x = layer.forward_into(x, ws, false);
-            if let Some(h) = hook {
-                h(x.data_mut());
+        let mut verdict = Ok(());
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            if guarded {
+                tally.record(layer.as_ref(), guard, i);
+            }
+            let copy = guard.duplicates(i).then(|| {
+                let mut c = ws.acquire(x.dims());
+                c.data_mut().copy_from_slice(x.data());
+                c
+            });
+            let (mut y, sums) = layer.forward_into(x, ws, plan.train, guard.checks(i));
+            if let Some(h) = plan.hook {
+                h(y.data_mut());
+            }
+            if let Some(c) = copy {
+                let (y2, _) = layer.forward_into(c, ws, false, false);
+                verdict = compare_duplicate(y.data(), y2.data(), guard.tolerance());
+                ws.release(y2);
+            }
+            if let (Ok(()), Some(sums)) = (&verdict, sums) {
+                verdict = sums.verify(y.data(), guard.tolerance());
+            }
+            x = y;
+            if verdict.is_err() {
+                break;
             }
         }
-        assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
-        x
+        if verdict.is_ok() {
+            assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
+            logits.clear();
+            logits.extend_from_slice(x.data());
+        }
+        ws.release(x);
+        if guarded {
+            tally.flush();
+        }
+        verdict
     }
 
-    /// Zero-allocation inference: runs the workspace forward pass and
-    /// writes the `[n, num_classes]` logits into `out` (cleared and
-    /// resized, so a caller-reused vector reaches a steady state with no
-    /// heap traffic). This is the entry point the throughput bench's
-    /// allocations-per-image gauge measures.
-    pub fn forward_into_logits(&mut self, input: &Tensor, out: &mut Vec<f32>) {
-        with_thread_workspace(|ws| {
-            let logits = self.forward_ws(input, ws, None);
-            out.clear();
-            out.extend_from_slice(logits.data());
-            ws.release(logits);
-            ws.report_peak();
-        });
+    /// Runs the forward pass, producing `[n, num_classes]` logits: one
+    /// unguarded, hook-free [`Network::run`]. With `train`, layers record
+    /// the caches [`Network::backward`] consumes.
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut logits = Vec::new();
+        let plan = RunPlan { train, ..RunPlan::default() };
+        self.run(input, &plan, &mut logits).expect("an unguarded run cannot fault");
+        self.logits_tensor(logits)
     }
 
-    /// Forward pass with an activation hook applied to the input and to the
-    /// output of every layer — the reduced-precision load/store simulation
-    /// point. The hook receives the activation's raw row-major data, which
-    /// both the allocating and the workspace path expose without a copy.
+    /// [`Network::forward`] with an activation hook on the input and on
+    /// the output of every layer (see [`RunPlan::hook`]).
     pub fn forward_with_hook(
         &mut self,
         input: &Tensor,
         train: bool,
         hook: &dyn Fn(&mut [f32]),
     ) -> Tensor {
-        if train {
-            return self.forward_with_hook_reference(input, train, hook);
-        }
-        with_thread_workspace(|ws| {
-            let out = self.forward_ws(input, ws, Some(hook));
-            let t = out.to_tensor();
-            ws.release(out);
-            ws.report_peak();
-            t
-        })
+        let mut logits = Vec::new();
+        let plan = RunPlan { hook: Some(hook), train, guard: Guard::Off };
+        self.run(input, &plan, &mut logits).expect("an unguarded run cannot fault");
+        self.logits_tensor(logits)
     }
 
-    /// Reference allocating variant of [`Network::forward_with_hook`].
-    pub fn forward_with_hook_reference(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        hook: &dyn Fn(&mut [f32]),
-    ) -> Tensor {
-        let mut x = input.clone();
-        hook(x.data_mut());
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-            hook(x.data_mut());
-        }
-        x
-    }
-
-    /// ABFT-guarded forward pass: every dense/convolution output is
-    /// verified against row/column checksums derived from the layer's
-    /// inputs. The optional `hook` runs after every layer *before* its
-    /// output is verified — exactly where a transient fault (or an
-    /// injected bit flip) lands between a GEMM and its consumer — so
-    /// corruption of guarded outputs is caught, while a hook that merely
-    /// perturbs values within `tolerance` (reduced-precision rounding with
-    /// a matching tolerance) passes.
+    /// ABFT-guarded forward pass verifying every top-level dense and
+    /// convolution layer ([`Guard::All`]); returns the first checksum
+    /// violation instead of logits.
     ///
-    /// Inference rides the workspace arena for activations; the checksum
-    /// expectations themselves are freshly allocated per guarded layer
-    /// (they are O(rows + cols), not O(activations)).
+    /// # Panics
     ///
-    /// Returns the first checksum violation instead of logits.
+    /// Panics if `train` is set: guarded training is not supported.
     pub fn forward_checked(
         &mut self,
         input: &Tensor,
@@ -214,154 +283,14 @@ impl Network {
         hook: Option<ActivationHook<'_>>,
         tolerance: f32,
     ) -> Result<Tensor, ChecksumFault> {
-        let plan = CheckPlan::full(self.layers.len());
-        self.forward_checked_plan(input, train, hook, tolerance, &plan)
+        let mut logits = Vec::new();
+        let plan = RunPlan { hook, train, guard: Guard::All(tolerance) };
+        self.run(input, &plan, &mut logits)?;
+        Ok(self.logits_tensor(logits))
     }
 
-    /// Reference allocating variant of [`Network::forward_checked`].
-    pub fn forward_checked_reference(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        hook: Option<ActivationHook<'_>>,
-        tolerance: f32,
-    ) -> Result<Tensor, ChecksumFault> {
-        let plan = CheckPlan::full(self.layers.len());
-        self.forward_checked_plan_reference(input, train, hook, tolerance, &plan)
-    }
-
-    /// ABFT-guarded forward pass under a selective-protection
-    /// [`CheckPlan`]: layers the plan checks derive and verify their
-    /// Huang–Abraham checksums exactly like [`Network::forward_checked`];
-    /// layers it skips run the plain `forward_into` path, paying no
-    /// checksum derivation at all. At most one layer may additionally be
-    /// *duplicated*: its output is recomputed from a pristine copy of the
-    /// input (no hook on the second run, so injector site counters advance
-    /// identically with or without duplication) and compared element-wise
-    /// under the same relative-plus-absolute bound the checksum verifier
-    /// uses; a disagreement surfaces as a [`ChecksumKind::Recompute`]
-    /// fault. Duplication assumes the layer is deterministic in inference
-    /// mode — every guarded (dense/conv) layer is.
-    ///
-    /// `CheckPlan::full(n)` makes this bit-identical to the uniform
-    /// checked path; `CheckPlan::off(n)` verifies nothing.
-    ///
-    /// Per pass, the number of guarded layers verified / skipped and
-    /// duplicate executions are flushed to the `abft.checked_total`,
-    /// `abft.skipped_total`, and `dup.exec_total` observability counters
-    /// (also on the early-fault path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's layer count disagrees with the network's.
-    pub fn forward_checked_plan(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        hook: Option<ActivationHook<'_>>,
-        tolerance: f32,
-        plan: &CheckPlan,
-    ) -> Result<Tensor, ChecksumFault> {
-        if train {
-            return self.forward_checked_plan_reference(input, train, hook, tolerance, plan);
-        }
-        self.assert_plan(plan);
-        let mut tally = ProtectTally::default();
-        let result = with_thread_workspace(|ws| {
-            let mut x = ws.acquire(input.shape().dims());
-            x.data_mut().copy_from_slice(input.data());
-            if let Some(h) = hook {
-                h(x.data_mut());
-            }
-            for (i, layer) in self.layers.iter_mut().enumerate() {
-                tally.record(layer.as_ref(), plan, i);
-                let copy = if plan.duplicates(i) {
-                    let mut c = ws.acquire(x.dims());
-                    c.data_mut().copy_from_slice(x.data());
-                    Some(c)
-                } else {
-                    None
-                };
-                let (mut y, sums) = if plan.checks(i) {
-                    layer.forward_into_with_checksum(x, ws, false)
-                } else {
-                    (layer.forward_into(x, ws, false), None)
-                };
-                if let Some(h) = hook {
-                    h(y.data_mut());
-                }
-                if let Some(c) = copy {
-                    let y2 = layer.forward_into(c, ws, false);
-                    let verdict = compare_duplicate(y.data(), y2.data(), tolerance);
-                    ws.release(y2);
-                    if let Err(fault) = verdict {
-                        ws.release(y);
-                        ws.report_peak();
-                        return Err(fault);
-                    }
-                }
-                if let Some(sums) = sums {
-                    if let Err(fault) = sums.verify(y.data(), tolerance) {
-                        ws.release(y);
-                        ws.report_peak();
-                        return Err(fault);
-                    }
-                }
-                x = y;
-            }
-            assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
-            let t = x.to_tensor();
-            ws.release(x);
-            ws.report_peak();
-            Ok(t)
-        });
-        tally.flush();
-        result
-    }
-
-    /// Reference allocating variant of [`Network::forward_checked_plan`].
-    pub fn forward_checked_plan_reference(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        hook: Option<ActivationHook<'_>>,
-        tolerance: f32,
-        plan: &CheckPlan,
-    ) -> Result<Tensor, ChecksumFault> {
-        self.assert_plan(plan);
-        let mut tally = ProtectTally::default();
-        let result = (|| {
-            let mut x = input.clone();
-            if let Some(h) = hook {
-                h(x.data_mut());
-            }
-            for (i, layer) in self.layers.iter_mut().enumerate() {
-                tally.record(layer.as_ref(), plan, i);
-                let copy = if plan.duplicates(i) { Some(x.clone()) } else { None };
-                let (mut y, sums) = if plan.checks(i) {
-                    layer.forward_with_checksum(&x, train)
-                } else {
-                    (layer.forward(&x, train), None)
-                };
-                if let Some(h) = hook {
-                    h(y.data_mut());
-                }
-                if let Some(c) = copy {
-                    // The duplicate run always executes in inference mode:
-                    // a training-mode recompute would double-apply
-                    // batch-norm statistics updates and redraw dropout.
-                    let y2 = layer.forward(&c, false);
-                    compare_duplicate(y.data(), y2.data(), tolerance)?;
-                }
-                if let Some(sums) = sums {
-                    sums.verify(y.data(), tolerance)?;
-                }
-                x = y;
-            }
-            Ok(x)
-        })();
-        tally.flush();
-        result
+    fn logits_tensor(&self, logits: Vec<f32>) -> Tensor {
+        Tensor::from_vec(vec![logits.len() / self.num_classes, self.num_classes], logits)
     }
 
     fn assert_plan(&self, plan: &CheckPlan) {
@@ -484,16 +413,16 @@ struct ProtectTally {
 }
 
 impl ProtectTally {
-    fn record(&mut self, layer: &dyn Layer, plan: &CheckPlan, i: usize) {
-        let kind = layer.cost().kind;
+    fn record(&mut self, layer: &dyn Layer, guard: Guard<'_>, i: usize) {
+        let kind = layer.name();
         if kind == "dense" || kind == "conv2d" {
-            if plan.checks(i) {
+            if guard.checks(i) {
                 self.checked += 1;
             } else {
                 self.skipped += 1;
             }
         }
-        if plan.duplicates(i) {
+        if guard.duplicates(i) {
             self.duplicated += 1;
         }
     }
@@ -623,18 +552,27 @@ mod tests {
     }
 
     #[test]
-    fn workspace_forward_matches_reference() {
+    fn run_refills_a_reused_logits_buffer() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut net = tiny_net(&mut rng);
         let x = Tensor::uniform(vec![5, 1, 2, 4], -1.0, 1.0, &mut rng);
-        let reference = net.forward_reference(&x, false);
-        let routed = net.forward(&x, false);
-        assert_eq!(routed.data(), reference.data());
-        assert_eq!(routed.shape().dims(), reference.shape().dims());
+        let want = net.forward(&x, false);
+        assert_eq!(want.shape().dims(), &[5, 3]);
+        let mut logits = vec![7.0; 40];
+        for _ in 0..2 {
+            net.run(&x, &RunPlan::default(), &mut logits).unwrap();
+            assert_eq!(logits.as_slice(), want.data());
+        }
+    }
 
-        let mut logits = Vec::new();
-        net.forward_into_logits(&x, &mut logits);
-        assert_eq!(logits.as_slice(), reference.data());
+    #[test]
+    #[should_panic(expected = "guarded training is not supported")]
+    fn guarded_training_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut net = tiny_net(&mut rng);
+        let x = Tensor::uniform(vec![2, 1, 2, 4], -1.0, 1.0, &mut rng);
+        let plan = RunPlan { train: true, guard: Guard::All(1e-4), ..RunPlan::default() };
+        let _ = net.run(&x, &plan, &mut Vec::new());
     }
 
     #[test]

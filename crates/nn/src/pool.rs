@@ -106,7 +106,7 @@ impl WorkerPool {
     ///
     /// Re-raises the panic of the earliest-submitted panicking job, after
     /// every job in the batch has finished.
-    // pgmr-lint: boundary(hot-path-alloc): dispatch marshalling (job boxes, result slots) is per-batch, not per-image; the jobs themselves are rooted separately via the forward_into family
+    // pgmr-lint: boundary(hot-path-alloc): dispatch marshalling (job boxes, result slots) is per-batch, not per-image; the jobs themselves are rooted separately via Network::run and Layer::forward_into
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,

@@ -1,35 +1,31 @@
-//! Reusable inference workspace: an arena of activation buffers and
-//! im2col scratch shared by the `forward_into` layer family.
-//!
-//! The allocating `Layer::forward` path builds a fresh output `Tensor`
-//! per layer per call, so a W-member ensemble pays
-//! O(members × layers × batch) heap traffic per request. A [`Workspace`]
-//! removes that traffic from the inference hot path:
+//! The activation workspace every forward pass runs in: an arena of
+//! activation buffers and im2col scratch shared by
+//! [`crate::layer::Layer::forward_into`], the one forward body of every
+//! layer.
 //!
 //! * [`ActBuf`] — a plain `Vec<f32>` plus dimensions, the unit of
 //!   activation storage. Layers consume their input buffer by value and
-//!   either return it unchanged (flatten, inference dropout, in-place
-//!   ReLU) or trade it for an output buffer from the arena — the
-//!   "ping-pong" scheme.
+//!   either return it (flatten, dropout, in-place ReLU and batch-norm) or
+//!   trade it for an output buffer from the arena — the "ping-pong"
+//!   scheme.
 //! * [`Workspace::acquire`] / [`Workspace::release`] — a LIFO free list.
 //!   Buffer capacities only grow, and a network's acquire sequence is
 //!   the same on every forward pass, so after the first call at a given
 //!   (architecture, batch) the arena serves every request from recycled
 //!   storage: zero steady-state heap allocations.
-//! * [`Workspace::scratch`] — one dedicated buffer for im2col patch
-//!   matrices, zero-filled per image (padded taps rely on it) and reused
-//!   across images, layers, and calls.
 //! * [`Workspace::gemm_scratch`] — packing buffers
 //!   ([`pgmr_tensor::gemm::GemmScratch`]) for the blocked GEMM kernels,
 //!   sized once at the largest panel a workload needs;
-//!   [`Workspace::scratch_with_gemm`] hands out the im2col scratch and the
-//!   packing buffers together for convolution, which needs both at once.
+//!   [`Workspace::scratch_with_gemm`] adds one dedicated buffer for im2col
+//!   patch matrices, zero-filled per image (padded taps rely on it) and
+//!   reused across images, layers, and calls.
 //!
-//! Every thread gets its own arena via [`with_thread_workspace`]; worker
-//! pool threads ([`crate::pool::WorkerPool`]) are persistent, so one
-//! workspace per worker is reused across members and batches. Training
-//! stays on the allocating path — backward passes need the per-call
-//! caches it populates.
+//! Inference runs on a per-thread arena via [`with_thread_workspace`];
+//! worker pool threads ([`crate::pool::WorkerPool`]) are persistent, so
+//! one workspace per worker is reused across members and batches.
+//! Training forwards run the same layer bodies on a workspace of their
+//! own (see [`crate::Network::run`]) and additionally record the
+//! backward caches — the only allocations a layer makes.
 
 use pgmr_tensor::gemm::GemmScratch;
 use pgmr_tensor::Tensor;
@@ -98,8 +94,8 @@ impl ActBuf {
         (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
     }
 
-    /// Allocating copy into a [`Tensor`] (reference-path shims and final
-    /// outputs; not used on the zero-allocation path).
+    /// Allocating copy into a [`Tensor`] (training-time backward caches;
+    /// not used on the zero-allocation inference path).
     pub fn to_tensor(&self) -> Tensor {
         Tensor::from_vec(self.dims.clone(), self.data.clone())
     }
@@ -170,33 +166,6 @@ impl Workspace {
         self.free.push(buf);
     }
 
-    /// Wraps an externally allocated tensor as an [`ActBuf`] (default
-    /// `forward_into` shim). Counts as a growth event: the storage did not
-    /// come from the arena.
-    pub fn adopt(&mut self, t: Tensor) -> ActBuf {
-        self.grows += 1;
-        let dims = t.shape().dims().to_vec();
-        let data = t.into_data();
-        self.in_use_bytes += data.len() * std::mem::size_of::<f32>();
-        self.note_usage();
-        ActBuf { data, dims }
-    }
-
-    /// The shared im2col scratch buffer, resized (capacity only grows) to
-    /// exactly `len` elements. Contents are unspecified — convolution
-    /// zero-fills it per image via `im2col_into`.
-    pub fn scratch(&mut self, len: usize) -> &mut [f32] {
-        if self.scratch.capacity() < len {
-            self.grows += 1;
-        }
-        if self.scratch.len() < len {
-            self.scratch.resize(len, 0.0);
-        }
-        self.scratch_bytes = self.scratch_bytes.max(len * std::mem::size_of::<f32>());
-        self.note_usage();
-        &mut self.scratch[..len]
-    }
-
     /// The GEMM packing buffers (dense layers, which have no im2col
     /// scratch of their own). Capacities only grow — the hot path reaches
     /// a steady state after the first pass at a given shape set.
@@ -204,9 +173,11 @@ impl Workspace {
         &mut self.gemm
     }
 
-    /// The im2col scratch *and* the GEMM packing buffers, borrowed
-    /// together — convolution writes patch matrices into the former while
-    /// the blocked kernel packs panels into the latter.
+    /// The shared im2col scratch, resized (capacity only grows) to exactly
+    /// `len` elements, *and* the GEMM packing buffers, borrowed together —
+    /// convolution writes patch matrices into the former while the blocked
+    /// kernel packs panels into the latter. Scratch contents are
+    /// unspecified: `im2col_into` zero-fills it per image.
     pub fn scratch_with_gemm(&mut self, len: usize) -> (&mut [f32], &mut GemmScratch) {
         if self.scratch.capacity() < len {
             self.grows += 1;
@@ -316,11 +287,11 @@ mod tests {
     #[test]
     fn scratch_grows_monotonically() {
         let mut ws = Workspace::new();
-        ws.scratch(100);
+        ws.scratch_with_gemm(100);
         let grows = ws.stats().grows;
-        ws.scratch(50);
+        ws.scratch_with_gemm(50);
         assert_eq!(ws.stats().grows, grows, "smaller scratch reuses capacity");
-        assert_eq!(ws.scratch(50).len(), 50);
+        assert_eq!(ws.scratch_with_gemm(50).0.len(), 50);
     }
 
     #[test]

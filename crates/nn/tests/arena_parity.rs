@@ -6,6 +6,7 @@
 //! 1/7/64. Corrupt arena blobs must be rejected before any tenant sees
 //! them.
 
+use pgmr_nn::network::{Guard, RunPlan};
 use pgmr_nn::serialize::{decode_params_arena, encode_params, DecodeParamsError};
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_nn::{CheckPlan, StoredModel};
@@ -72,14 +73,12 @@ fn arena_forward_matches_owned_across_zoo_and_batches() {
                 "{}: ABFT-checked forward diverged at batch {batch}",
                 spec.arch_id()
             );
-            let a = owned.forward_checked_plan(&x, false, None, DEFAULT_TOLERANCE, &plan).unwrap();
-            let b = twin.forward_checked_plan(&x, false, None, DEFAULT_TOLERANCE, &plan).unwrap();
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "{}: plan-guarded forward diverged at batch {batch}",
-                spec.arch_id()
-            );
+            let run =
+                RunPlan { guard: Guard::Plan(&plan, DEFAULT_TOLERANCE), ..RunPlan::default() };
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            owned.run(&x, &run, &mut a).unwrap();
+            twin.run(&x, &run, &mut b).unwrap();
+            assert_eq!(a, b, "{}: plan-guarded forward diverged at batch {batch}", spec.arch_id());
         }
     }
 }

@@ -1,16 +1,17 @@
 //! Parity suite for plan-driven selective protection: `ProtectionLevel`
 //! and `CheckPlan` must never change *what* a network computes — only
 //! which layers get ABFT verification or duplicated execution. Full plans
-//! are pinned bit-identical to the uniformly-checked path (workspace and
-//! reference), Off plans to the plain forward, and the selective /
-//! duplicated paths are exercised with targeted hook corruption to prove
-//! they detect exactly where protection is placed.
+//! are pinned bit-identical to the uniformly-checked path, Off plans to
+//! the plain forward, and the selective / duplicated paths are exercised
+//! with targeted hook corruption to prove they detect exactly where
+//! protection is placed.
 
 use std::cell::Cell;
 
+use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
 use pgmr_nn::zoo::{self, ArchSpec};
 use pgmr_nn::{CheckPlan, Network};
-use pgmr_tensor::checksum::ChecksumKind;
+use pgmr_tensor::checksum::{ChecksumFault, ChecksumKind};
 use pgmr_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +39,16 @@ fn guarded_layers(net: &Network) -> Vec<usize> {
         .collect()
 }
 
+/// Runs `net` under `plan`, returning the logits or the first fault.
+fn run(net: &mut Network, x: &Tensor, plan: RunPlan<'_>) -> Result<Vec<f32>, ChecksumFault> {
+    let mut logits = Vec::new();
+    net.run(x, &plan, &mut logits).map(|()| logits)
+}
+
+fn under<'a>(plan: &'a CheckPlan, hook: Option<ActivationHook<'a>>) -> RunPlan<'a> {
+    RunPlan { hook, guard: Guard::Plan(plan, 1e-4), ..RunPlan::default() }
+}
+
 #[test]
 fn full_plan_is_bit_identical_to_uniform_checked_path() {
     let mut rng = StdRng::seed_from_u64(47);
@@ -49,24 +60,14 @@ fn full_plan_is_bit_identical_to_uniform_checked_path() {
             let mut planned = zoo::build(&spec, seed);
             let plan = CheckPlan::full(planned.num_layers());
             let want = uniform
-                .forward_checked_reference(&x, false, None, 1e-4)
-                .expect("clean reference forward must verify");
-            let via_plan = planned
-                .forward_checked_plan(&x, false, None, 1e-4, &plan)
-                .expect("clean full-plan forward must verify");
+                .forward_checked(&x, false, None, 1e-4)
+                .expect("clean uniform forward must verify");
+            let via_plan =
+                run(&mut planned, &x, under(&plan, None)).expect("clean full plan must verify");
             assert_eq!(
-                via_plan.data(),
+                via_plan.as_slice(),
                 want.data(),
                 "full plan diverged from uniform checking: {} batch {batch}",
-                spec.arch_id()
-            );
-            let via_plan_ref = planned
-                .forward_checked_plan_reference(&x, false, None, 1e-4, &plan)
-                .expect("clean full-plan reference forward must verify");
-            assert_eq!(
-                via_plan_ref.data(),
-                want.data(),
-                "full-plan reference diverged: {} batch {batch}",
                 spec.arch_id()
             );
         }
@@ -83,19 +84,22 @@ fn off_and_selective_plans_do_not_perturb_outputs() {
         let mut planned = zoo::build(&spec, seed);
         let n = planned.num_layers();
         let want = plain.forward(&x, false);
-        let off = planned
-            .forward_checked_plan(&x, false, None, 1e-4, &CheckPlan::off(n))
+        let off = run(&mut planned, &x, under(&CheckPlan::off(n), None))
             .expect("off plan has nothing to fail");
-        assert_eq!(off.data(), want.data(), "off plan diverged: {}", spec.arch_id());
+        assert_eq!(off.as_slice(), want.data(), "off plan diverged: {}", spec.arch_id());
         // A half-coverage selective plan: checks change detection, never data.
         let mut checks = vec![false; n];
         for (j, c) in checks.iter_mut().enumerate() {
             *c = j % 2 == 0;
         }
-        let selective = planned
-            .forward_checked_plan(&x, false, None, 1e-4, &CheckPlan::new(checks, None))
+        let selective = run(&mut planned, &x, under(&CheckPlan::new(checks, None), None))
             .expect("clean selective forward must verify");
-        assert_eq!(selective.data(), want.data(), "selective plan diverged: {}", spec.arch_id());
+        assert_eq!(
+            selective.as_slice(),
+            want.data(),
+            "selective plan diverged: {}",
+            spec.arch_id()
+        );
     }
 }
 
@@ -125,8 +129,8 @@ fn selective_plan_detects_exactly_where_checks_are_placed() {
     // Uniform checking flags a corruption of the victim layer's output.
     let site = Cell::new(0usize);
     let hook = corrupt_site(victim + 1, &site);
-    let fault = net
-        .forward_checked_plan(&x, false, Some(&hook), 1e-4, &CheckPlan::full(n))
+    let full = CheckPlan::full(n);
+    let fault = run(&mut net, &x, under(&full, Some(&hook)))
         .expect_err("full plan must catch the corrupted layer output");
     assert!(matches!(fault.kind, ChecksumKind::Row | ChecksumKind::Col));
 
@@ -137,7 +141,8 @@ fn selective_plan_detects_exactly_where_checks_are_placed() {
     checks[victim] = false;
     let site = Cell::new(0usize);
     let hook = corrupt_site(victim + 1, &site);
-    net.forward_checked_plan(&x, false, Some(&hook), 1e-4, &CheckPlan::new(checks, None))
+    let selective = CheckPlan::new(checks, None);
+    run(&mut net, &x, under(&selective, Some(&hook)))
         .expect("unchecked victim layer must not flag its own corruption");
 }
 
@@ -150,37 +155,20 @@ fn duplicated_layer_detects_corruption_checksums_cannot_see() {
     let victim = guarded_layers(&net)[0];
     let n = net.num_layers();
 
-    // Clean duplicated run: bit-identical to the plain forward, on both
-    // the workspace and the reference path.
+    // Clean duplicated run: bit-identical to the plain forward.
     let plan = CheckPlan::new(vec![false; n], Some(victim));
     let want = zoo::build(&spec, 601).forward(&x, false);
-    let got = net
-        .forward_checked_plan(&x, false, None, 1e-4, &plan)
-        .expect("clean duplicated forward must verify");
-    assert_eq!(got.data(), want.data(), "duplication must not perturb the canonical output");
-    let got_ref = net
-        .forward_checked_plan_reference(&x, false, None, 1e-4, &plan)
-        .expect("clean duplicated reference forward must verify");
-    assert_eq!(got_ref.data(), want.data());
+    let got = run(&mut net, &x, under(&plan, None)).expect("clean duplicated run must verify");
+    assert_eq!(got.as_slice(), want.data(), "duplication must not perturb the canonical output");
 
     // Corrupt the duplicated layer's canonical output: with every checksum
     // off, only the recompute comparison can notice — and it must.
-    for run_reference in [false, true] {
-        let site = Cell::new(0usize);
-        let hook = corrupt_site(victim + 1, &site);
-        let fault = if run_reference {
-            net.forward_checked_plan_reference(&x, false, Some(&hook), 1e-4, &plan)
-        } else {
-            net.forward_checked_plan(&x, false, Some(&hook), 1e-4, &plan)
-        }
+    let site = Cell::new(0usize);
+    let hook = corrupt_site(victim + 1, &site);
+    let fault = run(&mut net, &x, under(&plan, Some(&hook)))
         .expect_err("duplicate execution must catch the corrupted output");
-        assert_eq!(
-            fault.kind,
-            ChecksumKind::Recompute,
-            "detection must come from the recompute comparison (reference={run_reference})"
-        );
-        assert_eq!(fault.index, 0, "first element carries the injected deviation");
-    }
+    assert_eq!(fault.kind, ChecksumKind::Recompute, "detection must come from the recompute");
+    assert_eq!(fault.index, 0, "first element carries the injected deviation");
 }
 
 #[test]
@@ -190,5 +178,5 @@ fn mismatched_plan_size_panics() {
     let mut net = zoo::build(&spec, 602);
     let x = Tensor::zeros(vec![1, 1, 16, 16]);
     let plan = CheckPlan::full(net.num_layers() + 1);
-    let _ = net.forward_checked_plan(&x, false, None, 1e-4, &plan);
+    let _ = run(&mut net, &x, under(&plan, None));
 }

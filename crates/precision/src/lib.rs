@@ -17,12 +17,6 @@
 //! * [`QuantizedNetwork`] — wraps a trained [`pgmr_nn::Network`],
 //!   quantizing the weights once and every inter-layer activation via the
 //!   network's activation hook (the simulated load/store boundary).
-//! * [`quant`] — *measured* narrow arithmetic: integer weight storage
-//!   ([`quant::QuantizedMatrix`]) and a dense execution path
-//!   ([`quant::QuantizedLinear`]) that runs `pgmr_tensor`'s packed
-//!   `i8`/`i16` GEMM kernels instead of simulating narrowness with
-//!   quantize-to-f32 round-trips, so RAMR's modeled savings show up as
-//!   wall-clock savings (benchmarked in `crates/bench`).
 //!
 //! ## Example
 //!
@@ -35,8 +29,7 @@
 //! assert!((q - 0.123456789f32).abs() < 0.123456789 * 0.02);
 //! ```
 
-pub mod quant;
-
+use pgmr_nn::network::RunPlan;
 use pgmr_nn::Network;
 use pgmr_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -221,10 +214,12 @@ impl QuantizedNetwork {
     /// activations quantized at layer boundaries.
     pub fn predict_proba(&mut self, batch: &Tensor) -> Vec<Vec<f32>> {
         let precision = self.precision;
-        let classes = self.net.num_classes();
-        let logits =
-            self.net.forward_with_hook(batch, false, &|d: &mut [f32]| precision.quantize_slice(d));
-        logits.data().chunks(classes).map(pgmr_tensor::softmax).collect()
+        let hook = |d: &mut [f32]| precision.quantize_slice(d);
+        let mut logits = Vec::new();
+        self.net
+            .run(batch, &RunPlan { hook: Some(&hook), ..RunPlan::default() }, &mut logits)
+            .expect("an unguarded run cannot fault");
+        logits.chunks(self.net.num_classes()).map(pgmr_tensor::softmax).collect()
     }
 
     /// Consumes the wrapper and returns the (quantized-weight) network.

@@ -27,9 +27,10 @@
 //!   batch across the member replicas on a serve-owned
 //!   [`WorkerPool`](pgmr_nn::pool::WorkerPool) (dedicated, because nesting
 //!   `run` calls into the shared global pool can deadlock).
-//! * Each request runs [`polygraph_mr::system::decide_request`]: the
-//!   zero-alloc `forward_into_logits` inference path under an escalation
-//!   budget derived from the request's deadline. Verdicts are folded in
+//! * Each request runs [`polygraph_mr::system::decide_request`]: one
+//!   `Member::predict` per activated member (a `Network::run` on the
+//!   worker's thread-local workspace arena) under an escalation budget
+//!   derived from the request's deadline. Verdicts are folded in
 //!   submission order, feeding a [`ReliabilityMonitor`] so stream health
 //!   ([`ServeHandle::health`]) reflects live traffic.
 //!
@@ -44,8 +45,9 @@
 //! ## Observability
 //!
 //! The serve loop reports into [`pgmr_obs::global`]: `serve.queue_depth`
-//! (gauge), `serve.batch_size` and `serve.latency_ns` (histograms; p50/p99
-//! come from the bench harness's exact per-request samples),
+//! (gauge), `serve.batch_size` (histogram), `serve.latency_ns` (timer:
+//! deterministic snapshots keep only its count; p50/p99 come from the
+//! bench harness's exact per-request samples),
 //! `serve.batches_total`, `serve.submitted_total`, `serve.completed_total`,
 //! `serve.deadline_miss_total`, and `serve.deadline_degraded_total`.
 //!
@@ -509,7 +511,7 @@ impl BatchEngine {
             let degraded = out.budget_exhausted;
             let missed = degraded || r.deadline.is_some_and(|d| finished > d);
             let latency = finished.duration_since(r.submitted);
-            obs.histogram("serve.latency_ns").record(latency.as_nanos() as u64);
+            obs.timer("serve.latency_ns").record(latency.as_nanos() as u64);
             obs.counter("serve.completed_total").inc();
             if missed {
                 obs.counter("serve.deadline_miss_total").inc();

@@ -202,3 +202,24 @@ fn full_ensemble_mode_serves_without_staging() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn latency_is_a_timer_with_a_count_only_deterministic_entry() {
+    let (members, test) = trained_members();
+    let system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+    let handle = ServeHandle::spawn(&system, ServeConfig { workers: 1, ..ServeConfig::default() });
+    for img in &test.images()[..3] {
+        handle.submit(img.clone(), None);
+    }
+    assert_eq!(handle.drain(3).len(), 3);
+    handle.shutdown();
+    let snap = pgmr_obs::global().snapshot();
+    let latency = snap.histogram("serve.latency_ns").expect("latency recorded");
+    assert_eq!(latency.unit, pgmr_obs::Unit::Nanos);
+    assert!(latency.count >= 3);
+    // Wall-clock sums and buckets must not leak into deterministic output.
+    let json = snap.to_deterministic_json();
+    let entry = json.lines().find(|l| l.contains("\"serve.latency_ns\"")).expect("latency entry");
+    assert!(entry.contains("{\"unit\": \"ns\", \"count\": "), "{entry}");
+    assert!(!entry.contains("sum") && !entry.contains("buckets"), "{entry}");
+}

@@ -270,6 +270,7 @@ impl GemmChecksums {
     /// # Panics
     ///
     /// Panics if `c.len() != m·n`.
+    // pgmr-lint: boundary(hot-path-alloc): verification allocates one O(n) column-sum vector per *guarded* layer invocation — the ABFT tier trades that for fault coverage, and the unguarded serving path never enters it
     pub fn verify(&self, c: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
         assert_eq!(c.len(), self.m * self.n, "c must be {}x{}", self.m, self.n);
         // Non-finite inputs fault unconditionally: NaN expected sums would

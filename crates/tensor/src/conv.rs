@@ -92,7 +92,7 @@ pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
 }
 
 /// [`im2col`] writing into a caller-provided buffer: unfolds the raw
-/// `c·h·w` data of one image (e.g. [`Tensor::image_view`]) into `out`,
+/// `c·h·w` data of one image into `out`,
 /// which must hold exactly `patch_len · out_spatial` elements. The buffer
 /// is zeroed first — padded taps rely on it — so it can be reused across
 /// images without reallocating.
@@ -236,7 +236,7 @@ mod tests {
         let reference = im2col(&img, &g);
         // Poison the reuse buffer: padded taps must still come out zero.
         let mut buf = vec![f32::NAN; g.patch_len() * g.out_spatial()];
-        im2col_into(img.image_view(0), &g, &mut buf);
+        im2col_into(img.data(), &g, &mut buf);
         assert_eq!(buf, reference);
     }
 

@@ -9,7 +9,7 @@
 //! the output is touched once per `k`-block instead of once per `k`-step.
 //! Callers on the zero-allocation inference path pass their own scratch
 //! ([`gemm_into`] / [`gemm_a_bt_into`]); the plain entry points allocate a
-//! transient scratch and are used by training and tests.
+//! transient scratch and are used by backward passes and tests.
 //!
 //! ## Numerics
 //!
@@ -23,14 +23,6 @@
 //! Non-finite operands now poison the output exactly as IEEE arithmetic
 //! dictates, and ABFT catches them via the explicit input scan
 //! ([`crate::checksum::ChecksumKind::NonFinite`]).
-//!
-//! ## Quantized kernels
-//!
-//! [`gemm_i8`] and [`gemm_i16`] are genuinely narrow integer kernels
-//! (packed panels, widening multiplies, `i32`/`i64` accumulators) used by
-//! `pgmr-precision`'s quantized execution path, so reduced-precision
-//! members run narrow arithmetic instead of simulating it with
-//! quantize-to-f32 round-trips.
 
 /// Rows of the register tile: each microkernel call produces an
 /// `MR × NR` block of the output held entirely in registers.
@@ -45,10 +37,6 @@ const NR: usize = 16;
 /// through the vectorized unpacked loops, while packing wins from ~256k
 /// MACs up and widens to ~2× at batch-sized products.
 const SMALL_MACS: usize = 200_000;
-
-/// Maximum `k` for [`gemm_i8`]: `k · 127²` must stay below `i32::MAX` so
-/// the widened accumulator cannot overflow even at full-scale inputs.
-const I8_MAX_K: usize = (i32::MAX / (127 * 127)) as usize;
 
 /// Cache-blocking configuration for the packed kernels.
 ///
@@ -84,14 +72,11 @@ impl Default for GemmTuning {
 ///
 /// Capacities only grow, so a scratch owned by a long-lived workspace (see
 /// `pgmr_nn::workspace`) reaches a steady state after the first pass over a
-/// network and the hot path performs no heap allocation. The f32 and
-/// integer buffers are independent; unused ones stay empty.
+/// network and the hot path performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
     pack_a: Vec<f32>,
     pack_b: Vec<f32>,
-    pack_a16: Vec<i16>,
-    pack_b16: Vec<i16>,
     grows: u64,
 }
 
@@ -103,10 +88,7 @@ impl GemmScratch {
 
     /// Total bytes currently reserved across all packing buffers.
     pub fn bytes(&self) -> usize {
-        self.pack_a.capacity() * 4
-            + self.pack_b.capacity() * 4
-            + self.pack_a16.capacity() * 2
-            + self.pack_b16.capacity() * 2
+        self.pack_a.capacity() * 4 + self.pack_b.capacity() * 4
     }
 
     /// Capacity-growth events (stops advancing once a workload's shapes
@@ -126,19 +108,6 @@ impl GemmScratch {
             self.pack_b.resize(b_len, 0.0);
         }
         (&mut self.pack_a[..a_len], &mut self.pack_b[..b_len])
-    }
-
-    fn ensure_i16(&mut self, a_len: usize, b_len: usize) -> (&mut [i16], &mut [i16]) {
-        if self.pack_a16.capacity() < a_len || self.pack_b16.capacity() < b_len {
-            self.grows += 1;
-        }
-        if self.pack_a16.len() < a_len {
-            self.pack_a16.resize(a_len, 0);
-        }
-        if self.pack_b16.len() < b_len {
-            self.pack_b16.resize(b_len, 0);
-        }
-        (&mut self.pack_a16[..a_len], &mut self.pack_b16[..b_len])
     }
 }
 
@@ -279,7 +248,7 @@ macro_rules! blocked_driver {
     }};
 }
 
-fn assert_ab_dims<A, B, C>(m: usize, k: usize, n: usize, a: &[A], b: &[B], c: &[C]) {
+fn assert_ab_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
     assert_eq!(a.len(), m * k, "a must be {m}x{k}");
     assert_eq!(b.len(), k * n, "b must be {k}x{n}");
     assert_eq!(c.len(), m * n, "c must be {m}x{n}");
@@ -485,138 +454,6 @@ pub fn gemm_a_bt_into(
         micro_f32,
         false
     );
-}
-
-/// Integer GEMM: `c += a * b` with `a: m×k` and `b: k×n` in `i8` and `c:
-/// m×n` in `i32`. Both operands are packed *widened* to `i16` (A rows kept
-/// row-major, B transposed column-major) so every output element reduces
-/// two contiguous `i16` slices — the shape the target's widening
-/// multiply-add (`pmaddwd`-family) consumes directly. The `k` bound below
-/// guarantees the `i32` accumulator cannot overflow even at full-scale
-/// (±127) inputs. Integer addition is exact, so — unlike the float
-/// kernels — results are independent of accumulation order by
-/// construction.
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the stated dimensions or if
-/// `k` exceeds the `i32` overflow headroom (`k · 127² < 2³¹`, i.e.
-/// `k ≤ 133 152`).
-pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    gemm_i8_into(m, k, n, a, b, c, &mut GemmScratch::new());
-}
-
-/// [`gemm_i8`] with caller-provided packing buffers.
-pub fn gemm_i8_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [i32],
-    scratch: &mut GemmScratch,
-) {
-    assert_ab_dims(m, k, n, a, b, c);
-    assert!(k <= I8_MAX_K, "gemm_i8 reduction depth {k} risks i32 accumulator overflow");
-    if m * k * n < SMALL_MACS {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                let av = a_ip as i32;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
-                    *c_val += av * b_val as i32;
-                }
-            }
-        }
-        return;
-    }
-    // The f32 register tile is deliberately *not* reused here: a broadcast
-    // MR×NR tile needs a vectorized 32-bit integer multiply, which the
-    // baseline ISA lacks and which loses to the widening multiply-add even
-    // where available. Contiguous widened dots vectorize on every target.
-    let (pa, pb) = scratch.ensure_i16(m * k, k * n);
-    for (dst, &src) in pa.iter_mut().zip(a) {
-        *dst = src as i16;
-    }
-    for (j, col) in pb.chunks_mut(k).enumerate().take(n) {
-        for (p, slot) in col.iter_mut().enumerate() {
-            *slot = b[p * n + j] as i16;
-        }
-    }
-    for i in 0..m {
-        let a_row = &pa[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, c_val) in c_row.iter_mut().enumerate() {
-            let b_col = &pb[j * k..(j + 1) * k];
-            let mut acc = 0i32;
-            for (&x, &y) in a_row.iter().zip(b_col) {
-                acc += x as i32 * y as i32;
-            }
-            *c_val += acc;
-        }
-    }
-}
-
-/// Integer GEMM at 16-bit storage: `c += a * b` with `i16` operands and
-/// `i64` accumulation/output — each pairwise `i16 × i16` product fits an
-/// `i32` exactly, but a running `i32` sum would overflow after a single
-/// full-scale pair, so the dot is widened to `i64` per step. Same
-/// transposed-B contiguous-dot structure as [`gemm_i8`], minus the A
-/// widening (the operands are already `i16`); [`gemm_i8`] is the
-/// throughput path.
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the stated dimensions.
-pub fn gemm_i16(m: usize, k: usize, n: usize, a: &[i16], b: &[i16], c: &mut [i64]) {
-    gemm_i16_into(m, k, n, a, b, c, &mut GemmScratch::new());
-}
-
-/// [`gemm_i16`] with caller-provided packing buffers.
-pub fn gemm_i16_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i16],
-    b: &[i16],
-    c: &mut [i64],
-    scratch: &mut GemmScratch,
-) {
-    assert_ab_dims(m, k, n, a, b, c);
-    if m * k * n < SMALL_MACS {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                let av = a_ip as i64;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
-                    *c_val += av * b_val as i64;
-                }
-            }
-        }
-        return;
-    }
-    let (_pa, pb) = scratch.ensure_i16(0, k * n);
-    for (j, col) in pb.chunks_mut(k).enumerate().take(n) {
-        for (p, slot) in col.iter_mut().enumerate() {
-            *slot = b[p * n + j];
-        }
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, c_val) in c_row.iter_mut().enumerate() {
-            let b_col = &pb[j * k..(j + 1) * k];
-            let mut acc = 0i64;
-            for (&x, &y) in a_row.iter().zip(b_col) {
-                acc += (x as i32 * y as i32) as i64;
-            }
-            *c_val += acc;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -854,70 +691,6 @@ mod tests {
         let mut c = init;
         gemm_a_bt(m, k, n, &a, &b, &mut c);
         assert_eq!(c, reference, "packed a_bt diverged from the dot loop");
-    }
-
-    fn naive_i32(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        let mut c = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                for p in 0..k {
-                    c[i * n + j] += a[i * k + p] as i32 * b[p * n + j] as i32;
-                }
-            }
-        }
-        c
-    }
-
-    #[test]
-    fn i8_matches_scalar_reference_on_straddling_shapes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        // The last shape exceeds SMALL_MACS and exercises the packed dot path.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (5, 9, 13), (33, 65, 17), (64, 157, 37)] {
-            let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i32..128) as i8).collect();
-            let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-128i32..128) as i8).collect();
-            let mut c = vec![0i32; m * n];
-            gemm_i8(m, k, n, &a, &b, &mut c);
-            assert_eq!(c, naive_i32(m, k, n, &a, &b), "gemm_i8 at ({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn i8_accumulates_into_c() {
-        let a = vec![2i8; 6];
-        let b = vec![3i8; 6];
-        let mut c = vec![100i32; 4];
-        gemm_i8(2, 3, 2, &a, &b, &mut c);
-        assert_eq!(c, vec![118; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulator overflow")]
-    fn i8_rejects_overflow_risking_depth() {
-        let a = vec![0i8; I8_MAX_K + 1];
-        let b = vec![0i8; I8_MAX_K + 1];
-        let mut c = vec![0i32; 1];
-        gemm_i8(1, I8_MAX_K + 1, 1, &a, &b, &mut c);
-    }
-
-    #[test]
-    fn i16_matches_scalar_reference_at_full_scale() {
-        let mut rng = StdRng::seed_from_u64(5);
-        // The last shape exceeds SMALL_MACS and exercises the packed dot path.
-        for &(m, k, n) in &[(2, 3, 4), (9, 33, 17), (32, 130, 64)] {
-            let a: Vec<i16> = (0..m * k).map(|_| rng.gen_range(-32768i32..32768) as i16).collect();
-            let b: Vec<i16> = (0..k * n).map(|_| rng.gen_range(-32768i32..32768) as i16).collect();
-            let mut c = vec![0i64; m * n];
-            gemm_i16(m, k, n, &a, &b, &mut c);
-            let mut expect = vec![0i64; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    for p in 0..k {
-                        expect[i * n + j] += a[i * k + p] as i64 * b[p * n + j] as i64;
-                    }
-                }
-            }
-            assert_eq!(c, expect, "gemm_i16 at ({m},{k},{n})");
-        }
     }
 
     #[test]

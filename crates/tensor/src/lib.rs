@@ -41,9 +41,9 @@ pub use arena::{align_offset, ArenaView, WeightArena, ARENA_ALIGN, ARENA_ALIGN_E
 pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums};
 pub use conv::{col2im, im2col, im2col_into, Conv2dGeometry};
 pub use gemm::{
-    gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_bias, gemm_i16, gemm_i16_into, gemm_i8,
-    gemm_i8_into, gemm_into, gemm_into_tuned, GemmScratch, GemmTuning, DEFAULT_TUNING,
+    gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_bias, gemm_into, gemm_into_tuned, GemmScratch,
+    GemmTuning, DEFAULT_TUNING,
 };
-pub use ops::{argmax, log_softmax, relu, relu_backward, softmax, softmax_in_place};
+pub use ops::{argmax, log_softmax, relu_backward, softmax, softmax_in_place};
 pub use shape::Shape;
 pub use tensor::Tensor;

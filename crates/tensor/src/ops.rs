@@ -2,11 +2,6 @@
 
 use crate::tensor::Tensor;
 
-/// Rectified linear unit, elementwise: `max(x, 0)`.
-pub fn relu(x: &Tensor) -> Tensor {
-    x.map(|v| v.max(0.0))
-}
-
 /// Backward pass of ReLU: passes `grad` where the forward input was
 /// positive, zero elsewhere.
 ///
@@ -71,12 +66,6 @@ pub fn argmax(values: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let x = Tensor::from_vec(vec![4], vec![-2., -0.0, 0.5, 3.]);
-        assert_eq!(relu(&x).data(), &[0., 0., 0.5, 3.]);
-    }
 
     #[test]
     fn relu_backward_masks_gradient() {

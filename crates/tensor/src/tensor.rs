@@ -269,21 +269,6 @@ impl Tensor {
         Tensor::from_vec(vec![1, c, h, w], self.data[i * stride..(i + 1) * stride].to_vec())
     }
 
-    /// Borrowed view of image `i` of an NCHW batch: the `c·h·w` slice of
-    /// the underlying data, with no copy. The allocation-free counterpart
-    /// of [`Tensor::image`] for read-only per-image processing (im2col,
-    /// pooling windows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 4 or `i` is out of range.
-    pub fn image_view(&self, i: usize) -> &[f32] {
-        let (n, c, h, w) = self.shape.as_nchw();
-        assert!(i < n, "image index {i} out of bounds for batch of {n}");
-        let stride = c * h * w;
-        &self.data[i * stride..(i + 1) * stride]
-    }
-
     /// Stacks `[1, c, h, w]` images into an `[n, c, h, w]` batch.
     ///
     /// # Panics
@@ -394,22 +379,6 @@ mod tests {
         let images: Vec<Tensor> = (0..3).map(|i| batch.image(i)).collect();
         let restacked = Tensor::stack_images(&images);
         assert_eq!(restacked, batch);
-    }
-
-    #[test]
-    fn image_view_matches_owned_image() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let batch = Tensor::uniform(vec![3, 2, 4, 4], 0.0, 1.0, &mut rng);
-        for i in 0..3 {
-            assert_eq!(batch.image_view(i), batch.image(i).data());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn image_view_rejects_out_of_range() {
-        let batch = Tensor::zeros(vec![2, 1, 2, 2]);
-        let _ = batch.image_view(2);
     }
 
     #[test]
