@@ -44,10 +44,11 @@ const CLIENT_COUNTS: [usize; 3] = [1, 2, 4];
 /// correctness end of the curve, gated by `serve_ok`.
 const GENEROUS: Duration = Duration::from_millis(500);
 
-/// Tight deadline: just above the latency floor the 2 ms admission
-/// window sets, so queueing and staging decide who makes it — the stress
-/// end of the curve, reported but not gated (its miss rate is
-/// host-speed-dependent by construction).
+/// Tight deadline: tens of member forwards of budget, so under load
+/// queueing behind other clients' batches and RADE escalations decide who
+/// makes it — the stress end of the curve, reported but not gated (its
+/// miss rate is host-speed-dependent by construction). Kept at the value
+/// earlier committed runs used, so their rows compare.
 const TIGHT: Duration = Duration::from_millis(3);
 
 /// One measured operating point.
@@ -86,12 +87,7 @@ fn run_point(
 ) -> LoadPoint {
     let handle = ServeHandle::spawn(
         system,
-        ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            workers: 2,
-            ..ServeConfig::default()
-        },
+        ServeConfig { max_batch: 8, workers: 2, ..ServeConfig::default() },
     );
     let client_pool = WorkerPool::new(clients);
     let jobs: Vec<_> = (0..clients)
@@ -261,7 +257,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"config\": {{\"max_batch\": 8, \"max_delay_ms\": 2, \"workers\": 2, \"per_client\": {per_client}, \"generous_deadline_ms\": {}, \"tight_deadline_ms\": {}}},\n  \"points\": [\n{}\n  ],\n  \"staged_mean_activated\": {staged_activated:.4},\n  \"full_mean_activated\": {full_activated:.4},\n  \"goodput_ratio_staged_vs_full\": {goodput_ratio:.4},\n  \"serve_ok\": {serve_ok}\n}}\n",
+        "{{\n  \"nproc\": {nproc},\n  \"config\": {{\"max_batch\": 8, \"workers\": 2, \"per_client\": {per_client}, \"generous_deadline_ms\": {}, \"tight_deadline_ms\": {}}},\n  \"points\": [\n{}\n  ],\n  \"staged_mean_activated\": {staged_activated:.4},\n  \"full_mean_activated\": {full_activated:.4},\n  \"goodput_ratio_staged_vs_full\": {goodput_ratio:.4},\n  \"serve_ok\": {serve_ok}\n}}\n",
         GENEROUS.as_millis(),
         TIGHT.as_millis(),
         point_objs.join(",\n"),

@@ -50,7 +50,6 @@ pub fn decide_all_sharded(
         return decide_all(member_probs, thresholds);
     }
     let jobs: Vec<_> = shard_ranges(n, pool.threads())
-        .into_iter()
         .map(|range| {
             move || {
                 let engine = DecisionEngine::new(thresholds);
@@ -105,8 +104,8 @@ pub fn collect_predictions(
         if member.fault_injector().is_some() || ranges.len() < 2 {
             units.push(Unit::Whole(m, member));
         } else {
-            for range in &ranges {
-                units.push(Unit::Shard(m, range.clone(), Box::new(member.clone())));
+            for range in ranges.clone() {
+                units.push(Unit::Shard(m, range, Box::new(member.clone())));
             }
         }
     }

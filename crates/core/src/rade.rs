@@ -16,8 +16,10 @@
 //! modest FP increase in exchange for the large energy/latency cut.
 
 use crate::decision::{Thresholds, Verdict};
+use pgmr_obs::{Counter, Histogram};
 use pgmr_tensor::argmax;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// The staged, priority-ordered decision engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -210,7 +212,7 @@ impl StagedEngine {
                 let leaders: Vec<usize> =
                     histogram.iter().filter(|&&(_, c)| c == best).map(|&(c, _)| c).collect();
                 if leaders.len() == 1 {
-                    Self::note_exit(activated, "rade.early_reliable_total");
+                    Self::note_exit(activated, Exit::EarlyReliable);
                     return BudgetedDecision {
                         decision: StagedDecision {
                             verdict: Verdict::Reliable { class: leaders[0], votes: best },
@@ -224,11 +226,11 @@ impl StagedEngine {
         Self::note_exit(
             activated,
             if budget_exhausted {
-                "rade.budget_stopped_total"
+                Exit::BudgetStopped
             } else if hopeless {
-                "rade.early_unreliable_total"
+                Exit::EarlyUnreliable
             } else {
-                "rade.exhausted_total"
+                Exit::Exhausted
             },
         );
 
@@ -253,13 +255,35 @@ impl StagedEngine {
         BudgetedDecision { decision, budget_exhausted }
     }
 
-    /// Records one staged decision's activation cost and exit path.
-    fn note_exit(activated: usize, exit_counter: &str) {
+    /// Records one staged decision's activation cost and exit path. The
+    /// metric handles are looked up by name on first use only.
+    fn note_exit(activated: usize, exit: Exit) {
+        static ACTIVATED: OnceLock<Arc<Histogram>> = OnceLock::new();
+        static EXITS: [OnceLock<Arc<Counter>>; EXIT_COUNTERS.len()] =
+            [const { OnceLock::new() }; EXIT_COUNTERS.len()];
         let obs = pgmr_obs::global();
-        obs.histogram("rade.activated").record(activated as u64);
-        obs.counter(exit_counter).inc();
+        ACTIVATED.get_or_init(|| obs.histogram("rade.activated")).record(activated as u64);
+        let i = exit as usize;
+        EXITS[i].get_or_init(|| obs.counter(EXIT_COUNTERS[i])).inc();
     }
 }
+
+/// How a staged decision ended; indexes [`EXIT_COUNTERS`].
+#[derive(Clone, Copy)]
+enum Exit {
+    EarlyReliable,
+    BudgetStopped,
+    EarlyUnreliable,
+    Exhausted,
+}
+
+/// The exit-path counters, in [`Exit`] order.
+const EXIT_COUNTERS: [&str; 4] = [
+    "rade.early_reliable_total",
+    "rade.budget_stopped_total",
+    "rade.early_unreliable_total",
+    "rade.exhausted_total",
+];
 
 /// Measures each member's contribution — the fraction of profiling samples
 /// it labels correctly — from precomputed probabilities.

@@ -618,11 +618,20 @@ mod tests {
     }
 
     /// Serializes the tests that mutate the process-wide cache override.
+    /// Other tests in this binary resolve members while an override is
+    /// active and may write their own blobs into the overriding test's
+    /// directory, so these tests check only the paths their own keys name.
     static CACHE_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Takes [`CACHE_OVERRIDE_LOCK`]; a test that panicked while holding
+    /// it does not fail the others.
+    fn lock_cache_override() -> std::sync::MutexGuard<'static, ()> {
+        CACHE_OVERRIDE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn cache_key_tracks_config_changes() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = lock_cache_override();
         // Changing anything that shapes the weights — dataset knobs or the
         // training recipe — must change the cache key, or a tuned config
         // would silently load stale models (a bug class this suite hit
@@ -632,21 +641,24 @@ mod tests {
         set_cache_dir(Some(dir.clone()));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = base.member(Preprocessor::Identity, 7);
-        let count_after_first = std::fs::read_dir(&dir).unwrap().count();
+        let base_blob = cache_path(&base.member_key(Preprocessor::Identity, 7));
+        let base_cached = base_blob.exists();
 
         let mut tweaked = base.clone();
         tweaked.dataset.noise_std += 0.01;
+        let tweaked_blob = cache_path(&tweaked.member_key(Preprocessor::Identity, 7));
         let _ = tweaked.member(Preprocessor::Identity, 7);
-        let count_after_tweak = std::fs::read_dir(&dir).unwrap().count();
+        let both_cached = base_blob.exists() && tweaked_blob.exists();
         set_cache_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(count_after_first, 1);
-        assert_eq!(count_after_tweak, 2, "dataset tweak must produce a new cache entry");
+        assert!(base_cached, "the first member must be cached");
+        assert_ne!(base_blob, tweaked_blob, "dataset tweak must produce a new cache entry");
+        assert!(both_cached, "the tweaked member is cached beside the first, not over it");
     }
 
     #[test]
     fn member_cache_round_trips() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = lock_cache_override();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         // Unique cache dir for the test.
         let dir = std::env::temp_dir().join(format!("pgmr-test-cache-{}", std::process::id()));
@@ -663,7 +675,7 @@ mod tests {
 
     #[test]
     fn members_share_one_store_arena() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = lock_cache_override();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-share-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));
@@ -699,7 +711,7 @@ mod tests {
 
     #[test]
     fn corrupt_cache_blob_self_heals() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = lock_cache_override();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-heal-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));
@@ -708,13 +720,8 @@ mod tests {
 
         // Flip one bit of the cached blob, then simulate a cold process so
         // the next load must go back to the (corrupt) disk copy.
-        let blob_path = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|x| x == "pgmr"))
-            .expect("cached weight blob");
-        let mut blob = std::fs::read(&blob_path).unwrap();
+        let blob_path = cache_path(&b.member_key(Preprocessor::Identity, 9));
+        let mut blob = std::fs::read(&blob_path).expect("cached weight blob");
         let mid = blob.len() / 2;
         blob[mid] ^= 0x20;
         std::fs::write(&blob_path, &blob).unwrap();
@@ -739,19 +746,17 @@ mod tests {
 
     #[test]
     fn member_profile_caches_next_to_weights_and_round_trips() {
-        let _guard = CACHE_OVERRIDE_LOCK.lock().unwrap();
+        let _guard = lock_cache_override();
         let b = Benchmark::lenet5_digits(Scale::Tiny);
         let dir = std::env::temp_dir().join(format!("pgmr-profile-cache-{}", std::process::id()));
         set_cache_dir(Some(dir.clone()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ProfileConfig { trials_per_site: 6, ..ProfileConfig::default() };
         let (_, first) = b.member_with_profile(Preprocessor::Identity, 42, &cfg);
-        let pgvp: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "pgvp"))
-            .collect();
-        assert_eq!(pgvp.len(), 1, "one profile artifact next to the weight blob");
+        let blob = cache_path(&b.member_key(Preprocessor::Identity, 42));
+        let pgvp = blob.with_extension("pgvp");
+        assert!(blob.exists(), "the member's weight blob is cached");
+        assert!(pgvp.exists(), "the profile artifact sits next to the weight blob");
         // Second resolution loads the artifact and reproduces the exact
         // measurement; a different profiling config re-measures rather
         // than serving the stale artifact.

@@ -10,13 +10,14 @@ use pgmr_faults::VulnerabilityProfile;
 use pgmr_metrics::RateSummary;
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
 use pgmr_nn::ProtectionLevel;
+use pgmr_obs::{Counter, Histogram};
 use pgmr_tensor::argmax;
 use pgmr_tensor::checksum::{ChecksumFault, DEFAULT_TOLERANCE};
 use pgmr_tensor::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Pre-rendered per-member timer names (`infer.forward_ns.m{i}`), so
-/// the per-image metrics lookup never formats a string. Snapshot tests
+/// resolving a member's timer never formats a string. Snapshot tests
 /// pin these exact names; ensembles larger than the table share the
 /// overflow bucket.
 const FORWARD_TIMER_NAMES: &[&str] = &[
@@ -38,26 +39,33 @@ const FORWARD_TIMER_NAMES: &[&str] = &[
     "infer.forward_ns.m15",
 ];
 
-/// The timer name for member `index` (overflow shares the last slot).
-pub(crate) fn forward_timer_name(index: usize) -> &'static str {
-    FORWARD_TIMER_NAMES[index.min(FORWARD_TIMER_NAMES.len() - 1)]
+/// The latency timer of member `index` (overflow shares the last slot),
+/// looked up by name on first use only. The registry zeroes metrics in
+/// place on reset, so the cached handles stay wired to it.
+fn forward_timer(index: usize) -> &'static Histogram {
+    static TIMERS: [OnceLock<Arc<Histogram>>; FORWARD_TIMER_NAMES.len()] =
+        [const { OnceLock::new() }; FORWARD_TIMER_NAMES.len()];
+    let slot = index.min(FORWARD_TIMER_NAMES.len() - 1);
+    TIMERS[slot].get_or_init(|| pgmr_obs::global().timer(FORWARD_TIMER_NAMES[slot]))
 }
 
 /// Times one un-guarded member forward pass into the per-member latency
 /// histogram `infer.forward_ns.m{index}`.
 fn timed_predict(member: &mut Member, index: usize, image: &Tensor) -> Vec<f32> {
-    pgmr_obs::global().timer(forward_timer_name(index)).time(|| member.predict(image))
+    forward_timer(index).time(|| member.predict(image))
 }
 
-/// Tallies one emitted verdict into the reliable/unreliable counters.
+/// Tallies one emitted verdict into the reliable/unreliable counters,
+/// each looked up by name on first use only.
 fn note_verdict(verdict: &Verdict) {
-    pgmr_obs::global()
-        .counter(if verdict.is_reliable() {
-            "infer.verdicts.reliable_total"
-        } else {
-            "infer.verdicts.unreliable_total"
-        })
-        .inc();
+    static RELIABLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    static UNRELIABLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    let (slot, name) = if verdict.is_reliable() {
+        (&RELIABLE, "infer.verdicts.reliable_total")
+    } else {
+        (&UNRELIABLE, "infer.verdicts.unreliable_total")
+    };
+    slot.get_or_init(|| pgmr_obs::global().counter(name)).inc();
 }
 
 /// Policy for ABFT-guarded inference with graceful degradation (§ fault
@@ -373,7 +381,7 @@ impl PolygraphSystem {
                 .filter(|(m, _)| active[*m])
                 .map(|(m, member)| {
                     move || {
-                        let timer = pgmr_obs::global().timer(forward_timer_name(m));
+                        let timer = forward_timer(m);
                         let mut result = timer.time(|| member.predict_checked(image, tol));
                         let mut retried = 0;
                         while result.is_err() && retried < retries {
@@ -539,7 +547,6 @@ impl PolygraphSystem {
         let staged = &self.staged;
         let thresholds = self.thresholds;
         let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
-            .into_iter()
             .map(|range| {
                 let mut members: Vec<Member> = self.ensemble.members().to_vec();
                 move || {

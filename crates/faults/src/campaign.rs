@@ -288,7 +288,6 @@ fn run_campaign_sharded(
     trial: TrialFn,
 ) -> CampaignReport {
     let jobs: Vec<_> = shard_ranges(cfg.trials, pool.threads())
-        .into_iter()
         .map(|range| {
             let mut net = net.clone();
             move || range.map(|t| trial(&mut net, inputs, cfg, golden, t)).collect::<Vec<_>>()

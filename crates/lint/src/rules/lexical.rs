@@ -58,7 +58,7 @@ fn float_eq(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
 /// `crates/obs`, `crates/bench`, and `crates/serve`. Timing belongs
 /// behind `pgmr_obs` spans/histograms so seeded runs stay byte-identical
 /// in deterministic exports; the serving front-end is exempt because
-/// deadlines and admission windows are inherently wall-clock.
+/// request deadlines and latencies are inherently wall-clock.
 fn wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.relpath.starts_with("crates/obs/")
         || ctx.relpath.starts_with("crates/bench/")

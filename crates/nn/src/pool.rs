@@ -43,22 +43,41 @@
 //! `pool.jobs_total` / `pool.jobs_inline_total`, queue-wait and job-run
 //! latency histograms (`pool.queue_wait_ns`, `pool.job_run_ns`), and
 //! per-worker utilization counters (`pool.worker.{i}.jobs_total` —
-//! scheduling-dependent, excluded from deterministic snapshots).
+//! scheduling-dependent, excluded from deterministic snapshots). The
+//! handles are resolved once per pool (each worker's counter once, by
+//! its worker), so no job looks a metric up by name.
 
-use std::cell::Cell;
+use pgmr_obs::{Counter, Histogram, Span};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-thread_local! {
-    /// The worker's index within its pool, for per-worker utilization
-    /// accounting; `usize::MAX` on non-worker threads.
-    static WORKER_ID: Cell<usize> = const { Cell::new(usize::MAX) };
+/// A type-erased unit of work queued to the workers. The worker running
+/// it passes in its own `pool.worker.{i}.jobs_total` counter.
+type Job = Box<dyn FnOnce(&Counter) + Send + 'static>;
+
+/// A pool's `pool.*` metric handles.
+struct PoolMetrics {
+    batches: Arc<Counter>,
+    jobs: Arc<Counter>,
+    jobs_inline: Arc<Counter>,
+    queue_wait: Arc<Histogram>,
+    job_run: Arc<Histogram>,
 }
 
-/// A type-erased unit of work queued to the workers.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+impl PoolMetrics {
+    fn resolve() -> Self {
+        let obs = pgmr_obs::global();
+        PoolMetrics {
+            batches: obs.counter("pool.batches_total"),
+            jobs: obs.counter("pool.jobs_total"),
+            jobs_inline: obs.counter("pool.jobs_inline_total"),
+            queue_wait: obs.timer("pool.queue_wait_ns"),
+            job_run: obs.timer("pool.job_run_ns"),
+        }
+    }
+}
 
 /// Shared completion state for one `run` batch: slot-addressed results
 /// plus a countdown the caller blocks on.
@@ -72,6 +91,7 @@ struct Batch<T> {
 pub struct WorkerPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
+    metrics: PoolMetrics,
 }
 
 impl WorkerPool {
@@ -89,7 +109,7 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool { sender: Some(sender), workers }
+        WorkerPool { sender: Some(sender), workers, metrics: PoolMetrics::resolve() }
     }
 
     /// The pool's worker-thread count.
@@ -116,22 +136,19 @@ impl WorkerPool {
         if n == 0 {
             return Vec::new();
         }
-        let obs = pgmr_obs::global();
-        obs.counter("pool.batches_total").inc();
+        let metrics = &self.metrics;
+        metrics.batches.inc();
         if self.threads() == 1 || n == 1 {
             // The inline path mirrors the pooled path's panic semantics
             // exactly: every job runs (a panicking job must not starve the
             // ones submitted after it — side effects are width-independent)
             // and the earliest-submitted panic is re-raised at the end.
             // `pool.job_run_ns` is recorded per job for obs parity.
-            obs.counter("pool.jobs_inline_total").add(n as u64);
+            metrics.jobs_inline.add(n as u64);
             let mut out = Vec::with_capacity(n);
             let mut first_panic = None;
             for job in jobs {
-                let run_span = obs.span("pool.job_run_ns");
-                let result = catch_unwind(AssertUnwindSafe(job));
-                run_span.finish();
-                match result {
+                match metrics.job_run.time(|| catch_unwind(AssertUnwindSafe(job))) {
                     Ok(v) => out.push(v),
                     Err(payload) => {
                         if first_panic.is_none() {
@@ -155,18 +172,12 @@ impl WorkerPool {
             let batch = Arc::clone(&batch);
             // Started here, finished on the worker: the span's lifetime IS
             // the queue wait.
-            let queue_span = obs.span("pool.queue_wait_ns");
-            let task = move || {
-                let obs = pgmr_obs::global();
+            let queue_span = Span::start(&metrics.queue_wait);
+            let task = move |worker_jobs: &Counter| {
                 queue_span.finish();
-                obs.counter("pool.jobs_total").inc();
-                let worker = WORKER_ID.with(Cell::get);
-                if worker != usize::MAX {
-                    obs.counter(&format!("pool.worker.{worker}.jobs_total")).inc();
-                }
-                let run_span = obs.span("pool.job_run_ns");
-                let out = catch_unwind(AssertUnwindSafe(job));
-                run_span.finish();
+                metrics.jobs.inc();
+                worker_jobs.inc();
+                let out = metrics.job_run.time(|| catch_unwind(AssertUnwindSafe(job)));
                 batch.results.lock().expect("pool batch results mutex poisoned")[slot] = Some(out);
                 let mut left = batch.remaining.lock().expect("pool batch countdown mutex poisoned");
                 *left -= 1;
@@ -175,17 +186,18 @@ impl WorkerPool {
                 }
             };
             // SAFETY: the job queue demands 'static closures but `task`
-            // may borrow from this stack frame (through `job`) and carries
-            // the non-'static type parameter `T`. Erasing the lifetime is
-            // sound because this call does not return until `remaining`
-            // hits 0, and a worker only decrements `remaining` after the
-            // borrowed-data-touching part of the task (the job itself,
-            // panic or not) has fully finished. After the decrement the
+            // may borrow from this stack frame (through `job` and the
+            // pool's metric handles) and carries the non-'static type
+            // parameter `T`. Erasing the lifetime is sound because this
+            // call does not return until `remaining` hits 0, and a worker
+            // only decrements `remaining` after the borrowed-data-touching
+            // part of the task (the job itself, panic or not, and its
+            // metrics) has fully finished. After the decrement the
             // task touches nothing but its own `Arc<Batch<T>>`, whose `T`
             // payload the caller drains before returning, so a straggling
             // worker can at most drop an empty, payload-free `Batch`.
             let task: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(Box::new(task))
+                std::mem::transmute::<Box<dyn FnOnce(&Counter) + Send + '_>, Job>(Box::new(task))
             };
             sender.send(task).expect("worker pool accepts jobs while live");
         }
@@ -227,14 +239,14 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(index: usize, receiver: &Mutex<Receiver<Job>>) {
-    WORKER_ID.with(|id| id.set(index));
+    let jobs_here = pgmr_obs::global().counter(&format!("pool.worker.{index}.jobs_total"));
     loop {
         // Hold the lock only for the dequeue, not while running the job.
         let job = match receiver.lock().expect("pool job-queue mutex poisoned").recv() {
             Ok(job) => job,
             Err(_) => break, // pool dropped
         };
-        job();
+        job(&jobs_here);
     }
 }
 
@@ -283,22 +295,19 @@ pub fn global() -> &'static WorkerPool {
 /// Splits `0..len` into at most `shards` contiguous near-equal ranges
 /// (longer ranges first, empties dropped) — the standard work split for
 /// sharded batch processing: concatenating per-range results in order
-/// reproduces the sequential output exactly.
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.clamp(1, len.max(1));
-    let base = len / shards;
-    let extra = len % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for s in 0..shards {
-        let size = base + usize::from(s < extra);
-        if size == 0 {
-            break;
-        }
-        out.push(start..start + size);
-        start += size;
-    }
-    out
+/// reproduces the sequential output exactly. Computed on the fly, without
+/// allocating.
+pub fn shard_ranges(
+    len: usize,
+    shards: usize,
+) -> impl ExactSizeIterator<Item = std::ops::Range<usize>> + Clone {
+    let shards = shards.clamp(1, len.max(1)).min(len);
+    let base = len.checked_div(shards).unwrap_or(0);
+    let extra = len.checked_rem(shards).unwrap_or(0);
+    (0..shards).map(move |s| {
+        let start = s * base + s.min(extra);
+        start..start + base + usize::from(s < extra)
+    })
 }
 
 #[cfg(test)]
@@ -434,7 +443,7 @@ mod tests {
     fn shard_ranges_cover_exactly_once() {
         for len in [0usize, 1, 2, 7, 8, 9, 100] {
             for shards in [1usize, 2, 3, 8, 200] {
-                let ranges = shard_ranges(len, shards);
+                let ranges: Vec<_> = shard_ranges(len, shards).collect();
                 let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
                 assert_eq!(flat, (0..len).collect::<Vec<_>>(), "len {len} shards {shards}");
                 assert!(ranges.len() <= shards.max(1));

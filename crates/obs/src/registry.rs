@@ -75,7 +75,7 @@ impl Registry {
     /// Starts a [`Span`] recording its elapsed nanoseconds into the timer
     /// histogram `name` when dropped.
     pub fn span(&self, name: &str) -> Span {
-        Span { hist: self.timer(name), start: Instant::now() }
+        Span::start(&self.timer(name))
     }
 
     /// Appends an event to the registry's log.
@@ -139,6 +139,12 @@ pub struct Span {
 }
 
 impl Span {
+    /// Starts a span recording into `hist`, for callers that already hold
+    /// the handle (no lookup by name).
+    pub fn start(hist: &Arc<Histogram>) -> Span {
+        Span { hist: Arc::clone(hist), start: Instant::now() }
+    }
+
     /// Ends the span now (equivalent to dropping it).
     pub fn finish(self) {}
 

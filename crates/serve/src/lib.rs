@@ -4,13 +4,13 @@
 //! deployments (pedestrian identification, steering-command generation).
 //! This crate is the serving layer for such a deployment: a concurrent
 //! request front-end that admits individual classification requests,
-//! batches them through a dynamic admission window, dispatches batches
-//! onto a dedicated worker pool, and applies the ensemble's RADE staging
-//! as a *deadline policy* — stage-1 members always run, reliable answers
-//! exit early, and doubtful inputs escalate toward the full ensemble only
-//! while the request's deadline budget allows. A request whose budget
-//! expires mid-protocol still gets an answer: the best-so-far plurality,
-//! marked deadline-degraded.
+//! batches whatever is queued whenever the batcher is free, dispatches
+//! batches onto a dedicated worker pool, and applies the ensemble's RADE
+//! staging as a *deadline policy* — stage-1 members always run, reliable
+//! answers exit early, and doubtful inputs escalate toward the full
+//! ensemble only while the request's deadline budget allows. A request
+//! whose budget expires mid-protocol still gets an answer: the
+//! best-so-far plurality, marked deadline-degraded.
 //!
 //! ## Architecture
 //!
@@ -21,12 +21,14 @@
 //!   every request carries its own completion channel, so any number of
 //!   client threads can submit concurrently and each drains only its own
 //!   completions.
-//! * The batcher collects an admission window — up to
-//!   [`ServeConfig::max_batch`] requests or [`ServeConfig::max_delay`]
-//!   after the first arrival, whichever closes first — and dispatches the
-//!   batch across the member replicas on a serve-owned
+//! * The batcher is work-conserving: it blocks for the first arrival,
+//!   takes whatever else is already queued (up to
+//!   [`ServeConfig::max_batch`]) without waiting for more, and dispatches
+//!   that batch at once across the member replicas on a serve-owned
 //!   [`WorkerPool`](pgmr_nn::pool::WorkerPool) (dedicated, because nesting
-//!   `run` calls into the shared global pool can deadlock).
+//!   `run` calls into the shared global pool can deadlock). A lone
+//!   request runs immediately; requests that arrive while a batch runs
+//!   form the next batch, so batches grow only with load.
 //! * Each request runs [`polygraph_mr::system::decide_request`]: one
 //!   `Member::predict` per activated member (a `Network::run` on the
 //!   worker's thread-local workspace arena) under an escalation budget
@@ -49,7 +51,9 @@
 //! deterministic snapshots keep only its count; p50/p99 come from the
 //! bench harness's exact per-request samples),
 //! `serve.batches_total`, `serve.submitted_total`, `serve.completed_total`,
-//! `serve.deadline_miss_total`, and `serve.deadline_degraded_total`.
+//! `serve.deadline_miss_total`, and `serve.deadline_degraded_total`. The
+//! handles are resolved once, at spawn, so neither `submit` nor the fold
+//! looks a metric up by name.
 //!
 //! ## Example
 //!
@@ -75,13 +79,15 @@
 //! ```
 
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
+use pgmr_obs::{Counter, Gauge, Histogram};
 use pgmr_tensor::Tensor;
 use polygraph_mr::ensemble::Member;
-use polygraph_mr::rade::{StagedDecision, StagedEngine};
+use polygraph_mr::rade::{BudgetedDecision, StagedDecision, StagedEngine};
 use polygraph_mr::stream::{ReliabilityMonitor, StreamHealth};
 use polygraph_mr::system::{decide_request, PolygraphSystem};
 use polygraph_mr::Thresholds;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,13 +97,16 @@ use std::time::{Duration, Instant};
 const POISONED: &str = "serve shared-state mutex poisoned";
 
 /// Configuration of the serving front-end.
+///
+/// Admission has no delay knob: the batcher never waits for a batch to
+/// fill. It runs one batch at a time, so every worker is idle while it
+/// admits, and a batch runs per-request forwards, so a fuller batch would
+/// buy nothing for the time spent waiting on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Largest batch one admission window may collect.
+    /// Largest batch one admission step may take from the queue. Under
+    /// load, when more requests wait than this, batches close on size.
     pub max_batch: usize,
-    /// Longest an admission window stays open after its first arrival
-    /// before the (possibly partial) batch dispatches.
-    pub max_delay: Duration,
     /// Inference worker threads. The front-end owns a dedicated
     /// [`WorkerPool`] of this width plus one batcher thread; it never
     /// submits into the shared global pool (nested `run` calls against
@@ -113,13 +122,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            workers: 2,
-            monitor_window: 64,
-            expected_flag_rate: 0.0,
-        }
+        ServeConfig { max_batch: 8, workers: 2, monitor_window: 64, expected_flag_rate: 0.0 }
     }
 }
 
@@ -158,7 +161,7 @@ pub struct ServeStats {
     pub completed: u64,
     /// Batches dispatched.
     pub batches: u64,
-    /// Largest batch any admission window collected.
+    /// Largest batch any admission step collected.
     pub max_batch_observed: u64,
     /// Completions that finished past their deadline (degraded ones
     /// included).
@@ -187,14 +190,61 @@ enum Envelope {
     Shutdown,
 }
 
-/// State shared between submitters, the batcher, and the handle. Plain
-/// mutex-guarded values: every access is queue-rate (not per-element), and
-/// the lock names the synchronization contract outright.
+/// State shared between submitters, the batcher, and the handle. The
+/// per-request counters are atomics, so `submit` takes no lock; they
+/// publish no other data (the request itself travels through the
+/// channel), so `Relaxed` suffices. The aggregate stats and the stream
+/// health are mutex-guarded and written by the fold once per batch.
 struct Shared {
-    next_id: Mutex<u64>,
-    queue_depth: Mutex<u64>,
+    next_id: AtomicU64,
+    /// Requests admitted but not yet dispatched.
+    queue_depth: AtomicU64,
+    /// Requests accepted; [`ServeHandle::stats`] merges it into `stats`.
+    submitted: AtomicU64,
     stats: Mutex<ServeStats>,
     health: Mutex<StreamHealth>,
+    metrics: Metrics,
+}
+
+impl Shared {
+    /// The aggregate statistics with the submitted count merged in. Every
+    /// submit a completion counts happened before that completion's fold
+    /// released the stats lock, so `submitted >= completed` holds.
+    fn stats(&self) -> ServeStats {
+        let stats = *self.stats.lock().expect(POISONED);
+        ServeStats { submitted: self.submitted.load(Ordering::Relaxed), ..stats }
+    }
+}
+
+/// The `serve.*` metric handles, resolved once at spawn. The registry
+/// zeroes metrics in place on reset, so cached handles stay wired to it.
+struct Metrics {
+    /// A recent sample of the queue depth: submitters and the batcher each
+    /// set it after their own update, so it can briefly lag the count.
+    queue_depth: Arc<Gauge>,
+    submitted: Arc<Counter>,
+    batches: Arc<Counter>,
+    batch_size: Arc<Histogram>,
+    latency: Arc<Histogram>,
+    completed: Arc<Counter>,
+    deadline_miss: Arc<Counter>,
+    deadline_degraded: Arc<Counter>,
+}
+
+impl Metrics {
+    fn resolve() -> Self {
+        let obs = pgmr_obs::global();
+        Metrics {
+            queue_depth: obs.gauge("serve.queue_depth"),
+            submitted: obs.counter("serve.submitted_total"),
+            batches: obs.counter("serve.batches_total"),
+            batch_size: obs.histogram("serve.batch_size"),
+            latency: obs.timer("serve.latency_ns"),
+            completed: obs.counter("serve.completed_total"),
+            deadline_miss: obs.counter("serve.deadline_miss_total"),
+            deadline_degraded: obs.counter("serve.deadline_degraded_total"),
+        }
+    }
 }
 
 /// A cloneable submission endpoint. Clients on any thread submit through
@@ -221,20 +271,12 @@ impl Submitter {
         reply: &Sender<Completion>,
     ) -> RequestId {
         let submitted = Instant::now();
-        let id = {
-            let mut next = self.shared.next_id.lock().expect(POISONED);
-            let id = RequestId(*next);
-            *next += 1;
-            id
-        };
-        let obs = pgmr_obs::global();
-        {
-            let mut depth = self.shared.queue_depth.lock().expect(POISONED);
-            *depth += 1;
-            obs.gauge("serve.queue_depth").set(*depth as f64);
-        }
-        self.shared.stats.lock().expect(POISONED).submitted += 1;
-        obs.counter("serve.submitted_total").inc();
+        let shared = &*self.shared;
+        let id = RequestId(shared.next_id.fetch_add(1, Ordering::Relaxed));
+        let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        shared.metrics.queue_depth.set(depth as f64);
+        shared.submitted.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.submitted.inc();
         let request = Request {
             id,
             image,
@@ -294,10 +336,12 @@ impl ServeHandle {
         let monitor =
             ReliabilityMonitor::calibrated(config.monitor_window, config.expected_flag_rate, 3.0);
         let shared = Arc::new(Shared {
-            next_id: Mutex::new(0),
-            queue_depth: Mutex::new(0),
+            next_id: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            submitted: AtomicU64::new(0),
             stats: Mutex::new(ServeStats::default()),
             health: Mutex::new(StreamHealth::WarmingUp),
+            metrics: Metrics::resolve(),
         });
         let (sender, receiver) = channel();
         let engine = BatchEngine {
@@ -309,7 +353,8 @@ impl ServeHandle {
             monitor,
             shared: Arc::clone(&shared),
             max_batch: config.max_batch,
-            max_delay: config.max_delay,
+            batch: Vec::new(),
+            outcomes: Vec::new(),
         };
         let batcher = std::thread::Builder::new()
             .name("pgmr-serve-batcher".into())
@@ -370,12 +415,12 @@ impl ServeHandle {
 
     /// Requests admitted but not yet dispatched.
     pub fn queue_depth(&self) -> u64 {
-        *self.shared.queue_depth.lock().expect(POISONED)
+        self.shared.queue_depth.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the aggregate statistics.
     pub fn stats(&self) -> ServeStats {
-        *self.shared.stats.lock().expect(POISONED)
+        self.shared.stats()
     }
 
     /// Stops the front-end: already-queued requests are answered, the
@@ -394,7 +439,7 @@ impl ServeHandle {
         if let Err(payload) = batcher.join() {
             std::panic::resume_unwind(payload);
         }
-        *self.shared.stats.lock().expect(POISONED)
+        self.shared.stats()
     }
 }
 
@@ -409,8 +454,8 @@ impl Drop for ServeHandle {
     }
 }
 
-/// The batcher: admission-window collection plus batch dispatch, running
-/// on the dedicated serve thread.
+/// The batcher: admission plus batch dispatch, running on the dedicated
+/// serve thread.
 struct BatchEngine {
     receiver: Receiver<Envelope>,
     /// One member replica set per worker — workers answer bit-identically
@@ -422,109 +467,90 @@ struct BatchEngine {
     monitor: ReliabilityMonitor,
     shared: Arc<Shared>,
     max_batch: usize,
-    max_delay: Duration,
+    /// The admitted batch, reused across batches.
+    batch: Vec<Request>,
+    /// Per-request outcome and finish time, index-aligned with `batch`;
+    /// each shard job fills its own slice. Reused across batches.
+    outcomes: Vec<Option<(BudgetedDecision, Instant)>>,
 }
 
 impl BatchEngine {
     fn run(mut self) {
         loop {
-            // Block for the first arrival; it opens the admission window.
-            let first = match self.receiver.recv() {
-                Ok(Envelope::Request(r)) => r,
-                Ok(Envelope::Shutdown) | Err(_) => break,
-            };
-            // pgmr-lint: allow(hot-path-alloc): per-batch admission buffer on the engine thread — one allocation per batch window, not per image
-            let mut batch = vec![first];
-            let mut stop = false;
-            let window_closes = Instant::now() + self.max_delay;
-            while batch.len() < self.max_batch {
-                let now = Instant::now();
-                if now >= window_closes {
-                    break;
-                }
-                match self.receiver.recv_timeout(window_closes - now) {
-                    Ok(Envelope::Request(r)) => batch.push(r),
-                    Ok(Envelope::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                        stop = true;
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                }
+            let open = admit(&self.receiver, self.max_batch, &mut self.batch);
+            if !self.batch.is_empty() {
+                self.process();
             }
-            self.process(batch);
-            if stop {
+            if !open {
                 break;
             }
         }
     }
 
-    /// Dispatches one batch across the member replicas and folds the
-    /// outcomes in submission order (completion delivery, monitor feed,
-    /// and stats all follow that order — the determinism contract).
-    fn process(&mut self, batch: Vec<Request>) {
-        let obs = pgmr_obs::global();
-        {
-            let mut depth = self.shared.queue_depth.lock().expect(POISONED);
-            *depth = depth.saturating_sub(batch.len() as u64);
-            obs.gauge("serve.queue_depth").set(*depth as f64);
-        }
-        obs.counter("serve.batches_total").inc();
-        obs.histogram("serve.batch_size").record(batch.len() as u64);
+    /// Dispatches the admitted batch across the member replicas and folds
+    /// the outcomes in submission order (completion delivery, monitor
+    /// feed, and stats all follow that order — the determinism contract).
+    fn process(&mut self) {
+        let n = self.batch.len();
+        let metrics = &self.shared.metrics;
+        let depth = self.shared.queue_depth.fetch_sub(n as u64, Ordering::Relaxed) - n as u64;
+        metrics.queue_depth.set(depth as f64);
+        metrics.batches.inc();
+        metrics.batch_size.record(n as u64);
 
         // Shard the batch across the replicas; each shard runs its
-        // requests sequentially on its own member set, so concatenating
-        // shard results in order reproduces the sequential fold exactly.
+        // requests sequentially on its own member set and writes its own
+        // slice of `outcomes`, so the slots in order reproduce the
+        // sequential fold exactly.
+        self.outcomes.clear();
+        self.outcomes.resize(n, None);
         let staged = self.staged.as_deref();
         let thresholds = self.thresholds;
-        let jobs: Vec<_> = shard_ranges(batch.len(), self.replicas.len())
-            .into_iter()
+        let mut slots = &mut self.outcomes[..];
+        let jobs: Vec<_> = shard_ranges(n, self.replicas.len())
             .zip(self.replicas.iter_mut())
             .map(|(range, members)| {
-                let requests = &batch[range];
+                let (shard, rest) = std::mem::take(&mut slots).split_at_mut(range.len());
+                slots = rest;
+                let requests = &self.batch[range];
                 move || {
-                    requests
-                        .iter()
-                        .map(|r| {
-                            let out =
-                                decide_request(members, staged, thresholds, &r.image, |_| match r
-                                    .deadline
-                                {
-                                    Some(d) => Instant::now() < d,
-                                    None => true,
-                                });
-                            (out, Instant::now())
-                        })
-                        // pgmr-lint: allow(hot-path-alloc): per-shard outcome marshalling — one Vec per shard per batch, not per image
-                        .collect::<Vec<_>>()
+                    for (slot, r) in shard.iter_mut().zip(requests) {
+                        let out = decide_request(members, staged, thresholds, &r.image, |_| {
+                            r.deadline.is_none_or(|d| Instant::now() < d)
+                        });
+                        *slot = Some((out, Instant::now()));
+                    }
                 }
             })
-            // pgmr-lint: allow(hot-path-alloc): per-batch job list, bounded by replica count
+            // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per replica shard
             .collect();
         // pgmr-lint: allow(nested-pool-run): false cross-crate edge — polygraph-mr does not depend on pgmr-serve, so no core job closure can reach this dedicated-pool dispatch
-        // pgmr-lint: allow(hot-path-alloc): per-batch outcome concatenation, bounded by batch size
-        let outcomes: Vec<_> = self.pool.run(jobs).into_iter().flatten().collect();
+        self.pool.run(jobs);
 
+        // Both locks are held across the fold, so a client that has its
+        // completion sees stats and health that already count it.
         let mut stats = self.shared.stats.lock().expect(POISONED);
+        let mut health = self.shared.health.lock().expect(POISONED);
         stats.batches += 1;
-        stats.max_batch_observed = stats.max_batch_observed.max(batch.len() as u64);
-        for (r, (out, finished)) in batch.into_iter().zip(outcomes) {
+        stats.max_batch_observed = stats.max_batch_observed.max(n as u64);
+        for (r, slot) in self.batch.drain(..).zip(&mut self.outcomes) {
+            let (out, finished) = slot.take().expect("every shard job fills its slots");
             let degraded = out.budget_exhausted;
             let missed = degraded || r.deadline.is_some_and(|d| finished > d);
             let latency = finished.duration_since(r.submitted);
-            obs.timer("serve.latency_ns").record(latency.as_nanos() as u64);
-            obs.counter("serve.completed_total").inc();
+            metrics.latency.record(latency.as_nanos() as u64);
+            metrics.completed.inc();
             if missed {
-                obs.counter("serve.deadline_miss_total").inc();
+                metrics.deadline_miss.inc();
             }
             if degraded {
-                obs.counter("serve.deadline_degraded_total").inc();
+                metrics.deadline_degraded.inc();
             }
             stats.completed += 1;
             stats.activated_members += out.decision.activated as u64;
             stats.deadline_missed += u64::from(missed);
             stats.deadline_degraded += u64::from(degraded);
-            let health = self.monitor.observe(&out.decision.verdict);
-            *self.shared.health.lock().expect(POISONED) = health;
+            self.monitor.observe(&out.decision.verdict);
             // A client that dropped its reply receiver forfeits the
             // answer; the front-end keeps serving.
             let _ = r.reply.send(Completion {
@@ -535,5 +561,93 @@ impl BatchEngine {
                 latency,
             });
         }
+        *health = self.monitor.health();
+    }
+}
+
+/// One admission step: blocks for the first arrival, then takes only what
+/// is already queued, up to `max_batch` requests in all, into `batch`. It
+/// never waits for a batch to fill, so a lone request dispatches at once
+/// and later arrivals form the next batch. Returns `false` once the
+/// shutdown marker (or a disconnected queue) is reached; the requests
+/// admitted ahead of it are still in `batch`.
+fn admit(receiver: &Receiver<Envelope>, max_batch: usize, batch: &mut Vec<Request>) -> bool {
+    batch.clear();
+    match receiver.recv() {
+        Ok(Envelope::Request(r)) => batch.push(r),
+        Ok(Envelope::Shutdown) | Err(_) => return false,
+    }
+    while batch.len() < max_batch {
+        match receiver.try_recv() {
+            Ok(Envelope::Request(r)) => batch.push(r),
+            Ok(Envelope::Shutdown) | Err(TryRecvError::Disconnected) => return false,
+            Err(TryRecvError::Empty) => break,
+        }
+    }
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(id: u64, reply: &Sender<Completion>) -> Envelope {
+        Envelope::Request(Request {
+            id: RequestId(id),
+            image: Tensor::zeros(vec![1]),
+            submitted: Instant::now(),
+            deadline: None,
+            reply: reply.clone(),
+        })
+    }
+
+    fn ids(batch: &[Request]) -> Vec<u64> {
+        batch.iter().map(|r| r.id.0).collect()
+    }
+
+    #[test]
+    fn admission_takes_only_what_is_already_queued() {
+        const MAX_BATCH: usize = 4;
+        let (reply, _completions) = channel();
+        for k in [0u64, 1, 3, 4, 9] {
+            // The first arrival plus k requests already queued behind it.
+            // The sender stays alive throughout, so an admission step that
+            // waited for more arrivals would block here.
+            let (sender, receiver) = channel();
+            for id in 0..=k {
+                sender.send(request(id, &reply)).unwrap();
+            }
+            let mut batch = Vec::new();
+            let mut next = 0;
+            while next <= k {
+                let take = (k + 1 - next).min(MAX_BATCH as u64);
+                assert!(admit(&receiver, MAX_BATCH, &mut batch), "no shutdown was queued");
+                // Whatever the step left stays queued, in order, for the
+                // next batch.
+                assert_eq!(ids(&batch), (next..next + take).collect::<Vec<_>>(), "k = {k}");
+                next += take;
+            }
+            assert!(matches!(receiver.try_recv(), Err(TryRecvError::Empty)), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn queued_shutdown_stops_admission() {
+        let (reply, _completions) = channel();
+        let (sender, receiver) = channel();
+        sender.send(request(0, &reply)).unwrap();
+        sender.send(request(1, &reply)).unwrap();
+        sender.send(Envelope::Shutdown).unwrap();
+        sender.send(request(2, &reply)).unwrap();
+        let mut batch = Vec::new();
+        // The requests ahead of the marker still form the last batch.
+        assert!(!admit(&receiver, 8, &mut batch));
+        assert_eq!(ids(&batch), [0, 1]);
+
+        // A marker as the first arrival stops with nothing to dispatch.
+        let (sender, receiver) = channel();
+        sender.send(Envelope::Shutdown).unwrap();
+        assert!(!admit(&receiver, 8, &mut batch));
+        assert!(batch.is_empty());
     }
 }
