@@ -129,35 +129,88 @@ impl DecisionEngine {
     ///
     /// Panics if `member_probs` is empty or any probability vector is
     /// empty.
-    // pgmr-lint: boundary(hot-path-alloc): the vote histogram and leader list are bounded by ensemble size (≤16 entries); the per-image invariant targets the per-pixel kernels
     pub fn decide(&self, member_probs: &[Vec<f32>]) -> Verdict {
         assert!(!member_probs.is_empty(), "decision requires at least one vote source");
-        let mut histogram: Vec<(usize, usize)> = Vec::new(); // (class, count)
+        let mut tally = VoteTally::new(self.thresholds.conf);
         for probs in member_probs {
-            let class = argmax(probs);
-            if probs[class] >= self.thresholds.conf {
-                match histogram.iter_mut().find(|(c, _)| *c == class) {
-                    Some((_, count)) => *count += 1,
-                    None => histogram.push((class, 1)),
+            tally.cast(probs);
+        }
+        tally.verdict(self.thresholds.freq)
+    }
+}
+
+/// The Layer-3 vote rule of [`DecisionEngine::decide`], the one place it
+/// is written down. A vote is a member's top-1 class, counted only when
+/// its confidence reaches `Thr_Conf`; the lowest class among tied leaders
+/// is reported. Votes are cast one at a time and the verdict can be read
+/// between them: RADE (§III-F) is this rule over the members activated so
+/// far.
+pub(crate) struct VoteTally {
+    conf: f32,
+    /// `(class, votes)` per class that has a counted vote.
+    counts: Vec<(usize, usize)>,
+    /// The leading vote count.
+    best: usize,
+    /// The lowest class holding `best` votes.
+    leader: usize,
+    /// Whether another class also holds `best` votes.
+    tied: bool,
+}
+
+impl VoteTally {
+    /// An empty tally that discards votes below `conf` (`Thr_Conf`).
+    // pgmr-lint: boundary(hot-path-alloc): the class list is allocated once per decision on its first counted vote and holds one entry per distinct class voted, so its size follows the member count, not the image; the zero-alloc invariant governs the forward kernels beneath the decision
+    pub(crate) fn new(conf: f32) -> Self {
+        VoteTally { conf, counts: Vec::new(), best: 0, leader: 0, tied: false }
+    }
+
+    /// Casts one member's vote from its softmax vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` is empty.
+    pub(crate) fn cast(&mut self, probs: &[f32]) {
+        let class = argmax(probs);
+        self.cast_top(class, probs[class]);
+    }
+
+    /// Casts one member's vote from its precomputed top-1 class and
+    /// confidence. A NaN confidence never reaches `Thr_Conf`.
+    pub(crate) fn cast_top(&mut self, class: usize, confidence: f32) {
+        if confidence >= self.conf {
+            let votes = match self.counts.iter_mut().find(|(c, _)| *c == class) {
+                Some((_, n)) => {
+                    *n += 1;
+                    *n
                 }
+                None => {
+                    self.counts.push((class, 1));
+                    1
+                }
+            };
+            if votes > self.best {
+                (self.best, self.leader, self.tied) = (votes, class, false);
+            } else if votes == self.best {
+                self.leader = self.leader.min(class);
+                self.tied = true;
             }
         }
-        if histogram.is_empty() {
-            return Verdict::Unreliable { class: None, votes: 0 };
-        }
-        let max_count = histogram.iter().map(|&(_, c)| c).max().expect("non-empty");
-        let mut leaders: Vec<usize> =
-            histogram.iter().filter(|&&(_, c)| c == max_count).map(|&(c, _)| c).collect();
-        leaders.sort_unstable();
-        let class = leaders[0];
-        if leaders.len() > 1 {
-            // Tied plurality: the networks fundamentally disagree.
-            return Verdict::Unreliable { class: Some(class), votes: max_count };
-        }
-        if max_count >= self.thresholds.freq {
-            Verdict::Reliable { class, votes: max_count }
+    }
+
+    /// The leading class's vote count so far (0 before any counted vote).
+    pub(crate) fn best(&self) -> usize {
+        self.best
+    }
+
+    /// The verdict over the votes cast so far, under `Thr_Freq = freq`.
+    pub(crate) fn verdict(&self, freq: usize) -> Verdict {
+        let votes = self.best;
+        if votes == 0 {
+            Verdict::Unreliable { class: None, votes }
+        } else if !self.tied && votes >= freq {
+            Verdict::Reliable { class: self.leader, votes }
         } else {
-            Verdict::Unreliable { class: Some(class), votes: max_count }
+            Verdict::Unreliable { class: Some(self.leader), votes }
         }
     }
 }

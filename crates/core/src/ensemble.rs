@@ -253,21 +253,6 @@ impl Ensemble {
         self.members.push(member);
     }
 
-    /// Per-member softmax vectors for one image: `out[m]` is member `m`'s
-    /// probability vector.
-    // pgmr-lint: boundary(hot-path-alloc): per-request marshalling of member probability vectors is the predict tier's contract
-    pub fn predict(&mut self, image: &Tensor) -> Vec<Vec<f32>> {
-        self.members.iter_mut().map(|m| m.predict(image)).collect()
-    }
-
-    /// Per-member probabilities over a whole image set:
-    /// `out[m][i]` is member `m`'s vector for image `i`. Experiment
-    /// harnesses precompute this once and evaluate many threshold settings
-    /// against it.
-    pub fn predict_dataset(&mut self, images: &[Tensor]) -> Vec<Vec<Vec<f32>>> {
-        self.members.iter_mut().map(|m| m.predict_all(images)).collect()
-    }
-
     /// Switches every member to the given precision (RAMR).
     pub fn set_precision(&mut self, precision: Precision) {
         for m in &mut self.members {
@@ -342,15 +327,11 @@ mod tests {
 
     #[test]
     fn ensemble_predict_shapes() {
-        let (data, spec, train) = tiny_training_setup();
-        let (a, _) = Member::train(Preprocessor::Identity, &spec, &data, &train, 1);
-        let (b, _) = Member::train(Preprocessor::FlipX, &spec, &data, &train, 2);
-        let mut ens = Ensemble::new(vec![a, b]);
+        let spec = ArchSpec::convnet(1, 16, 16, 10);
+        let a = Member::new(Preprocessor::Identity, build(&spec, 1));
+        let b = Member::new(Preprocessor::FlipX, build(&spec, 2));
+        let ens = Ensemble::new(vec![a, b]);
         assert_eq!(ens.len(), 2);
-        let per_member = ens.predict_dataset(&data.images()[..5]);
-        assert_eq!(per_member.len(), 2);
-        assert_eq!(per_member[0].len(), 5);
-        assert_eq!(per_member[0][0].len(), 10);
         assert_eq!(ens.configuration(), vec![Preprocessor::Identity, Preprocessor::FlipX]);
     }
 

@@ -7,7 +7,7 @@
 //! inference; a new demand only requires re-selecting from the stored
 //! frontier, not re-profiling.
 
-use crate::decision::Thresholds;
+use crate::decision::{Thresholds, Verdict, VoteTally};
 use pgmr_metrics::{pareto_frontier, ParetoPoint};
 use serde::{Deserialize, Serialize};
 
@@ -20,10 +20,10 @@ pub fn default_conf_grid() -> Vec<f32> {
 /// (one per `(conf, freq)` pair), tagged with their thresholds.
 ///
 /// Semantically identical to calling [`crate::evaluate::evaluate`] per
-/// grid point, but the
-/// vote histogram is computed once per `Thr_Conf` level and every
-/// `Thr_Freq` point is derived from it — with a 100-member ensemble (the
-/// paper's Fig. 13) this is two orders of magnitude faster.
+/// grid point, but each sample's votes are tallied once per `Thr_Conf`
+/// level and the verdict at every `Thr_Freq` is read off that tally —
+/// with a 100-member ensemble (the paper's Fig. 13) this is two orders of
+/// magnitude faster.
 ///
 /// # Panics
 ///
@@ -51,62 +51,30 @@ pub fn sweep_thresholds(
         .collect();
 
     let mut points = Vec::with_capacity(conf_grid.len() * n_members);
-    let mut hist: Vec<(usize, usize)> = Vec::new();
     for &conf in conf_grid {
-        // Per sample: winner (lowest class among the plurality), its vote
-        // count, whether the plurality is tied, and whether the winner is
-        // correct. These four values determine the outcome at every freq.
-        let mut correct_flags = Vec::with_capacity(n);
-        let mut votes = Vec::with_capacity(n);
-        let mut tied = Vec::with_capacity(n);
-        for i in 0..n {
-            hist.clear();
+        // (TP, FP) counts per Thr_Freq, from 1 up.
+        let mut counts = vec![(0usize, 0usize); n_members];
+        for (i, &label) in labels.iter().enumerate() {
+            let mut tally = VoteTally::new(conf);
             for member in &tops {
-                let (class, c) = member[i];
-                if c >= conf {
-                    match hist.iter_mut().find(|(cl, _)| *cl == class) {
-                        Some((_, count)) => *count += 1,
-                        None => hist.push((class, 1)),
-                    }
-                }
+                let (class, confidence) = member[i];
+                tally.cast_top(class, confidence);
             }
-            if hist.is_empty() {
-                correct_flags.push(false);
-                votes.push(0usize);
-                tied.push(true); // no votes ⇒ never reliable
-                continue;
-            }
-            let max_count = hist.iter().map(|&(_, c)| c).max().expect("non-empty");
-            let mut winner = usize::MAX;
-            let mut leaders = 0usize;
-            for &(class, count) in &hist {
-                if count == max_count {
-                    leaders += 1;
-                    winner = winner.min(class);
-                }
-            }
-            correct_flags.push(winner == labels[i]);
-            votes.push(max_count);
-            tied.push(leaders > 1);
-        }
-        for freq in 1..=n_members {
-            let mut tp = 0usize;
-            let mut fp = 0usize;
-            for i in 0..n {
-                let reliable = !tied[i] && votes[i] >= freq;
-                if reliable {
-                    if correct_flags[i] {
-                        tp += 1;
+            for (freq, (tp, fp)) in (1..).zip(counts.iter_mut()) {
+                if let Verdict::Reliable { class, .. } = tally.verdict(freq) {
+                    if class == label {
+                        *tp += 1;
                     } else {
-                        fp += 1;
+                        *fp += 1;
                     }
                 }
             }
-            let thresholds = Thresholds::new(conf, freq);
+        }
+        for (freq, (tp, fp)) in (1..).zip(counts) {
             points.push(ParetoPoint {
                 tp: tp as f64 / n as f64,
                 fp: fp as f64 / n as f64,
-                tag: thresholds,
+                tag: Thresholds::new(conf, freq),
             });
         }
     }

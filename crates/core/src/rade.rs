@@ -11,11 +11,13 @@
 //! * **early unreliable** — even if every remaining network voted for the
 //!   current leader, it could not reach `Thr_Freq`.
 //!
-//! RADE is an approximation of the full engine (it never sees votes it did
-//! not activate), which is exactly the paper's trade-off: Fig. 10 reports a
-//! modest FP increase in exchange for the large energy/latency cut.
+//! Each verdict is the full engine's rule applied to exactly the networks
+//! activated so far; RADE approximates the full engine only in never
+//! seeing the votes it did not activate, which is exactly the paper's
+//! trade-off: Fig. 10 reports a modest FP increase in exchange for the
+//! large energy/latency cut.
 
-use crate::decision::{Thresholds, Verdict};
+use crate::decision::{Thresholds, Verdict, VoteTally};
 use pgmr_obs::{Counter, Histogram};
 use pgmr_tensor::argmax;
 use serde::{Deserialize, Serialize};
@@ -107,7 +109,7 @@ impl StagedEngine {
     /// Panics if `member_probs.len()` differs from the engine's member
     /// count.
     pub fn decide(&self, member_probs: &[Vec<f32>]) -> StagedDecision {
-        self.decide_core(|m| &member_probs[m], member_probs.len(), |_| true).decision
+        self.decide_with_budget(|m| &member_probs[m], member_probs.len(), |_| true).decision
     }
 
     /// Runs the staged protocol with a lazy per-member prediction provider
@@ -127,7 +129,7 @@ impl StagedEngine {
         predict: impl FnMut(usize) -> P,
         n_members: usize,
     ) -> StagedDecision {
-        self.decide_core(predict, n_members, |_| true).decision
+        self.decide_with_budget(predict, n_members, |_| true).decision
     }
 
     /// Runs the staged protocol under an *escalation budget* — the
@@ -138,6 +140,9 @@ impl StagedEngine {
     /// [`BudgetedDecision::budget_exhausted`]. With an always-true budget
     /// this is exactly [`StagedEngine::decide_with`].
     ///
+    /// Whatever the exit, the verdict is [`crate::DecisionEngine::decide`]
+    /// over exactly the members activated.
+    ///
     /// Budget-stopped decisions report their exit into the
     /// `rade.budget_stopped_total` counter (alongside the usual
     /// `rade.activated` histogram).
@@ -147,112 +152,45 @@ impl StagedEngine {
     /// Panics if `n_members` differs from the engine's member count.
     pub fn decide_with_budget<P: AsRef<[f32]>>(
         &self,
-        predict: impl FnMut(usize) -> P,
-        n_members: usize,
-        may_escalate: impl FnMut(usize) -> bool,
-    ) -> BudgetedDecision {
-        self.decide_core(predict, n_members, may_escalate)
-    }
-
-    /// The shared staged-protocol core: generic over the probability
-    /// provider (so precomputed-probs callers borrow instead of cloning)
-    /// and over the escalation budget.
-    // pgmr-lint: boundary(hot-path-alloc): the vote histogram is bounded by ensemble size (≤16 entries) and amortizes to one small realloc per request; the per-image invariant targets the per-pixel kernels
-    fn decide_core<P: AsRef<[f32]>>(
-        &self,
         mut predict: impl FnMut(usize) -> P,
         n_members: usize,
         mut may_escalate: impl FnMut(usize) -> bool,
     ) -> BudgetedDecision {
         assert_eq!(n_members, self.priority.len(), "member count mismatch with priority order");
         let freq = self.thresholds.freq;
-        let mut histogram: Vec<(usize, usize)> = Vec::new();
-        let mut activated = 0usize;
-        let mut hopeless = false;
-        let mut budget_exhausted = false;
-
-        for (round, &member) in self.priority.iter().enumerate() {
+        let mut tally = VoteTally::new(self.thresholds.conf);
+        let mut activated = 0;
+        let exit = loop {
+            if activated == n_members {
+                break Exit::Exhausted;
+            }
             // Stage 1 (the first Thr_Freq members) is unconditional — a
             // verdict needs at least that many candidate votes. Escalating
             // past it is what the budget gates.
-            if round >= freq && !may_escalate(activated) {
-                budget_exhausted = true;
-                break;
+            if activated >= freq && !may_escalate(activated) {
+                break Exit::BudgetStopped;
             }
-            let probs = predict(member);
-            let probs = probs.as_ref();
+            tally.cast(predict(self.priority[activated]).as_ref());
             activated += 1;
-            let class = argmax(probs);
-            if probs[class] >= self.thresholds.conf {
-                match histogram.iter_mut().find(|(c, _)| *c == class) {
-                    Some((_, count)) => *count += 1,
-                    None => histogram.push((class, 1)),
-                }
-            }
-
-            let best = histogram.iter().map(|&(_, c)| c).max().unwrap_or(0);
             // Early unreliable: even if every remaining network voted for
             // the current leader it could not reach Thr_Freq. This can
             // trigger mid-batch (e.g. a low-confidence vote was discarded),
             // which is RADE's "early detection of unreliable answers".
-            let remaining = self.priority.len() - (round + 1);
-            if best + remaining < freq {
-                hopeless = remaining > 0;
-                break;
-            }
-            // Otherwise don't emit a positive verdict before the first
-            // batch of Thr_Freq networks has run — the paper executes the
-            // top Thr_Freq first.
-            if round + 1 < freq {
-                continue;
+            let remaining = n_members - activated;
+            if tally.best() + remaining < freq {
+                break if remaining > 0 { Exit::EarlyUnreliable } else { Exit::Exhausted };
             }
             // Early reliable: the leader already meets Thr_Freq and no
             // other class ties it.
-            if best >= freq {
-                let leaders: Vec<usize> =
-                    histogram.iter().filter(|&&(_, c)| c == best).map(|&(c, _)| c).collect();
-                if leaders.len() == 1 {
-                    Self::note_exit(activated, Exit::EarlyReliable);
-                    return BudgetedDecision {
-                        decision: StagedDecision {
-                            verdict: Verdict::Reliable { class: leaders[0], votes: best },
-                            activated,
-                        },
-                        budget_exhausted: false,
-                    };
-                }
+            if tally.verdict(freq).is_reliable() {
+                break Exit::EarlyReliable;
             }
-        }
-        Self::note_exit(
-            activated,
-            if budget_exhausted {
-                Exit::BudgetStopped
-            } else if hopeless {
-                Exit::EarlyUnreliable
-            } else {
-                Exit::Exhausted
-            },
-        );
-
-        // Exhausted (or provably hopeless, or budget-stopped): final
-        // plurality with the accumulated votes, mirroring the full
-        // engine's rules.
-        let decision = if histogram.is_empty() {
-            StagedDecision { verdict: Verdict::Unreliable { class: None, votes: 0 }, activated }
-        } else {
-            let best = histogram.iter().map(|&(_, c)| c).max().expect("non-empty");
-            let mut leaders: Vec<usize> =
-                histogram.iter().filter(|&&(_, c)| c == best).map(|&(c, _)| c).collect();
-            leaders.sort_unstable();
-            let class = leaders[0];
-            let verdict = if leaders.len() == 1 && best >= freq {
-                Verdict::Reliable { class, votes: best }
-            } else {
-                Verdict::Unreliable { class: Some(class), votes: best }
-            };
-            StagedDecision { verdict, activated }
         };
-        BudgetedDecision { decision, budget_exhausted }
+        Self::note_exit(activated, exit);
+        BudgetedDecision {
+            decision: StagedDecision { verdict: tally.verdict(freq), activated },
+            budget_exhausted: matches!(exit, Exit::BudgetStopped),
+        }
     }
 
     /// Records one staged decision's activation cost and exit path. The

@@ -1,8 +1,9 @@
 //! The assembled PolygraphMR system: ensemble + decision engine, with an
 //! optional staged (RADE) inference mode.
 
-use crate::decision::{DecisionEngine, Thresholds, Verdict};
+use crate::decision::{Thresholds, Verdict, VoteTally};
 use crate::ensemble::{Ensemble, Member};
+use crate::evaluate::outcomes;
 use crate::rade::{BudgetedDecision, StagedDecision, StagedEngine};
 use crate::stream::ReliabilityMonitor;
 use pgmr_datasets::Dataset;
@@ -16,43 +17,20 @@ use pgmr_tensor::checksum::{ChecksumFault, DEFAULT_TOLERANCE};
 use pgmr_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 
-/// Pre-rendered per-member timer names (`infer.forward_ns.m{i}`), so
-/// resolving a member's timer never formats a string. Snapshot tests
-/// pin these exact names; ensembles larger than the table share the
-/// overflow bucket.
-const FORWARD_TIMER_NAMES: &[&str] = &[
-    "infer.forward_ns.m0",
-    "infer.forward_ns.m1",
-    "infer.forward_ns.m2",
-    "infer.forward_ns.m3",
-    "infer.forward_ns.m4",
-    "infer.forward_ns.m5",
-    "infer.forward_ns.m6",
-    "infer.forward_ns.m7",
-    "infer.forward_ns.m8",
-    "infer.forward_ns.m9",
-    "infer.forward_ns.m10",
-    "infer.forward_ns.m11",
-    "infer.forward_ns.m12",
-    "infer.forward_ns.m13",
-    "infer.forward_ns.m14",
-    "infer.forward_ns.m15",
-];
-
-/// The latency timer of member `index` (overflow shares the last slot),
-/// looked up by name on first use only. The registry zeroes metrics in
-/// place on reset, so the cached handles stay wired to it.
-fn forward_timer(index: usize) -> &'static Histogram {
-    static TIMERS: [OnceLock<Arc<Histogram>>; FORWARD_TIMER_NAMES.len()] =
-        [const { OnceLock::new() }; FORWARD_TIMER_NAMES.len()];
-    let slot = index.min(FORWARD_TIMER_NAMES.len() - 1);
-    TIMERS[slot].get_or_init(|| pgmr_obs::global().timer(FORWARD_TIMER_NAMES[slot]))
-}
-
-/// Times one un-guarded member forward pass into the per-member latency
-/// histogram `infer.forward_ns.m{index}`.
-fn timed_predict(member: &mut Member, index: usize, image: &Tensor) -> Vec<f32> {
-    forward_timer(index).time(|| member.predict(image))
+/// Runs `forward`, timed into member `index`'s latency histogram
+/// `infer.forward_ns.m{index}`. Members 0–15 keep their handle after the
+/// first use, so ensembles of up to 16 members look nothing up and
+/// allocate nothing; members past them resolve their timer by name on
+/// every call. The registry zeroes metrics in place on reset, so the
+/// cached handles stay wired to it.
+fn time_forward<R>(index: usize, forward: impl FnOnce() -> R) -> R {
+    static TIMERS: [OnceLock<Arc<Histogram>>; 16] = [const { OnceLock::new() }; 16];
+    // pgmr-lint: allow(hot-path-alloc): the name is formatted once per member 0–15 and on every forward only for members past them
+    let resolve = || pgmr_obs::global().timer(&format!("infer.forward_ns.m{index}"));
+    match TIMERS.get(index) {
+        Some(slot) => slot.get_or_init(resolve).time(forward),
+        None => resolve().time(forward),
+    }
 }
 
 /// Tallies one emitted verdict into the reliable/unreliable counters,
@@ -210,16 +188,10 @@ impl PolygraphSystem {
         self.staged.is_some()
     }
 
-    /// The active staged engine, if RADE is enabled — the serving
-    /// front-end reads it to replicate the system's decision policy onto
-    /// its per-worker member replicas.
-    pub fn staged_engine(&self) -> Option<&StagedEngine> {
-        self.staged.as_deref()
-    }
-
-    /// The staged engine behind its shared handle — serving front-ends
-    /// clone the `Arc` instead of deep-copying the probe/threshold state
-    /// per handle.
+    /// The active staged engine, if RADE is enabled, behind its shared
+    /// handle — serving front-ends replicate the system's decision policy
+    /// onto their per-worker member replicas by cloning the `Arc` instead
+    /// of deep-copying the probe/threshold state per handle.
     pub fn staged_engine_shared(&self) -> Option<Arc<StagedEngine>> {
         self.staged.clone()
     }
@@ -299,15 +271,6 @@ impl PolygraphSystem {
         self.active.iter().filter(|&&a| a).count()
     }
 
-    /// Returns a quarantined member to service and clears its counters
-    /// (after re-verification or repair of the underlying network).
-    pub fn reinstate(&mut self, member: usize) {
-        self.sync_fault_state();
-        self.active[member] = true;
-        self.strikes[member] = 0;
-        self.solo[member] = 0;
-    }
-
     /// Drains the pending degradation events (oldest first).
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
         std::mem::take(&mut self.events)
@@ -349,54 +312,42 @@ impl PolygraphSystem {
     /// input). Members reaching `quarantine_after` strikes, or
     /// `solo_after` consecutive solo disagreements, are quarantined and
     /// the vote threshold re-derived over the surviving ensemble.
-    fn infer_fault_tolerant(&mut self, image: &Tensor) -> StagedDecision {
-        self.infer_fault_tolerant_with(image, None)
-    }
-
-    /// [`PolygraphSystem::infer_fault_tolerant`] with an optional worker
-    /// pool. The guarded forward passes (including their retry loops) are
+    ///
+    /// The guarded forward passes (including their retry loops) are
     /// independent per member — each owns its network and any attached
-    /// injector — so batch mode runs them concurrently; the outcomes are
-    /// then folded in member order, which reproduces the sequential event
-    /// stream and decision exactly.
-    fn infer_fault_tolerant_with(
-        &mut self,
-        image: &Tensor,
-        pool: Option<&WorkerPool>,
-    ) -> StagedDecision {
+    /// injector — so batch mode runs them concurrently on `pool`; the
+    /// outcomes are then folded in member order, which reproduces the
+    /// sequential event stream and decision exactly.
+    fn infer_guarded(&mut self, image: &Tensor, pool: Option<&WorkerPool>) -> StagedDecision {
         let policy = *self.fault_policy.as_ref().expect("fault policy set");
         self.sync_fault_state();
         let tol = policy.tolerance;
         let retries = policy.retries;
 
         // Stage 1: guarded forward passes of the active members.
-        type MemberOutcome = (usize, Result<Vec<f32>, ChecksumFault>, usize);
-        let outcomes: Vec<MemberOutcome> = {
-            let active = self.active.clone();
-            let jobs: Vec<_> = self
-                .ensemble
-                .members_mut()
-                .iter_mut()
-                .enumerate()
-                .filter(|(m, _)| active[*m])
-                .map(|(m, member)| {
-                    move || {
-                        let timer = forward_timer(m);
-                        let mut result = timer.time(|| member.predict_checked(image, tol));
-                        let mut retried = 0;
-                        while result.is_err() && retried < retries {
-                            retried += 1;
-                            result = timer.time(|| member.predict_checked(image, tol));
-                        }
-                        (m, result, retried)
+        let active = &self.active;
+        let jobs: Vec<_> = self
+            .ensemble
+            .members_mut()
+            .iter_mut()
+            .enumerate()
+            .filter(|(m, _)| active[*m])
+            .map(|(m, member)| {
+                move || {
+                    let mut result = time_forward(m, || member.predict_checked(image, tol));
+                    let mut retried = 0;
+                    while result.is_err() && retried < retries {
+                        retried += 1;
+                        result = time_forward(m, || member.predict_checked(image, tol));
                     }
-                })
-                .collect();
-            match pool {
-                // pgmr-lint: allow(nested-pool-run): the only closure of infer_batch reaching here is an inline iterator adapter on the caller's thread (the sequential fault-policy path), never a pool job
-                Some(pool) => pool.run(jobs),
-                None => jobs.into_iter().map(|mut job| job()).collect(),
-            }
+                    (m, result, retried)
+                }
+            })
+            .collect();
+        let outcomes: Vec<(usize, Result<Vec<f32>, ChecksumFault>, usize)> = match pool {
+            // pgmr-lint: allow(nested-pool-run): the only closure of infer_batch reaching here is an inline iterator adapter on the caller's thread (the sequential fault-policy path), never a pool job
+            Some(pool) => pool.run(jobs),
+            None => jobs.into_iter().map(|mut job| job()).collect(),
         };
 
         // Stage 2: fold outcomes in member order — retry/strike/quarantine
@@ -404,8 +355,8 @@ impl PolygraphSystem {
         // fold is where obs events are emitted (never from the concurrent
         // jobs), so the event stream is deterministic at any pool width.
         let obs = pgmr_obs::global();
-        let mut probs: Vec<Vec<f32>> = Vec::new();
-        let mut voters: Vec<usize> = Vec::new();
+        let mut tally = VoteTally::new(self.thresholds.conf);
+        let mut voters: Vec<(usize, usize)> = Vec::new(); // (member, top-1 class)
         for (m, result, retried) in outcomes {
             for _ in 0..retried {
                 self.events.push(FaultEvent::ChecksumRetry { member: m });
@@ -414,8 +365,9 @@ impl PolygraphSystem {
             }
             match result {
                 Ok(p) => {
-                    probs.push(p);
-                    voters.push(m);
+                    let class = argmax(&p);
+                    tally.cast_top(class, p[class]);
+                    voters.push((m, class));
                 }
                 Err(_) => {
                     self.strikes[m] += 1;
@@ -440,12 +392,12 @@ impl PolygraphSystem {
         // otherwise unanimous ensemble over and over is running on
         // corrupted state (ABFT-invisible weight faults land here).
         if voters.len() >= 3 {
-            let votes: Vec<usize> = probs.iter().map(|p| argmax(p)).collect();
-            for (i, &m) in voters.iter().enumerate() {
-                let mut peers = votes.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &v)| v);
+            for (i, &(m, class)) in voters.iter().enumerate() {
+                let mut peers =
+                    voters.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &(_, v))| v);
                 let first = peers.next().expect("at least two peers");
                 let peers_unanimous = peers.all(|v| v == first);
-                if peers_unanimous && votes[i] != first {
+                if peers_unanimous && class != first {
                     self.solo[m] += 1;
                     if self.solo[m] >= policy.solo_after && self.active[m] {
                         self.active[m] = false;
@@ -462,14 +414,10 @@ impl PolygraphSystem {
             }
         }
 
-        let activated = probs.len();
-        let verdict = if probs.is_empty() {
-            Verdict::Unreliable { class: None, votes: 0 }
-        } else {
-            DecisionEngine::new(self.effective_thresholds()).decide(&probs)
-        };
+        // Thr_Conf is never re-derived, so only Thr_Freq follows quarantine.
+        let verdict = tally.verdict(self.effective_thresholds().freq);
         note_verdict(&verdict);
-        StagedDecision { verdict, activated }
+        StagedDecision { verdict, activated: voters.len() }
     }
 
     /// Like [`PolygraphSystem::infer`], but feeds the verdict and any
@@ -498,26 +446,11 @@ impl PolygraphSystem {
     /// networks were activated (always the full count without RADE).
     pub fn infer_counted(&mut self, image: &Tensor) -> StagedDecision {
         if self.fault_policy.is_some() {
-            return self.infer_fault_tolerant(image);
+            return self.infer_guarded(image, None);
         }
-        Self::decide_unguarded(
-            self.ensemble.members_mut(),
-            self.staged.as_deref(),
-            self.thresholds,
-            image,
-        )
-    }
-
-    /// One un-guarded (plain or RADE) decision over an explicit member
-    /// slice — the shared core of [`PolygraphSystem::infer_counted`] and
-    /// batch mode, whose shards run it on cloned members.
-    fn decide_unguarded(
-        members: &mut [Member],
-        staged: Option<&StagedEngine>,
-        thresholds: Thresholds,
-        image: &Tensor,
-    ) -> StagedDecision {
-        decide_request(members, staged, thresholds, image, |_| true).decision
+        let staged = self.staged.as_deref();
+        decide_request(self.ensemble.members_mut(), staged, self.thresholds, image, |_| true)
+            .decision
     }
 
     /// Batch-mode inference over `pool`: classifies every image with
@@ -535,16 +468,13 @@ impl PolygraphSystem {
     /// reorder it.
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
         if self.fault_policy.is_some() {
-            return images
-                .iter()
-                .map(|img| self.infer_fault_tolerant_with(img, Some(pool)))
-                .collect();
+            return images.iter().map(|img| self.infer_guarded(img, Some(pool))).collect();
         }
         let injected = self.ensemble.members().iter().any(|m| m.fault_injector().is_some());
         if pool.threads() == 1 || images.len() < 2 || injected {
             return images.iter().map(|img| self.infer_counted(img)).collect();
         }
-        let staged = &self.staged;
+        let staged = self.staged.as_deref();
         let thresholds = self.thresholds;
         let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
             .map(|range| {
@@ -553,7 +483,7 @@ impl PolygraphSystem {
                     images[range]
                         .iter()
                         .map(|img| {
-                            Self::decide_unguarded(&mut members, staged.as_deref(), thresholds, img)
+                            decide_request(&mut members, staged, thresholds, img, |_| true).decision
                         })
                         .collect::<Vec<_>>()
                 }
@@ -570,34 +500,28 @@ impl PolygraphSystem {
         pool: &WorkerPool,
     ) -> (RateSummary, Vec<usize>) {
         let decisions = self.infer_batch(data.images(), pool);
-        let mut outcomes = Vec::with_capacity(data.len());
-        let mut activations = Vec::with_capacity(data.len());
-        for (d, &label) in decisions.iter().zip(data.labels()) {
-            outcomes.push(pgmr_metrics::Outcome::from_flags(
-                d.verdict.class() == Some(label),
-                d.verdict.is_reliable(),
-            ));
-            activations.push(d.activated);
-        }
-        (pgmr_metrics::summarize(&outcomes), activations)
+        summarize_decisions(&decisions, data.labels())
     }
 
     /// Evaluates the system over a dataset, returning the reliability rate
     /// summary and the per-sample activation counts (useful for RADE cost
     /// accounting; all-members counts without RADE).
     pub fn evaluate(&mut self, data: &Dataset) -> (RateSummary, Vec<usize>) {
-        let mut outcomes = Vec::with_capacity(data.len());
-        let mut activations = Vec::with_capacity(data.len());
-        for (img, &label) in data.images().iter().zip(data.labels()) {
-            let d = self.infer_counted(img);
-            outcomes.push(pgmr_metrics::Outcome::from_flags(
-                d.verdict.class() == Some(label),
-                d.verdict.is_reliable(),
-            ));
-            activations.push(d.activated);
-        }
-        (pgmr_metrics::summarize(&outcomes), activations)
+        let decisions: Vec<StagedDecision> =
+            data.images().iter().map(|img| self.infer_counted(img)).collect();
+        summarize_decisions(&decisions, data.labels())
     }
+}
+
+/// The rate summary of `decisions` against `labels`, and each decision's
+/// activation count.
+fn summarize_decisions(
+    decisions: &[StagedDecision],
+    labels: &[usize],
+) -> (RateSummary, Vec<usize>) {
+    let verdicts: Vec<Verdict> = decisions.iter().map(|d| d.verdict).collect();
+    let activations = decisions.iter().map(|d| d.activated).collect();
+    (pgmr_metrics::summarize(&outcomes(&verdicts, labels)), activations)
 }
 
 /// One un-guarded (plain or RADE) per-request decision over a member
@@ -627,16 +551,19 @@ pub fn decide_request(
         Some(staged) => {
             let n = members.len();
             // Split borrow: the closure indexes members directly.
-            let mut predict = |m: usize| timed_predict(&mut members[m], m, image);
+            let mut predict = |m: usize| time_forward(m, || members[m].predict(image));
             staged.decide_with_budget(&mut predict, n, may_escalate)
         }
         None => {
-            let probs: Vec<Vec<f32>> =
-                // pgmr-lint: allow(hot-path-alloc): gathers the per-request probability vectors the predict tier returns by contract; bounded by ensemble size
-                members.iter_mut().enumerate().map(|(i, m)| timed_predict(m, i, image)).collect();
-            let verdict = DecisionEngine::new(thresholds).decide(&probs);
+            let mut tally = VoteTally::new(thresholds.conf);
+            for (i, member) in members.iter_mut().enumerate() {
+                tally.cast(&time_forward(i, || member.predict(image)));
+            }
             BudgetedDecision {
-                decision: StagedDecision { verdict, activated: members.len() },
+                decision: StagedDecision {
+                    verdict: tally.verdict(thresholds.freq),
+                    activated: members.len(),
+                },
                 budget_exhausted: false,
             }
         }
@@ -650,7 +577,7 @@ mod tests {
     use super::*;
     use crate::ensemble::Member;
     use pgmr_datasets::{families, Split};
-    use pgmr_nn::zoo::ArchSpec;
+    use pgmr_nn::zoo::{build, ArchSpec};
     use pgmr_nn::TrainConfig;
     use pgmr_preprocess::Preprocessor;
 
@@ -932,6 +859,21 @@ mod tests {
         assert_eq!(before, after, "clean selective protection must not change verdicts");
         assert!(system.quarantined().is_empty());
         assert!(system.drain_fault_events().is_empty());
+    }
+
+    #[test]
+    fn members_past_fifteen_get_their_own_forward_timer() {
+        // No other test in this crate runs more than 15 members, so the
+        // deltas of m15 and m16 are this inference's alone.
+        let spec = ArchSpec::convnet(1, 16, 16, 10);
+        let members =
+            (0..17).map(|seed| Member::new(Preprocessor::Identity, build(&spec, seed))).collect();
+        let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.0, 1));
+        let timer = |m: usize| pgmr_obs::global().timer(&format!("infer.forward_ns.m{m}"));
+        let before = [timer(15).count(), timer(16).count()];
+        let image = families::synth_digits(0).generate(Split::Test, 1).images()[0].clone();
+        system.infer_counted(&image);
+        assert_eq!([timer(15).count(), timer(16).count()], [before[0] + 1, before[1] + 1]);
     }
 
     #[test]

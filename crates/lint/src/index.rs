@@ -127,7 +127,7 @@ pub struct FileIndex {
     /// Workspace-relative path, forward slashes.
     pub relpath: String,
     /// Crate module name derived from the path (`pgmr_nn`,
-    /// `polygraph_mr`); see [`crate::resolve::crate_name_for_path`].
+    /// `polygraph_mr`); see [`crate::resolve::module_path_for`].
     pub crate_name: String,
     /// Module path derived from the file's location under `src/`.
     pub module_path: Vec<String>,

@@ -129,7 +129,7 @@ pub fn lint_source(relpath: &str, source: &str) -> Vec<Diagnostic> {
 const SKIP_DIRS: &[&str] = &["target", "compat", "fixtures"];
 
 /// Every workspace `.rs` file under `root`, sorted, with skip dirs
-/// ([`SKIP_DIRS`] and dot-dirs) pruned.
+/// (`SKIP_DIRS` and dot-dirs) pruned.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];

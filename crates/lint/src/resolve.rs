@@ -9,7 +9,7 @@
 //! the *absence* of bad paths. Precision comes from four filters:
 //! `Self`-rewriting against the caller's impl block, module-suffix
 //! matching for qualified free functions, the per-file `use` map
-//! for bare imported names, and [`STD_COLLISION_METHODS`] — receiver
+//! for bare imported names, and `STD_COLLISION_METHODS` — receiver
 //! calls whose names belong to the std prelude do not fan out at all.
 
 use std::collections::HashMap;

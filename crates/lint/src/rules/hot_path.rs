@@ -12,16 +12,17 @@
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
-//! - the methods that allocate by design ([`ALLOCATING_FNS`]): `backward`
+//! - the methods that allocate by design (`ALLOCATING_FNS`): `backward`
 //!   and `Network`'s three `Tensor`-returning wrappers (`forward`,
 //!   `forward_with_hook`, `forward_checked`) — callers that want no
 //!   allocation call `run` with a reused logits buffer;
-//! - the arena file itself ([`EXEMPT_FILES`]) — where the hot path's
+//! - the arena file itself (`EXEMPT_FILES`) — where the hot path's
 //!   memory legitimately comes from;
 //! - any function annotated `pgmr-lint: boundary(hot-path-alloc):
 //!   reason` — a *documented* allocating tier (e.g. a layer's
-//!   training-only backward cache, or the member predict tier returning
-//!   its per-request probability vector).
+//!   training-only backward cache, the member predict tier returning
+//!   its per-request probability vector, or the decision layer's vote
+//!   tally).
 //!
 //! Individual intentional allocations inside the rule's world instead
 //! take `pgmr-lint: allow(hot-path-alloc): reason` on the site.

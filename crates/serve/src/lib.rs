@@ -25,7 +25,7 @@
 //!   takes whatever else is already queued (up to
 //!   [`ServeConfig::max_batch`]) without waiting for more, and dispatches
 //!   that batch at once across the member replicas on a serve-owned
-//!   [`WorkerPool`](pgmr_nn::pool::WorkerPool) (dedicated, because nesting
+//!   [`WorkerPool`] (dedicated, because nesting
 //!   `run` calls into the shared global pool can deadlock). A lone
 //!   request runs immediately; requests that arrive while a batch runs
 //!   form the next batch, so batches grow only with load.

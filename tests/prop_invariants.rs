@@ -65,24 +65,27 @@ proptest! {
         }
     }
 
-    /// RADE and the full engine agree exactly whenever RADE activated the
-    /// whole ensemble.
+    /// RADE's verdict, class and votes included, is the full engine's over
+    /// exactly the members it activated — under any priority order and
+    /// any escalation budget. Activating every member is the case where
+    /// it equals the full engine on the whole ensemble.
     #[test]
-    fn rade_matches_full_engine_on_exhaustion(probs in member_set(), conf in 0.0f32..0.9, freq in 1usize..6) {
+    fn rade_equals_full_engine_over_activated_members(
+        probs in member_set(),
+        conf in 0.0f32..0.9,
+        freq in 1usize..6,
+        keys in prop::collection::vec(any::<u32>(), 7),
+        budget in 0usize..8,
+    ) {
         let n = probs.len();
-        let freq = freq.min(n);
-        let thresholds = Thresholds::new(conf, freq);
-        let staged = StagedEngine::new((0..n).collect(), thresholds).decide(&probs);
-        if staged.activated == n {
-            let full = DecisionEngine::new(thresholds).decide(&probs);
-            // The staged engine may break early on a provably-unreliable
-            // input *at* the last member; reliability classification still
-            // matches, and for reliable verdicts the class matches too.
-            prop_assert_eq!(staged.verdict.is_reliable(), full.is_reliable());
-            if full.is_reliable() {
-                prop_assert_eq!(staged.verdict.class(), full.class());
-            }
-        }
+        let thresholds = Thresholds::new(conf, freq.min(n));
+        let mut priority: Vec<usize> = (0..n).collect();
+        priority.sort_by_key(|&m| (keys[m], m));
+        let engine = StagedEngine::new(priority.clone(), thresholds);
+        let out = engine.decide_with_budget(|m| &probs[m], n, |activated| activated < budget);
+        let activated: Vec<Vec<f32>> =
+            priority[..out.decision.activated].iter().map(|&m| probs[m].clone()).collect();
+        prop_assert_eq!(out.decision.verdict, DecisionEngine::new(thresholds).decide(&activated));
     }
 
     /// Quantization is idempotent, sign-symmetric, monotone (non-decreasing
