@@ -49,6 +49,4 @@ pub use inject::{
     FaultRecord, FaultSpec, FaultTarget, SiteFilter, ANY_BIT, EXPONENT_BITS, MANTISSA_BITS,
     SIGN_BIT,
 };
-pub use profile::{
-    ProfileConfig, ProfileDecodeError, ProfileSource, SiteVulnerability, VulnerabilityProfile,
-};
+pub use profile::{ProfileConfig, ProfileSource, SiteVulnerability, VulnerabilityProfile};

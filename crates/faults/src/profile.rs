@@ -5,31 +5,23 @@
 //! transient faults at each guarded activation site turned into silent
 //! data corruption when nothing was protected — the measurement HarDNN
 //! argues concentrates in a few layers. Profiles are persisted next to
-//! the cached weight blobs in a digest-verified binary format (same
-//! FNV-1a primitive as the v3 weight codec) and *self-heal*: a corrupted,
-//! stale, or mismatched artifact is silently replaced by re-running the
-//! measurement campaign.
+//! the cached weight blobs in the weight codec's digest-verified frame
+//! (magic `b"PGVP"`, version 1; see [`pgmr_nn::serialize`]) and
+//! *self-heal*: a corrupted, stale, or mismatched artifact is silently
+//! replaced by re-running the measurement campaign. The frame body:
 //!
 //! ```text
-//! magic  b"PGVP"
-//! version u16
-//! body_len u32                          (bytes after the checksum field)
-//! checksum u64                          (FNV-1a over the body)
-//! body:
-//!   arch_id len u16 + utf-8 bytes
-//!   seed u64, rate f64, bits lo u8 + hi u8, trials_per_site u32
-//!   site count u32
-//!   per site: site u32, masked u32, sdc u32, detected u32, injected u64
+//! arch_id len u16 + utf-8 bytes
+//! seed u64, rate f64, bits lo u8 + hi u8, trials_per_site u32
+//! site count u32
+//! per site: site u32, masked u32, sdc u32, detected u32, injected u64
 //! ```
 
-use std::error::Error;
-use std::fmt;
 use std::ops::RangeInclusive;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
 use pgmr_nn::pool::WorkerPool;
-use pgmr_nn::serialize::fnv1a;
+use pgmr_nn::serialize::{DecodeError, FrameReader, FrameWriter};
 use pgmr_nn::{CheckPlan, Network, ProtectionLevel};
 use pgmr_tensor::Tensor;
 
@@ -38,6 +30,8 @@ use crate::inject::{guarded_sites, ANY_BIT};
 
 const MAGIC: &[u8; 4] = b"PGVP";
 const VERSION: u16 = 1;
+/// Bytes per site record: four `u32` tallies and the `u64` flip count.
+const SITE_RECORD_LEN: usize = 4 * 4 + 8;
 
 /// Parameters of a vulnerability measurement: the per-site activation
 /// campaign a profile is derived from. Two profiles are comparable only
@@ -109,36 +103,6 @@ pub enum ProfileSource {
     /// and re-persisted.
     Measured,
 }
-
-/// Error decoding a profile artifact. Any of these triggers the
-/// self-healing re-measurement path in
-/// [`VulnerabilityProfile::load_or_measure`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileDecodeError {
-    /// The blob does not start with the expected magic bytes.
-    BadMagic,
-    /// The blob's format version is unsupported.
-    BadVersion(u16),
-    /// The blob ended before all declared data was read.
-    Truncated,
-    /// The body digest does not match — storage corruption.
-    ChecksumMismatch,
-}
-
-impl fmt::Display for ProfileDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileDecodeError::BadMagic => write!(f, "missing PGVP magic bytes"),
-            ProfileDecodeError::BadVersion(v) => write!(f, "unsupported profile version {v}"),
-            ProfileDecodeError::Truncated => write!(f, "profile truncated"),
-            ProfileDecodeError::ChecksumMismatch => {
-                write!(f, "profile checksum mismatch (storage corruption)")
-            }
-        }
-    }
-}
-
-impl Error for ProfileDecodeError {}
 
 impl VulnerabilityProfile {
     /// Measures a profile by sweeping unguarded transient activation
@@ -264,32 +228,20 @@ impl VulnerabilityProfile {
 
     /// Serializes the profile (see the module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        let arch = self.arch_id.as_bytes();
-        body.put_u16_le(arch.len() as u16);
-        body.put_slice(arch);
-        body.put_u64_le(self.config.seed);
-        // The compat `bytes` stub has no f64 accessors; the bit pattern
-        // round-trips exactly either way.
-        body.put_u64_le(self.config.rate.to_bits());
-        body.put_u8(*self.config.bits.start());
-        body.put_u8(*self.config.bits.end());
-        body.put_u32_le(self.config.trials_per_site as u32);
-        body.put_u32_le(self.sites.len() as u32);
+        let mut w = FrameWriter::new(MAGIC, VERSION, 0);
+        w.put_str(&self.arch_id);
+        w.put(self.config.seed.to_le_bytes());
+        w.put(self.config.rate.to_le_bytes());
+        w.put([*self.config.bits.start(), *self.config.bits.end()]);
+        w.put((self.config.trials_per_site as u32).to_le_bytes());
+        w.put((self.sites.len() as u32).to_le_bytes());
         for v in &self.sites {
-            body.put_u32_le(v.site as u32);
-            body.put_u32_le(v.masked as u32);
-            body.put_u32_le(v.sdc as u32);
-            body.put_u32_le(v.detected as u32);
-            body.put_u64_le(v.injected as u64);
+            for tally in [v.site, v.masked, v.sdc, v.detected] {
+                w.put((tally as u32).to_le_bytes());
+            }
+            w.put((v.injected as u64).to_le_bytes());
         }
-        let mut buf = BytesMut::with_capacity(body.len() + 18);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(body.len() as u32);
-        buf.put_u64_le(fnv1a(&body));
-        buf.put_slice(&body);
-        buf.to_vec()
+        w.finish()
     }
 
     /// Decodes a profile artifact produced by
@@ -297,63 +249,27 @@ impl VulnerabilityProfile {
     ///
     /// # Errors
     ///
-    /// Returns a [`ProfileDecodeError`] when the blob is malformed or its
-    /// digest does not match.
-    pub fn decode(blob: &[u8]) -> Result<Self, ProfileDecodeError> {
-        let mut buf = blob;
-        if buf.remaining() < 4 || &buf[..4] != MAGIC {
-            return Err(ProfileDecodeError::BadMagic);
-        }
-        buf.advance(4);
-        if buf.remaining() < 2 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(ProfileDecodeError::BadVersion(version));
-        }
-        if buf.remaining() < 12 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let body_len = buf.get_u32_le() as usize;
-        let checksum = buf.get_u64_le();
-        if buf.remaining() < body_len {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        if fnv1a(&buf[..body_len]) != checksum {
-            return Err(ProfileDecodeError::ChecksumMismatch);
-        }
-        if buf.remaining() < 2 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let arch_len = buf.get_u16_le() as usize;
-        if buf.remaining() < arch_len {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let arch_id = String::from_utf8_lossy(&buf[..arch_len]).into_owned();
-        buf.advance(arch_len);
-        if buf.remaining() < 8 + 8 + 2 + 4 + 4 {
-            return Err(ProfileDecodeError::Truncated);
-        }
-        let seed = buf.get_u64_le();
-        let rate = f64::from_bits(buf.get_u64_le());
-        let lo = buf.get_u8();
-        let hi = buf.get_u8();
-        let trials_per_site = buf.get_u32_le() as usize;
-        let count = buf.get_u32_le() as usize;
+    /// Returns a [`DecodeError`] when the blob is malformed or its digest
+    /// does not match.
+    pub fn decode(blob: &[u8]) -> Result<Self, DecodeError> {
+        let mut body = FrameReader::open(blob, MAGIC, VERSION)?;
+        let arch_id = body.str()?;
+        let seed = body.u64()?;
+        let rate = f64::from_bits(body.u64()?);
+        let (lo, hi) = (body.u8()?, body.u8()?);
+        let trials_per_site = body.u32()? as usize;
+        let count = body.count(SITE_RECORD_LEN)?;
         let mut sites = Vec::with_capacity(count);
         for _ in 0..count {
-            if buf.remaining() < 4 * 4 + 8 {
-                return Err(ProfileDecodeError::Truncated);
-            }
             sites.push(SiteVulnerability {
-                site: buf.get_u32_le() as usize,
-                masked: buf.get_u32_le() as usize,
-                sdc: buf.get_u32_le() as usize,
-                detected: buf.get_u32_le() as usize,
-                injected: buf.get_u64_le() as usize,
+                site: body.u32()? as usize,
+                masked: body.u32()? as usize,
+                sdc: body.u32()? as usize,
+                detected: body.u32()? as usize,
+                injected: body.u64()? as usize,
             });
         }
+        body.finish()?;
         let config = ProfileConfig { trials_per_site, seed, rate, bits: lo..=hi };
         Ok(VulnerabilityProfile { arch_id, config, sites })
     }
@@ -504,9 +420,9 @@ mod tests {
         }
         let mut bad = blob.clone();
         bad[blob.len() - 2] ^= 0x10;
-        assert_eq!(VulnerabilityProfile::decode(&bad), Err(ProfileDecodeError::ChecksumMismatch));
+        assert_eq!(VulnerabilityProfile::decode(&bad), Err(DecodeError::ChecksumMismatch));
         let cut = &blob[..blob.len() / 2];
-        assert_eq!(VulnerabilityProfile::decode(cut), Err(ProfileDecodeError::Truncated));
+        assert_eq!(VulnerabilityProfile::decode(cut), Err(DecodeError::Truncated));
     }
 
     #[test]

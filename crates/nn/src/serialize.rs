@@ -1,20 +1,33 @@
-//! Versioned binary parameter codec.
-//!
-//! Trained ensembles are cached to disk by the experiment harnesses so
-//! re-running a figure does not retrain every network. The format is a
-//! simple little-endian layout:
+//! The checked binary codec behind both on-disk artifacts: cached weight
+//! blobs (`.pgmr`, written here by [`encode_params`] and decoded by
+//! [`StoredModel::from_blob`](crate::store::StoredModel::from_blob)) and
+//! vulnerability profiles (`.pgvp`, in `pgmr-faults`). Both share one
+//! little-endian frame:
 //!
 //! ```text
-//! magic  b"PGMR"
+//! magic  4 bytes                         (b"PGMR" / b"PGVP")
 //! version u16
 //! body_len u32                           (bytes after the checksum field)
 //! checksum u64                           (FNV-1a over the body)
-//! body:
-//!   arch_id len u16 + utf-8 bytes
-//!   tensor count u32
-//!   per tensor: rank u8, dims u32×rank, data f32×len
-//!   buffer count u32
-//!   per buffer: len u32, data f32×len    (batch-norm running statistics)
+//! body
+//! ```
+//!
+//! [`FrameWriter`] writes it; [`FrameReader::open`] checks the magic,
+//! version, length and digest before the body is parsed, then hands out a
+//! cursor whose every read is bounds-checked and fails with
+//! [`DecodeError::Truncated`] instead of panicking. Counts and lengths
+//! read from a blob are checked against the bytes that remain before they
+//! size anything, so a blob that lies about them (with a recomputed
+//! digest) is rejected without a huge allocation.
+//!
+//! The weight body (`PGMR` version 3):
+//!
+//! ```text
+//! arch_id len u16 + utf-8 bytes
+//! tensor count u32
+//! per tensor: rank u8, dims u32×rank, data f32×len
+//! buffer count u32
+//! per buffer: len u32, data f32×len      (batch-norm running statistics)
 //! ```
 //!
 //! The checksum makes storage corruption loud: a single flipped bit
@@ -23,28 +36,26 @@
 //! corrupted network.
 
 use crate::network::Network;
-use bytes::Buf;
-use pgmr_tensor::{align_offset, ArenaView, Shape, Tensor, WeightArena};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"PGMR";
-const VERSION: u16 = 3;
-/// Fixed header size: magic (4) + version (2) + body_len (4) + checksum (8).
+/// Magic bytes of a weight blob.
+pub(crate) const MAGIC: &[u8; 4] = b"PGMR";
+/// Weight blob format version.
+pub(crate) const VERSION: u16 = 3;
+/// Fixed frame header size: magic (4) + version (2) + body_len (4) +
+/// checksum (8).
 const HEADER_LEN: usize = 18;
 
-/// Obs counter incremented on every successful FNV-1a body verification —
-/// the observable behind the store's digest-once-per-blob invariant (the
-/// `model_store` bench divides it by tenant count).
+/// Obs counter incremented each time a weight blob passes its FNV-1a body
+/// check — the observable behind the store's digest-once-per-blob
+/// invariant (the `model_store` bench divides it by tenant count).
 pub const DIGEST_VERIFY_COUNTER: &str = "store.digest_verify_total";
 
 /// FNV-1a 64-bit hash. Not cryptographic, but every single-byte change —
 /// in particular any single bit flip — provably changes the digest: each
 /// step is a bijection of the running state, so for a fixed suffix the
-/// final value is injective in every input byte. Public so sibling
-/// digest-verified artifacts (the vulnerability profiles in
-/// `pgmr-faults`) share the exact same integrity primitive.
+/// final value is injective in every input byte.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -54,9 +65,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Error decoding a parameter blob.
+/// Error decoding a framed artifact, or attaching a decoded weight blob
+/// to a network.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeParamsError {
+pub enum DecodeError {
     /// The blob does not start with the expected magic bytes.
     BadMagic,
     /// The blob's format version is unsupported.
@@ -68,38 +80,205 @@ pub enum DecodeParamsError {
         /// Architecture of the network being loaded into.
         found: String,
     },
-    /// The blob ended before all declared data was read.
+    /// The blob ended before all declared data was read, or declares a
+    /// count or length the remaining bytes cannot hold.
     Truncated,
+    /// Bytes are left over after the last declared field.
+    TrailingBytes,
     /// The body checksum does not match — the blob was corrupted in
     /// storage (e.g. a flipped bit in a cached weight).
     ChecksumMismatch,
-    /// Tensor shapes in the blob disagree with the target network.
+    /// Tensor shapes in the blob are invalid or disagree with the target
+    /// network.
     ShapeMismatch,
 }
 
-impl fmt::Display for DecodeParamsError {
+impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecodeParamsError::BadMagic => write!(f, "missing PGMR magic bytes"),
-            DecodeParamsError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            DecodeParamsError::ArchMismatch { expected, found } => {
+            DecodeError::BadMagic => write!(f, "missing magic bytes"),
+            DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            DecodeError::ArchMismatch { expected, found } => {
                 write!(f, "blob is for architecture {expected}, network is {found}")
             }
-            DecodeParamsError::Truncated => write!(f, "blob truncated"),
-            DecodeParamsError::ChecksumMismatch => {
+            DecodeError::Truncated => write!(f, "blob truncated"),
+            DecodeError::TrailingBytes => write!(f, "unexpected bytes after the last field"),
+            DecodeError::ChecksumMismatch => {
                 write!(f, "blob checksum mismatch (storage corruption)")
             }
-            DecodeParamsError::ShapeMismatch => write!(f, "tensor shape mismatch"),
+            DecodeError::ShapeMismatch => write!(f, "tensor shape mismatch"),
         }
     }
 }
 
-impl Error for DecodeParamsError {}
+impl Error for DecodeError {}
+
+/// Writes one frame: the header, then the body through [`FrameWriter::put`],
+/// with the body length and digest patched in by [`FrameWriter::finish`].
+pub struct FrameWriter {
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// Starts a frame, reserving room for `body_capacity` body bytes.
+    pub fn new(magic: &[u8; 4], version: u16, body_capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + body_capacity);
+        buf.extend_from_slice(magic);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.resize(HEADER_LEN, 0); // body length and checksum, patched by `finish`
+        FrameWriter { buf }
+    }
+
+    /// Appends raw bytes (pass `x.to_le_bytes()` for a number).
+    pub fn put(&mut self, bytes: impl AsRef<[u8]>) {
+        self.buf.extend_from_slice(bytes.as_ref());
+    }
+
+    /// Appends a `u16` length and the string's UTF-8 bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the string is longer than `u16::MAX` bytes.
+    pub fn put_str(&mut self, s: &str) {
+        let len = u16::try_from(s.len()).expect("string field longer than u16::MAX bytes");
+        self.put(len.to_le_bytes());
+        self.put(s);
+    }
+
+    /// Patches the body length and FNV-1a digest into the header and
+    /// returns the finished frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body is longer than `u32::MAX` bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        let body = &self.buf[HEADER_LEN..];
+        let len = u32::try_from(body.len()).expect("frame body longer than u32::MAX bytes");
+        let checksum = fnv1a(body);
+        self.buf[6..10].copy_from_slice(&len.to_le_bytes());
+        self.buf[10..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        self.buf
+    }
+}
+
+/// A bounds-checked little-endian cursor over a verified frame body.
+/// Every read past the end returns [`DecodeError::Truncated`] instead of
+/// panicking.
+#[derive(Debug)]
+pub struct FrameReader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> FrameReader<'a> {
+    /// Checks the frame's magic, version, body length and FNV-1a digest,
+    /// and returns a reader positioned at the start of the body.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadMagic`], [`DecodeError::BadVersion`],
+    /// [`DecodeError::Truncated`] when the body is shorter than declared,
+    /// [`DecodeError::TrailingBytes`] when the blob runs past it, and
+    /// [`DecodeError::ChecksumMismatch`].
+    pub fn open(blob: &'a [u8], magic: &[u8; 4], version: u16) -> Result<Self, DecodeError> {
+        let mut header = FrameReader { buf: blob };
+        if header.bytes(magic.len()) != Ok(magic.as_slice()) {
+            return Err(DecodeError::BadMagic);
+        }
+        let found = header.u16()?;
+        if found != version {
+            return Err(DecodeError::BadVersion(found));
+        }
+        let body_len = header.u32()? as usize;
+        let checksum = header.u64()?;
+        let body = header.bytes(body_len)?;
+        header.finish()?;
+        if fnv1a(body) != checksum {
+            return Err(DecodeError::ChecksumMismatch);
+        }
+        Ok(FrameReader { buf: body })
+    }
+
+    /// Takes the next `n` bytes.
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u16`.
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a string written by [`FrameWriter::put_str`] (invalid UTF-8
+    /// is replaced, not rejected).
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        let len = self.u16()?;
+        Ok(String::from_utf8_lossy(self.bytes(len.into())?).into_owned())
+    }
+
+    /// Reads a `u32` record count, rejecting (as `Truncated`) one that the
+    /// remaining bytes cannot hold at `min_record` bytes per record — so a
+    /// lying count fails here instead of sizing an allocation.
+    pub fn count(&mut self, min_record: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_record) {
+            Some(need) if need <= self.buf.len() => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
+    }
+
+    /// Takes the little-endian payload of `len` `f32`s, still as bytes.
+    pub(crate) fn f32s(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        self.bytes(len.checked_mul(4).ok_or(DecodeError::Truncated)?)
+    }
+
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::TrailingBytes`] unless every byte was consumed.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(DecodeError::TrailingBytes)
+        }
+    }
+}
+
+/// Decodes a payload taken by [`FrameReader::f32s`] into `dst`.
+pub(crate) fn f32s_from_le(payload: &[u8], dst: &mut [f32]) {
+    for (d, b) in dst.iter_mut().zip(payload.chunks_exact(4)) {
+        *d = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+}
 
 /// Serializes a network's parameters and state buffers (not its
-/// architecture) into a blob. Buffers — batch-norm running statistics —
-/// must round-trip too: inference depends on them even though they are not
-/// trainable.
+/// architecture) into a weight blob. Buffers — batch-norm running
+/// statistics — must round-trip too: inference depends on them even
+/// though they are not trainable.
 pub fn encode_params(net: &mut Network) -> Vec<u8> {
     // Census pass: exact body size from the layer parameter inventory, so
     // the blob is written in one pre-reserved allocation — no intermediate
@@ -107,325 +286,54 @@ pub fn encode_params(net: &mut Network) -> Vec<u8> {
     let arch = net.arch_id().to_string();
     let mut tensor_count = 0u32;
     let mut buffer_count = 0u32;
-    let mut body_len = 2 + arch.len() + 4; // arch header + tensor count
+    let mut body_len = 2 + arch.len() + 4 + 4; // arch header, both counts
     net.visit_slots(&mut |slot| {
         tensor_count += 1;
         body_len += 1 + 4 * slot.value.shape().rank() + 4 * slot.value.len();
     });
-    body_len += 4; // buffer count
     net.visit_buffers(&mut |b| {
         buffer_count += 1;
         body_len += 4 + 4 * b.len();
     });
 
-    let mut buf = Vec::with_capacity(HEADER_LEN + body_len);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-    buf.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
-
-    buf.extend_from_slice(&(arch.len() as u16).to_le_bytes());
-    buf.extend_from_slice(arch.as_bytes());
-    buf.extend_from_slice(&tensor_count.to_le_bytes());
+    let mut w = FrameWriter::new(MAGIC, VERSION, body_len);
+    w.put_str(&arch);
+    w.put(tensor_count.to_le_bytes());
     net.visit_slots(&mut |slot| {
         let dims = slot.value.shape().dims();
-        buf.push(dims.len() as u8);
+        w.put([dims.len() as u8]);
         for &d in dims {
-            buf.extend_from_slice(&(d as u32).to_le_bytes());
+            w.put((d as u32).to_le_bytes());
         }
         for &v in slot.value.data() {
-            buf.extend_from_slice(&v.to_le_bytes());
+            w.put(v.to_le_bytes());
         }
     });
-    buf.extend_from_slice(&buffer_count.to_le_bytes());
+    w.put(buffer_count.to_le_bytes());
     net.visit_buffers(&mut |b| {
-        buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        w.put((b.len() as u32).to_le_bytes());
         for &v in b.iter() {
-            buf.extend_from_slice(&v.to_le_bytes());
+            w.put(v.to_le_bytes());
         }
     });
-    debug_assert_eq!(buf.len(), HEADER_LEN + body_len, "census disagreed with the stream");
-    let checksum = fnv1a(&buf[HEADER_LEN..]);
-    buf[10..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// Validates the blob header, verifies the FNV-1a body digest (counted
-/// into [`DIGEST_VERIFY_COUNTER`] — this is the only place a blob's digest
-/// is ever checked), and returns `(arch_id, rest-of-body)`.
-fn verify_header(blob: &[u8]) -> Result<(String, &[u8]), DecodeParamsError> {
-    let mut buf = blob;
-    if buf.remaining() < 4 || &buf[..4] != MAGIC {
-        return Err(DecodeParamsError::BadMagic);
-    }
-    buf.advance(4);
-    if buf.remaining() < 2 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(DecodeParamsError::BadVersion(version));
-    }
-    if buf.remaining() < 12 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let body_len = buf.get_u32_le() as usize;
-    let checksum = buf.get_u64_le();
-    if buf.remaining() < body_len {
-        return Err(DecodeParamsError::Truncated);
-    }
-    if fnv1a(&buf[..body_len]) != checksum {
-        return Err(DecodeParamsError::ChecksumMismatch);
-    }
-    pgmr_obs::global().counter(DIGEST_VERIFY_COUNTER).inc();
-    if buf.remaining() < 2 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let arch_len = buf.get_u16_le() as usize;
-    if buf.remaining() < arch_len {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let arch = String::from_utf8_lossy(&buf[..arch_len]).into_owned();
-    buf.advance(arch_len);
-    Ok((arch, buf))
-}
-
-/// A blob decoded straight into a shared read-only [`WeightArena`]: one
-/// 64-byte-aligned allocation holding every parameter tensor, plus the
-/// owned per-tenant state buffers (batch-norm running statistics, which
-/// each tenant copies — they are mutable inference state).
-///
-/// This is the zero-copy counterpart of [`decode_params`]: the digest is
-/// verified once here, and any number of tenants then attach via
-/// [`crate::store::StoredModel`] without re-reading or re-verifying the
-/// blob.
-#[derive(Debug, Clone)]
-pub struct ArenaParams {
-    /// Architecture the blob was written for.
-    pub arch_id: String,
-    /// One shaped view per parameter tensor, in `visit_slots` order.
-    pub views: Vec<ArenaView>,
-    /// Non-trainable state buffers, in `visit_buffers` order.
-    pub buffers: Vec<Vec<f32>>,
-}
-
-impl ArenaParams {
-    /// Resident bytes of the shared arena allocation.
-    pub fn resident_bytes(&self) -> usize {
-        self.views.first().map(|v| v.arena().resident_bytes()).unwrap_or(0)
-    }
-}
-
-/// Decodes a blob produced by [`encode_params`] into a shared arena: one
-/// aligned allocation, every tensor a read-only view into it. The FNV-1a
-/// digest is verified exactly once, before any parameter is parsed.
-///
-/// # Errors
-///
-/// Returns a [`DecodeParamsError`] when the blob is malformed or corrupt.
-pub fn decode_params_arena(blob: &[u8]) -> Result<ArenaParams, DecodeParamsError> {
-    let (arch_id, body) = verify_header(blob)?;
-
-    // Pass 1: walk the tensor records to size the arena (offsets rounded
-    // up to cache-line boundaries) without touching the weight bytes.
-    let mut buf = body;
-    if buf.remaining() < 4 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let count = buf.get_u32_le() as usize;
-    let mut shapes: Vec<(usize, Vec<usize>)> = Vec::with_capacity(count); // (offset, dims)
-    let mut cursor = 0usize;
-    for _ in 0..count {
-        if buf.remaining() < 1 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let rank = buf.get_u8() as usize;
-        if buf.remaining() < 4 * rank {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(buf.get_u32_le() as usize);
-        }
-        if dims.contains(&0) {
-            return Err(DecodeParamsError::ShapeMismatch);
-        }
-        let len: usize = dims.iter().product();
-        if buf.remaining() < len * 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        buf.advance(len * 4);
-        let offset = align_offset(cursor);
-        cursor = offset + len;
-        shapes.push((offset, dims));
-    }
-
-    // Pass 2: one aligned allocation, then copy each tensor's little-endian
-    // payload into its slot.
-    let mut arena = WeightArena::new_zeroed(cursor);
-    {
-        let dst = arena.data_mut();
-        let mut buf = body;
-        buf.advance(4); // tensor count, already read
-        for (offset, dims) in &shapes {
-            let len: usize = dims.iter().product();
-            buf.advance(1 + 4 * dims.len()); // rank + dims, already read
-            for (d, chunk) in dst[*offset..*offset + len].iter_mut().zip(buf.chunks_exact(4)) {
-                *d = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
-            buf.advance(len * 4);
-        }
-        // `buf` now rests at the buffer section; re-parsed below.
-    }
-    let arena = Arc::new(arena);
-    let views = shapes
-        .into_iter()
-        .map(|(offset, dims)| ArenaView::new(Arc::clone(&arena), offset, Shape::new(dims)))
-        .collect();
-
-    // Buffers (batch-norm running statistics) stay owned: tenants mutate
-    // them during calibration, so they are copied per attach.
-    let mut buf = body;
-    buf.advance(4);
-    for _ in 0..count {
-        let rank = buf.get_u8() as usize;
-        let mut len = 1usize;
-        for _ in 0..rank {
-            len *= buf.get_u32_le() as usize;
-        }
-        buf.advance(len * 4);
-    }
-    if buf.remaining() < 4 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let buffer_count = buf.get_u32_le() as usize;
-    let mut buffers = Vec::with_capacity(buffer_count);
-    for _ in 0..buffer_count {
-        if buf.remaining() < 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
-        buffers.push(data);
-    }
-
-    Ok(ArenaParams { arch_id, views, buffers })
-}
-
-/// Restores parameters into `net` from a blob produced by
-/// [`encode_params`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeParamsError`] when the blob is malformed, from a
-/// different architecture, or shape-incompatible.
-pub fn decode_params(net: &mut Network, blob: &[u8]) -> Result<(), DecodeParamsError> {
-    let (arch, mut buf) = verify_header(blob)?;
-    if arch != net.arch_id() {
-        return Err(DecodeParamsError::ArchMismatch {
-            expected: arch,
-            found: net.arch_id().to_string(),
-        });
-    }
-    if buf.remaining() < 4 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let count = buf.get_u32_le() as usize;
-    let mut state = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.remaining() < 1 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let rank = buf.get_u8() as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            if buf.remaining() < 4 {
-                return Err(DecodeParamsError::Truncated);
-            }
-            dims.push(buf.get_u32_le() as usize);
-        }
-        let len: usize = dims.iter().product();
-        if buf.remaining() < len * 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
-        state.push(Tensor::from_vec(dims, data));
-    }
-
-    // Buffers (batch-norm running statistics).
-    if buf.remaining() < 4 {
-        return Err(DecodeParamsError::Truncated);
-    }
-    let buffer_count = buf.get_u32_le() as usize;
-    let mut buffers = Vec::with_capacity(buffer_count);
-    for _ in 0..buffer_count {
-        if buf.remaining() < 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err(DecodeParamsError::Truncated);
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
-        buffers.push(data);
-    }
-
-    // Validate shapes before mutating the network.
-    let mut ok = true;
-    {
-        let mut i = 0;
-        net.visit_slots(&mut |slot| {
-            if i >= state.len() || slot.value.shape() != state[i].shape() {
-                ok = false;
-            }
-            i += 1;
-        });
-        if i != state.len() {
-            ok = false;
-        }
-    }
-    {
-        let mut i = 0;
-        net.visit_buffers(&mut |b| {
-            if i >= buffers.len() || b.len() != buffers[i].len() {
-                ok = false;
-            }
-            i += 1;
-        });
-        if i != buffers.len() {
-            ok = false;
-        }
-    }
-    if !ok {
-        return Err(DecodeParamsError::ShapeMismatch);
-    }
-    net.load_state(&state);
-    let mut i = 0;
-    net.visit_buffers(&mut |b| {
-        b.copy_from_slice(&buffers[i]);
-        i += 1;
-    });
-    Ok(())
+    let blob = w.finish();
+    debug_assert_eq!(blob.len(), HEADER_LEN + body_len, "census disagreed with the stream");
+    blob
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoredModel;
     use crate::zoo::{build, ArchSpec};
+    use pgmr_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Loads `blob` into `net` the only way there is: decode, then attach.
+    fn load(net: &mut Network, blob: &[u8]) -> Result<(), DecodeError> {
+        StoredModel::from_blob(blob)?.attach(net)
+    }
 
     #[test]
     fn round_trip_preserves_predictions() {
@@ -433,7 +341,7 @@ mod tests {
         let mut net = build(&spec, 3);
         let blob = encode_params(&mut net);
         let mut fresh = build(&spec, 99);
-        decode_params(&mut fresh, &blob).unwrap();
+        load(&mut fresh, &blob).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let x = Tensor::uniform(vec![2, 1, 8, 8], -1.0, 1.0, &mut rng);
         assert_eq!(net.predict_proba(&x), fresh.predict_proba(&x));
@@ -461,7 +369,7 @@ mod tests {
         }
         let blob = encode_params(&mut net);
         let mut fresh = build(&spec, 77);
-        decode_params(&mut fresh, &blob).unwrap();
+        load(&mut fresh, &blob).unwrap();
         let x = Tensor::uniform(vec![4, 1, 8, 8], 0.0, 1.0, &mut rng);
         assert_eq!(
             net.predict_proba(&x),
@@ -481,7 +389,7 @@ mod tests {
     fn rejects_garbage() {
         let spec = ArchSpec::convnet(1, 8, 8, 4);
         let mut net = build(&spec, 0);
-        assert_eq!(decode_params(&mut net, b"nope"), Err(DecodeParamsError::BadMagic));
+        assert_eq!(load(&mut net, b"nope"), Err(DecodeError::BadMagic));
     }
 
     #[test]
@@ -498,7 +406,7 @@ mod tests {
                 let mut bad = blob.clone();
                 bad[pos] ^= 1 << bit;
                 assert!(
-                    decode_params(&mut victim, &bad).is_err(),
+                    load(&mut victim, &bad).is_err(),
                     "bit {bit} of byte {pos} flipped silently"
                 );
                 assert_eq!(victim.state_dict(), before);
@@ -507,7 +415,7 @@ mod tests {
         // Payload corruption specifically reports the checksum.
         let mut bad = blob.clone();
         bad[blob.len() - 2] ^= 0x10;
-        assert_eq!(decode_params(&mut victim, &bad), Err(DecodeParamsError::ChecksumMismatch));
+        assert_eq!(load(&mut victim, &bad), Err(DecodeError::ChecksumMismatch));
     }
 
     #[test]
@@ -516,7 +424,7 @@ mod tests {
         let mut net = build(&spec, 0);
         let blob = encode_params(&mut net);
         let cut = &blob[..blob.len() / 2];
-        assert_eq!(decode_params(&mut net, cut), Err(DecodeParamsError::Truncated));
+        assert_eq!(load(&mut net, cut), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -524,15 +432,15 @@ mod tests {
         let mut a = build(&ArchSpec::convnet(1, 8, 8, 4), 0);
         let mut b = build(&ArchSpec::lenet5(1, 16, 16, 10), 0);
         let blob = encode_params(&mut a);
-        match decode_params(&mut b, &blob) {
-            Err(DecodeParamsError::ArchMismatch { .. }) => {}
+        match load(&mut b, &blob) {
+            Err(DecodeError::ArchMismatch { .. }) => {}
             other => panic!("expected arch mismatch, got {other:?}"),
         }
     }
 
     #[test]
     fn error_messages_are_informative() {
-        let err = DecodeParamsError::BadVersion(9);
+        let err = DecodeError::BadVersion(9);
         assert!(err.to_string().contains('9'));
     }
 }

@@ -2,14 +2,14 @@
 //! weight arenas behind multi-tenant member sharing.
 //!
 //! A [`StoredModel`] is one decoded blob — a single 64-byte-aligned
-//! [`WeightArena`](pgmr_tensor::WeightArena) holding every parameter
-//! tensor, verified against its FNV-1a digest exactly once at load time.
-//! Any number of tenants (ensemble members, serve worker replicas)
+//! [`WeightArena`] holding every parameter tensor, verified against its
+//! FNV-1a digest exactly once at load time. Any number of tenants
+//! (ensemble members, serve worker replicas)
 //! [`attach`](StoredModel::attach) to it: attaching swaps the network's
-//! owned parameter tensors for borrowed [`ArenaView`](pgmr_tensor::ArenaView)s,
-//! so an additional tenant costs per-tenant state buffers (batch-norm
-//! running statistics) and bookkeeping — never another weight copy and
-//! never another digest verification.
+//! owned parameter tensors for borrowed [`ArenaView`]s, so an additional
+//! tenant costs per-tenant state buffers (batch-norm running statistics)
+//! and bookkeeping — never another weight copy and never another digest
+//! verification.
 //!
 //! The [`model_store`] singleton keys models by their cache path, which
 //! the `suite` blob cache feeds directly; tests that redirect the cache
@@ -22,41 +22,104 @@
 //! observable through [`crate::serialize::DIGEST_VERIFY_COUNTER`].
 
 use crate::network::Network;
-use crate::serialize::{decode_params_arena, ArenaParams, DecodeParamsError};
+use crate::serialize::{
+    f32s_from_le, DecodeError, FrameReader, DIGEST_VERIFY_COUNTER, MAGIC, VERSION,
+};
 use crate::ParamSlot;
+use pgmr_tensor::{align_offset, ArenaView, Shape, WeightArena};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// One decoded model blob: a shared weight arena plus the per-tenant
-/// template state (buffers) needed to attach a network to it.
+/// One decoded weight blob: a shared weight arena — one 64-byte-aligned
+/// allocation, every parameter tensor a read-only view into it — plus the
+/// per-tenant template state (batch-norm running statistics, which each
+/// tenant copies because they are mutable inference state).
 #[derive(Debug)]
 pub struct StoredModel {
-    params: ArenaParams,
+    arch_id: String,
+    /// One shaped view per parameter tensor, in `visit_slots` order.
+    views: Vec<ArenaView>,
+    /// Non-trainable state buffers, in `visit_buffers` order.
+    buffers: Vec<Vec<f32>>,
 }
 
 impl StoredModel {
-    /// Decodes a blob into a shared arena, verifying its digest exactly
-    /// once. The decode is timed into the `store.load_ns` histogram (the
-    /// cold-start load cost the bench reports).
+    /// Decodes a blob written by [`crate::serialize::encode_params`] — the
+    /// only weight decoder. The FNV-1a digest is verified exactly once,
+    /// before any record is parsed (counted into [`DIGEST_VERIFY_COUNTER`]);
+    /// one walk then validates every tensor record and lays it out at a
+    /// cache-line-aligned arena offset, and one copy fills the arena. The
+    /// decode is timed into the `store.load_ns` histogram (the cold-start
+    /// load cost the bench reports).
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeParamsError`] when the blob is malformed or
-    /// corrupt.
-    pub fn from_blob(blob: &[u8]) -> Result<Self, DecodeParamsError> {
-        let params =
-            pgmr_obs::global().timer("store.load_ns").time(|| decode_params_arena(blob))?;
-        Ok(StoredModel { params })
+    /// Returns a [`DecodeError`] when the blob is malformed or corrupt.
+    pub fn from_blob(blob: &[u8]) -> Result<Self, DecodeError> {
+        pgmr_obs::global().timer("store.load_ns").time(|| Self::decode(blob))
+    }
+
+    fn decode(blob: &[u8]) -> Result<Self, DecodeError> {
+        let mut body = FrameReader::open(blob, MAGIC, VERSION)?;
+        pgmr_obs::global().counter(DIGEST_VERIFY_COUNTER).inc();
+        let arch_id = body.str()?;
+
+        // The smallest tensor record is a rank-0 scalar: rank byte + one f32.
+        let count = body.count(5)?;
+        let mut records = Vec::with_capacity(count); // (arena offset, shape, payload)
+        let mut arena_len = 0usize;
+        for _ in 0..count {
+            let rank = body.u8()?;
+            let mut dims = Vec::new();
+            let mut len = 1usize;
+            for _ in 0..rank {
+                let dim = body.u32()? as usize;
+                if dim == 0 {
+                    return Err(DecodeError::ShapeMismatch);
+                }
+                len = len.checked_mul(dim).ok_or(DecodeError::Truncated)?;
+                dims.push(dim);
+            }
+            let payload = body.f32s(len)?;
+            let offset = align_offset(arena_len);
+            arena_len = offset + len;
+            records.push((offset, Shape::new(dims), payload));
+        }
+
+        // Buffers stay owned: tenants mutate them during calibration, so
+        // each attach copies them.
+        let buffer_count = body.count(4)?;
+        let mut buffers = Vec::with_capacity(buffer_count);
+        for _ in 0..buffer_count {
+            let len = body.u32()? as usize;
+            let payload = body.f32s(len)?;
+            let mut data = vec![0.0; len];
+            f32s_from_le(payload, &mut data);
+            buffers.push(data);
+        }
+        body.finish()?;
+
+        let mut arena = WeightArena::new_zeroed(arena_len);
+        let dst = arena.data_mut();
+        for (offset, shape, payload) in &records {
+            f32s_from_le(payload, &mut dst[*offset..*offset + shape.len()]);
+        }
+        let arena = Arc::new(arena);
+        let views = records
+            .into_iter()
+            .map(|(offset, shape, _)| ArenaView::new(Arc::clone(&arena), offset, shape))
+            .collect();
+        Ok(StoredModel { arch_id, views, buffers })
     }
 
     /// Architecture the stored blob was written for.
     pub fn arch_id(&self) -> &str {
-        &self.params.arch_id
+        &self.arch_id
     }
 
     /// Resident bytes of the shared arena allocation.
     pub fn resident_bytes(&self) -> usize {
-        self.params.resident_bytes()
+        self.views.first().map_or(0, |v| v.arena().resident_bytes())
     }
 
     /// Attaches `net` as a tenant: every parameter slot becomes a borrowed
@@ -68,20 +131,20 @@ impl StoredModel {
     ///
     /// # Errors
     ///
-    /// [`DecodeParamsError::ArchMismatch`] when `net` was built for a
-    /// different architecture, [`DecodeParamsError::ShapeMismatch`] when
-    /// the slot or buffer inventory disagrees.
-    pub fn attach(&self, net: &mut Network) -> Result<(), DecodeParamsError> {
-        if net.arch_id() != self.params.arch_id {
-            return Err(DecodeParamsError::ArchMismatch {
-                expected: self.params.arch_id.clone(),
+    /// [`DecodeError::ArchMismatch`] when `net` was built for a different
+    /// architecture, [`DecodeError::ShapeMismatch`] when the slot or
+    /// buffer inventory disagrees.
+    pub fn attach(&self, net: &mut Network) -> Result<(), DecodeError> {
+        if net.arch_id() != self.arch_id {
+            return Err(DecodeError::ArchMismatch {
+                expected: self.arch_id.clone(),
                 found: net.arch_id().to_string(),
             });
         }
         let mut ok = true;
         {
             let mut i = 0;
-            let views = &self.params.views;
+            let views = &self.views;
             net.visit_slots(&mut |slot| {
                 if i >= views.len() || slot.value.shape() != views[i].shape() {
                     ok = false;
@@ -94,7 +157,7 @@ impl StoredModel {
         }
         {
             let mut i = 0;
-            let buffers = &self.params.buffers;
+            let buffers = &self.buffers;
             net.visit_buffers(&mut |b| {
                 if i >= buffers.len() || b.len() != buffers[i].len() {
                     ok = false;
@@ -106,16 +169,16 @@ impl StoredModel {
             }
         }
         if !ok {
-            return Err(DecodeParamsError::ShapeMismatch);
+            return Err(DecodeError::ShapeMismatch);
         }
         let mut i = 0;
-        let views = &self.params.views;
+        let views = &self.views;
         net.visit_slots(&mut |slot| {
             *slot = ParamSlot::share(views[i].clone());
             i += 1;
         });
         let mut i = 0;
-        let buffers = &self.params.buffers;
+        let buffers = &self.buffers;
         net.visit_buffers(&mut |b| {
             b.copy_from_slice(&buffers[i]);
             i += 1;
@@ -164,9 +227,9 @@ impl ModelStore {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeParamsError`] when the blob is malformed or
-    /// corrupt; the store is unchanged.
-    pub fn insert(&self, key: &str, blob: &[u8]) -> Result<Arc<StoredModel>, DecodeParamsError> {
+    /// Returns a [`DecodeError`] when the blob is malformed or corrupt;
+    /// the store is unchanged.
+    pub fn insert(&self, key: &str, blob: &[u8]) -> Result<Arc<StoredModel>, DecodeError> {
         let model = Arc::new(StoredModel::from_blob(blob)?);
         let mut entries = self.entries.lock().expect("model store mutex poisoned");
         entries.insert(key.to_string(), Entry { model: Arc::clone(&model), tenants: 1 });
@@ -257,7 +320,7 @@ mod tests {
         let stored = StoredModel::from_blob(&blob).unwrap();
         let mut b = build(&ArchSpec::lenet5(1, 16, 16, 10), 0);
         match stored.attach(&mut b) {
-            Err(DecodeParamsError::ArchMismatch { .. }) => {}
+            Err(DecodeError::ArchMismatch { .. }) => {}
             other => panic!("expected arch mismatch, got {other:?}"),
         }
     }

@@ -146,41 +146,6 @@ impl Trainer {
     }
 }
 
-/// Runs independent jobs on up to `max_threads` worker threads and returns
-/// their results in submission order.
-///
-/// PolygraphMR ensembles train N independent networks; on multi-core hosts
-/// this trains them concurrently. With `max_threads == 1` (or a single-core
-/// machine) it degrades to sequential execution with identical results —
-/// job outputs never depend on scheduling.
-///
-/// This is a convenience wrapper over [`crate::pool::WorkerPool`] that
-/// spins up an ephemeral pool of the requested width; callers on a hot
-/// path should prefer [`crate::pool::global`] and
-/// [`crate::pool::WorkerPool::run`] to reuse threads.
-///
-/// # Panics
-///
-/// Panics if a job panics.
-pub fn run_parallel<T, F>(jobs: Vec<F>, max_threads: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let threads = max_threads.max(1).min(jobs.len().max(1));
-    if threads == 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    crate::pool::WorkerPool::new(threads).run(jobs)
-}
-
-/// The worker-thread count parallel helpers default to: the configured
-/// pool width (`PGMR_THREADS` / suite override), else the host's available
-/// parallelism, defaulting to 1 when unknown.
-pub fn available_threads() -> usize {
-    crate::pool::configured_threads()
-}
-
 /// Classification accuracy of `net` over a labeled set, evaluated in
 /// inference mode with mini-batches.
 ///
@@ -289,25 +254,6 @@ mod tests {
         let single = Trainer::new(frozen(images.len())).fit(&mut build(), &images, &labels);
         let gap = (ragged.epoch_losses[0] - single.epoch_losses[0]).abs();
         assert!(gap < 1e-5, "partition changed the epoch loss by {gap}");
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let jobs: Vec<_> = (0..9).map(|i| move || i * i).collect();
-        let out = run_parallel(jobs, 4);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49, 64]);
-    }
-
-    #[test]
-    fn run_parallel_single_thread_matches() {
-        let jobs: Vec<_> = (0..5).map(|i| move || i + 100).collect();
-        assert_eq!(run_parallel(jobs, 1), vec![100, 101, 102, 103, 104]);
-    }
-
-    #[test]
-    fn run_parallel_empty_is_empty() {
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = Vec::new();
-        assert!(run_parallel(jobs, 4).is_empty());
     }
 
     #[test]

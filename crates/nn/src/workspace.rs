@@ -132,9 +132,9 @@ impl Workspace {
     }
 
     /// Hands out a buffer with the given dimensions, recycling the most
-    /// recently released one (LIFO keeps ping-pong pairs hot). The data is
-    /// zero-filled only where the recycled capacity did not cover it; every
-    /// layer fully overwrites its output, so callers see no stale values.
+    /// recently released one (LIFO keeps ping-pong pairs hot). The whole
+    /// buffer comes back zero-filled (`clear` then `resize`), recycled or
+    /// fresh, so callers never see stale values.
     pub fn acquire(&mut self, dims: &[usize]) -> ActBuf {
         let len: usize = dims.iter().product();
         let mut buf = match self.free.pop() {
@@ -266,9 +266,11 @@ mod tests {
         let mut a = ws.acquire(&[4]);
         a.data_mut().fill(7.0);
         ws.release(a);
-        // Recycled storage is visible again — by design; layers overwrite.
+        // Recycled storage is zero-filled in full, not only past the
+        // recycled capacity: `acquire` clears the buffer before resizing.
         let b = ws.acquire(&[2]);
         assert_eq!(b.len(), 2);
+        assert_eq!(b.data(), [0.0, 0.0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! them.
 
 use pgmr_nn::network::{Guard, RunPlan};
-use pgmr_nn::serialize::{decode_params_arena, encode_params, DecodeParamsError};
+use pgmr_nn::serialize::{encode_params, DecodeError};
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_nn::{CheckPlan, StoredModel};
 use pgmr_tensor::checksum::DEFAULT_TOLERANCE;
@@ -117,9 +117,9 @@ proptest! {
         // every body byte, so any body flip must surface as a mismatch.
         let idx = 18 + pos % (blob.len() - 18);
         blob[idx] ^= 1 << bit;
-        match decode_params_arena(&blob) {
-            Err(DecodeParamsError::ChecksumMismatch) => {}
-            other => prop_assert!(false, "corrupt blob not rejected: {:?}", other.map(|p| p.arch_id)),
+        match StoredModel::from_blob(&blob) {
+            Err(DecodeError::ChecksumMismatch) => {}
+            other => prop_assert!(false, "corrupt blob not rejected: {:?}", other.map(|m| m.arch_id().to_string())),
         }
     }
 }

@@ -2,8 +2,9 @@
 //! architecture/seed determinism, and softmax-head invariants across the
 //! whole zoo.
 
-use pgmr_nn::serialize::{decode_params, encode_params};
+use pgmr_nn::serialize::encode_params;
 use pgmr_nn::zoo::{build, ArchSpec};
+use pgmr_nn::StoredModel;
 use pgmr_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,7 +41,7 @@ proptest! {
         let mut net = build(&spec, seed);
         let blob = encode_params(&mut net);
         let mut fresh = build(&spec, seed + 17);
-        decode_params(&mut fresh, &blob).unwrap();
+        StoredModel::from_blob(&blob).unwrap().attach(&mut fresh).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let x = Tensor::uniform(vec![1, spec.in_c, spec.in_h, spec.in_w], 0.0, 1.0, &mut rng);
         prop_assert_eq!(net.predict_proba(&x), fresh.predict_proba(&x));

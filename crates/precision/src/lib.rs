@@ -14,9 +14,6 @@
 //!   (8 mantissa bits) and its 14-bit setting keeps 5 mantissa bits.
 //! * [`Precision::quantize`] — round-to-nearest-even mantissa rounding of
 //!   an `f32`, exactly idempotent.
-//! * [`QuantizedNetwork`] — wraps a trained [`pgmr_nn::Network`],
-//!   quantizing the weights once and every inter-layer activation via the
-//!   network's activation hook (the simulated load/store boundary).
 //!
 //! ## Example
 //!
@@ -29,8 +26,6 @@
 //! assert!((q - 0.123456789f32).abs() < 0.123456789 * 0.02);
 //! ```
 
-use pgmr_nn::network::RunPlan;
-use pgmr_nn::Network;
 use pgmr_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -183,51 +178,6 @@ impl fmt::Display for Precision {
     }
 }
 
-/// A trained network executing at reduced precision.
-///
-/// Construction quantizes all weights once (they live in narrow storage);
-/// every forward pass quantizes the input and each layer's output, exactly
-/// as the paper's modified kernels truncate loads and stores.
-pub struct QuantizedNetwork {
-    net: Network,
-    precision: Precision,
-}
-
-impl QuantizedNetwork {
-    /// Wraps `net`, quantizing its parameters to `precision`.
-    pub fn new(mut net: Network, precision: Precision) -> Self {
-        net.map_params(|v| precision.quantize(v));
-        QuantizedNetwork { net, precision }
-    }
-
-    /// The format this network runs at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The wrapped network's architecture id.
-    pub fn arch_id(&self) -> &str {
-        self.net.arch_id()
-    }
-
-    /// Softmax probabilities for a `[n, c, h, w]` batch with all
-    /// activations quantized at layer boundaries.
-    pub fn predict_proba(&mut self, batch: &Tensor) -> Vec<Vec<f32>> {
-        let precision = self.precision;
-        let hook = |d: &mut [f32]| precision.quantize_slice(d);
-        let mut logits = Vec::new();
-        self.net
-            .run(batch, &RunPlan { hook: Some(&hook), ..RunPlan::default() }, &mut logits)
-            .expect("an unguarded run cannot fault");
-        logits.chunks(self.net.num_classes()).map(pgmr_tensor::softmax).collect()
-    }
-
-    /// Consumes the wrapper and returns the (quantized-weight) network.
-    pub fn into_inner(self) -> Network {
-        self.net
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,42 +273,6 @@ mod tests {
         assert!((Precision::new(16).packing_factor() - 2.0).abs() < 1e-9);
         assert!(Precision::new(14).packing_factor() > 2.0);
         assert_eq!(Precision::FULL.packing_factor(), 1.0);
-    }
-
-    #[test]
-    fn quantized_network_stays_close_at_high_bits() {
-        use pgmr_nn::zoo::{build, ArchSpec};
-        let spec = ArchSpec::convnet(1, 8, 8, 4);
-        let mut rng = StdRng::seed_from_u64(5);
-        let x = Tensor::uniform(vec![4, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let mut full = build(&spec, 3);
-        let base = full.predict_proba(&x);
-        let mut quant = QuantizedNetwork::new(build(&spec, 3), Precision::new(24));
-        let q = quant.predict_proba(&x);
-        for (br, qr) in base.iter().zip(&q) {
-            for (b, qv) in br.iter().zip(qr) {
-                assert!((b - qv).abs() < 1e-2, "24-bit inference drifted: {b} vs {qv}");
-            }
-        }
-    }
-
-    #[test]
-    fn aggressive_quantization_changes_outputs() {
-        use pgmr_nn::zoo::{build, ArchSpec};
-        let spec = ArchSpec::convnet(1, 8, 8, 4);
-        let mut rng = StdRng::seed_from_u64(6);
-        let x = Tensor::uniform(vec![4, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let mut full = build(&spec, 3);
-        let base = full.predict_proba(&x);
-        let mut quant = QuantizedNetwork::new(build(&spec, 3), Precision::new(10));
-        let q = quant.predict_proba(&x);
-        let max_diff: f32 = base
-            .iter()
-            .flatten()
-            .zip(q.iter().flatten())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
-        assert!(max_diff > 1e-4, "10-bit inference should differ measurably");
     }
 
     #[test]

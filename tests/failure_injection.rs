@@ -7,8 +7,9 @@ use pgmr::core::ensemble::Ensemble;
 use pgmr::core::suite::{Benchmark, Scale};
 use pgmr::core::system::PolygraphSystem;
 use pgmr::datasets::Split;
-use pgmr::nn::serialize::{decode_params, encode_params, DecodeParamsError};
+use pgmr::nn::serialize::{encode_params, DecodeError};
 use pgmr::nn::zoo::{build, ArchSpec};
+use pgmr::nn::{Network, StoredModel};
 use pgmr::preprocess::Preprocessor;
 use pgmr::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -76,6 +77,11 @@ fn every_preprocessor_survives_constant_and_extreme_images() {
     }
 }
 
+/// Loads `blob` into `net` the only way there is: decode, then attach.
+fn load(net: &mut Network, blob: &[u8]) -> Result<(), DecodeError> {
+    StoredModel::from_blob(blob)?.attach(net)
+}
+
 #[test]
 fn corrupted_model_blob_is_rejected_not_loaded() {
     let spec = ArchSpec::convnet(1, 8, 8, 4);
@@ -85,7 +91,7 @@ fn corrupted_model_blob_is_rejected_not_loaded() {
     blob[0] ^= 0xFF;
     let mut victim = build(&spec, 2);
     let before = victim.state_dict();
-    assert_eq!(decode_params(&mut victim, &blob), Err(DecodeParamsError::BadMagic));
+    assert_eq!(load(&mut victim, &blob), Err(DecodeError::BadMagic));
     assert_eq!(victim.state_dict(), before, "failed decode must not mutate weights");
 }
 
@@ -110,8 +116,8 @@ fn single_bit_flipped_weight_blob_is_rejected() {
         let mut bad = blob.clone();
         bad[pos] ^= 1 << bit;
         assert_eq!(
-            decode_params(&mut victim, &bad),
-            Err(DecodeParamsError::ChecksumMismatch),
+            load(&mut victim, &bad),
+            Err(DecodeError::ChecksumMismatch),
             "flip of bit {bit} at byte {pos} slipped past the checksum"
         );
         assert_eq!(victim.state_dict(), before, "rejected blob mutated weights");
@@ -126,12 +132,10 @@ fn truncated_model_blob_is_rejected_without_partial_load() {
     let mut victim = build(&spec, 2);
     let before = victim.state_dict();
     for cut in [10usize, blob.len() / 3, blob.len() - 3] {
-        let err = decode_params(&mut victim, &blob[..cut]).unwrap_err();
+        let err = load(&mut victim, &blob[..cut]).unwrap_err();
         assert!(matches!(
             err,
-            DecodeParamsError::Truncated
-                | DecodeParamsError::BadMagic
-                | DecodeParamsError::ShapeMismatch
+            DecodeError::Truncated | DecodeError::BadMagic | DecodeError::ShapeMismatch
         ));
         assert_eq!(victim.state_dict(), before);
     }
