@@ -16,12 +16,13 @@
 use pgmr_bench::{banner, scale};
 use pgmr_datasets::Split;
 use pgmr_faults::{
-    guarded_sites, run_activation_campaign, run_weight_campaign, CampaignConfig, ProfileConfig,
+    guarded_sites, run_campaign, CampaignConfig, CampaignGuard, FaultTarget, ProfileConfig,
     SiteFilter, ANY_BIT, EXPONENT_BITS,
 };
 use pgmr_nn::network::{Guard, RunPlan};
 use pgmr_nn::{CheckPlan, ProtectionLevel};
 use pgmr_preprocess::Preprocessor;
+use pgmr_tensor::checksum::DEFAULT_TOLERANCE;
 use polygraph_mr::suite::Benchmark;
 use std::time::Instant;
 
@@ -49,6 +50,7 @@ fn main() {
     let inputs: Vec<_> = test.images().iter().take(32).cloned().collect();
     let net = member.network_mut();
     let sites = SiteFilter::Only(guarded_sites(net));
+    let pool = pgmr_nn::pool::global();
 
     let trials = 200;
     let seed = 2020;
@@ -69,12 +71,13 @@ fn main() {
                 sites: sites.clone(),
                 ..CampaignConfig::default()
             };
-            let raw = run_activation_campaign(
+            let raw = run_campaign(
                 net,
                 &inputs,
-                &CampaignConfig { checksums: false, ..base.clone() },
+                &CampaignConfig { guard: CampaignGuard::Off, ..base.clone() },
+                pool,
             );
-            let abft = run_activation_campaign(net, &inputs, &base);
+            let abft = run_campaign(net, &inputs, &base, pool);
             println!(
                 "{:>8.0e} {:>5} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
                 rate,
@@ -92,9 +95,15 @@ fn main() {
     println!("corrupted weights and stay consistent while values remain finite; only");
     println!("corruption violent enough to overflow the arithmetic gets caught):");
     for rate in [1e-3, 1e-2] {
-        let cfg =
-            CampaignConfig { trials, seed, rate, bits: EXPONENT_BITS, ..CampaignConfig::default() };
-        let report = run_weight_campaign(net, &inputs, &cfg);
+        let cfg = CampaignConfig {
+            trials,
+            seed,
+            rate,
+            bits: EXPONENT_BITS,
+            target: FaultTarget::Weights,
+            ..CampaignConfig::default()
+        };
+        let report = run_campaign(net, &inputs, &cfg, pool);
         println!(
             "  rate {:>6.0e}: sdc {:>6.2}%  detected {:>6.2}%  (flips/trial {:.1})",
             rate,
@@ -154,10 +163,10 @@ fn main() {
                 rate: 1e-3,
                 bits: EXPONENT_BITS,
                 sites: sites.clone(),
-                plan: Some(plan.clone()),
+                guard: CampaignGuard::Plan(plan.clone(), DEFAULT_TOLERANCE),
                 ..CampaignConfig::default()
             };
-            let report = run_activation_campaign(net, &inputs, &cfg);
+            let report = run_campaign(net, &inputs, &cfg, pool);
             // Clean-path throughput of this plan (wall clock, informational:
             // the gate below uses the deterministic checked-layer count).
             let reps = 3;

@@ -4,10 +4,10 @@
 //! Not a paper exhibit: this harness measures the items/s of the shared
 //! worker pool on the two batch-shaped hot paths it powers — sharded
 //! system evaluation ([`polygraph_mr::system::PolygraphSystem::evaluate_batch`])
-//! and trial-sharded fault campaigns
-//! ([`pgmr_faults::run_activation_campaign_with`]) — at pool widths 1
-//! (sequential), 2, 4, and 8. Every pooled run is verified bit-identical
-//! to the sequential baseline before its timing is reported.
+//! and trial-sharded activation-fault campaigns
+//! ([`pgmr_faults::run_campaign`]) — at pool widths 1 (sequential), 2, 4,
+//! and 8. Every pooled run is verified bit-identical to the width-1
+//! baseline before its timing is reported.
 //!
 //! Besides the printed table, the harness writes `BENCH_throughput.json`
 //! to the working directory so CI can archive the numbers, plus
@@ -36,7 +36,7 @@ use std::time::Instant;
 use pgmr_bench::alloc_counter::{self, CountingAlloc};
 use pgmr_bench::{banner, scale};
 use pgmr_datasets::Split;
-use pgmr_faults::{run_activation_campaign, run_activation_campaign_with, CampaignConfig};
+use pgmr_faults::{run_campaign, CampaignConfig};
 use pgmr_nn::network::RunPlan;
 use pgmr_nn::WorkerPool;
 use pgmr_preprocess::Preprocessor;
@@ -187,13 +187,12 @@ fn main() {
     let inputs: Vec<_> = data.images().iter().take(16).cloned().collect();
     let cfg = CampaignConfig { trials: 200, seed: 2020, rate: 1e-3, ..CampaignConfig::default() };
     let net = system.ensemble_mut().members_mut()[0].network_mut();
-    let (seq_report, seq_camp_rate) =
-        time(cfg.trials, || run_activation_campaign(net, &inputs, &cfg));
+    let solo = WorkerPool::new(1);
+    let (seq_report, seq_camp_rate) = time(cfg.trials, || run_campaign(net, &inputs, &cfg, &solo));
     let mut camp_rates = Vec::new();
     for width in POOL_WIDTHS {
         let pool = WorkerPool::new(width);
-        let (report, rate) =
-            time(cfg.trials, || run_activation_campaign_with(net, &inputs, &cfg, &pool));
+        let (report, rate) = time(cfg.trials, || run_campaign(net, &inputs, &cfg, &pool));
         assert_eq!(report, seq_report, "pooled campaign diverged at width {width}");
         camp_rates.push((width, rate));
     }

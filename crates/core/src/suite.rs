@@ -465,16 +465,17 @@ impl Benchmark {
             val.images().iter().map(|img| member.preprocessor().apply(img)).collect();
         let cache_enabled = std::env::var("PGMR_NO_CACHE").is_err();
         let path = cache_dir().join(format!("{}.pgvp", self.member_key(preprocessor, seed)));
+        let pool = pgmr_nn::pool::global();
         let profile = if cache_enabled {
-            VulnerabilityProfile::load_or_measure(&path, member.network_mut(), &inputs, cfg)
+            VulnerabilityProfile::load_or_measure(&path, member.network_mut(), &inputs, cfg, pool)
                 .map(|(profile, _)| profile)
                 // An unwritable cache dir degrades to measuring in-memory,
                 // mirroring the weight cache's best-effort writes.
                 .unwrap_or_else(|_| {
-                    VulnerabilityProfile::measure(member.network_mut(), &inputs, cfg)
+                    VulnerabilityProfile::measure(member.network_mut(), &inputs, cfg, pool)
                 })
         } else {
-            VulnerabilityProfile::measure(member.network_mut(), &inputs, cfg)
+            VulnerabilityProfile::measure(member.network_mut(), &inputs, cfg, pool)
         };
         (member, profile)
     }

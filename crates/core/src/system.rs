@@ -815,6 +815,7 @@ mod tests {
             protected.ensemble_mut().members_mut()[0].network_mut(),
             &inputs,
             &cfg,
+            &WorkerPool::new(1),
         );
         protected.apply_protection(ProtectionLevel::Full, &[profile], false);
         assert_eq!(protected.protection_level(), Some(ProtectionLevel::Full));
@@ -848,6 +849,7 @@ mod tests {
             system.ensemble_mut().members_mut()[0].network_mut(),
             &inputs,
             &cfg,
+            &WorkerPool::new(1),
         );
         system.apply_protection(ProtectionLevel::Selective { top_k: 1 }, &[profile], true);
         for member in system.ensemble().members() {

@@ -1,18 +1,25 @@
 //! Injection-campaign runner: many seeded fault trials against one
 //! network, classified into masked / silent-data-corruption / detected
 //! outcomes, with and without ABFT checksums.
+//!
+//! One [`CampaignConfig`] drives both runners: its `target` picks
+//! activation or weight trials and its `guard` what every trial forward
+//! verifies. [`run_campaign`] sprays its trials over the site filter;
+//! [`run_site_sweep`] gives each listed site trials of its own. Both run
+//! on per-job network clones on a [`WorkerPool`], and every trial is
+//! seeded from its index alone, so a report does not depend on the pool
+//! width.
 
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
 use pgmr_nn::{CheckPlan, Network};
-use pgmr_tensor::checksum::ChecksumFault;
 use pgmr_tensor::{argmax, Tensor};
 
 use crate::inject::{
-    inject_weights, repair_weights, ActivationInjector, FaultSpec, SiteFilter, ANY_BIT,
+    inject_weights, repair_weights, ActivationInjector, FaultSpec, FaultTarget, SiteFilter, ANY_BIT,
 };
 
 /// Mixing constant (golden-ratio based) for deriving per-trial seeds from
@@ -31,29 +38,50 @@ pub enum TrialOutcome {
     Detected,
 }
 
-/// Parameters of an injection campaign.
+/// What every trial forward of a campaign verifies: the owned form of
+/// [`Guard`], each variant with its tolerance.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignGuard {
+    /// Nothing is verified, so no trial ends [`TrialOutcome::Detected`].
+    Off,
+    /// Every guarded (dense / convolution) layer.
+    All(f32),
+    /// The layers a selective-protection [`CheckPlan`] checks, plus its
+    /// duplicated layer — how the coverage-vs-throughput frontier
+    /// measures each `top_k` point.
+    Plan(CheckPlan, f32),
+}
+
+impl CampaignGuard {
+    fn as_guard(&self) -> Guard<'_> {
+        match self {
+            CampaignGuard::Off => Guard::Off,
+            CampaignGuard::All(tol) => Guard::All(*tol),
+            CampaignGuard::Plan(plan, tol) => Guard::Plan(plan, *tol),
+        }
+    }
+}
+
+/// Parameters of an injection campaign or site sweep.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Number of independent fault trials.
+    /// Independent fault trials: of the whole campaign, or of each site
+    /// in a sweep.
     pub trials: usize,
-    /// Campaign seed; trial `t` runs with a seed derived from it.
+    /// Campaign seed; trial `t` runs with a seed derived from it (in a
+    /// sweep, from the site's seed, itself derived from this one).
     pub seed: u64,
     /// Per-element flip probability per trial.
     pub rate: f64,
     /// Eligible bit positions.
     pub bits: RangeInclusive<u8>,
-    /// Eligible injection sites.
+    /// Eligible injection sites; a sweep measures each listed site alone.
     pub sites: SiteFilter,
-    /// ABFT verification tolerance (used when `checksums` is on).
-    pub tolerance: f32,
-    /// Whether the forward pass is ABFT-guarded.
-    pub checksums: bool,
-    /// Optional selective-protection plan for the guarded forward. `None`
-    /// (the default) verifies every layer; `Some(plan)` guards trials
-    /// with [`Guard::Plan`], which is how the coverage-vs-throughput
-    /// frontier measures each `top_k` point. Ignored when `checksums` is
-    /// off.
-    pub plan: Option<CheckPlan>,
+    /// Transient activation flips, or persistent weight flips that are
+    /// repaired after each trial.
+    pub target: FaultTarget,
+    /// What every trial forward verifies.
+    pub guard: CampaignGuard,
 }
 
 impl Default for CampaignConfig {
@@ -64,9 +92,8 @@ impl Default for CampaignConfig {
             rate: 1e-3,
             bits: ANY_BIT,
             sites: SiteFilter::All,
-            tolerance: pgmr_tensor::checksum::DEFAULT_TOLERANCE,
-            checksums: true,
-            plan: None,
+            target: FaultTarget::Activations,
+            guard: CampaignGuard::All(pgmr_tensor::checksum::DEFAULT_TOLERANCE),
         }
     }
 }
@@ -112,8 +139,8 @@ pub struct CampaignReport {
     /// Total bit flips injected across all trials.
     pub injected: usize,
     /// Outcome tallies resolved per injection site, sorted by site index.
-    /// Sites where no trial ever flipped a bit are absent (the site
-    /// sweeps guarantee an entry for every swept site regardless).
+    /// Sites where no trial ever flipped a bit are absent (a site sweep
+    /// guarantees an entry for every swept site regardless).
     pub per_site: Vec<SiteTally>,
 }
 
@@ -146,96 +173,106 @@ fn trial_seed(campaign_seed: u64, t: usize) -> u64 {
     campaign_seed.wrapping_add((t as u64 + 1).wrapping_mul(TRIAL_SEED_STRIDE))
 }
 
-fn classify(predicted: usize, golden: usize) -> TrialOutcome {
-    if predicted == golden {
-        TrialOutcome::Masked
-    } else {
-        TrialOutcome::Sdc
-    }
+/// Derives the deterministic campaign seed for one site of a sweep.
+fn site_seed(sweep_seed: u64, site: usize) -> u64 {
+    sweep_seed ^ (site as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
 /// One trial's result: its outcome plus the per-site flip counts that
 /// produced it (sorted by site).
 type TrialResult = (TrialOutcome, Vec<(usize, usize)>);
 
-/// Runs one trial's forward: ABFT-guarded when the config asks for
-/// checksums (plan-aware when it carries a selective-protection plan,
-/// every guarded layer otherwise), plain when it does not. Returns the
-/// logits, or the checksum fault that detected the corruption.
-fn trial_forward(
+/// Runs one trial forward and classifies it against the fault-free
+/// prediction; a guard violation is [`TrialOutcome::Detected`].
+fn classify(
     net: &mut Network,
     input: &Tensor,
     hook: Option<ActivationHook<'_>>,
-    cfg: &CampaignConfig,
-) -> Result<Vec<f32>, ChecksumFault> {
-    let guard = match (&cfg.plan, cfg.checksums) {
-        (_, false) => Guard::Off,
-        (Some(plan), true) => Guard::Plan(plan, cfg.tolerance),
-        (None, true) => Guard::All(cfg.tolerance),
-    };
+    guard: Guard<'_>,
+    golden: usize,
+) -> TrialOutcome {
     let mut logits = Vec::new();
-    net.run(input, &RunPlan { hook, guard, ..RunPlan::default() }, &mut logits)?;
-    Ok(logits)
-}
-
-/// Classifies a trial's forward against the fault-free prediction.
-fn outcome(result: Result<Vec<f32>, ChecksumFault>, golden: usize) -> TrialOutcome {
-    match result {
+    match net.run(input, &RunPlan { hook, guard, ..RunPlan::default() }, &mut logits) {
         Err(_) => TrialOutcome::Detected,
-        Ok(logits) => classify(argmax(&logits), golden),
+        Ok(()) if argmax(&logits) == golden => TrialOutcome::Masked,
+        Ok(()) => TrialOutcome::Sdc,
     }
 }
 
-/// One transient activation-fault trial: outcome plus per-site flips.
-/// Trial `t` is a pure function of `(net, inputs, cfg, t)` — its injector
-/// is seeded from [`trial_seed`] alone — which is what lets campaigns
-/// shard across a worker pool without changing their results.
-fn activation_trial(
+/// Trial `t`: flips bits of `cfg.target` during a forward of input
+/// `t % inputs.len()`, classifies it, and repairs any weight flips. A
+/// pure function of `(net, inputs, cfg, t)` — the injector is seeded from
+/// [`trial_seed`] alone — which is what lets trials shard across a pool
+/// without changing the report. Sites in the result are hook indices for
+/// activation trials and parameter-slot indices for weight trials.
+fn trial(
     net: &mut Network,
     inputs: &[Tensor],
     cfg: &CampaignConfig,
     golden: &[usize],
     t: usize,
 ) -> TrialResult {
-    let input = &inputs[t % inputs.len()];
-    let spec = FaultSpec::transient_activations(trial_seed(cfg.seed, t), cfg.rate)
-        .with_bits(cfg.bits.clone())
-        .with_sites(cfg.sites.clone());
-    let inj = ActivationInjector::new(&spec);
-    inj.begin_forward();
-    let hook = |x: &mut [f32]| inj.apply(x);
-    let outcome = outcome(trial_forward(net, input, Some(&hook), cfg), golden[t % inputs.len()]);
-    (outcome, inj.site_flips())
-}
-
-/// One persistent weight-fault trial: inject, evaluate, repair. Sites in
-/// the result are parameter-slot indices.
-fn weight_trial(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-    golden: &[usize],
-    t: usize,
-) -> TrialResult {
-    let input = &inputs[t % inputs.len()];
-    let spec = FaultSpec::persistent_weights(trial_seed(cfg.seed, t), cfg.rate)
-        .with_bits(cfg.bits.clone())
-        .with_sites(cfg.sites.clone());
-    let records = inject_weights(net, &spec);
-    let outcome = outcome(trial_forward(net, input, None, cfg), golden[t % inputs.len()]);
-    let mut by_site: BTreeMap<usize, usize> = BTreeMap::new();
-    for r in &records {
-        *by_site.entry(r.site).or_insert(0) += 1;
+    let i = t % inputs.len();
+    let spec = FaultSpec {
+        seed: trial_seed(cfg.seed, t),
+        rate: cfg.rate,
+        target: cfg.target,
+        bits: cfg.bits.clone(),
+        sites: cfg.sites.clone(),
+    };
+    let guard = cfg.guard.as_guard();
+    match cfg.target {
+        FaultTarget::Activations => {
+            let inj = ActivationInjector::new(&spec);
+            inj.begin_forward();
+            let hook = |x: &mut [f32]| inj.apply(x);
+            (classify(net, &inputs[i], Some(&hook), guard, golden[i]), inj.site_flips())
+        }
+        FaultTarget::Weights => {
+            let records = inject_weights(net, &spec);
+            let outcome = classify(net, &inputs[i], None, guard, golden[i]);
+            repair_weights(net, &records);
+            let mut by_site: BTreeMap<usize, usize> = BTreeMap::new();
+            for r in &records {
+                *by_site.entry(r.site).or_insert(0) += 1;
+            }
+            (outcome, by_site.into_iter().collect())
+        }
     }
-    repair_weights(net, &records);
-    (outcome, by_site.into_iter().collect())
 }
 
-/// Folds per-trial results into a report, in any order — the counters
-/// commute and the per-site map is keyed (not ordered), so sharded
-/// campaigns sum to exactly the sequential report. Mirrors the totals
-/// into the `faults.*` counters on the global [`pgmr_obs`] registry.
-fn tally(trials: usize, outcomes: impl IntoIterator<Item = TrialResult>) -> CampaignReport {
+/// The fault-free prediction for every input, after checking the
+/// arguments both runners share.
+fn golden(net: &mut Network, inputs: &[Tensor], cfg: &CampaignConfig) -> Vec<usize> {
+    assert!(!inputs.is_empty(), "campaign needs at least one input");
+    assert!(*cfg.bits.end() < 32, "bit range extends past bit 31");
+    inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect()
+}
+
+/// Runs each `(config, trial range)` shard as one `pool` job on its own
+/// clone of `net`, trials in order, and returns every trial's result.
+fn run_shards(
+    net: &Network,
+    inputs: &[Tensor],
+    golden: &[usize],
+    pool: &WorkerPool,
+    shards: impl Iterator<Item = (CampaignConfig, Range<usize>)>,
+) -> Vec<TrialResult> {
+    let jobs: Vec<_> = shards
+        .map(|(cfg, range)| {
+            let mut net = net.clone();
+            move || range.map(|t| trial(&mut net, inputs, &cfg, golden, t)).collect::<Vec<_>>()
+        })
+        .collect();
+    pool.run(jobs).into_iter().flatten().collect()
+}
+
+/// Folds trial results into a report, in any order — the counters
+/// commute and the per-site map is keyed (not ordered), so sharded runs
+/// sum to exactly the sequential report. Every site in `swept` gets an
+/// entry, even one where no flip landed. Mirrors the totals into the
+/// `faults.*` counters on the global [`pgmr_obs`] registry.
+fn tally(trials: usize, swept: &[usize], results: Vec<TrialResult>) -> CampaignReport {
     let mut report = CampaignReport {
         trials,
         masked: 0,
@@ -244,8 +281,9 @@ fn tally(trials: usize, outcomes: impl IntoIterator<Item = TrialResult>) -> Camp
         injected: 0,
         per_site: Vec::new(),
     };
-    let mut per_site: BTreeMap<usize, SiteTally> = BTreeMap::new();
-    for (outcome, flips) in outcomes {
+    let mut per_site: BTreeMap<usize, SiteTally> =
+        swept.iter().map(|&s| (s, SiteTally::empty(s))).collect();
+    for (outcome, flips) in results {
         match outcome {
             TrialOutcome::Masked => report.masked += 1,
             TrialOutcome::Sdc => report.sdc += 1,
@@ -272,73 +310,15 @@ fn tally(trials: usize, outcomes: impl IntoIterator<Item = TrialResult>) -> Camp
     report
 }
 
-/// One trial of a campaign: `(net, inputs, cfg, golden, t) → (outcome,
-/// per-site flips)`.
-type TrialFn = fn(&mut Network, &[Tensor], &CampaignConfig, &[usize], usize) -> TrialResult;
-
-/// Runs a campaign with per-shard network clones on `pool`. Each trial is
-/// independently seeded, so the merged report is identical to the
-/// sequential loop.
-fn run_campaign_sharded(
-    net: &Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-    golden: &[usize],
-    pool: &WorkerPool,
-    trial: TrialFn,
-) -> CampaignReport {
-    let jobs: Vec<_> = shard_ranges(cfg.trials, pool.threads())
-        .map(|range| {
-            let mut net = net.clone();
-            move || range.map(|t| trial(&mut net, inputs, cfg, golden, t)).collect::<Vec<_>>()
-        })
-        .collect();
-    tally(cfg.trials, pool.run(jobs).into_iter().flatten())
-}
-
-/// Runs `cfg.trials` transient activation-fault trials against `net`,
-/// cycling through `inputs`. Each trial compares the faulty prediction to
-/// the fault-free prediction on the same input; with checksums on, a
-/// verification failure counts as [`TrialOutcome::Detected`].
+/// Runs `cfg.trials` fault trials against `net`, cycling through
+/// `inputs`, with the trials sharded across `pool`. Each trial compares
+/// its prediction to the fault-free one on the same input; a guard
+/// violation counts as [`TrialOutcome::Detected`]. `net` computes the
+/// fault-free predictions; the trials run on clones of it.
 ///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn run_activation_campaign(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    tally(cfg.trials, (0..cfg.trials).map(|t| activation_trial(net, inputs, cfg, &golden, t)))
-}
-
-/// [`run_activation_campaign`], with trials sharded across `pool` on
-/// per-worker network clones. Trial seeds depend only on the trial index,
-/// so the report is bit-identical to the sequential runner.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn run_activation_campaign_with(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-    pool: &WorkerPool,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    if pool.threads() == 1 || cfg.trials < 2 {
-        return run_activation_campaign(net, inputs, cfg);
-    }
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    run_campaign_sharded(net, inputs, cfg, &golden, pool, activation_trial)
-}
-
-/// Runs `cfg.trials` weight-fault trials: each trial injects persistent
-/// flips, evaluates one input, then repairs the network. Because the ABFT
-/// checksums are derived from the corrupted weights they stay consistent,
-/// so with `cfg.checksums` on, weight faults still surface as
+/// Weight trials inject persistent flips and repair them after the
+/// forward. The ABFT checksums are derived from the corrupted weights and
+/// stay consistent, so under a guard weight faults still surface as
 /// [`TrialOutcome::Sdc`] as long as the arithmetic stays finite (flips
 /// violent enough to overflow into `inf`/`NaN` do trip verification) —
 /// the experimental evidence that weight corruption needs ensemble-level
@@ -346,235 +326,46 @@ pub fn run_activation_campaign_with(
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty.
-pub fn run_weight_campaign(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    tally(cfg.trials, (0..cfg.trials).map(|t| weight_trial(net, inputs, cfg, &golden, t)))
-}
-
-/// [`run_weight_campaign`], with trials sharded across `pool` on
-/// per-worker network clones. Each shard injects into and repairs its own
-/// clone, so the caller's network is untouched and the merged report is
-/// bit-identical to the sequential runner.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn run_weight_campaign_with(
+/// Panics if `inputs` is empty or `cfg.bits` reaches past bit 31.
+pub fn run_campaign(
     net: &mut Network,
     inputs: &[Tensor],
     cfg: &CampaignConfig,
     pool: &WorkerPool,
 ) -> CampaignReport {
-    assert!(!inputs.is_empty(), "campaign needs at least one input");
-    if pool.threads() == 1 || cfg.trials < 2 {
-        return run_weight_campaign(net, inputs, cfg);
-    }
-    let golden: Vec<usize> = inputs.iter().map(|x| argmax(net.forward(x, false).data())).collect();
-    run_campaign_sharded(net, inputs, cfg, &golden, pool, weight_trial)
+    let golden = golden(net, inputs, cfg);
+    let shards = shard_ranges(cfg.trials, pool.threads()).map(|range| (cfg.clone(), range));
+    tally(cfg.trials, &[], run_shards(net, inputs, &golden, pool, shards))
 }
 
-/// Parameters of an MRFI-style per-site resolution sweep: instead of one
-/// campaign spraying flips across a site filter, each listed site gets its
-/// own `trials_per_site`-trial campaign with injection confined to that
-/// site — so the merged per-site tallies measure every site's SDC
-/// contribution with equal statistical weight, regardless of how many
-/// elements the site holds.
-#[derive(Debug, Clone)]
-pub struct SiteSweepConfig {
-    /// Trials devoted to each site.
-    pub trials_per_site: usize,
-    /// Sweep seed; site `s` runs a campaign seeded from `(seed, s)`.
-    pub seed: u64,
-    /// Per-element flip probability per trial.
-    pub rate: f64,
-    /// Eligible bit positions.
-    pub bits: RangeInclusive<u8>,
-    /// The sites to measure, one confined campaign each.
-    pub sites: Vec<usize>,
-    /// ABFT verification tolerance (used when `checksums` is on).
-    pub tolerance: f32,
-    /// Whether trial forwards are ABFT-guarded. Vulnerability profiling
-    /// runs with this *off*: it measures where faults become SDCs when
-    /// nothing is protected.
-    pub checksums: bool,
-}
-
-impl Default for SiteSweepConfig {
-    fn default() -> Self {
-        SiteSweepConfig {
-            trials_per_site: 50,
-            seed: 0,
-            rate: 1e-3,
-            bits: ANY_BIT,
-            sites: Vec::new(),
-            tolerance: pgmr_tensor::checksum::DEFAULT_TOLERANCE,
-            checksums: false,
-        }
-    }
-}
-
-/// Derives the deterministic campaign seed for one site of a sweep.
-fn site_seed(sweep_seed: u64, site: usize) -> u64 {
-    sweep_seed ^ (site as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
-}
-
-/// The confined single-site campaign config for site `site` of a sweep.
-fn site_campaign_config(cfg: &SiteSweepConfig, site: usize) -> CampaignConfig {
-    CampaignConfig {
-        trials: cfg.trials_per_site,
-        seed: site_seed(cfg.seed, site),
-        rate: cfg.rate,
-        bits: cfg.bits.clone(),
-        sites: SiteFilter::Only(vec![site]),
-        tolerance: cfg.tolerance,
-        checksums: cfg.checksums,
-        plan: None,
-    }
-}
-
-/// Merges per-site campaign reports into one sweep report. Every swept
-/// site is guaranteed a [`SiteTally`] entry, even if none of its trials
-/// landed a flip (possible at low rates on small sites).
-fn merge_site_reports(cfg: &SiteSweepConfig, reports: Vec<CampaignReport>) -> CampaignReport {
-    let mut per_site: BTreeMap<usize, SiteTally> =
-        cfg.sites.iter().map(|&s| (s, SiteTally::empty(s))).collect();
-    let mut merged = CampaignReport {
-        trials: 0,
-        masked: 0,
-        sdc: 0,
-        detected: 0,
-        injected: 0,
-        per_site: Vec::new(),
+/// An MRFI-style per-site resolution sweep: each site listed in
+/// `cfg.sites` gets `cfg.trials` trials of its own, confined to that site
+/// and seeded from `(cfg.seed, site)`, so every site's SDC contribution is
+/// measured with equal statistical weight, whatever its element count.
+/// Each site is one `pool` job on its own network clone. The report
+/// carries a [`SiteTally`] for every swept site; its aggregates sum over
+/// all sites.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty, `cfg.sites` is [`SiteFilter::All`] or an
+/// empty list, or `cfg.bits` reaches past bit 31.
+pub fn run_site_sweep(
+    net: &mut Network,
+    inputs: &[Tensor],
+    cfg: &CampaignConfig,
+    pool: &WorkerPool,
+) -> CampaignReport {
+    let sites = match &cfg.sites {
+        SiteFilter::Only(sites) if !sites.is_empty() => sites,
+        _ => panic!("site sweep needs a non-empty list of sites"),
     };
-    for report in reports {
-        merged.trials += report.trials;
-        merged.masked += report.masked;
-        merged.sdc += report.sdc;
-        merged.detected += report.detected;
-        merged.injected += report.injected;
-        for t in report.per_site {
-            let e = per_site.entry(t.site).or_insert_with(|| SiteTally::empty(t.site));
-            e.masked += t.masked;
-            e.sdc += t.sdc;
-            e.detected += t.detected;
-            e.injected += t.injected;
-        }
-    }
-    merged.per_site = per_site.into_values().collect();
-    merged
-}
-
-/// One full campaign: `(net, inputs, cfg) → report`.
-type CampaignFn = fn(&mut Network, &[Tensor], &CampaignConfig) -> CampaignReport;
-
-fn run_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-    runner: CampaignFn,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "site sweep needs at least one input");
-    assert!(!cfg.sites.is_empty(), "site sweep needs at least one site");
-    let reports = cfg
-        .sites
-        .iter()
-        .map(|&s| runner(net, inputs, &site_campaign_config(cfg, s)))
-        .collect::<Vec<_>>();
-    merge_site_reports(cfg, reports)
-}
-
-fn run_site_sweep_with(
-    net: &Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-    pool: &WorkerPool,
-    runner: CampaignFn,
-) -> CampaignReport {
-    assert!(!inputs.is_empty(), "site sweep needs at least one input");
-    assert!(!cfg.sites.is_empty(), "site sweep needs at least one site");
-    let jobs: Vec<_> = cfg
-        .sites
-        .iter()
-        .map(|&s| {
-            let mut net = net.clone();
-            let site_cfg = site_campaign_config(cfg, s);
-            move || runner(&mut net, inputs, &site_cfg)
-        })
-        .collect();
-    merge_site_reports(cfg, pool.run(jobs))
-}
-
-/// Sweeps transient activation faults one site at a time (see
-/// [`SiteSweepConfig`]). The merged report carries a [`SiteTally`] for
-/// every swept site; aggregate counters sum over all per-site campaigns.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_activation_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-) -> CampaignReport {
-    run_site_sweep(net, inputs, cfg, run_activation_campaign)
-}
-
-/// [`run_activation_site_sweep`], sharded one site per pool job on
-/// per-worker network clones. Site campaigns are independently seeded and
-/// merged by site index, so the report is bit-identical to the sequential
-/// sweep.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_activation_site_sweep_with(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-    pool: &WorkerPool,
-) -> CampaignReport {
-    if pool.threads() == 1 || cfg.sites.len() < 2 {
-        return run_activation_site_sweep(net, inputs, cfg);
-    }
-    run_site_sweep_with(net, inputs, cfg, pool, run_activation_campaign)
-}
-
-/// Sweeps persistent weight faults one parameter slot at a time; sites
-/// are [`pgmr_nn::ParamSlot`] indices in visit order.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_weight_site_sweep(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-) -> CampaignReport {
-    run_site_sweep(net, inputs, cfg, run_weight_campaign)
-}
-
-/// [`run_weight_site_sweep`], sharded one site per pool job on per-worker
-/// network clones; bit-identical to the sequential sweep.
-///
-/// # Panics
-///
-/// Panics if `inputs` or `cfg.sites` is empty.
-pub fn run_weight_site_sweep_with(
-    net: &mut Network,
-    inputs: &[Tensor],
-    cfg: &SiteSweepConfig,
-    pool: &WorkerPool,
-) -> CampaignReport {
-    if pool.threads() == 1 || cfg.sites.len() < 2 {
-        return run_weight_site_sweep(net, inputs, cfg);
-    }
-    run_site_sweep_with(net, inputs, cfg, pool, run_weight_campaign)
+    let golden = golden(net, inputs, cfg);
+    let shards = sites.iter().map(|&site| {
+        let seed = site_seed(cfg.seed, site);
+        (CampaignConfig { seed, sites: SiteFilter::Only(vec![site]), ..cfg.clone() }, 0..cfg.trials)
+    });
+    tally(cfg.trials * sites.len(), sites, run_shards(net, inputs, &golden, pool, shards))
 }
 
 #[cfg(test)]
@@ -600,42 +391,43 @@ mod tests {
         (net, inputs)
     }
 
+    fn weights(cfg: &CampaignConfig) -> CampaignConfig {
+        CampaignConfig { target: FaultTarget::Weights, ..cfg.clone() }
+    }
+
     #[test]
     fn campaigns_are_deterministic_across_runs() {
         let (mut net, inputs) = net_and_inputs();
+        let pool = WorkerPool::new(1);
         let cfg = CampaignConfig { trials: 40, seed: 123, rate: 5e-3, ..Default::default() };
-        let a = run_activation_campaign(&mut net, &inputs, &cfg);
-        let b = run_activation_campaign(&mut net, &inputs, &cfg);
+        let a = run_campaign(&mut net, &inputs, &cfg, &pool);
+        let b = run_campaign(&mut net, &inputs, &cfg, &pool);
         assert_eq!(a, b);
-        let c = run_weight_campaign(&mut net, &inputs, &cfg);
-        let d = run_weight_campaign(&mut net, &inputs, &cfg);
+        let c = run_campaign(&mut net, &inputs, &weights(&cfg), &pool);
+        let d = run_campaign(&mut net, &inputs, &weights(&cfg), &pool);
         assert_eq!(c, d);
     }
 
     #[test]
-    fn parallel_campaigns_are_bit_identical_to_sequential() {
-        use pgmr_nn::WorkerPool;
+    fn campaigns_are_bit_identical_across_pool_widths() {
         let (mut net, inputs) = net_and_inputs();
         let cfg = CampaignConfig { trials: 37, seed: 99, rate: 5e-3, ..Default::default() };
-        let seq_act = run_activation_campaign(&mut net, &inputs, &cfg);
-        let seq_wt = run_weight_campaign(&mut net, &inputs, &cfg);
+        let solo = WorkerPool::new(1);
+        let seq_act = run_campaign(&mut net, &inputs, &cfg, &solo);
+        let seq_wt = run_campaign(&mut net, &inputs, &weights(&cfg), &solo);
         for width in [2, 4] {
             let pool = WorkerPool::new(width);
             assert_eq!(
-                run_activation_campaign_with(&mut net, &inputs, &cfg, &pool),
+                run_campaign(&mut net, &inputs, &cfg, &pool),
                 seq_act,
                 "activation campaign diverged at width {width}"
             );
             assert_eq!(
-                run_weight_campaign_with(&mut net, &inputs, &cfg, &pool),
+                run_campaign(&mut net, &inputs, &weights(&cfg), &pool),
                 seq_wt,
                 "weight campaign diverged at width {width}"
             );
         }
-        // Width 1 takes the sequential fast path; it must agree too.
-        let solo = WorkerPool::new(1);
-        assert_eq!(run_activation_campaign_with(&mut net, &inputs, &cfg, &solo), seq_act);
-        assert_eq!(run_weight_campaign_with(&mut net, &inputs, &cfg, &solo), seq_wt);
     }
 
     #[test]
@@ -649,7 +441,7 @@ mod tests {
             sites: SiteFilter::Only(guarded_sites(&net)),
             ..Default::default()
         };
-        let report = run_activation_campaign(&mut net, &inputs, &cfg);
+        let report = run_campaign(&mut net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0, "rate too low, nothing injected");
         assert!(
             report.detection_rate() >= 0.95,
@@ -663,6 +455,7 @@ mod tests {
     #[test]
     fn unguarded_run_suffers_more_sdc() {
         let (mut net, inputs) = net_and_inputs();
+        let pool = WorkerPool::new(1);
         let base = CampaignConfig {
             trials: 150,
             seed: 21,
@@ -671,11 +464,12 @@ mod tests {
             sites: SiteFilter::Only(guarded_sites(&net)),
             ..Default::default()
         };
-        let guarded = run_activation_campaign(&mut net, &inputs, &base);
-        let unguarded = run_activation_campaign(
+        let guarded = run_campaign(&mut net, &inputs, &base, &pool);
+        let unguarded = run_campaign(
             &mut net,
             &inputs,
-            &CampaignConfig { checksums: false, ..base },
+            &CampaignConfig { guard: CampaignGuard::Off, ..base },
+            &pool,
         );
         assert!(
             guarded.sdc < unguarded.sdc || unguarded.sdc == 0,
@@ -693,9 +487,10 @@ mod tests {
             seed: 3,
             rate: 1e-2,
             bits: EXPONENT_BITS,
+            target: FaultTarget::Weights,
             ..Default::default()
         };
-        let report = run_weight_campaign(&mut net, &inputs, &cfg);
+        let report = run_campaign(&mut net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0);
         // ABFT checksums are derived from the (corrupted) weights, so they
         // stay consistent: nothing is detected, corruption is silent.
@@ -737,7 +532,7 @@ mod tests {
             sites: SiteFilter::Only(vec![1]),
             ..Default::default()
         };
-        let report = run_activation_campaign(&mut net, &inputs, &cfg);
+        let report = run_campaign(&mut net, &inputs, &cfg, &WorkerPool::new(1));
         assert!(report.injected > 0);
         // Injection was confined to site 1, so the resolution must be too.
         assert_eq!(report.per_site.len(), 1);
@@ -753,7 +548,6 @@ mod tests {
 
     #[test]
     fn per_site_resolution_commutes_across_shards() {
-        use pgmr_nn::WorkerPool;
         let (mut net, inputs) = net_and_inputs();
         let cfg = CampaignConfig {
             trials: 41,
@@ -762,47 +556,62 @@ mod tests {
             bits: EXPONENT_BITS,
             ..Default::default()
         };
-        let seq = run_activation_campaign(&mut net, &inputs, &cfg);
+        let solo = WorkerPool::new(1);
+        let seq = run_campaign(&mut net, &inputs, &cfg, &solo);
         assert!(seq.per_site.len() > 1, "multi-site run should resolve several sites");
         for width in [2, 4] {
             let pool = WorkerPool::new(width);
             // Full-report Eq covers the per-site vectors too.
-            assert_eq!(run_activation_campaign_with(&mut net, &inputs, &cfg, &pool), seq);
+            assert_eq!(run_campaign(&mut net, &inputs, &cfg, &pool), seq);
         }
-        let wt_seq = run_weight_campaign(&mut net, &inputs, &cfg);
+        let wt_seq = run_campaign(&mut net, &inputs, &weights(&cfg), &solo);
         assert!(!wt_seq.per_site.is_empty());
         let pool = WorkerPool::new(3);
-        assert_eq!(run_weight_campaign_with(&mut net, &inputs, &cfg, &pool), wt_seq);
+        assert_eq!(run_campaign(&mut net, &inputs, &weights(&cfg), &pool), wt_seq);
     }
 
     #[test]
-    fn site_sweep_measures_every_site_and_matches_pooled() {
-        use pgmr_nn::WorkerPool;
+    fn site_sweep_measures_every_site_at_every_pool_width() {
         let (mut net, inputs) = net_and_inputs();
-        let cfg = SiteSweepConfig {
-            trials_per_site: 25,
+        let sites = guarded_sites(&net);
+        let cfg = CampaignConfig {
+            trials: 25,
             seed: 29,
             rate: 2e-3,
             bits: EXPONENT_BITS,
-            sites: guarded_sites(&net),
+            sites: SiteFilter::Only(sites.clone()),
+            guard: CampaignGuard::Off,
             ..Default::default()
         };
-        let seq = run_activation_site_sweep(&mut net, &inputs, &cfg);
-        assert_eq!(seq.trials, cfg.trials_per_site * cfg.sites.len());
+        let seq = run_site_sweep(&mut net, &inputs, &cfg, &WorkerPool::new(1));
+        assert_eq!(seq.trials, cfg.trials * sites.len());
         // Every swept site has an entry, in sorted order.
         let swept: Vec<usize> = seq.per_site.iter().map(|t| t.site).collect();
-        assert_eq!(swept, cfg.sites, "one tally per swept site, site-sorted");
+        assert_eq!(swept, sites, "one tally per swept site, site-sorted");
         for width in [2, 4] {
             let pool = WorkerPool::new(width);
-            let par = run_activation_site_sweep_with(&mut net, &inputs, &cfg, &pool);
+            let par = run_site_sweep(&mut net, &inputs, &cfg, &pool);
             assert_eq!(par, seq, "site-sharded sweep diverged at width {width}");
         }
     }
 
     #[test]
-    fn plan_aware_campaign_detects_less_when_checks_are_off() {
-        use pgmr_nn::CheckPlan;
+    fn site_sweep_needs_listed_sites() {
         let (mut net, inputs) = net_and_inputs();
+        let pool = WorkerPool::new(1);
+        for sites in [SiteFilter::All, SiteFilter::Only(Vec::new())] {
+            let cfg = CampaignConfig { sites, ..Default::default() };
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_site_sweep(&mut net, &inputs, &cfg, &pool)
+            }));
+            assert!(r.is_err(), "a sweep over {:?} must panic", cfg.sites);
+        }
+    }
+
+    #[test]
+    fn plan_aware_campaign_detects_less_when_checks_are_off() {
+        let (mut net, inputs) = net_and_inputs();
+        let pool = WorkerPool::new(1);
         let base = CampaignConfig {
             trials: 120,
             seed: 7,
@@ -811,15 +620,21 @@ mod tests {
             sites: SiteFilter::Only(guarded_sites(&net)),
             ..Default::default()
         };
-        let full_plan =
-            CampaignConfig { plan: Some(CheckPlan::full(net.num_layers())), ..base.clone() };
+        let tol = pgmr_tensor::checksum::DEFAULT_TOLERANCE;
+        let full_plan = CampaignConfig {
+            guard: CampaignGuard::Plan(CheckPlan::full(net.num_layers()), tol),
+            ..base.clone()
+        };
         // A full plan is the uniformly-checked forward: identical report.
-        let uniform = run_activation_campaign(&mut net, &inputs, &base);
-        let planned = run_activation_campaign(&mut net, &inputs, &full_plan);
+        let uniform = run_campaign(&mut net, &inputs, &base, &pool);
+        let planned = run_campaign(&mut net, &inputs, &full_plan, &pool);
         assert_eq!(uniform, planned);
         // An empty plan verifies nothing: no trial can end in Detected.
-        let off_plan = CampaignConfig { plan: Some(CheckPlan::off(net.num_layers())), ..base };
-        let off = run_activation_campaign(&mut net, &inputs, &off_plan);
+        let off_plan = CampaignConfig {
+            guard: CampaignGuard::Plan(CheckPlan::off(net.num_layers()), tol),
+            ..base
+        };
+        let off = run_campaign(&mut net, &inputs, &off_plan, &pool);
         assert_eq!(off.detected, 0, "nothing is checked, nothing can be detected");
         assert!(uniform.detected > 0);
     }

@@ -39,15 +39,6 @@ pub enum FaultTarget {
     Activations,
 }
 
-/// Whether a fault recurs across forward passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// One-shot: the corruption affects a single inference.
-    Transient,
-    /// Stuck: the corruption persists until explicitly repaired.
-    Persistent,
-}
-
 /// Restricts injection to a subset of sites.
 ///
 /// For activation faults a *site* is a hook invocation index in
@@ -79,10 +70,9 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Per-element flip probability.
     pub rate: f64,
-    /// What state is corrupted.
+    /// What state is corrupted, which also says whether the flip
+    /// persists (weights) or lives for one forward pass (activations).
     pub target: FaultTarget,
-    /// Whether the corruption persists across inferences.
-    pub mode: FaultMode,
     /// Which bit positions may be flipped (inclusive).
     pub bits: RangeInclusive<u8>,
     /// Which sites (hook indices or parameter slots) are eligible.
@@ -97,7 +87,6 @@ impl FaultSpec {
             seed,
             rate,
             target: FaultTarget::Activations,
-            mode: FaultMode::Transient,
             bits: ANY_BIT,
             sites: SiteFilter::All,
         }
@@ -110,7 +99,6 @@ impl FaultSpec {
             seed,
             rate,
             target: FaultTarget::Weights,
-            mode: FaultMode::Persistent,
             bits: ANY_BIT,
             sites: SiteFilter::All,
         }

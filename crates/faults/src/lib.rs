@@ -20,6 +20,14 @@
 //! against the same network and inputs injects bit-identical faults, which
 //! makes campaign reports reproducible across runs and machines.
 //!
+//! Two entry points run every study, both from one [`CampaignConfig`]
+//! (its `target` picks activation or weight faults, its `guard` what each
+//! trial verifies) and both on a caller-chosen [`pgmr_nn::WorkerPool`]:
+//! [`run_campaign`] sprays trials over a site filter, and
+//! [`run_site_sweep`] gives each listed site trials of its own. Reports do
+//! not depend on the pool width. [`VulnerabilityProfile::measure`] is an
+//! unguarded activation sweep over a network's guarded sites.
+//!
 //! ## Example
 //!
 //! ```
@@ -39,14 +47,11 @@ pub mod inject;
 pub mod profile;
 
 pub use campaign::{
-    run_activation_campaign, run_activation_campaign_with, run_activation_site_sweep,
-    run_activation_site_sweep_with, run_weight_campaign, run_weight_campaign_with,
-    run_weight_site_sweep, run_weight_site_sweep_with, CampaignConfig, CampaignReport,
-    SiteSweepConfig, SiteTally, TrialOutcome,
+    run_campaign, run_site_sweep, CampaignConfig, CampaignGuard, CampaignReport, SiteTally,
+    TrialOutcome,
 };
 pub use inject::{
-    flip_bit, guarded_sites, inject_weights, repair_weights, ActivationInjector, FaultMode,
-    FaultRecord, FaultSpec, FaultTarget, SiteFilter, ANY_BIT, EXPONENT_BITS, MANTISSA_BITS,
-    SIGN_BIT,
+    flip_bit, guarded_sites, inject_weights, repair_weights, ActivationInjector, FaultRecord,
+    FaultSpec, FaultTarget, SiteFilter, ANY_BIT, EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT,
 };
 pub use profile::{ProfileConfig, ProfileSource, SiteVulnerability, VulnerabilityProfile};

@@ -25,8 +25,8 @@ use pgmr_nn::serialize::{DecodeError, FrameReader, FrameWriter};
 use pgmr_nn::{CheckPlan, Network, ProtectionLevel};
 use pgmr_tensor::Tensor;
 
-use crate::campaign::{run_activation_site_sweep, run_activation_site_sweep_with, SiteSweepConfig};
-use crate::inject::{guarded_sites, ANY_BIT};
+use crate::campaign::{run_site_sweep, CampaignConfig, CampaignGuard};
+use crate::inject::{guarded_sites, FaultTarget, SiteFilter, ANY_BIT};
 
 const MAGIC: &[u8; 4] = b"PGVP";
 const VERSION: u16 = 1;
@@ -105,57 +105,33 @@ pub enum ProfileSource {
 }
 
 impl VulnerabilityProfile {
-    /// Measures a profile by sweeping unguarded transient activation
-    /// faults over every guarded site of `net` (see
-    /// [`run_activation_site_sweep`]).
+    /// Measures a profile with an unguarded transient activation sweep
+    /// over every guarded site of `net` (see [`run_site_sweep`]), sharded
+    /// across `pool`; the profile is the same at every pool width.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty or `net` has no guarded sites.
-    pub fn measure(net: &mut Network, inputs: &[Tensor], cfg: &ProfileConfig) -> Self {
-        let report = run_activation_site_sweep(net, inputs, &Self::sweep_config(net, cfg));
-        Self::from_report(net, cfg, report)
-    }
-
-    /// Like [`VulnerabilityProfile::measure`], with per-site campaigns sharded
-    /// across `pool`; the profile is bit-identical to the sequential one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or `net` has no guarded sites.
-    pub fn measure_with(
+    pub fn measure(
         net: &mut Network,
         inputs: &[Tensor],
         cfg: &ProfileConfig,
         pool: &WorkerPool,
     ) -> Self {
-        let report =
-            run_activation_site_sweep_with(net, inputs, &Self::sweep_config(net, cfg), pool);
-        Self::from_report(net, cfg, report)
-    }
-
-    fn sweep_config(net: &Network, cfg: &ProfileConfig) -> SiteSweepConfig {
         let sites = guarded_sites(net);
         assert!(!sites.is_empty(), "{} has no guarded sites to profile", net.arch_id());
-        SiteSweepConfig {
-            trials_per_site: cfg.trials_per_site,
+        let sweep = CampaignConfig {
+            trials: cfg.trials_per_site,
             seed: cfg.seed,
             rate: cfg.rate,
             bits: cfg.bits.clone(),
-            sites,
+            sites: SiteFilter::Only(sites),
+            target: FaultTarget::Activations,
             // Unguarded measurement: the profile asks where faults *become*
             // SDCs, not where the checksums would have stopped them.
-            checksums: false,
-            ..SiteSweepConfig::default()
-        }
-    }
-
-    fn from_report(
-        net: &Network,
-        cfg: &ProfileConfig,
-        report: crate::campaign::CampaignReport,
-    ) -> Self {
-        let sites = report
+            guard: CampaignGuard::Off,
+        };
+        let sites = run_site_sweep(net, inputs, &sweep, pool)
             .per_site
             .into_iter()
             .map(|t| SiteVulnerability {
@@ -274,10 +250,10 @@ impl VulnerabilityProfile {
         Ok(VulnerabilityProfile { arch_id, config, sites })
     }
 
-    /// Loads the profile for `net` from `path`, or measures and persists
-    /// it. Any decode failure, architecture mismatch, or measurement-
-    /// config mismatch silently *self-heals*: the campaign re-runs and
-    /// the fresh artifact overwrites the stale one.
+    /// Loads the profile for `net` from `path`, or measures it on `pool`
+    /// and persists it. Any decode failure, architecture mismatch, or
+    /// measurement-config mismatch silently *self-heals*: the campaign
+    /// re-runs and the fresh artifact overwrites the stale one.
     ///
     /// # Errors
     ///
@@ -292,6 +268,7 @@ impl VulnerabilityProfile {
         net: &mut Network,
         inputs: &[Tensor],
         cfg: &ProfileConfig,
+        pool: &WorkerPool,
     ) -> std::io::Result<(Self, ProfileSource)> {
         if let Ok(blob) = std::fs::read(path) {
             if let Ok(profile) = Self::decode(&blob) {
@@ -300,7 +277,7 @@ impl VulnerabilityProfile {
                 }
             }
         }
-        let profile = Self::measure(net, inputs, cfg);
+        let profile = Self::measure(net, inputs, cfg, pool);
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -344,15 +321,16 @@ mod tests {
     fn measurement_covers_guarded_sites_and_is_deterministic() {
         let (mut net, inputs) = net_and_inputs();
         let cfg = test_config();
-        let a = VulnerabilityProfile::measure(&mut net, &inputs, &cfg);
-        let b = VulnerabilityProfile::measure(&mut net, &inputs, &cfg);
+        let solo = WorkerPool::new(1);
+        let a = VulnerabilityProfile::measure(&mut net, &inputs, &cfg, &solo);
+        let b = VulnerabilityProfile::measure(&mut net, &inputs, &cfg, &solo);
         assert_eq!(a, b);
         let sites: Vec<usize> = a.sites.iter().map(|v| v.site).collect();
         assert_eq!(sites, guarded_sites(&net));
         // Unguarded measurement can never classify a trial as detected.
         assert!(a.sites.iter().all(|v| v.detected == 0));
         let pool = WorkerPool::new(3);
-        assert_eq!(VulnerabilityProfile::measure_with(&mut net, &inputs, &cfg, &pool), a);
+        assert_eq!(VulnerabilityProfile::measure(&mut net, &inputs, &cfg, &pool), a);
     }
 
     #[test]
@@ -396,7 +374,8 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let (mut net, inputs) = net_and_inputs();
-        let profile = VulnerabilityProfile::measure(&mut net, &inputs, &test_config());
+        let profile =
+            VulnerabilityProfile::measure(&mut net, &inputs, &test_config(), &WorkerPool::new(1));
         let decoded = VulnerabilityProfile::decode(&profile.encode()).expect("clean round trip");
         assert_eq!(decoded, profile);
     }
@@ -404,7 +383,8 @@ mod tests {
     #[test]
     fn single_bit_flips_anywhere_are_rejected() {
         let (mut net, inputs) = net_and_inputs();
-        let profile = VulnerabilityProfile::measure(&mut net, &inputs, &test_config());
+        let profile =
+            VulnerabilityProfile::measure(&mut net, &inputs, &test_config(), &WorkerPool::new(1));
         let blob = profile.encode();
         // Header flips trip magic/version/length checks; body flips (from
         // byte 18) trip the FNV digest.
@@ -429,17 +409,18 @@ mod tests {
     fn load_or_measure_self_heals_corruption_and_mismatches() {
         let (mut net, inputs) = net_and_inputs();
         let cfg = test_config();
+        let pool = WorkerPool::new(1);
         let dir = std::env::temp_dir().join(format!("pgvp-test-{}", std::process::id()));
         let path = dir.join("profile-net.pgvp");
         let _ = std::fs::remove_dir_all(&dir);
 
         // First call measures and persists.
         let (fresh, src) =
-            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg).unwrap();
+            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg, &pool).unwrap();
         assert_eq!(src, ProfileSource::Measured);
         // Second call hits the cache, bit-identically.
         let (cached, src) =
-            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg).unwrap();
+            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg, &pool).unwrap();
         assert_eq!(src, ProfileSource::Cached);
         assert_eq!(cached, fresh);
 
@@ -449,7 +430,7 @@ mod tests {
         blob[mid] ^= 0x04;
         std::fs::write(&path, &blob).unwrap();
         let (healed, src) =
-            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg).unwrap();
+            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &cfg, &pool).unwrap();
         assert_eq!(src, ProfileSource::Measured, "corruption must trigger re-measurement");
         assert_eq!(healed, fresh);
         // And the healed artifact is valid again.
@@ -459,7 +440,7 @@ mod tests {
         // A changed measurement config also re-measures.
         let other = ProfileConfig { seed: cfg.seed + 1, ..cfg.clone() };
         let (_, src) =
-            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &other).unwrap();
+            VulnerabilityProfile::load_or_measure(&path, &mut net, &inputs, &other, &pool).unwrap();
         assert_eq!(src, ProfileSource::Measured, "config drift must trigger re-measurement");
 
         let _ = std::fs::remove_dir_all(&dir);

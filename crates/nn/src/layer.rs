@@ -278,7 +278,9 @@ pub trait Layer: Send {
     /// Runs the layer on the batch held in `input`, returning the output in
     /// a buffer from `ws` (or `input` itself for pass-through layers — the
     /// ping-pong scheme). The input buffer is consumed: implementations
-    /// must release it to `ws` unless they return it.
+    /// must release it to `ws` unless they return it. A buffer acquired
+    /// from `ws` holds unspecified values, so the layer writes every
+    /// element of its output.
     ///
     /// `train` records the backward caches in the same body (those are the
     /// only allocations a layer makes). `checked` asks a guarded-GEMM layer

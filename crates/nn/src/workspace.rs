@@ -132,9 +132,10 @@ impl Workspace {
     }
 
     /// Hands out a buffer with the given dimensions, recycling the most
-    /// recently released one (LIFO keeps ping-pong pairs hot). The whole
-    /// buffer comes back zero-filled (`clear` then `resize`), recycled or
-    /// fresh, so callers never see stale values.
+    /// recently released one (LIFO keeps ping-pong pairs hot). Contents
+    /// are unspecified: a recycled buffer keeps what its last user wrote,
+    /// and only storage past its previous length is zero-filled. The
+    /// caller writes every element.
     pub fn acquire(&mut self, dims: &[usize]) -> ActBuf {
         let len: usize = dims.iter().product();
         let mut buf = match self.free.pop() {
@@ -147,7 +148,6 @@ impl Workspace {
         if buf.data.capacity() < len {
             self.grows += 1;
         }
-        buf.data.clear();
         buf.data.resize(len, 0.0);
         buf.dims.clear();
         buf.dims.extend_from_slice(dims);
@@ -263,14 +263,20 @@ mod tests {
     #[test]
     fn acquire_zero_fills_fresh_storage() {
         let mut ws = Workspace::new();
-        let mut a = ws.acquire(&[4]);
+        let mut a = ws.acquire(&[2]);
+        assert_eq!(a.data(), [0.0, 0.0], "a fresh buffer reads zero");
         a.data_mut().fill(7.0);
         ws.release(a);
-        // Recycled storage is zero-filled in full, not only past the
-        // recycled capacity: `acquire` clears the buffer before resizing.
-        let b = ws.acquire(&[2]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.data(), [0.0, 0.0]);
+        // Only storage past the recycled buffer's previous length is
+        // zero-filled; `acquire` leaves the recycled prefix as it was
+        // written, which is why every layer writes its whole output.
+        let mut b = ws.acquire(&[4]);
+        assert_eq!(b.data(), [7.0, 7.0, 0.0, 0.0]);
+        b.data_mut().fill(5.0);
+        ws.release(b);
+        let c = ws.acquire(&[3]);
+        assert_eq!(c.dims(), &[3]);
+        assert_eq!(c.data(), [5.0, 5.0, 5.0], "shrinking truncates without a fill");
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn measured_profile_blob() -> Vec<u8> {
     let inputs: Vec<Tensor> =
         (0..2).map(|_| Tensor::uniform(vec![1, 1, 8, 8], -1.0, 1.0, &mut rng)).collect();
     let cfg = ProfileConfig { trials_per_site: 4, seed: 5, rate: 5e-3, bits: EXPONENT_BITS };
-    VulnerabilityProfile::measure(&mut net, &inputs, &cfg).encode()
+    VulnerabilityProfile::measure(&mut net, &inputs, &cfg, &pgmr::nn::WorkerPool::new(1)).encode()
 }
 
 fn buffers(net: &mut Network) -> Vec<Vec<f32>> {

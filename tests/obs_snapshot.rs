@@ -137,6 +137,7 @@ fn selective_protection_metrics_are_deterministic() {
             system.ensemble_mut().members_mut()[0].network_mut(),
             &inputs,
             &cfg,
+            &WorkerPool::new(1),
         );
         // Reset after the measurement campaign so the snapshot holds only
         // the protected inference run (plus the gauge apply_protection
@@ -159,6 +160,7 @@ fn selective_protection_metrics_are_deterministic() {
         system.ensemble_mut().members_mut()[0].network_mut(),
         &inputs,
         &cfg,
+        &WorkerPool::new(1),
     );
     obs::global().reset();
     system.apply_protection(ProtectionLevel::Selective { top_k: 1 }, &[profile], true);
