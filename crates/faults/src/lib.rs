@@ -54,4 +54,4 @@ pub use inject::{
     flip_bit, guarded_sites, inject_weights, repair_weights, ActivationInjector, FaultRecord,
     FaultSpec, FaultTarget, SiteFilter, ANY_BIT, EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT,
 };
-pub use profile::{ProfileConfig, ProfileSource, SiteVulnerability, VulnerabilityProfile};
+pub use profile::{ProfileConfig, ProfileSource, VulnerabilityProfile};

@@ -25,7 +25,7 @@ use pgmr_nn::serialize::{DecodeError, FrameReader, FrameWriter};
 use pgmr_nn::{CheckPlan, Network, ProtectionLevel};
 use pgmr_tensor::Tensor;
 
-use crate::campaign::{run_site_sweep, CampaignConfig, CampaignGuard};
+use crate::campaign::{run_site_sweep, CampaignConfig, CampaignGuard, SiteTally};
 use crate::inject::{guarded_sites, FaultTarget, SiteFilter, ANY_BIT};
 
 const MAGIC: &[u8; 4] = b"PGVP";
@@ -67,21 +67,6 @@ impl ProfileConfig {
     }
 }
 
-/// Measured outcome tallies for one guarded activation site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteVulnerability {
-    /// Hook-site index (site `s` is the output of layer `s − 1`).
-    pub site: usize,
-    /// Trials whose faults were absorbed.
-    pub masked: usize,
-    /// Trials that ended in silent data corruption — the ranking key.
-    pub sdc: usize,
-    /// Trials stopped by a checksum (zero for unguarded measurement).
-    pub detected: usize,
-    /// Bit flips injected at this site.
-    pub injected: usize,
-}
-
 /// A persisted per-site SDC-contribution measurement for one
 /// architecture, from which [`CheckPlan`]s are derived.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,8 +75,10 @@ pub struct VulnerabilityProfile {
     pub arch_id: String,
     /// The campaign parameters that produced it.
     pub config: ProfileConfig,
-    /// Per-site tallies, sorted by site index.
-    pub sites: Vec<SiteVulnerability>,
+    /// Per-site tallies of the unguarded sweep, sorted by site index: hook
+    /// site `s` is the output of layer `s − 1`, `sdc` is the ranking key
+    /// and `detected` is zero (nothing was guarded).
+    pub sites: Vec<SiteTally>,
 }
 
 /// Where [`VulnerabilityProfile::load_or_measure`] got its profile.
@@ -131,24 +118,14 @@ impl VulnerabilityProfile {
             // SDCs, not where the checksums would have stopped them.
             guard: CampaignGuard::Off,
         };
-        let sites = run_site_sweep(net, inputs, &sweep, pool)
-            .per_site
-            .into_iter()
-            .map(|t| SiteVulnerability {
-                site: t.site,
-                masked: t.masked,
-                sdc: t.sdc,
-                detected: t.detected,
-                injected: t.injected,
-            })
-            .collect();
+        let sites = run_site_sweep(net, inputs, &sweep, pool).per_site;
         VulnerabilityProfile { arch_id: net.arch_id().to_string(), config: cfg.clone(), sites }
     }
 
     /// Sites ranked by SDC contribution: most vulnerable first, site
     /// index breaking ties (so the ranking is total and deterministic).
-    pub fn ranking(&self) -> Vec<&SiteVulnerability> {
-        let mut ranked: Vec<&SiteVulnerability> = self.sites.iter().collect();
+    pub fn ranking(&self) -> Vec<&SiteTally> {
+        let mut ranked: Vec<&SiteTally> = self.sites.iter().collect();
         ranked.sort_by(|a, b| b.sdc.cmp(&a.sdc).then(a.site.cmp(&b.site)));
         ranked
     }
@@ -237,7 +214,7 @@ impl VulnerabilityProfile {
         let count = body.count(SITE_RECORD_LEN)?;
         let mut sites = Vec::with_capacity(count);
         for _ in 0..count {
-            sites.push(SiteVulnerability {
+            sites.push(SiteTally {
                 site: body.u32()? as usize,
                 masked: body.u32()? as usize,
                 sdc: body.u32()? as usize,
@@ -339,9 +316,9 @@ mod tests {
             arch_id: "x".into(),
             config: ProfileConfig::default(),
             sites: vec![
-                SiteVulnerability { site: 1, masked: 5, sdc: 2, detected: 0, injected: 9 },
-                SiteVulnerability { site: 3, masked: 1, sdc: 7, detected: 0, injected: 8 },
-                SiteVulnerability { site: 4, masked: 2, sdc: 2, detected: 0, injected: 4 },
+                SiteTally { site: 1, masked: 5, sdc: 2, detected: 0, injected: 9 },
+                SiteTally { site: 3, masked: 1, sdc: 7, detected: 0, injected: 8 },
+                SiteTally { site: 4, masked: 2, sdc: 2, detected: 0, injected: 4 },
             ],
         };
         let ranked: Vec<usize> = profile.ranking().iter().map(|v| v.site).collect();
@@ -355,8 +332,8 @@ mod tests {
             arch_id: "x".into(),
             config: ProfileConfig::default(),
             sites: vec![
-                SiteVulnerability { site: 1, masked: 5, sdc: 2, detected: 0, injected: 9 },
-                SiteVulnerability { site: 4, masked: 1, sdc: 7, detected: 0, injected: 8 },
+                SiteTally { site: 1, masked: 5, sdc: 2, detected: 0, injected: 9 },
+                SiteTally { site: 4, masked: 1, sdc: 7, detected: 0, injected: 8 },
             ],
         };
         let full = profile.plan(ProtectionLevel::Full, 4, false);

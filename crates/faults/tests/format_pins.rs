@@ -6,7 +6,7 @@
 //! artifact would be re-measured. The pinned bytes must also decode back
 //! to the same profile.
 
-use pgmr_faults::{ProfileConfig, SiteVulnerability, VulnerabilityProfile};
+use pgmr_faults::{ProfileConfig, SiteTally, VulnerabilityProfile};
 use pgmr_nn::serialize::fnv1a;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +17,7 @@ const PIN: (usize, u64) = (278, 0x1d26635a31976c21);
 fn seeded_profile() -> VulnerabilityProfile {
     let mut rng = StdRng::seed_from_u64(0x5047_5650);
     let sites = (1..=9)
-        .map(|site| SiteVulnerability {
+        .map(|site| SiteTally {
             site,
             masked: rng.gen_range(0..100_000usize),
             sdc: rng.gen_range(0..100_000usize),

@@ -102,10 +102,11 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    /// The im2col patch matrix lives in the arena's shared scratch,
-    /// zero-filled and reused across images; the output comes from the
-    /// arena. Checksum expectations are derived per image while its patch
-    /// matrix is still in the scratch.
+    /// The im2col patch matrix lives in the arena's shared scratch, which
+    /// `im2col_into` overwrites in full for each image (padded taps
+    /// included), so it is reused without clearing; the output comes from
+    /// the arena. Checksum expectations are derived per image while its
+    /// patch matrix is still in the scratch.
     fn forward_into(
         &mut self,
         input: ActBuf,

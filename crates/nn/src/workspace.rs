@@ -17,8 +17,9 @@
 //!   ([`pgmr_tensor::gemm::GemmScratch`]) for the blocked GEMM kernels,
 //!   sized once at the largest panel a workload needs;
 //!   [`Workspace::scratch_with_gemm`] adds one dedicated buffer for im2col
-//!   patch matrices, zero-filled per image (padded taps rely on it) and
-//!   reused across images, layers, and calls.
+//!   patch matrices, reused across images, layers, and calls without
+//!   clearing: `im2col_into` writes every element, zeros for padded taps
+//!   included.
 //!
 //! Inference runs on a per-thread arena via [`with_thread_workspace`];
 //! worker pool threads ([`crate::pool::WorkerPool`]) are persistent, so
@@ -177,7 +178,8 @@ impl Workspace {
     /// `len` elements, *and* the GEMM packing buffers, borrowed together —
     /// convolution writes patch matrices into the former while the blocked
     /// kernel packs panels into the latter. Scratch contents are
-    /// unspecified: `im2col_into` zero-fills it per image.
+    /// unspecified: `im2col_into` overwrites every element it hands to the
+    /// GEMM.
     pub fn scratch_with_gemm(&mut self, len: usize) -> (&mut [f32], &mut GemmScratch) {
         if self.scratch.capacity() < len {
             self.grows += 1;
@@ -206,15 +208,17 @@ impl Workspace {
             self.peak_bytes.max(self.in_use_bytes + self.scratch_bytes + self.gemm.bytes());
     }
 
-    /// Publishes the peak live-byte gauge (`infer.workspace_bytes`) when it
-    /// changed since the last report. The peak is a pure function of the
-    /// (architecture, batch) schedule, so the gauge stays deterministic in
-    /// the obs snapshot; concurrent pool workers running the same workload
-    /// publish the same value.
+    /// Publishes this arena's peak live bytes into the process-wide
+    /// `infer.workspace_bytes` gauge when it changed since the last
+    /// report. The gauge keeps the largest peak any arena has published
+    /// (a max-update), so it reads the process's peak whichever thread
+    /// reports last. Each peak is a pure function of the (architecture,
+    /// batch) schedules its thread ran, so the gauge stays deterministic
+    /// in the obs snapshot.
     pub fn report_peak(&mut self) {
         if self.peak_bytes != self.reported_bytes {
             self.reported_bytes = self.peak_bytes;
-            pgmr_obs::global().gauge("infer.workspace_bytes").set(self.peak_bytes as f64);
+            pgmr_obs::global().gauge("infer.workspace_bytes").set_max(self.peak_bytes as f64);
         }
     }
 }

@@ -52,6 +52,16 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Raises the gauge to `v` unless it already reads more: a high-water
+    /// mark that any number of threads can publish into, in any order.
+    /// `v` must be non-negative (not `-0.0`, not NaN): non-negative `f64`
+    /// bit patterns order like their values, so one integer `fetch_max`
+    /// does it.
+    pub fn set_max(&self, v: f64) {
+        debug_assert!(v.is_sign_positive() && !v.is_nan(), "set_max needs v >= +0.0, got {v}");
+        self.0.fetch_max(v.to_bits(), Ordering::Relaxed);
+    }
+
     /// The last stored value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -207,6 +217,17 @@ mod tests {
         assert_eq!(g.get(), 0.0);
         g.set(-1.25e-3);
         assert_eq!(g.get(), -1.25e-3);
+    }
+
+    #[test]
+    fn gauge_set_max_keeps_the_largest_value() {
+        let g = Gauge::new();
+        for v in [38_912.0, 648_192.0, 0.5, 648_191.5, 0.0] {
+            g.set_max(v);
+        }
+        assert_eq!(g.get(), 648_192.0);
+        g.set_max(1e300);
+        assert_eq!(g.get(), 1e300);
     }
 
     #[test]

@@ -170,8 +170,9 @@ impl GemmChecksums {
                 bt_abs_row_sum[p] += v.abs();
             }
         }
-        let mut a_col_sum = vec![0.0f32; k];
-        let mut a_abs_col_sum = vec![0.0f32; k];
+        // e·A and e·|A| as the two rows of one 2×k matrix.
+        let mut a_col_sums = vec![0.0f32; 2 * k];
+        let (a_col_sum, a_abs_col_sum) = a_col_sums.split_at_mut(k);
         let mut row_sum = vec![0.0f32; m];
         let mut row_scale = vec![0.0f32; m];
         for i in 0..m {
@@ -188,19 +189,19 @@ impl GemmChecksums {
             row_sum[i] = acc;
             row_scale[i] = acc_abs;
         }
-        let mut col_sum = vec![0.0f32; n];
-        let mut col_scale = vec![0.0f32; n];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            let mut acc_abs = 0.0f32;
-            for (p, &v) in b_row.iter().enumerate() {
-                acc += a_col_sum[p] * v;
-                acc_abs += a_abs_col_sum[p] * v.abs();
+        // (e·A)·Bᵀ and (e·|A|)·|B|ᵀ in one pass of the tiled dot kernel:
+        // each tile of B serves both rows. A sum that starts from +0.0 is
+        // never -0.0, so adding it to the zeroed output stores it bit for
+        // bit.
+        let mut col_sum = vec![0.0f32; 2 * n];
+        crate::gemm::dot_a_bt(2, k, n, &a_col_sums, b, &mut col_sum, |row, v| {
+            if row == 0 {
+                v
+            } else {
+                v.abs()
             }
-            col_sum[j] = acc;
-            col_scale[j] = acc_abs;
-        }
+        });
+        let col_scale = col_sum.split_off(n);
         GemmChecksums { m, n, row_sum, col_sum, row_scale, col_scale, inputs_finite }
     }
 
@@ -343,11 +344,85 @@ pub fn checked_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::tests::{same_bits, special_operands, tile_straddling_dims};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random(len: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    /// The `for_a_bt` that ran its column sums as serial dot loops, kept
+    /// as the oracle of the tiled pass.
+    fn for_a_bt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> GemmChecksums {
+        let mut inputs_finite = true;
+        let mut bt_row_sum = vec![0.0f32; k];
+        let mut bt_abs_row_sum = vec![0.0f32; k];
+        for j in 0..n {
+            for (p, &v) in b[j * k..(j + 1) * k].iter().enumerate() {
+                inputs_finite &= v.is_finite();
+                bt_row_sum[p] += v;
+                bt_abs_row_sum[p] += v.abs();
+            }
+        }
+        let mut a_col_sum = vec![0.0f32; k];
+        let mut a_abs_col_sum = vec![0.0f32; k];
+        let mut row_sum = vec![0.0f32; m];
+        let mut row_scale = vec![0.0f32; m];
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let mut acc = 0.0f32;
+            let mut acc_abs = 0.0f32;
+            for (p, &v) in a_row.iter().enumerate() {
+                inputs_finite &= v.is_finite();
+                acc += v * bt_row_sum[p];
+                acc_abs += v.abs() * bt_abs_row_sum[p];
+                a_col_sum[p] += v;
+                a_abs_col_sum[p] += v.abs();
+            }
+            row_sum[i] = acc;
+            row_scale[i] = acc_abs;
+        }
+        let mut col_sum = vec![0.0f32; n];
+        let mut col_scale = vec![0.0f32; n];
+        for j in 0..n {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            let mut acc_abs = 0.0f32;
+            for (p, &v) in b_row.iter().enumerate() {
+                acc += a_col_sum[p] * v;
+                acc_abs += a_abs_col_sum[p] * v.abs();
+            }
+            col_sum[j] = acc;
+            col_scale[j] = acc_abs;
+        }
+        GemmChecksums { m, n, row_sum, col_sum, row_scale, col_scale, inputs_finite }
+    }
+
+    #[test]
+    fn a_bt_checksums_are_bit_identical_to_the_serial_loops() {
+        // The GEMM oracle's shapes and operands: every row and column sum
+        // and scale must match the serial loops bit for bit.
+        for m in [1, 2, 3, 11] {
+            for &n in tile_straddling_dims() {
+                for &k in tile_straddling_dims() {
+                    let (a, b) = special_operands(m, k, n);
+                    let got = GemmChecksums::for_a_bt(m, k, n, &a, &b);
+                    let want = for_a_bt_serial(m, k, n, &a, &b);
+                    assert_eq!(got.inputs_finite, want.inputs_finite);
+                    for (name, x, y) in [
+                        ("row_sum", &got.row_sum, &want.row_sum),
+                        ("row_scale", &got.row_scale, &want.row_scale),
+                        ("col_sum", &got.col_sum, &want.col_sum),
+                        ("col_scale", &got.col_scale, &want.col_scale),
+                    ] {
+                        assert_eq!(x.len(), y.len(), "({m},{k},{n}) {name} length");
+                        let differs = x.iter().zip(y).position(|(&u, &v)| !same_bits(u, v));
+                        assert!(differs.is_none(), "({m},{k},{n}) {name} differs at {differs:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,26 +76,17 @@ impl Conv2dGeometry {
     }
 }
 
-/// Unfolds a single `[1, c, h, w]` image into the im2col patch matrix with
-/// shape `[patch_len, out_h * out_w]` (row-major, patches as columns).
+/// Unfolds the raw `c·h·w` data of one image into its im2col patch
+/// matrix, shape `[patch_len, out_h * out_w]` (row-major, patches as
+/// columns). `out` must hold exactly `patch_len · out_spatial` elements.
 ///
-/// # Panics
-///
-/// Panics if the image shape disagrees with `geom`.
-pub fn im2col(image: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
-    let (n, c, h, w) = image.shape().as_nchw();
-    assert_eq!(n, 1, "im2col operates on single images");
-    assert_eq!((c, h, w), (geom.in_c, geom.in_h, geom.in_w), "image shape disagrees with geometry");
-    let mut out = vec![0.0f32; geom.patch_len() * geom.out_spatial()];
-    im2col_into(image.data(), geom, &mut out);
-    out
-}
-
-/// [`im2col`] writing into a caller-provided buffer: unfolds the raw
-/// `c·h·w` data of one image into `out`,
-/// which must hold exactly `patch_len · out_spatial` elements. The buffer
-/// is zeroed first — padded taps rely on it — so it can be reused across
-/// images without reallocating.
+/// Every element of `out` is written: in-bounds taps as copies of
+/// contiguous runs of the image, padding taps as zero fills. So the
+/// buffer needs no clearing and can be reused across images. In a
+/// stride-1 "same" geometry (output as wide as the input) each patch row
+/// is the channel plane shifted by the tap's offset, so its in-bounds
+/// rows are one contiguous copy; every other geometry copies one run per
+/// output row (a strided gather when the stride exceeds 1).
 ///
 /// # Panics
 ///
@@ -105,23 +96,60 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     assert_eq!(image.len(), c * h * w, "image data disagrees with geometry");
     let cols = geom.out_spatial();
     assert_eq!(out.len(), geom.patch_len() * cols, "output buffer length mismatch");
-    out.fill(0.0);
-    let k = geom.kernel;
-    for ch in 0..c {
-        let ch_base = ch * h * w;
-        for ky in 0..k {
-            for kx in 0..k {
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
+    let (out_h, out_w) = (geom.out_h, geom.out_w);
+    let plane = h * w;
+    // Stride 1 with `out_w == w` forces `2·pad + 1 == kernel`, so `out_h == h` too.
+    let same = stride == 1 && out_w == w;
+    for ky in 0..k {
+        let ys = taps_in_bounds(out_h, h, stride, pad, ky);
+        for kx in 0..k {
+            let xs = taps_in_bounds(out_w, w, stride, pad, kx);
+            // Output position `q` of a "same" patch row reads plane element
+            // `q + shift`.
+            let shift = (ky as isize - pad as isize) * w as isize + kx as isize - pad as isize;
+            for ch in 0..c {
+                let src = &image[ch * plane..(ch + 1) * plane];
                 let row = (ch * k + ky) * k + kx;
                 let out_row = &mut out[row * cols..(row + 1) * cols];
-                let mut col = 0;
-                for oy in 0..geom.out_h {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..geom.out_w {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            out_row[col] = image[ch_base + iy as usize * w + ix as usize];
+                // Output rows whose tap row lies in the padding.
+                out_row[..ys.start * out_w].fill(0.0);
+                out_row[ys.end * out_w..].fill(0.0);
+                let live = &mut out_row[ys.start * out_w..ys.end * out_w];
+                if same {
+                    // One copy of the shifted plane, clipped to the plane;
+                    // whatever it skips or wraps into a neighbouring row
+                    // lies outside `xs` and is zeroed after it.
+                    let base = (ys.start * w) as isize;
+                    let lo = (-shift - base).clamp(0, live.len() as isize) as usize;
+                    let hi = (plane as isize - shift - base).clamp(lo as isize, live.len() as isize)
+                        as usize;
+                    if lo < hi {
+                        let from = (base + shift + lo as isize) as usize;
+                        live[lo..hi].copy_from_slice(&src[from..from + (hi - lo)]);
+                    }
+                    if xs.len() < w {
+                        for run in live.chunks_exact_mut(w) {
+                            run[..xs.start].fill(0.0);
+                            run[xs.end..].fill(0.0);
                         }
-                        col += 1;
+                    }
+                } else {
+                    // Zero the padding columns of every live row at once,
+                    // then copy each row's in-bounds run.
+                    if xs.len() < out_w {
+                        live.fill(0.0);
+                    }
+                    if live.is_empty() || xs.is_empty() {
+                        continue;
+                    }
+                    let first = (ys.start * stride + ky - pad) * w + xs.start * stride + kx - pad;
+                    for (y, run) in live.chunks_exact_mut(out_w).enumerate() {
+                        let mut at = first + y * stride * w;
+                        for d in &mut run[xs.clone()] {
+                            *d = src[at];
+                            at += stride;
+                        }
                     }
                 }
             }
@@ -129,12 +157,27 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     }
 }
 
+/// The output positions along one axis whose tap lands inside the image:
+/// every `o < out` with `0 <= o·stride + tap − pad < size`.
+fn taps_in_bounds(
+    out: usize,
+    size: usize,
+    stride: usize,
+    pad: usize,
+    tap: usize,
+) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(tap).div_ceil(stride).min(out);
+    let hi = (size + pad).saturating_sub(tap).div_ceil(stride).clamp(lo, out);
+    lo..hi
+}
+
 /// Folds a patch-space gradient (shape `[patch_len, out_h * out_w]`) back
 /// into a `[1, c, h, w]` image-space gradient, accumulating overlapping
 /// contributions.
 ///
-/// This is the exact adjoint of [`im2col`]: `col2im(im2col(x)) == k_overlap * x`
-/// in the interior where every pixel appears in `k_overlap` patches.
+/// This is the exact adjoint of [`im2col_into`]: `col2im(im2col(x)) ==
+/// k_overlap * x` in the interior where every pixel appears in
+/// `k_overlap` patches.
 ///
 /// # Panics
 ///
@@ -174,6 +217,44 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Unfolds `image` into a fresh buffer poisoned with NaN, so a padding
+    /// tap the kernel forgets to zero shows up.
+    fn unfold(image: &[f32], geom: &Conv2dGeometry) -> Vec<f32> {
+        let mut out = vec![f32::NAN; geom.patch_len() * geom.out_spatial()];
+        im2col_into(image, geom, &mut out);
+        out
+    }
+
+    /// The per-tap loop `im2col_into` replaced, kept as its oracle: every
+    /// tap bounds-tested, padding left at the pre-filled zero.
+    fn im2col_per_tap(image: &[f32], geom: &Conv2dGeometry) -> Vec<f32> {
+        let (h, w) = (geom.in_h, geom.in_w);
+        let cols = geom.out_spatial();
+        let mut out = vec![0.0f32; geom.patch_len() * cols];
+        let k = geom.kernel;
+        for ch in 0..geom.in_c {
+            let ch_base = ch * h * w;
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ch * k + ky) * k + kx;
+                    let out_row = &mut out[row * cols..(row + 1) * cols];
+                    let mut col = 0;
+                    for oy in 0..geom.out_h {
+                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                        for ox in 0..geom.out_w {
+                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                out_row[col] = image[ch_base + iy as usize * w + ix as usize];
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn geometry_same_padding() {
         let g = Conv2dGeometry::new(3, 16, 16, 3, 1, 1);
@@ -199,16 +280,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let img = Tensor::uniform(vec![1, 2, 3, 3], -1.0, 1.0, &mut rng);
         let g = Conv2dGeometry::new(2, 3, 3, 1, 1, 0);
-        let cols = im2col(&img, &g);
-        assert_eq!(cols, img.data());
+        assert_eq!(unfold(img.data(), &g), img.data());
     }
 
     #[test]
     fn im2col_extracts_expected_patch() {
         // 3x3 image, 2x2 kernel, no pad: first patch is the top-left 2x2.
-        let img = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|x| x as f32).collect());
+        let img: Vec<f32> = (1..=9).map(|x| x as f32).collect();
         let g = Conv2dGeometry::new(1, 3, 3, 2, 1, 0);
-        let cols = im2col(&img, &g);
+        let cols = unfold(&img, &g);
         // Rows are kernel positions, columns are output pixels (4 of them).
         // Patch at output (0,0): values 1,2,4,5.
         let n = g.out_spatial();
@@ -221,23 +301,55 @@ mod tests {
 
     #[test]
     fn padding_produces_zeros_at_border() {
-        let img = Tensor::ones(vec![1, 1, 2, 2]);
         let g = Conv2dGeometry::new(1, 2, 2, 3, 1, 1);
-        let cols = im2col(&img, &g);
+        let cols = unfold(&[1.0; 4], &g);
         // Top-left output patch's top-left kernel tap reads padded zero.
-        assert_eq!(cols[0], 0.0);
+        assert_eq!(cols[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
-    fn im2col_into_matches_allocating_and_clears_stale_data() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = Conv2dGeometry::new(2, 5, 5, 3, 2, 1);
-        let img = Tensor::uniform(vec![1, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let reference = im2col(&img, &g);
-        // Poison the reuse buffer: padded taps must still come out zero.
-        let mut buf = vec![f32::NAN; g.patch_len() * g.out_spatial()];
-        im2col_into(img.data(), &g, &mut buf);
-        assert_eq!(buf, reference);
+    fn im2col_into_is_bit_identical_to_the_per_tap_loop() {
+        // Every valid geometry over c 1–3, h and w 1–9 (non-square
+        // included), kernel 1–5, stride 1–3 and pad 0–3 (pad 3 puts whole
+        // rows of some taps in the padding), into a NaN-poisoned buffer. The image carries -0.0, ±Inf and NaN so a
+        // copy that rounds through arithmetic or misplaces a tap differs
+        // in its bits.
+        let (channels, sizes) = if cfg!(miri) { (1..=2, 1..=4) } else { (1..=3, 1..=9) };
+        let mut cases = 0;
+        for c in channels {
+            for h in sizes.clone() {
+                for w in sizes.clone() {
+                    let image: Vec<f32> = (0..c * h * w)
+                        .map(|i| match i % 11 {
+                            3 => -0.0,
+                            5 => f32::INFINITY,
+                            7 => f32::NEG_INFINITY,
+                            9 => f32::NAN,
+                            _ => i as f32 * 0.5 - 3.0,
+                        })
+                        .collect();
+                    for kernel in 1..=5 {
+                        for stride in 1..=3 {
+                            for pad in 0..=3 {
+                                if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                                    continue;
+                                }
+                                let g = Conv2dGeometry::new(c, h, w, kernel, stride, pad);
+                                let got = unfold(&image, &g);
+                                let want = im2col_per_tap(&image, &g);
+                                let differs = got
+                                    .iter()
+                                    .zip(&want)
+                                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                                assert!(differs.is_none(), "{g:?} differs at {differs:?}");
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 100, "grid covered only {cases} geometries");
     }
 
     #[test]
@@ -250,7 +362,7 @@ mod tests {
         let y: Vec<f32> = (0..g.patch_len() * g.out_spatial())
             .map(|i| ((i * 2654435761) % 97) as f32 / 97.0 - 0.5)
             .collect();
-        let ix = im2col(&x, &g);
+        let ix = unfold(x.data(), &g);
         let lhs: f32 = ix.iter().zip(&y).map(|(a, b)| a * b).sum();
         let back = col2im(&y, &g);
         let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();

@@ -11,6 +11,13 @@
 //! ([`gemm_into`] / [`gemm_a_bt_into`]); the plain entry points allocate a
 //! transient scratch and are used by backward passes and tests.
 //!
+//! Products too small to pack go through unpacked loops instead: an axpy
+//! loop for `A·B`, and for `A·Bᵀ` — every dense layer at batch 1 — a dot
+//! kernel that transposes `DOT_N × DOT_K` blocks of `B` into a stack tile
+//! and runs eight output chains at once, so they vectorize. The same
+//! kernel computes the dense ABFT guard's column sums
+//! ([`crate::checksum::GemmChecksums::for_a_bt`]).
+//!
 //! ## Numerics
 //!
 //! Every kernel accumulates each output element in ascending-`k` order —
@@ -37,6 +44,18 @@ const NR: usize = 16;
 /// through the vectorized unpacked loops, while packing wins from ~256k
 /// MACs up and widens to ~2× at batch-sized products.
 const SMALL_MACS: usize = 200_000;
+
+/// Outputs the dot kernel computes at once: the width of its transposed
+/// tile, one vector of independent chains.
+const DOT_N: usize = 8;
+/// Reduction steps per transposed tile. A `DOT_K × DOT_N` tile is 4 KiB,
+/// well inside L1, and a deep tile amortizes building it: at m = 1 on an
+/// AVX-512 Xeon, 8-step tiles ran no faster than the serial dot loop and
+/// 128-step tiles 2–3.4× faster.
+const DOT_K: usize = 128;
+/// Rows of `a` each transposed tile is applied to before the next tile is
+/// built.
+const DOT_M: usize = 8;
 
 /// Cache-blocking configuration for the packed kernels.
 ///
@@ -345,21 +364,6 @@ pub fn gemm_into_tuned(
     );
 }
 
-/// Computes `c = a * b + bias_broadcast` where `bias` has length `n` and is
-/// added to every row of the `m×n` result. `c` is overwritten.
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the stated dimensions.
-pub fn gemm_bias(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], bias: &[f32], c: &mut [f32]) {
-    assert_eq!(bias.len(), n, "bias must have length {n}");
-    assert_eq!(c.len(), m * n, "c must be {m}x{n}");
-    for i in 0..m {
-        c[i * n..(i + 1) * n].copy_from_slice(bias);
-    }
-    gemm(m, k, n, a, b, c);
-}
-
 /// Computes `c += a^T * b` where `a` is `k×m` (so `a^T` is `m×k`), `b` is
 /// `k×n`, and `c` is `m×n`. Used by backward passes to form weight
 /// gradients without materializing the transpose.
@@ -405,10 +409,10 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// [`gemm_a_bt`] with caller-provided packing buffers.
 ///
 /// The packed path packs the full reduction depth at once (panels of
-/// `k × NR`), which keeps the separate-sum accumulation order exact; for
+/// `k × NR`), which keeps the separate-sum accumulation order exact. For
 /// tile-starved shapes (`m < MR` — e.g. single-image dense layers — or
-/// tiny products) it falls through to the unpacked dot loop with identical
-/// numerics.
+/// tiny products) it runs the tiled dot kernel instead, with identical
+/// numerics and without touching `scratch`.
 pub fn gemm_a_bt_into(
     m: usize,
     k: usize,
@@ -422,18 +426,7 @@ pub fn gemm_a_bt_into(
     assert_eq!(b.len(), n * k, "b must be {n}x{k}");
     assert_eq!(c.len(), m * n, "c must be {m}x{n}");
     if m < MR || m * k * n < SMALL_MACS {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (j, c_val) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&a_v, &b_v) in a_row.iter().zip(b_row) {
-                    acc += a_v * b_v;
-                }
-                *c_val += acc;
-            }
-        }
+        dot_a_bt(m, k, n, a, b, c, |_, v| v);
         return;
     }
     // Full-depth panels (kc = k): the separate-sum store order admits no
@@ -456,8 +449,67 @@ pub fn gemm_a_bt_into(
     );
 }
 
+/// The dot kernel behind every `A·Bᵀ` product too small to pack, and
+/// behind the column sums of the dense ABFT guard. For `a: m×k` and
+/// `b: n×k`, both row-major, it adds `Σ_p a[i,p] · f(i, b[j,p])` to
+/// `c[i·n + j]`. Each sum starts from +0.0 and runs in ascending `p` before
+/// it is added to `c` — the order of the textbook dot loop, so the result
+/// is bit-identical to it. `f` lets a row read a transform of `b` (the
+/// checksum's `|B|` row); the GEMM passes `b` through.
+///
+/// A `DOT_N × DOT_K` block of `b` is transposed into a stack tile once per
+/// group of `DOT_M` rows, and each tile row then feeds `DOT_N` independent
+/// chains, which vectorize where one serial chain per output could not.
+/// In a block of fewer than `DOT_N` outputs the spare lanes repeat the
+/// block's last row of `b` and are discarded; the last tile runs only the
+/// steps left in `k`.
+#[inline(always)]
+pub(crate) fn dot_a_bt(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    f: impl Fn(usize, f32) -> f32,
+) {
+    debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
+    let mut tile = [[0.0f32; DOT_N]; DOT_K];
+    for j0 in (0..n).step_by(DOT_N) {
+        let nj = DOT_N.min(n - j0);
+        for i0 in (0..m).step_by(DOT_M) {
+            let mi = DOT_M.min(m - i0);
+            let mut acc = [[0.0f32; DOT_N]; DOT_M];
+            for p0 in (0..k).step_by(DOT_K) {
+                let kp = DOT_K.min(k - p0);
+                let runs: [&[f32]; DOT_N] =
+                    std::array::from_fn(|jj| &b[(j0 + jj.min(nj - 1)) * k + p0..][..kp]);
+                for (pp, row) in tile[..kp].iter_mut().enumerate() {
+                    *row = std::array::from_fn(|jj| runs[jj][pp]);
+                }
+                for (r, chains) in acc[..mi].iter_mut().enumerate() {
+                    let a_run = &a[(i0 + r) * k + p0..][..kp];
+                    let mut lanes = *chains;
+                    for (row, &av) in tile.iter().zip(a_run) {
+                        for (s, &bv) in lanes.iter_mut().zip(row) {
+                            *s += av * f(i0 + r, bv);
+                        }
+                    }
+                    *chains = lanes;
+                }
+            }
+            for (r, chains) in acc[..mi].iter().enumerate() {
+                let c_run = &mut c[(i0 + r) * n + j0..][..nj];
+                for (out, &s) in c_run.iter_mut().zip(chains) {
+                    *out += s;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -505,6 +557,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The serial dot loop the tiled kernel replaced, kept as its oracle:
+    /// each output sums from +0.0 in ascending `k`, then adds to `c`.
+    fn a_bt_dot_loop(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (j, c_val) in c_row.iter_mut().enumerate() {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0;
+                for (&a_v, &b_v) in a_row.iter().zip(b_row) {
+                    acc += a_v * b_v;
+                }
+                *c_val += acc;
+            }
+        }
+    }
+
+    /// Reduction and output sizes that straddle the dot kernel's tiles:
+    /// one, one short of, at and one past a `DOT_N` block, two blocks plus
+    /// one, a run shorter than `DOT_K`, one short of, at and one past a
+    /// `DOT_K` tile, and two tiles plus one. Miri gets the short ones.
+    pub(crate) fn tile_straddling_dims() -> &'static [usize] {
+        if cfg!(miri) {
+            &[1, 7, 8, 9]
+        } else {
+            &[1, 7, 8, 9, 17, 64, 127, 128, 129, 257]
+        }
+    }
+
+    /// `len` seeded values in [-1, 1).
+    fn seeded(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// `a: m×k` and `b: n×k` operands for the oracle tests, seeded with the
+    /// values that expose a changed order or a stray term: -0.0 in every
+    /// fifth column of `a`, +Inf ending `a`'s third row, a `b` row of -0.0
+    /// only, a NaN in the middle of `b`'s third row, -Inf opening its
+    /// fourth and +Inf ending its last.
+    pub(crate) fn special_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut a = seeded(m * k, (m * 1000 + k) as u64);
+        let mut b = seeded(n * k, (n * 1000 + k + 7) as u64);
+        for (i, row) in a.chunks_mut(k).enumerate() {
+            for v in row.iter_mut().step_by(5) {
+                *v = -0.0;
+            }
+            if i == 2 {
+                row[k - 1] = f32::INFINITY;
+            }
+        }
+        for (j, row) in b.chunks_mut(k).enumerate() {
+            match j {
+                1 => row.fill(-0.0),
+                2 => row[k / 2] = f32::NAN,
+                3 => row[0] = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        if n > 4 {
+            b[n * k - 1] = f32::INFINITY;
+        }
+        (a, b)
+    }
+
+    /// Bitwise equality, except that any two NaNs match: which NaN an
+    /// add of two NaNs returns follows the operand order the compiler
+    /// picks, not the kernel's arithmetic.
+    pub(crate) fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
     #[test]
@@ -624,16 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_bias_broadcasts_rows() {
-        let a = vec![1., 0., 0., 1.]; // identity
-        let b = vec![1., 2., 3., 4.];
-        let bias = vec![10., 20.];
-        let mut c = vec![0.0; 4];
-        gemm_bias(2, 2, 2, &a, &b, &bias, &mut c);
-        assert_eq!(c, vec![11., 22., 13., 24.]);
-    }
-
-    #[test]
     fn at_b_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(1);
         for &(m, k, n) in &[(5, 7, 3), (17, 33, 9)] {
@@ -672,6 +786,36 @@ mod tests {
     }
 
     #[test]
+    fn a_bt_is_bit_identical_to_the_dot_loop() {
+        // Rows 1–3 (below MR, one tile group) and 11 (above MR and past a
+        // DOT_M group; packed once the product reaches SMALL_MACS), every
+        // straddling n and k, non-finite and signed-zero operands, and a
+        // `c` that already holds values (with -0.0 in column 1, which an
+        // all-zero sum must turn into +0.0).
+        let dims = tile_straddling_dims();
+        let mut scratch = GemmScratch::new();
+        for m in [1, 2, 3, 11] {
+            for &n in dims {
+                for &k in dims {
+                    let (a, b) = special_operands(m, k, n);
+                    let mut init = seeded(m * n, (m + n + k) as u64);
+                    if n > 1 {
+                        for row in init.chunks_mut(n) {
+                            row[1] = -0.0;
+                        }
+                    }
+                    let mut want = init.clone();
+                    a_bt_dot_loop(m, k, n, &a, &b, &mut want);
+                    let mut got = init;
+                    gemm_a_bt_into(m, k, n, &a, &b, &mut got, &mut scratch);
+                    let differs = got.iter().zip(&want).position(|(&x, &y)| !same_bits(x, y));
+                    assert!(differs.is_none(), "({m},{k},{n}) differs at {differs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_bt_packed_matches_row_dot_loop_exactly() {
         let mut rng = StdRng::seed_from_u64(3);
         let (m, k, n) = (32, 113, 64); // above SMALL_MACS: packed path
@@ -679,15 +823,7 @@ mod tests {
         let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let init: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut reference = init.clone();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[j * k + p];
-                }
-                reference[i * n + j] += acc;
-            }
-        }
+        a_bt_dot_loop(m, k, n, &a, &b, &mut reference);
         let mut c = init;
         gemm_a_bt(m, k, n, &a, &b, &mut c);
         assert_eq!(c, reference, "packed a_bt diverged from the dot loop");
