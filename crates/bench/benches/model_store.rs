@@ -41,7 +41,7 @@ fn private_bytes(net: &mut Network) -> usize {
         if !s.value.is_shared() {
             bytes += s.value.len() * 4;
         }
-        bytes += s.grad.data().len() * 4;
+        bytes += s.grad().len() * 4;
     });
     net.visit_buffers(&mut |b| bytes += b.len() * 4);
     bytes

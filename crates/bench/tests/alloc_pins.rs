@@ -1,0 +1,47 @@
+//! Allocation pins for tensor storage: the heap allocation events that
+//! constructing, cloning and preprocessing a tensor cost, and a warmed
+//! member forward. A tensor's shape is inline, so each owned tensor costs
+//! one allocation, its data.
+//!
+//! Its own test binary with one test: the counting allocator is the
+//! binary's global allocator and counts every thread, so no other test may
+//! run beside it.
+
+use pgmr_bench::alloc_counter::{alloc_events, CountingAlloc};
+use pgmr_nn::zoo::{build, ArchSpec};
+use pgmr_preprocess::Preprocessor;
+use pgmr_tensor::Tensor;
+use polygraph_mr::Member;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning the allocation events it made and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = alloc_events();
+    let out = f();
+    (alloc_events() - before, out)
+}
+
+#[test]
+fn owned_tensors_and_a_warmed_member_forward_allocate_only_their_data() {
+    let (n, zeros) = counted(|| Tensor::zeros([1, 1, 16, 16]));
+    assert_eq!(n, 1, "Tensor::zeros with an array shape");
+    let (n, copy) = counted(|| zeros.clone());
+    assert_eq!(n, 1, "an owned clone");
+    assert_eq!(copy, zeros);
+
+    let image = Tensor::filled([1, 1, 16, 16], 0.25);
+    for p in [Preprocessor::Identity, Preprocessor::FlipX, Preprocessor::Gamma(2.0)] {
+        let (n, out) = counted(|| p.apply(&image));
+        assert_eq!(n, 1, "{p}.apply");
+        assert_eq!(out.shape(), image.shape());
+    }
+
+    let spec = ArchSpec::lenet5(1, 16, 16, 10);
+    let mut member = Member::new(Preprocessor::Identity, build(&spec, 1));
+    member.predict(&image); // sizes this thread's workspace arena
+    let (n, probs) = counted(|| member.predict(&image));
+    assert_eq!(probs.len(), 10);
+    assert_eq!(n, 2, "a warmed predict: the preprocessed copy and the probabilities");
+}

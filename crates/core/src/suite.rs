@@ -396,7 +396,7 @@ impl Benchmark {
     /// process-wide [`pgmr_nn::model_store`]: the blob is read from disk
     /// and digest-verified once, decoded into a shared read-only arena,
     /// and every further tenant of the same blob (additional ensemble
-    /// members, serve replicas, repeat builds) attaches borrowed views —
+    /// members, serve replicas, repeat builds) attaches arena-shared tensors —
     /// no re-read, no re-verify, no weight copy. Per-tenant state
     /// (quarantine, monitors, protection plans, batch-norm buffers) stays
     /// private to each member. Set `PGMR_NO_CACHE=1` to force retraining

@@ -166,7 +166,7 @@ impl DatasetConfig {
         rng: &mut R,
     ) -> (Tensor, usize, SampleMeta) {
         let label = rng.gen_range(0..self.classes);
-        let mut img = Tensor::zeros(vec![1, self.channels, self.height, self.width]);
+        let mut img = Tensor::zeros([1, self.channels, self.height, self.width]);
         let mut meta = SampleMeta::clean();
 
         // Scene-like background: a soft vertical/horizontal gradient.
@@ -219,7 +219,7 @@ impl DatasetConfig {
 
         // Additive pixel noise, then clamp into [0, 1].
         if self.noise_std > 0.0 {
-            let noise = Tensor::normal(img.shape().dims().to_vec(), 0.0, self.noise_std, rng);
+            let noise = Tensor::normal(*img.shape(), 0.0, self.noise_std, rng);
             img = img.add(&noise);
         }
         img.map_in_place(|v| v.clamp(0.0, 1.0));

@@ -1,212 +1,57 @@
 //! The [`Layer`] trait and parameter/cost accounting types.
 
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::checksum::{ChecksumFault, GemmChecksums};
-use pgmr_tensor::{ArenaView, Shape, Tensor};
-
-/// A parameter value: either an owned [`Tensor`] (the training and parity
-/// oracle representation) or a borrowed read-only view into a shared
-/// weight arena (the multi-tenant inference representation).
-///
-/// Reads are uniform across both variants. The first mutable access to a
-/// `Shared` value detaches it copy-on-write into an `Owned` tensor, so
-/// per-tenant mutation (fault injection, precision quantization,
-/// optimizer steps) never writes through to co-tenants.
-#[derive(Debug, Clone)]
-pub enum ParamValue {
-    /// Heap-owned weights, private to this layer instance.
-    Owned(Tensor),
-    /// Read-only weights borrowed from a shared [`ArenaView`].
-    Shared(ArenaView),
-}
-
-impl ParamValue {
-    /// The parameter's shape.
-    pub fn shape(&self) -> &Shape {
-        match self {
-            ParamValue::Owned(t) => t.shape(),
-            ParamValue::Shared(v) => v.shape(),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.shape().len()
-    }
-
-    /// True when the value holds no elements (never constructible: shapes
-    /// reject zero dims).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Read-only access to the row-major data.
-    pub fn data(&self) -> &[f32] {
-        match self {
-            ParamValue::Owned(t) => t.data(),
-            ParamValue::Shared(v) => v.data(),
-        }
-    }
-
-    /// Mutable access; a `Shared` value detaches copy-on-write into an
-    /// owned tensor first, so mutation is always tenant-private.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        self.detach();
-        match self {
-            ParamValue::Owned(t) => t.data_mut(),
-            ParamValue::Shared(_) => unreachable!("detach produced an owned value"),
-        }
-    }
-
-    /// Applies `f` to every element in place (detaching a shared value).
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data().iter().sum()
-    }
-
-    /// An owned copy of the value.
-    pub fn snapshot(&self) -> Tensor {
-        match self {
-            ParamValue::Owned(t) => t.clone(),
-            ParamValue::Shared(v) => v.snapshot(),
-        }
-    }
-
-    /// True while the value still borrows from a shared arena.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, ParamValue::Shared(_))
-    }
-
-    /// Converts a shared value into a private owned copy (no-op when
-    /// already owned).
-    // pgmr-lint: boundary(hot-path-alloc): copy-on-write detach fires on the first *mutation* of an arena-shared slot (training, fault/precision injection) — the shared-weight inference forward only reads and never enters it
-    fn detach(&mut self) {
-        if let ParamValue::Shared(v) = self {
-            *self = ParamValue::Owned(v.snapshot());
-        }
-    }
-}
-
-impl From<Tensor> for ParamValue {
-    fn from(t: Tensor) -> Self {
-        ParamValue::Owned(t)
-    }
-}
-
-impl From<ArenaView> for ParamValue {
-    fn from(v: ArenaView) -> Self {
-        ParamValue::Shared(v)
-    }
-}
-
-/// A gradient accumulator that materializes lazily for arena-backed
-/// inference members: slots created by [`ParamSlot::new`] carry an eagerly
-/// zeroed tensor (optimizers rely on reading zeros before any backward
-/// pass — e.g. weight decay with untouched gradients), while slots created
-/// by [`ParamSlot::share`] defer the allocation until a backward pass
-/// actually writes, so N inference tenants never pay for gradients.
-#[derive(Debug, Clone)]
-pub struct GradSlot {
-    dims: Vec<usize>,
-    tensor: Option<Tensor>,
-}
-
-impl GradSlot {
-    /// An eagerly zeroed gradient of the given shape.
-    pub fn zeros(dims: Vec<usize>) -> Self {
-        GradSlot { tensor: Some(Tensor::zeros(dims.clone())), dims }
-    }
-
-    /// An unmaterialized gradient: reads see an empty slice until the
-    /// first mutable access allocates zeros of the recorded shape.
-    pub fn lazy(dims: Vec<usize>) -> Self {
-        GradSlot { dims, tensor: None }
-    }
-
-    /// Read-only access: the accumulated gradient data, or an empty slice
-    /// while unmaterialized (semantically all-zeros).
-    pub fn data(&self) -> &[f32] {
-        self.tensor.as_ref().map(Tensor::data).unwrap_or(&[])
-    }
-
-    /// Mutable access, materializing zeros on first touch.
-    // pgmr-lint: boundary(hot-path-alloc): lazy gradient materialization is a backward-pass event, once per tenant — inference reads the empty unmaterialized slice and never allocates here
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        self.tensor.get_or_insert_with(|| Tensor::zeros(self.dims.clone())).data_mut()
-    }
-
-    /// Applies `f` to every materialized element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        if let Some(t) = &mut self.tensor {
-            t.map_in_place(f);
-        }
-    }
-
-    /// Sum of all elements (0 while unmaterialized).
-    pub fn sum(&self) -> f32 {
-        self.data().iter().sum()
-    }
-
-    /// Squared L2 norm (0 while unmaterialized).
-    pub fn norm_sq(&self) -> f32 {
-        self.data().iter().map(|v| v * v).sum()
-    }
-
-    /// An owned tensor copy of the gradient (zeros while unmaterialized).
-    pub fn snapshot(&self) -> Tensor {
-        match &self.tensor {
-            Some(t) => t.clone(),
-            None => Tensor::zeros(self.dims.clone()),
-        }
-    }
-}
-
-impl From<Tensor> for GradSlot {
-    fn from(t: Tensor) -> Self {
-        GradSlot { dims: t.shape().dims().to_vec(), tensor: Some(t) }
-    }
-}
+use pgmr_tensor::Tensor;
 
 /// A trainable parameter together with its accumulated gradient.
 ///
 /// Layers own their `ParamSlot`s; optimizers visit them through
 /// [`Layer::visit_slots`] and update `value` from `grad`. The value is
-/// either tenant-owned or borrowed from a shared weight arena (see
-/// [`ParamValue`]); the two representations are pinned bit-identical on
+/// either tenant-owned or a slice of a shared weight arena (see
+/// [`Tensor::shared`]); the two storages are pinned bit-identical on
 /// every forward path.
 #[derive(Debug, Clone)]
 pub struct ParamSlot {
     /// Current parameter value.
-    pub value: ParamValue,
-    /// Gradient accumulated by the latest backward pass.
-    pub grad: GradSlot,
+    pub value: Tensor,
+    /// Gradient accumulated by the latest backward pass, shaped like the
+    /// value; `None` reads as zeros (see [`ParamSlot::grad`]).
+    pub(crate) grad: Option<Tensor>,
 }
 
 impl ParamSlot {
-    /// Creates an owned slot with a zeroed gradient of matching shape.
+    /// Wraps a parameter value. An owned value gets an eagerly zeroed
+    /// gradient (optimizers rely on reading zeros before any backward
+    /// pass — e.g. weight decay with untouched gradients); a shared one
+    /// gets none until a backward pass writes it.
     pub fn new(value: Tensor) -> Self {
-        let grad = GradSlot::zeros(value.shape().dims().to_vec());
-        ParamSlot { value: ParamValue::Owned(value), grad }
+        let grad = (!value.is_shared()).then(|| Tensor::zeros(*value.shape()));
+        ParamSlot { value, grad }
     }
 
-    /// Creates a slot borrowing its weights from a shared arena view. The
-    /// gradient stays unmaterialized until a backward pass writes it —
-    /// inference tenants never allocate gradient storage.
-    pub fn share(view: ArenaView) -> Self {
-        let grad = GradSlot::lazy(view.shape().dims().to_vec());
-        ParamSlot { value: ParamValue::Shared(view), grad }
+    /// The gradient accumulated by the latest backward pass, or an empty
+    /// slice while unmaterialized (semantically all zeros): a slot over
+    /// shared weights defers the allocation until a backward pass writes
+    /// ([`ParamSlot::grad_mut`]), so N inference tenants never pay for
+    /// gradients.
+    pub fn grad(&self) -> &[f32] {
+        self.grad.as_ref().map_or(&[], Tensor::data)
+    }
+
+    /// Mutable gradient data, materializing zeros on first touch.
+    // pgmr-lint: boundary(hot-path-alloc): lazy gradient materialization is a backward-pass event, once per tenant — inference reads the empty unmaterialized slice and never allocates here
+    pub fn grad_mut(&mut self) -> &mut [f32] {
+        let shape = *self.value.shape();
+        self.grad.get_or_insert_with(|| Tensor::zeros(shape)).data_mut()
     }
 
     /// Zeroes the gradient in place (a no-op while unmaterialized, which
     /// already reads as zeros).
     pub fn zero_grad(&mut self) {
-        self.grad.map_in_place(|_| 0.0);
+        if let Some(g) = &mut self.grad {
+            g.data_mut().fill(0.0);
+        }
     }
 }
 
@@ -276,9 +121,9 @@ impl OutputChecksum {
 /// Layers must be `Send` so ensembles can be trained on worker threads.
 pub trait Layer: Send {
     /// Runs the layer on the batch held in `input`, returning the output in
-    /// a buffer from `ws` (or `input` itself for pass-through layers — the
-    /// ping-pong scheme). The input buffer is consumed: implementations
-    /// must release it to `ws` unless they return it. A buffer acquired
+    /// a tensor from `ws` (or `input` itself for pass-through layers — the
+    /// ping-pong scheme). The input tensor is consumed: implementations
+    /// must release it to `ws` unless they return it. A tensor acquired
     /// from `ws` holds unspecified values, so the layer writes every
     /// element of its output.
     ///
@@ -288,11 +133,11 @@ pub trait Layer: Send {
     /// output; every other layer returns `None`.
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>);
+    ) -> (Tensor, Option<OutputChecksum>);
 
     /// Propagates gradients; returns the gradient w.r.t. the forward input.
     ///
@@ -337,33 +182,32 @@ mod tests {
 
     #[test]
     fn param_slot_zeroes_grad() {
-        let mut slot = ParamSlot::new(Tensor::ones(vec![3]));
-        slot.grad = Tensor::filled(vec![3], 2.0).into();
+        let mut slot = ParamSlot::new(Tensor::ones([3]));
+        slot.grad_mut().fill(2.0);
         slot.zero_grad();
-        assert_eq!(slot.grad.sum(), 0.0);
+        assert_eq!(slot.grad(), &[0.0; 3]);
         assert_eq!(slot.value.sum(), 3.0);
     }
 
     #[test]
     fn shared_slot_detaches_copy_on_write() {
-        use pgmr_tensor::{ArenaView, WeightArena};
+        use pgmr_tensor::WeightArena;
         use std::sync::Arc;
         let mut arena = WeightArena::new_zeroed(4);
         arena.data_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let arena = Arc::new(arena);
-        let view = ArenaView::new(Arc::clone(&arena), 0, Shape::new(vec![4]));
-        let mut slot = ParamSlot::share(view);
+        let mut slot = ParamSlot::new(Tensor::shared(Arc::clone(&arena), 0, [4]));
         assert!(slot.value.is_shared());
         assert_eq!(slot.value.data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(slot.grad.data().is_empty(), "shared slot must not allocate a gradient");
+        assert!(slot.grad.is_none(), "shared slot must not allocate a gradient");
 
         slot.value.data_mut()[0] = 9.0;
         assert!(!slot.value.is_shared(), "mutation must detach the tenant copy");
         assert_eq!(slot.value.data(), &[9.0, 2.0, 3.0, 4.0]);
         assert_eq!(arena.data(), &[1.0, 2.0, 3.0, 4.0], "arena stays untouched");
 
-        slot.grad.data_mut()[1] = 5.0;
-        assert_eq!(slot.grad.data(), &[0.0, 5.0, 0.0, 0.0], "lazy grad materializes zeros");
+        slot.grad_mut()[1] = 5.0;
+        assert_eq!(slot.grad(), &[0.0, 5.0, 0.0, 0.0], "lazy grad materializes zeros");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Activation layers.
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::{relu_backward, Tensor};
 
 /// Rectified linear unit layer.
@@ -19,20 +19,20 @@ impl Relu {
 
     /// Keeps the pre-activation input for `backward`.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn cache_input(&mut self, input: &ActBuf) {
-        self.input_cache = Some(input.to_tensor());
+    fn cache_input(&mut self, input: &Tensor) {
+        self.input_cache = Some(input.clone());
     }
 }
 
 impl Layer for Relu {
     fn forward_into(
         &mut self,
-        mut input: ActBuf,
+        mut input: Tensor,
         _ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        self.output_elems_per_image = (input.len() / input.dims()[0]) as u64;
+    ) -> (Tensor, Option<OutputChecksum>) {
+        self.output_elems_per_image = (input.len() / input.shape().dim(0)) as u64;
         if train {
             self.cache_input(&input);
         } else {
@@ -95,7 +95,7 @@ mod tests {
     fn workspace_forward_clamps_in_place() {
         let mut layer = Relu::new();
         let mut ws = crate::workspace::Workspace::new();
-        let mut buf = ws.acquire(&[1, 4]);
+        let mut buf = ws.acquire([1, 4]);
         buf.data_mut().copy_from_slice(&[-1., 0., 1., 2.]);
         let (out, sums) = layer.forward_into(buf, &mut ws, false, true);
         assert_eq!(out.data(), &[0., 0., 1., 2.]);

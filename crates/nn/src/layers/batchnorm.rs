@@ -1,7 +1,7 @@
 //! Per-channel batch normalization for NCHW batches.
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::Tensor;
 
 /// 2-D batch normalization with learnable scale/shift and running statistics
@@ -38,8 +38,8 @@ impl BatchNorm2d {
             channels,
             eps: 1e-5,
             momentum: 0.1,
-            gamma: ParamSlot::new(Tensor::ones(vec![channels])),
-            beta: ParamSlot::new(Tensor::zeros(vec![channels])),
+            gamma: ParamSlot::new(Tensor::ones([channels])),
+            beta: ParamSlot::new(Tensor::zeros([channels])),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
             cache: None,
@@ -60,8 +60,8 @@ impl BatchNorm2d {
     /// The batch's per-channel mean and variance, folded into the running
     /// statistics, plus zeroed `x_hat` storage for the backward cache.
     // pgmr-lint: boundary(hot-path-alloc): training-only batch statistics and backward cache; inference normalizes with the running statistics
-    fn batch_statistics(&mut self, input: &ActBuf) -> BnCache {
-        let (n, c, h, w) = input.as_nchw();
+    fn batch_statistics(&mut self, input: &Tensor) -> BnCache {
+        let (n, c, h, w) = input.shape().as_nchw();
         let plane = h * w;
         let count = (n * plane) as f32;
         let data = input.data();
@@ -92,19 +92,19 @@ impl BatchNorm2d {
             self.running_var[ch] =
                 (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var[ch];
         }
-        BnCache { x_hat: Tensor::zeros(input.dims().to_vec()), batch_mean: mean, batch_var: var }
+        BnCache { x_hat: Tensor::zeros(*input.shape()), batch_mean: mean, batch_var: var }
     }
 }
 
 impl Layer for BatchNorm2d {
     fn forward_into(
         &mut self,
-        mut input: ActBuf,
+        mut input: Tensor,
         _ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.as_nchw();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.shape().as_nchw();
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
         let plane = h * w;
         self.output_elems_per_image = (c * plane) as u64;
@@ -165,8 +165,8 @@ impl Layer for BatchNorm2d {
         }
         // Parameter gradients.
         {
-            let g_gamma = self.gamma.grad.data_mut();
-            let g_beta = self.beta.grad.data_mut();
+            let g_gamma = self.gamma.grad_mut();
+            let g_beta = self.beta.grad_mut();
             for ch in 0..c {
                 g_gamma[ch] += sum_dy_xhat[ch];
                 g_beta[ch] += sum_dy[ch];
@@ -185,7 +185,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        Tensor::from_vec(vec![n, c, h, w], dx)
+        Tensor::from_vec([n, c, h, w], dx)
     }
 
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
@@ -270,12 +270,12 @@ mod tests {
         let x = Tensor::uniform(vec![2, 2, 3, 3], -1.0, 1.0, &mut rng);
         let mut bn = BatchNorm2d::new(2);
         // Non-trivial gamma/beta.
-        bn.gamma.value = Tensor::from_vec(vec![2], vec![1.5, 0.7]).into();
-        bn.beta.value = Tensor::from_vec(vec![2], vec![0.1, -0.2]).into();
+        bn.gamma.value = Tensor::from_vec(vec![2], vec![1.5, 0.7]);
+        bn.beta.value = Tensor::from_vec(vec![2], vec![0.1, -0.2]);
         // Weighted loss so the gradient is not uniform.
         let weights: Vec<f32> = (0..x.len()).map(|i| ((i % 7) as f32) * 0.3 - 1.0).collect();
         let y = forward(&mut bn, &x, true);
-        let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
+        let w_t = Tensor::from_vec(*y.shape(), weights.clone());
         let dx = bn.backward(&w_t);
 
         let loss = |bn: &mut BatchNorm2d, x: &Tensor| -> f32 {

@@ -3,7 +3,7 @@
 //! paper's Table II (ResNet20/ResNet34 and DenseNet40 analogs).
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::{relu_backward, Tensor};
 
 /// Extracts channels `[from, to)` of an NCHW tensor.
@@ -23,7 +23,7 @@ pub(crate) fn slice_channels(t: &Tensor, from: usize, to: usize) -> Tensor {
         out[dst_base..dst_base + out_c * plane]
             .copy_from_slice(&t.data()[src_base..src_base + out_c * plane]);
     }
-    Tensor::from_vec(vec![n, out_c, h, w], out)
+    Tensor::from_vec([n, out_c, h, w], out)
 }
 
 /// Adds `src` into channels `[from, from + src_c)` of `dst` in place.
@@ -61,8 +61,8 @@ impl Residual {
 
     /// Keeps the pre-ReLU sum for `backward`.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn cache_sum(&mut self, sum: &ActBuf) {
-        self.sum_cache = Some(sum.to_tensor());
+    fn cache_sum(&mut self, sum: &Tensor) {
+        self.sum_cache = Some(sum.clone());
     }
 }
 
@@ -79,14 +79,13 @@ impl Clone for Residual {
 impl Layer for Residual {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
+    ) -> (Tensor, Option<OutputChecksum>) {
         // The body consumes a copy; the original buffer feeds the skip path.
-        let mut y = ws.acquire(input.dims());
-        y.data_mut().copy_from_slice(input.data());
+        let mut y = ws.acquire_copy(&input);
         for layer in &mut self.body {
             y = layer.forward_into(y, ws, train, false).0;
         }
@@ -210,8 +209,8 @@ impl DenseBlock {
 
     /// Keeps one unit's pre-ReLU output for `backward`.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn cache_pre_relu(cache: &mut Vec<Tensor>, pre: &ActBuf) {
-        cache.push(pre.to_tensor());
+    fn cache_pre_relu(cache: &mut Vec<Tensor>, pre: &Tensor) {
+        cache.push(pre.clone());
     }
 }
 
@@ -229,19 +228,18 @@ impl Clone for DenseBlock {
 impl Layer for DenseBlock {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (_, c, _, _) = input.as_nchw();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (_, c, _, _) = input.shape().as_nchw();
         assert_eq!(c, self.in_c, "dense block input channel mismatch");
         self.pre_relu_cache.clear();
         let mut features = input;
         for unit in &mut self.units {
             // The unit consumes a copy of the running concatenation.
-            let mut unit_in = ws.acquire(features.dims());
-            unit_in.data_mut().copy_from_slice(features.data());
+            let unit_in = ws.acquire_copy(&features);
             let mut y = unit.forward_into(unit_in, ws, train, false).0;
             if train {
                 Self::cache_pre_relu(&mut self.pre_relu_cache, &y);
@@ -249,11 +247,11 @@ impl Layer for DenseBlock {
             for v in y.data_mut() {
                 *v = v.max(0.0);
             }
-            let (n, c, h, w) = features.as_nchw();
-            let (yn, yc, yh, yw) = y.as_nchw();
+            let (n, c, h, w) = features.shape().as_nchw();
+            let (yn, yc, yh, yw) = y.shape().as_nchw();
             assert_eq!((yn, yh, yw), (n, h, w), "concat shape mismatch");
             let plane = h * w;
-            let mut cat = ws.acquire(&[n, c + yc, h, w]);
+            let mut cat = ws.acquire([n, c + yc, h, w]);
             for img in 0..n {
                 let dst = img * (c + yc) * plane;
                 cat.data_mut()[dst..dst + c * plane]
@@ -367,7 +365,7 @@ mod tests {
         let x = Tensor::uniform(vec![1, 2, 4, 4], -1.0, 1.0, &mut rng);
         let weights: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
         let y = forward(&mut res, &x, true);
-        let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
+        let w_t = Tensor::from_vec(*y.shape(), weights.clone());
         let dx = res.backward(&w_t);
         let eps = 1e-3;
         for &flat in &[0usize, 9, 21, 31] {
@@ -415,7 +413,7 @@ mod tests {
         let x = Tensor::uniform(vec![1, 2, 3, 3], -1.0, 1.0, &mut rng);
         let y = forward(&mut block, &x, true);
         let weights: Vec<f32> = (0..y.len()).map(|i| (i as f32 * 0.61).cos()).collect();
-        let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
+        let w_t = Tensor::from_vec(*y.shape(), weights.clone());
         let dx = block.backward(&w_t);
         let eps = 1e-3;
         for &flat in &[0usize, 7, 13, 17] {

@@ -2,7 +2,7 @@
 
 use crate::init::he_normal;
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::checksum::GemmChecksums;
 use pgmr_tensor::gemm::{gemm_a_bt, gemm_at_b, gemm_into, GemmScratch};
 use pgmr_tensor::{col2im, im2col_into, Conv2dGeometry, Tensor};
@@ -46,7 +46,7 @@ impl Conv2d {
             geom,
             out_c,
             weight: ParamSlot::new(he_normal(vec![out_c, fan_in], fan_in, rng)),
-            bias: ParamSlot::new(Tensor::zeros(vec![out_c])),
+            bias: ParamSlot::new(Tensor::zeros([out_c])),
             cols_cache: Vec::new(),
         }
     }
@@ -109,12 +109,12 @@ impl Layer for Conv2d {
     /// patch matrix is still in the scratch.
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.as_nchw();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.shape().as_nchw();
         assert_eq!(
             (c, h, w),
             (self.geom.in_c, self.geom.in_h, self.geom.in_w),
@@ -123,7 +123,7 @@ impl Layer for Conv2d {
         let spatial = self.geom.out_spatial();
         let patch = self.geom.patch_len();
         self.cols_cache.clear();
-        let mut out = ws.acquire(&[n, self.out_c, self.geom.out_h, self.geom.out_w]);
+        let mut out = ws.acquire([n, self.out_c, self.geom.out_h, self.geom.out_w]);
         // pgmr-lint: allow(hot-path-alloc): the unchecked arm builds a capacity-0 Vec — no heap allocation; the checked arm is the ABFT tier
         let mut segments = if checked { Vec::with_capacity(n) } else { Vec::new() };
         {
@@ -176,11 +176,11 @@ impl Layer for Conv2d {
                 patch,
                 g_img,
                 &self.cols_cache[i],
-                self.weight.grad.data_mut(),
+                self.weight.grad_mut(),
             );
 
             // dBias += row sums of g_img.
-            let bias_grad = self.bias.grad.data_mut();
+            let bias_grad = self.bias.grad_mut();
             for (ch, bias_val) in bias_grad.iter_mut().enumerate() {
                 let row = &g_img[ch * spatial..(ch + 1) * spatial];
                 *bias_val += row.iter().sum::<f32>();
@@ -240,8 +240,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 0, &mut rng);
         // Set kernel to all ones, bias to 0.5: output = sum of image + 0.5.
-        conv.weight.value = Tensor::ones(vec![1, 9]).into();
-        conv.bias.value = Tensor::from_vec(vec![1], vec![0.5]).into();
+        conv.weight.value = Tensor::ones(vec![1, 9]);
+        conv.bias.value = Tensor::from_vec(vec![1], vec![0.5]);
         let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
         let y = forward(&mut conv, &x, true);
         assert_eq!(y.data(), &[45.5]);
@@ -254,7 +254,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 5, 5, 3, 1, 1, &mut rng);
         let x = Tensor::uniform(vec![1, 2, 5, 5], -1.0, 1.0, &mut rng);
         let y = forward(&mut conv, &x, true);
-        let ones = Tensor::ones(y.shape().dims().to_vec());
+        let ones = Tensor::ones(*y.shape());
         let dx = conv.backward(&ones);
 
         let eps = 1e-3;
@@ -276,10 +276,10 @@ mod tests {
 
         // Re-run forward/backward to get clean weight grads.
         let mut conv2 = conv.clone();
-        conv2.weight.grad.map_in_place(|_| 0.0);
-        conv2.bias.grad.map_in_place(|_| 0.0);
+        conv2.weight.zero_grad();
+        conv2.bias.zero_grad();
         let y2 = forward(&mut conv2, &x, true);
-        let _ = conv2.backward(&Tensor::ones(y2.shape().dims().to_vec()));
+        let _ = conv2.backward(&Tensor::ones(*y2.shape()));
         for &flat in &[0usize, 5, 17] {
             let mut cp = conv.clone();
             cp.weight.value.data_mut()[flat] += eps;
@@ -288,7 +288,7 @@ mod tests {
             let fp = forward(&mut cp, &x, true).sum();
             let fm = forward(&mut cm, &x, true).sum();
             let numeric = (fp - fm) / (2.0 * eps);
-            let analytic = conv2.weight.grad.data()[flat];
+            let analytic = conv2.weight.grad()[flat];
             assert!(
                 (numeric - analytic).abs() < 1e-2,
                 "dW[{flat}]: numeric {numeric} vs analytic {analytic}"
@@ -306,8 +306,7 @@ mod tests {
         let _ = forward(&mut conv, &x, false);
         assert!(conv.cols_cache.is_empty(), "inference must not retain im2col buffers");
         let mut ws = Workspace::new();
-        let mut buf = ws.acquire(x.shape().dims());
-        buf.data_mut().copy_from_slice(x.data());
+        let buf = ws.acquire_copy(&x);
         let (out, sums) = conv.forward_into(buf, &mut ws, false, true);
         sums.expect("conv emits checksums").verify(out.data(), 1e-4).unwrap();
         assert!(conv.cols_cache.is_empty(), "checked inference must not retain im2col buffers");

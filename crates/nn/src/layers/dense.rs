@@ -2,7 +2,7 @@
 
 use crate::init::he_normal;
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::checksum::GemmChecksums;
 use pgmr_tensor::gemm::{gemm_a_bt_into, gemm_at_b};
 use pgmr_tensor::Tensor;
@@ -28,7 +28,7 @@ impl Dense {
             in_features,
             out_features,
             weight: ParamSlot::new(he_normal(vec![out_features, in_features], in_features, rng)),
-            bias: ParamSlot::new(Tensor::zeros(vec![out_features])),
+            bias: ParamSlot::new(Tensor::zeros([out_features])),
             input_cache: None,
         }
     }
@@ -45,24 +45,23 @@ impl Dense {
 
     /// Keeps the batch input for `backward`.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn cache_input(&mut self, input: &ActBuf) {
-        self.input_cache = Some(input.to_tensor());
+    fn cache_input(&mut self, input: &Tensor) {
+        self.input_cache = Some(input.clone());
     }
 }
 
 impl Layer for Dense {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        assert_eq!(input.dims().len(), 2, "dense expects [n, features]");
-        let n = input.dims()[0];
-        assert_eq!(input.dims()[1], self.in_features, "dense input feature mismatch");
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let &[n, features] = input.shape().dims() else { panic!("dense expects [n, features]") };
+        assert_eq!(features, self.in_features, "dense input feature mismatch");
         // y = x (n x in) * W^T (in x out) + bias
-        let mut out = ws.acquire(&[n, self.out_features]);
+        let mut out = ws.acquire([n, self.out_features]);
         for row in out.data_mut().chunks_mut(self.out_features) {
             row.copy_from_slice(self.bias.value.data());
         }
@@ -108,10 +107,10 @@ impl Layer for Dense {
             self.in_features,
             grad_output.data(),
             input.data(),
-            self.weight.grad.data_mut(),
+            self.weight.grad_mut(),
         );
         // dB += column sums of dY.
-        let bias_grad = self.bias.grad.data_mut();
+        let bias_grad = self.bias.grad_mut();
         for row in grad_output.data().chunks(self.out_features) {
             for (b, &g) in bias_grad.iter_mut().zip(row) {
                 *b += g;
@@ -127,7 +126,7 @@ impl Layer for Dense {
             self.weight.value.data(),
             &mut dx,
         );
-        Tensor::from_vec(vec![n, self.in_features], dx)
+        Tensor::from_vec([n, self.in_features], dx)
     }
 
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
@@ -164,8 +163,8 @@ mod tests {
     fn forward_identity_weight() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut dense = Dense::new(2, 2, &mut rng);
-        dense.weight.value = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]).into();
-        dense.bias.value = Tensor::from_vec(vec![2], vec![1., 2.]).into();
+        dense.weight.value = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]);
+        dense.bias.value = Tensor::from_vec(vec![2], vec![1., 2.]);
         let x = Tensor::from_vec(vec![1, 2], vec![3., 4.]);
         let y = forward(&mut dense, &x, true);
         assert_eq!(y.data(), &[4., 6.]);
@@ -177,7 +176,7 @@ mod tests {
         let mut dense = Dense::new(4, 3, &mut rng);
         let x = Tensor::uniform(vec![2, 4], -1.0, 1.0, &mut rng);
         let y = forward(&mut dense, &x, true);
-        let dx = dense.backward(&Tensor::ones(y.shape().dims().to_vec()));
+        let dx = dense.backward(&Tensor::ones(*y.shape()));
 
         let eps = 1e-3;
         for flat in 0..x.len() {
@@ -192,10 +191,10 @@ mod tests {
         }
 
         let mut probe = dense.clone();
-        probe.weight.grad.map_in_place(|_| 0.0);
-        probe.bias.grad.map_in_place(|_| 0.0);
+        probe.weight.zero_grad();
+        probe.bias.zero_grad();
         let y2 = forward(&mut probe, &x, true);
-        let _ = probe.backward(&Tensor::ones(y2.shape().dims().to_vec()));
+        let _ = probe.backward(&Tensor::ones(*y2.shape()));
         for flat in 0..probe.weight.value.len() {
             let mut wp = dense.clone();
             wp.weight.value.data_mut()[flat] += eps;
@@ -203,7 +202,7 @@ mod tests {
             wm.weight.value.data_mut()[flat] -= eps;
             let numeric =
                 (forward(&mut wp, &x, true).sum() - forward(&mut wm, &x, true).sum()) / (2.0 * eps);
-            assert!((numeric - probe.weight.grad.data()[flat]).abs() < 1e-2);
+            assert!((numeric - probe.weight.grad()[flat]).abs() < 1e-2);
         }
     }
 
@@ -213,10 +212,9 @@ mod tests {
         let mut dense = Dense::new(5, 4, &mut rng);
         let x = Tensor::uniform(vec![3, 5], -1.0, 1.0, &mut rng);
         let mut ws = crate::workspace::Workspace::new();
-        let mut buf = ws.acquire(&[3, 5]);
-        buf.data_mut().copy_from_slice(x.data());
+        let buf = ws.acquire_copy(&x);
         let (out, sums) = dense.forward_into(buf, &mut ws, false, true);
-        assert_eq!(out.dims(), &[3, 4]);
+        assert_eq!(out.shape().dims(), &[3, 4]);
         sums.expect("dense emits checksums").verify(out.data(), 1e-4).unwrap();
         assert!(dense.input_cache.is_none(), "inference must not cache the input");
     }
@@ -227,7 +225,7 @@ mod tests {
         let mut dense = Dense::new(2, 2, &mut rng);
         let x = Tensor::uniform(vec![3, 2], -1.0, 1.0, &mut rng);
         let y = forward(&mut dense, &x, true);
-        let _ = dense.backward(&Tensor::ones(y.shape().dims().to_vec()));
-        assert_eq!(dense.bias.grad.data(), &[3.0, 3.0]);
+        let _ = dense.backward(&Tensor::ones(*y.shape()));
+        assert_eq!(dense.bias.grad(), &[3.0, 3.0]);
     }
 }

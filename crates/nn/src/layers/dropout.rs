@@ -9,8 +9,8 @@
 //! predictive distribution.
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
-use pgmr_tensor::Tensor;
+use crate::workspace::Workspace;
+use pgmr_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,19 +53,19 @@ impl Dropout {
 
     /// Storage for the mask `backward` replays: training only.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn backward_mask(train: bool, dims: &[usize]) -> Option<Tensor> {
-        train.then(|| Tensor::zeros(dims.to_vec()))
+    fn backward_mask(train: bool, shape: Shape) -> Option<Tensor> {
+        train.then(|| Tensor::zeros(shape))
     }
 }
 
 impl Layer for Dropout {
     fn forward_into(
         &mut self,
-        mut input: ActBuf,
+        mut input: Tensor,
         _ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
+    ) -> (Tensor, Option<OutputChecksum>) {
         self.mask_cache = None;
         // pgmr-lint: allow(float-eq): p == 0.0 is the exact no-op configuration, not an arithmetic result
         if (!train && !self.mc_mode) || self.p == 0.0 {
@@ -74,7 +74,7 @@ impl Layer for Dropout {
         // Draw the mask in element order and apply it in place; only
         // training keeps it for `backward`.
         let keep = 1.0 - self.p;
-        let mut mask = Self::backward_mask(train, input.dims());
+        let mut mask = Self::backward_mask(train, *input.shape());
         for (j, v) in input.data_mut().iter_mut().enumerate() {
             let m = if self.rng.gen::<f32>() < self.p { 0.0 } else { 1.0 / keep };
             *v *= m;
@@ -88,7 +88,7 @@ impl Layer for Dropout {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         match &self.mask_cache {
-            Some(mask) => grad_output.mul(mask),
+            Some(mask) => grad_output.zip_with(mask, |g, m| g * m),
             None => grad_output.clone(),
         }
     }
@@ -152,7 +152,7 @@ mod tests {
     fn workspace_forward_is_identity_without_mc() {
         let mut d = Dropout::new(0.5, 7);
         let mut ws = crate::workspace::Workspace::new();
-        let mut buf = ws.acquire(&[1, 8]);
+        let mut buf = ws.acquire([1, 8]);
         buf.data_mut().fill(2.0);
         let (out, _) = d.forward_into(buf, &mut ws, false, false);
         // pgmr-lint: allow(float-eq): identity pass-through must preserve the exact seed value

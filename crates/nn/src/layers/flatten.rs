@@ -1,49 +1,40 @@
 //! Shape adapter between convolutional and dense stages.
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
-use pgmr_tensor::Tensor;
+use crate::workspace::Workspace;
+use pgmr_tensor::{Shape, Tensor};
 
 /// Flattens `[n, c, h, w]` (or any rank ≥ 2) into `[n, c*h*w]`.
 #[derive(Clone, Default)]
 pub struct Flatten {
-    input_dims: Option<Vec<usize>>,
+    input_shape: Option<Shape>,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { input_dims: None }
+        Flatten { input_shape: None }
     }
 }
 
 impl Layer for Flatten {
     fn forward_into(
         &mut self,
-        mut input: ActBuf,
+        input: Tensor,
         _ws: &mut Workspace,
         _train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let dims = input.dims();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let dims = input.shape().dims();
         assert!(dims.len() >= 2, "flatten expects a batched tensor");
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        match &mut self.input_dims {
-            Some(d) => {
-                d.clear();
-                d.extend_from_slice(input.dims());
-            }
-            // pgmr-lint: allow(hot-path-alloc): one-time slot initialization on the first image; every later pass reuses the Vec via clear+extend
-            None => self.input_dims = Some(input.dims().to_vec()),
-        }
-        input.set_dims(&[n, rest]);
-        (input, None)
+        let flat = [dims[0], dims[1..].iter().product()];
+        self.input_shape = Some(*input.shape());
+        (input.reshape(flat), None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let dims = self.input_dims.clone().expect("flatten backward called before forward");
-        grad_output.reshape(dims)
+        let shape = self.input_shape.expect("flatten backward called before forward");
+        grad_output.clone().reshape(shape)
     }
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}

@@ -29,7 +29,6 @@ pub(crate) fn forward(
     train: bool,
 ) -> pgmr_tensor::Tensor {
     let mut ws = crate::workspace::Workspace::new();
-    let mut buf = ws.acquire(input.shape().dims());
-    buf.data_mut().copy_from_slice(input.data());
-    layer.forward_into(buf, &mut ws, train, false).0.to_tensor()
+    let buf = ws.acquire_copy(input);
+    layer.forward_into(buf, &mut ws, train, false).0
 }

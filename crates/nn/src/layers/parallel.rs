@@ -2,7 +2,7 @@
 
 use super::composite::slice_channels;
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
+use crate::workspace::Workspace;
 use pgmr_tensor::Tensor;
 
 /// Runs several branches on the same input and concatenates their NCHW
@@ -19,7 +19,7 @@ pub struct Parallel {
     /// Scratch list holding branch outputs inside `forward_into`. Always
     /// drained back to the workspace before returning; kept as a field so
     /// the list's own storage is reused across calls.
-    branch_outs: Vec<ActBuf>,
+    branch_outs: Vec<Tensor>,
 }
 
 impl Parallel {
@@ -53,39 +53,38 @@ impl Clone for Parallel {
 impl Layer for Parallel {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
+    ) -> (Tensor, Option<OutputChecksum>) {
         self.branch_channels.clear();
         let mut outs = std::mem::take(&mut self.branch_outs);
         for branch in &mut self.branches {
-            let mut y = ws.acquire(input.dims());
-            y.data_mut().copy_from_slice(input.data());
+            let mut y = ws.acquire_copy(&input);
             for layer in branch.iter_mut() {
                 y = layer.forward_into(y, ws, train, false).0;
             }
-            let (_, c, _, _) = y.as_nchw();
+            let (_, c, _, _) = y.shape().as_nchw();
             self.branch_channels.push(c);
             outs.push(y);
         }
         ws.release(input);
-        let (n, _, h, w) = outs[0].as_nchw();
+        let (n, _, h, w) = outs[0].shape().as_nchw();
         let total_c: usize = outs
             .iter()
             .map(|t| {
-                let (pn, pc, ph, pw) = t.as_nchw();
+                let (pn, pc, ph, pw) = t.shape().as_nchw();
                 assert_eq!((pn, ph, pw), (n, h, w), "branch output shape mismatch");
                 pc
             })
             .sum();
         let plane = h * w;
-        let mut cat = ws.acquire(&[n, total_c, h, w]);
+        let mut cat = ws.acquire([n, total_c, h, w]);
         for img in 0..n {
             let mut ch_off = 0;
             for t in &outs {
-                let (_, pc, _, _) = t.as_nchw();
+                let (_, pc, _, _) = t.shape().as_nchw();
                 let src = &t.data()[img * pc * plane..(img + 1) * pc * plane];
                 let dst = (img * total_c + ch_off) * plane;
                 cat.data_mut()[dst..dst + pc * plane].copy_from_slice(src);
@@ -203,7 +202,7 @@ mod tests {
         let x = Tensor::uniform(vec![1, 2, 5, 5], -1.0, 1.0, &mut rng);
         let y = forward(&mut p, &x, true);
         let weights: Vec<f32> = (0..y.len()).map(|i| (i as f32 * 0.29).sin()).collect();
-        let w_t = Tensor::from_vec(y.shape().dims().to_vec(), weights.clone());
+        let w_t = Tensor::from_vec(*y.shape(), weights.clone());
         let dx = p.backward(&w_t);
         let eps = 1e-3;
         let f = |t: &Tensor| -> f32 {

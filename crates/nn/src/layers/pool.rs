@@ -1,21 +1,8 @@
 //! Pooling layers.
 
 use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
-use crate::workspace::{ActBuf, Workspace};
-use pgmr_tensor::Tensor;
-
-/// Records an input shape into a reusable `Option<Vec<usize>>` slot without
-/// reallocating once the slot has been populated.
-fn record_shape(slot: &mut Option<Vec<usize>>, dims: [usize; 4]) {
-    match slot {
-        Some(s) => {
-            s.clear();
-            s.extend_from_slice(&dims);
-        }
-        // pgmr-lint: allow(hot-path-alloc): one-time slot initialization on the first image; every later pass reuses the Vec via clear+extend
-        None => *slot = Some(dims.to_vec()),
-    }
-}
+use crate::workspace::Workspace;
+use pgmr_tensor::{Shape, Tensor};
 
 /// Max pooling with a square window and matching stride (the common
 /// `kernel == stride` configuration used by all zoo networks).
@@ -25,7 +12,7 @@ pub struct MaxPool2d {
     /// Flat argmax index (into the input) per output element, from the last
     /// forward pass.
     argmax_cache: Vec<usize>,
-    input_shape: Option<Vec<usize>>,
+    input_shape: Option<Shape>,
     output_elems_per_image: u64,
 }
 
@@ -45,17 +32,17 @@ impl MaxPool2d {
 impl Layer for MaxPool2d {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.as_nchw();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.shape().as_nchw();
         let k = self.window;
         assert!(h >= k && w >= k, "pool window {k} larger than spatial dims {h}x{w}");
         let oh = h / k;
         let ow = w / k;
-        let mut out = ws.acquire(&[n, c, oh, ow]);
+        let mut out = ws.acquire([n, c, oh, ow]);
         // Only training builds the argmax routing table `backward` needs;
         // inference clears it (capacity is retained).
         self.argmax_cache.clear();
@@ -87,14 +74,14 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        record_shape(&mut self.input_shape, [n, c, h, w]);
+        self.input_shape = Some(*input.shape());
         self.output_elems_per_image = (c * oh * ow) as u64;
         ws.release(input);
         (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("pool backward called before forward");
+        let shape = self.input_shape.expect("pool backward called before forward");
         assert_eq!(grad_output.len(), self.argmax_cache.len());
         let mut grad_in = Tensor::zeros(shape);
         let gi = grad_in.data_mut();
@@ -129,7 +116,7 @@ impl Layer for MaxPool2d {
 /// ResNet- and DenseNet-style zoo networks.
 #[derive(Clone, Default)]
 pub struct AvgPoolGlobal {
-    input_shape: Option<Vec<usize>>,
+    input_shape: Option<Shape>,
 }
 
 impl AvgPoolGlobal {
@@ -142,14 +129,14 @@ impl AvgPoolGlobal {
 impl Layer for AvgPoolGlobal {
     fn forward_into(
         &mut self,
-        input: ActBuf,
+        input: Tensor,
         ws: &mut Workspace,
         _train: bool,
         _checked: bool,
-    ) -> (ActBuf, Option<OutputChecksum>) {
-        let (n, c, h, w) = input.as_nchw();
+    ) -> (Tensor, Option<OutputChecksum>) {
+        let (n, c, h, w) = input.shape().as_nchw();
         let plane = h * w;
-        let mut out = ws.acquire(&[n, c]);
+        let mut out = ws.acquire([n, c]);
         let data = input.data();
         let od = out.data_mut();
         for img in 0..n {
@@ -158,14 +145,14 @@ impl Layer for AvgPoolGlobal {
                 od[img * c + ch] = data[base..base + plane].iter().sum::<f32>() / plane as f32;
             }
         }
-        record_shape(&mut self.input_shape, [n, c, h, w]);
+        self.input_shape = Some(*input.shape());
         ws.release(input);
         (out, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("avgpool backward called before forward");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        let shape = self.input_shape.expect("avgpool backward called before forward");
+        let (n, c, h, w) = shape.as_nchw();
         let plane = h * w;
         let mut grad_in = Tensor::zeros(shape);
         let gi = grad_in.data_mut();
@@ -189,7 +176,7 @@ impl Layer for AvgPoolGlobal {
     }
 
     fn cost(&self) -> LayerCost {
-        let out = self.input_shape.as_ref().map(|s| s[1] as u64).unwrap_or(0);
+        let out = self.input_shape.map_or(0, |s| s.dim(1) as u64);
         LayerCost { kind: "avgpool_global", macs: 0, param_elems: 0, output_elems: out }
     }
 

@@ -34,8 +34,8 @@
 //!   reused across members and batches),
 //! * [`serialize`] — a versioned binary parameter codec,
 //! * [`store`] — the process-wide model store: digest-verified weight
-//!   arenas shared read-only across tenants (owned↔shared `ParamSlot`
-//!   split, one digest verification per blob).
+//!   arenas shared read-only across tenants (every `ParamSlot` value a
+//!   copy-on-write arena `Tensor`, one digest verification per blob).
 //!
 //! ## Example
 //!
@@ -75,10 +75,10 @@ pub mod train;
 pub mod workspace;
 pub mod zoo;
 
-pub use layer::{GradSlot, Layer, LayerCost, ParamSlot, ParamValue};
+pub use layer::{Layer, LayerCost, ParamSlot};
 pub use network::Network;
 pub use pool::WorkerPool;
 pub use protect::{CheckPlan, ProtectionLevel};
 pub use store::{model_store, ModelStore, StoredModel};
 pub use train::{TrainConfig, TrainReport, Trainer, INFER_BATCH};
-pub use workspace::{ActBuf, Workspace};
+pub use workspace::Workspace;

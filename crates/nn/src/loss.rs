@@ -30,7 +30,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
             *gj = (p[j] - if j == label { 1.0 } else { 0.0 }) / n as f32;
         }
     }
-    (loss / n as f32, Tensor::from_vec(vec![n, classes], grad))
+    (loss / n as f32, Tensor::from_vec([n, classes], grad))
 }
 
 #[cfg(test)]

@@ -188,7 +188,10 @@ impl Network {
         })
     }
 
-    fn run_in(
+    /// [`Network::run`] on a caller's workspace, with no peak reporting,
+    /// for forwards that must not touch this thread's inference arena
+    /// (training, [`crate::train::accuracy`]).
+    pub(crate) fn run_in(
         &mut self,
         input: &Tensor,
         plan: &RunPlan<'_>,
@@ -201,8 +204,7 @@ impl Network {
             self.assert_plan(check_plan);
         }
         let mut tally = ProtectTally::default();
-        let mut x = ws.acquire(input.shape().dims());
-        x.data_mut().copy_from_slice(input.data());
+        let mut x = ws.acquire_copy(input);
         if let Some(h) = plan.hook {
             h(x.data_mut());
         }
@@ -211,11 +213,7 @@ impl Network {
             if guarded {
                 tally.record(layer.as_ref(), guard, i);
             }
-            let copy = guard.duplicates(i).then(|| {
-                let mut c = ws.acquire(x.dims());
-                c.data_mut().copy_from_slice(x.data());
-                c
-            });
+            let copy = guard.duplicates(i).then(|| ws.acquire_copy(&x));
             let (mut y, sums) = layer.forward_into(x, ws, plan.train, guard.checks(i));
             if let Some(h) = plan.hook {
                 h(y.data_mut());
@@ -234,7 +232,8 @@ impl Network {
             }
         }
         if verdict.is_ok() {
-            assert_eq!(x.dims().last(), Some(&self.num_classes), "head produced wrong class count");
+            let classes = x.shape().dims().last();
+            assert_eq!(classes, Some(&self.num_classes), "head produced wrong class count");
             logits.clear();
             logits.extend_from_slice(x.data());
         }
@@ -290,7 +289,7 @@ impl Network {
     }
 
     fn logits_tensor(&self, logits: Vec<f32>) -> Tensor {
-        Tensor::from_vec(vec![logits.len() / self.num_classes, self.num_classes], logits)
+        Tensor::from_vec([logits.len() / self.num_classes, self.num_classes], logits)
     }
 
     fn assert_plan(&self, plan: &CheckPlan) {
@@ -352,10 +351,12 @@ impl Network {
         self.visit_slots(&mut |slot| slot.value.map_in_place(&f));
     }
 
-    /// Snapshots all parameter values in visiting order.
+    /// Snapshots all parameter values in visiting order. Arena-shared
+    /// values stay shared (an `Arc` bump, no weight copy): copy-on-write
+    /// keeps the snapshot intact whatever later mutates the slot.
     pub fn state_dict(&mut self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.visit_slots(&mut |slot| out.push(slot.value.snapshot()));
+        self.visit_slots(&mut |slot| out.push(slot.value.clone()));
         out
     }
 
@@ -369,7 +370,7 @@ impl Network {
         self.visit_slots(&mut |slot| {
             assert!(i < state.len(), "state dict too short");
             assert_eq!(slot.value.shape(), state[i].shape(), "state tensor {i} shape mismatch");
-            slot.value = state[i].clone().into();
+            slot.value = state[i].clone();
             i += 1;
         });
         assert_eq!(i, state.len(), "state dict has {} extra tensors", state.len() - i);
@@ -588,13 +589,13 @@ mod tests {
         let mut net = tiny_net(&mut rng);
         let x = Tensor::uniform(vec![2, 1, 2, 4], -1.0, 1.0, &mut rng);
         let y = net.forward(&x, true);
-        net.backward(&Tensor::ones(y.shape().dims().to_vec()));
+        net.backward(&Tensor::ones(*y.shape()));
         let mut grad_norm = 0.0;
-        net.visit_slots(&mut |s| grad_norm += s.grad.norm_sq());
+        net.visit_slots(&mut |s| grad_norm += s.grad().iter().map(|g| g * g).sum::<f32>());
         assert!(grad_norm > 0.0);
         net.zero_grads();
         grad_norm = 0.0;
-        net.visit_slots(&mut |s| grad_norm += s.grad.norm_sq());
+        net.visit_slots(&mut |s| grad_norm += s.grad().iter().map(|g| g * g).sum::<f32>());
         assert_eq!(grad_norm, 0.0);
     }
 }

@@ -41,13 +41,13 @@ impl Sgd {
         let mut i = 0;
         net.visit_slots(&mut |slot| {
             if velocity.len() <= i {
-                velocity.push(Tensor::zeros(slot.value.shape().dims().to_vec()));
+                velocity.push(Tensor::zeros(*slot.value.shape()));
             }
             let v = &mut velocity[i];
             assert_eq!(v.shape(), slot.value.shape(), "optimizer state shape drift at param {i}");
             let v_data = v.data_mut();
             let p_data = slot.value.data_mut();
-            let g_data = slot.grad.data();
+            let g_data = slot.grad.as_ref().map_or(&[][..], Tensor::data);
             for ((vj, pj), &gj) in v_data.iter_mut().zip(p_data.iter_mut()).zip(g_data) {
                 let g = gj + wd * *pj;
                 *vj = momentum * *vj - lr * g;
@@ -106,13 +106,13 @@ impl Adam {
         let mut i = 0;
         net.visit_slots(&mut |slot| {
             if m.len() <= i {
-                m.push(Tensor::zeros(slot.value.shape().dims().to_vec()));
-                v.push(Tensor::zeros(slot.value.shape().dims().to_vec()));
+                m.push(Tensor::zeros(*slot.value.shape()));
+                v.push(Tensor::zeros(*slot.value.shape()));
             }
             let m_data = m[i].data_mut();
             let v_data = v[i].data_mut();
             let p_data = slot.value.data_mut();
-            let g_data = slot.grad.data();
+            let g_data = slot.grad.as_ref().map_or(&[][..], Tensor::data);
             for (((mj, vj), pj), &gj) in
                 m_data.iter_mut().zip(v_data.iter_mut()).zip(p_data.iter_mut()).zip(g_data)
             {

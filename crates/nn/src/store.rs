@@ -6,10 +6,10 @@
 //! FNV-1a digest exactly once at load time. Any number of tenants
 //! (ensemble members, serve worker replicas)
 //! [`attach`](StoredModel::attach) to it: attaching swaps the network's
-//! owned parameter tensors for borrowed [`ArenaView`]s, so an additional
-//! tenant costs per-tenant state buffers (batch-norm running statistics)
-//! and bookkeeping — never another weight copy and never another digest
-//! verification.
+//! owned parameter tensors for arena-shared ones ([`Tensor::shared`]), so
+//! an additional tenant costs per-tenant state buffers (batch-norm running
+//! statistics) and bookkeeping — never another weight copy and never
+//! another digest verification.
 //!
 //! The [`model_store`] singleton keys models by their cache path, which
 //! the `suite` blob cache feeds directly; tests that redirect the cache
@@ -26,19 +26,20 @@ use crate::serialize::{
     f32s_from_le, DecodeError, FrameReader, DIGEST_VERIFY_COUNTER, MAGIC, VERSION,
 };
 use crate::ParamSlot;
-use pgmr_tensor::{align_offset, ArenaView, Shape, WeightArena};
+use pgmr_tensor::{align_offset, Shape, Tensor, WeightArena, MAX_RANK};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One decoded weight blob: a shared weight arena — one 64-byte-aligned
-/// allocation, every parameter tensor a read-only view into it — plus the
+/// allocation, every parameter tensor a read-only slice of it — plus the
 /// per-tenant template state (batch-norm running statistics, which each
 /// tenant copies because they are mutable inference state).
 #[derive(Debug)]
 pub struct StoredModel {
     arch_id: String,
-    /// One shaped view per parameter tensor, in `visit_slots` order.
-    views: Vec<ArenaView>,
+    arena: Arc<WeightArena>,
+    /// One arena-shared tensor per parameter, in `visit_slots` order.
+    params: Vec<Tensor>,
     /// Non-trainable state buffers, in `visit_buffers` order.
     buffers: Vec<Vec<f32>>,
 }
@@ -47,10 +48,11 @@ impl StoredModel {
     /// Decodes a blob written by [`crate::serialize::encode_params`] — the
     /// only weight decoder. The FNV-1a digest is verified exactly once,
     /// before any record is parsed (counted into [`DIGEST_VERIFY_COUNTER`]);
-    /// one walk then validates every tensor record and lays it out at a
-    /// cache-line-aligned arena offset, and one copy fills the arena. The
-    /// decode is timed into the `store.load_ns` histogram (the cold-start
-    /// load cost the bench reports).
+    /// one walk then validates every tensor record (a rank above
+    /// [`MAX_RANK`] or a zero dimension is a [`DecodeError::ShapeMismatch`])
+    /// and lays it out at a cache-line-aligned arena offset, and one copy
+    /// fills the arena. The decode is timed into the `store.load_ns`
+    /// histogram (the cold-start load cost the bench reports).
     ///
     /// # Errors
     ///
@@ -69,21 +71,23 @@ impl StoredModel {
         let mut records = Vec::with_capacity(count); // (arena offset, shape, payload)
         let mut arena_len = 0usize;
         for _ in 0..count {
-            let rank = body.u8()?;
-            let mut dims = Vec::new();
+            let rank = usize::from(body.u8()?);
+            if rank > MAX_RANK {
+                return Err(DecodeError::ShapeMismatch);
+            }
+            let mut dims = [0; MAX_RANK];
             let mut len = 1usize;
-            for _ in 0..rank {
-                let dim = body.u32()? as usize;
-                if dim == 0 {
+            for dim in &mut dims[..rank] {
+                *dim = body.u32()? as usize;
+                if *dim == 0 {
                     return Err(DecodeError::ShapeMismatch);
                 }
-                len = len.checked_mul(dim).ok_or(DecodeError::Truncated)?;
-                dims.push(dim);
+                len = len.checked_mul(*dim).ok_or(DecodeError::Truncated)?;
             }
             let payload = body.f32s(len)?;
             let offset = align_offset(arena_len);
             arena_len = offset + len;
-            records.push((offset, Shape::new(dims), payload));
+            records.push((offset, Shape::new(&dims[..rank]), payload));
         }
 
         // Buffers stay owned: tenants mutate them during calibration, so
@@ -105,11 +109,11 @@ impl StoredModel {
             f32s_from_le(payload, &mut dst[*offset..*offset + shape.len()]);
         }
         let arena = Arc::new(arena);
-        let views = records
+        let params = records
             .into_iter()
-            .map(|(offset, shape, _)| ArenaView::new(Arc::clone(&arena), offset, shape))
+            .map(|(offset, shape, _)| Tensor::shared(Arc::clone(&arena), offset, shape))
             .collect();
-        Ok(StoredModel { arch_id, views, buffers })
+        Ok(StoredModel { arch_id, arena, params, buffers })
     }
 
     /// Architecture the stored blob was written for.
@@ -119,13 +123,14 @@ impl StoredModel {
 
     /// Resident bytes of the shared arena allocation.
     pub fn resident_bytes(&self) -> usize {
-        self.views.first().map_or(0, |v| v.arena().resident_bytes())
+        self.arena.resident_bytes()
     }
 
-    /// Attaches `net` as a tenant: every parameter slot becomes a borrowed
-    /// view into the shared arena ([`ParamSlot::share`]) and the state
-    /// buffers are copied (they are mutable per-tenant inference state).
-    /// No weight bytes are copied and the digest is not re-verified.
+    /// Attaches `net` as a tenant: every parameter slot's value becomes an
+    /// arena-shared tensor with no gradient until a backward pass writes
+    /// one ([`ParamSlot::new`]), and the state buffers are copied (they
+    /// are mutable per-tenant inference state). No weight bytes are copied
+    /// and the digest is not re-verified.
     ///
     /// Shapes are validated up front; on error the network is untouched.
     ///
@@ -144,14 +149,14 @@ impl StoredModel {
         let mut ok = true;
         {
             let mut i = 0;
-            let views = &self.views;
+            let params = &self.params;
             net.visit_slots(&mut |slot| {
-                if i >= views.len() || slot.value.shape() != views[i].shape() {
+                if i >= params.len() || slot.value.shape() != params[i].shape() {
                     ok = false;
                 }
                 i += 1;
             });
-            if i != views.len() {
+            if i != params.len() {
                 ok = false;
             }
         }
@@ -172,9 +177,9 @@ impl StoredModel {
             return Err(DecodeError::ShapeMismatch);
         }
         let mut i = 0;
-        let views = &self.views;
+        let params = &self.params;
         net.visit_slots(&mut |slot| {
-            *slot = ParamSlot::share(views[i].clone());
+            *slot = ParamSlot::new(params[i].clone());
             i += 1;
         });
         let mut i = 0;
@@ -289,7 +294,6 @@ mod tests {
     use super::*;
     use crate::serialize::encode_params;
     use crate::zoo::{build, ArchSpec};
-    use pgmr_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,9 +1,10 @@
 //! Mini-batch training loop with seeded shuffling.
 
 use crate::loss::softmax_cross_entropy;
-use crate::network::Network;
+use crate::network::{Network, RunPlan};
 use crate::optim::Sgd;
-use pgmr_tensor::{argmax, Tensor};
+use crate::workspace::Workspace;
+use pgmr_tensor::{argmax, softmax, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -149,18 +150,25 @@ impl Trainer {
 /// Classification accuracy of `net` over a labeled set, evaluated in
 /// inference mode with mini-batches.
 ///
+/// Like a training forward, the evaluation runs on a workspace of its own:
+/// the thread's inference arena keeps no evaluation-batch buffers, and
+/// `infer.workspace_bytes` keeps meaning inference.
+///
 /// # Panics
 ///
 /// Panics if the set is empty or counts mismatch.
 pub fn accuracy(net: &mut Network, images: &[Tensor], labels: &[usize]) -> f64 {
     assert!(!images.is_empty(), "evaluation set is empty");
     assert_eq!(images.len(), labels.len(), "image/label count mismatch");
+    let mut ws = Workspace::new();
+    let mut logits = Vec::new();
     let mut correct = 0usize;
     for (chunk_imgs, chunk_labels) in images.chunks(INFER_BATCH).zip(labels.chunks(INFER_BATCH)) {
         let batch = Tensor::stack_images(chunk_imgs);
-        let probs = net.predict_proba(&batch);
-        for (row, &label) in probs.iter().zip(chunk_labels) {
-            if argmax(row) == label {
+        net.run_in(&batch, &RunPlan::default(), &mut ws, &mut logits)
+            .expect("an unguarded run cannot fault");
+        for (row, &label) in logits.chunks(net.num_classes()).zip(chunk_labels) {
+            if argmax(&softmax(row)) == label {
                 correct += 1;
             }
         }

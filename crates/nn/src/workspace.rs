@@ -3,14 +3,15 @@
 //! [`crate::layer::Layer::forward_into`], the one forward body of every
 //! layer.
 //!
-//! * [`ActBuf`] — a plain `Vec<f32>` plus dimensions, the unit of
-//!   activation storage. Layers consume their input buffer by value and
-//!   either return it (flatten, dropout, in-place ReLU and batch-norm) or
-//!   trade it for an output buffer from the arena — the "ping-pong"
-//!   scheme.
-//! * [`Workspace::acquire`] / [`Workspace::release`] — a LIFO free list.
-//!   Buffer capacities only grow, and a network's acquire sequence is
-//!   the same on every forward pass, so after the first call at a given
+//! * Activations are owned [`Tensor`]s. Layers consume their input
+//!   tensor by value and either return it (flatten, dropout, in-place
+//!   ReLU and batch-norm) or trade it for an output tensor from the
+//!   arena — the "ping-pong" scheme.
+//! * [`Workspace::acquire`] / [`Workspace::release`] — a LIFO free list
+//!   of the tensors' `Vec<f32>` storage; a tensor's shape is inline, so
+//!   handing one out costs no allocation beyond its storage. Storage
+//!   capacities only grow, and a network's acquire sequence is the same
+//!   on every forward pass, so after the first call at a given
 //!   (architecture, batch) the arena serves every request from recycled
 //!   storage: zero steady-state heap allocations.
 //! * [`Workspace::gemm_scratch`] — packing buffers
@@ -24,83 +25,16 @@
 //! Inference runs on a per-thread arena via [`with_thread_workspace`];
 //! worker pool threads ([`crate::pool::WorkerPool`]) are persistent, so
 //! one workspace per worker is reused across members and batches.
-//! Training forwards run the same layer bodies on a workspace of their
-//! own (see [`crate::Network::run`]) and additionally record the
-//! backward caches — the only allocations a layer makes.
+//! Training forwards, and the post-training [`crate::train::accuracy`]
+//! evaluation, run the same layer bodies on a workspace of their own (see
+//! [`crate::Network::run`]); training additionally records the backward
+//! caches — the only allocations a layer makes.
 
+use pgmr_obs::Gauge;
 use pgmr_tensor::gemm::GemmScratch;
-use pgmr_tensor::Tensor;
+use pgmr_tensor::{Shape, Tensor};
 use std::cell::RefCell;
-
-/// An activation buffer: row-major data plus its dimensions. The currency
-/// of [`crate::layer::Layer::forward_into`].
-#[derive(Debug, Clone, Default)]
-pub struct ActBuf {
-    data: Vec<f32>,
-    dims: Vec<usize>,
-}
-
-impl ActBuf {
-    /// The buffer's dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Immutable view of the data.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable view of the data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Rewrites the dimensions without touching the data (flatten/reshape).
-    /// Reuses the dims vector's capacity, so it never allocates once the
-    /// buffer has cycled through the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new dimensions disagree with the element count.
-    pub fn set_dims(&mut self, dims: &[usize]) {
-        let len: usize = dims.iter().product();
-        assert_eq!(
-            len,
-            self.data.len(),
-            "dims {dims:?} disagree with {} elements",
-            self.data.len()
-        );
-        self.dims.clear();
-        self.dims.extend_from_slice(dims);
-    }
-
-    /// Interprets the dims as NCHW.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the buffer is rank 4.
-    pub fn as_nchw(&self) -> (usize, usize, usize, usize) {
-        assert_eq!(self.dims.len(), 4, "expected rank-4 dims, got {:?}", self.dims);
-        (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
-    }
-
-    /// Allocating copy into a [`Tensor`] (training-time backward caches;
-    /// not used on the zero-allocation inference path).
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(self.dims.clone(), self.data.clone())
-    }
-}
+use std::sync::Arc;
 
 /// Steady-state counters exposed for regression tests and observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,13 +50,14 @@ pub struct WorkspaceStats {
 /// module docs for the ownership scheme.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    free: Vec<ActBuf>,
+    free: Vec<Vec<f32>>,
     scratch: Vec<f32>,
     gemm: GemmScratch,
     in_use_bytes: usize,
     scratch_bytes: usize,
     peak_bytes: usize,
-    reported_bytes: usize,
+    /// The `infer.workspace_bytes` gauge, looked up at the first report.
+    gauge: Option<Arc<Gauge>>,
     grows: u64,
 }
 
@@ -132,39 +67,43 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Hands out a buffer with the given dimensions, recycling the most
-    /// recently released one (LIFO keeps ping-pong pairs hot). Contents
-    /// are unspecified: a recycled buffer keeps what its last user wrote,
-    /// and only storage past its previous length is zero-filled. The
-    /// caller writes every element.
-    pub fn acquire(&mut self, dims: &[usize]) -> ActBuf {
-        let len: usize = dims.iter().product();
-        let mut buf = match self.free.pop() {
-            Some(b) => b,
-            None => {
-                self.grows += 1;
-                ActBuf::default()
-            }
-        };
-        if buf.data.capacity() < len {
+    /// Hands out a tensor of the given shape over the most recently
+    /// released storage (LIFO keeps ping-pong pairs hot). Contents are
+    /// unspecified: recycled storage keeps what its last user wrote, and
+    /// only storage past its previous length is zero-filled. The caller
+    /// writes every element.
+    pub fn acquire(&mut self, shape: impl Into<Shape>) -> Tensor {
+        let shape = shape.into();
+        let len = shape.len();
+        let mut data = self.free.pop().unwrap_or_else(|| {
+            self.grows += 1;
+            Vec::new()
+        });
+        if data.capacity() < len {
             self.grows += 1;
         }
-        buf.data.resize(len, 0.0);
-        buf.dims.clear();
-        buf.dims.extend_from_slice(dims);
+        data.resize(len, 0.0);
         self.in_use_bytes += len * std::mem::size_of::<f32>();
         self.note_usage();
-        buf
+        Tensor::from_vec(shape, data)
     }
 
-    /// Returns a buffer to the free list for reuse. Re-samples the peak
-    /// first: the GEMM packing buffers may have grown since acquisition
-    /// (they grow inside the layer's kernel call).
-    pub fn release(&mut self, buf: ActBuf) {
+    /// An acquired tensor holding a copy of `src` (the copies
+    /// `Network::run` and the branching layers feed their sub-paths).
+    pub(crate) fn acquire_copy(&mut self, src: &Tensor) -> Tensor {
+        let mut copy = self.acquire(*src.shape());
+        copy.data_mut().copy_from_slice(src.data());
+        copy
+    }
+
+    /// Returns a tensor's storage to the free list for reuse. Re-samples
+    /// the peak first: the GEMM packing buffers may have grown since
+    /// acquisition (they grow inside the layer's kernel call).
+    pub fn release(&mut self, buf: Tensor) {
         self.note_usage();
         self.in_use_bytes =
-            self.in_use_bytes.saturating_sub(buf.data.len() * std::mem::size_of::<f32>());
-        self.free.push(buf);
+            self.in_use_bytes.saturating_sub(buf.len() * std::mem::size_of::<f32>());
+        self.free.push(buf.into_data());
     }
 
     /// The GEMM packing buffers (dense layers, which have no im2col
@@ -209,16 +148,19 @@ impl Workspace {
     }
 
     /// Publishes this arena's peak live bytes into the process-wide
-    /// `infer.workspace_bytes` gauge when it changed since the last
-    /// report. The gauge keeps the largest peak any arena has published
-    /// (a max-update), so it reads the process's peak whichever thread
-    /// reports last. Each peak is a pure function of the (architecture,
-    /// batch) schedules its thread ran, so the gauge stays deterministic
-    /// in the obs snapshot.
+    /// `infer.workspace_bytes` gauge whenever the gauge reads less. The
+    /// gauge keeps the largest peak any arena has published (a
+    /// max-update), so it reads the process's peak whichever thread
+    /// reports last, and a registry reset, which zeroes it, is made good
+    /// by each arena's next report. Each peak is a pure function of the
+    /// (architecture, batch) schedules its thread ran, so the gauge stays
+    /// deterministic in the obs snapshot.
     pub fn report_peak(&mut self) {
-        if self.peak_bytes != self.reported_bytes {
-            self.reported_bytes = self.peak_bytes;
-            pgmr_obs::global().gauge("infer.workspace_bytes").set_max(self.peak_bytes as f64);
+        let peak = self.peak_bytes as f64;
+        let gauge =
+            self.gauge.get_or_insert_with(|| pgmr_obs::global().gauge("infer.workspace_bytes"));
+        if gauge.get() < peak {
+            gauge.set_max(peak);
         }
     }
 }
@@ -254,44 +196,47 @@ mod tests {
     #[test]
     fn acquire_release_recycles_storage() {
         let mut ws = Workspace::new();
-        let a = ws.acquire(&[2, 3]);
+        let a = ws.acquire([2, 3]);
         assert_eq!(a.len(), 6);
-        assert_eq!(a.dims(), &[2, 3]);
+        assert_eq!(a.shape().dims(), &[2, 3]);
         ws.release(a);
         let grows_before = ws.stats().grows;
-        let b = ws.acquire(&[3, 2]);
+        let b = ws.acquire([3, 2]);
         assert_eq!(ws.stats().grows, grows_before, "recycled acquire must not grow");
-        assert_eq!(b.dims(), &[3, 2]);
+        assert_eq!(b.shape().dims(), &[3, 2]);
+        let mut src = Tensor::zeros([3, 2]);
+        src.data_mut()[4] = 1.5;
+        assert_eq!(ws.acquire_copy(&src), src);
     }
 
     #[test]
     fn acquire_zero_fills_fresh_storage() {
         let mut ws = Workspace::new();
-        let mut a = ws.acquire(&[2]);
+        let mut a = ws.acquire([2]);
         assert_eq!(a.data(), [0.0, 0.0], "a fresh buffer reads zero");
         a.data_mut().fill(7.0);
         ws.release(a);
         // Only storage past the recycled buffer's previous length is
         // zero-filled; `acquire` leaves the recycled prefix as it was
         // written, which is why every layer writes its whole output.
-        let mut b = ws.acquire(&[4]);
+        let mut b = ws.acquire([4]);
         assert_eq!(b.data(), [7.0, 7.0, 0.0, 0.0]);
         b.data_mut().fill(5.0);
         ws.release(b);
-        let c = ws.acquire(&[3]);
-        assert_eq!(c.dims(), &[3]);
+        let c = ws.acquire([3]);
+        assert_eq!(c.shape().dims(), &[3]);
         assert_eq!(c.data(), [5.0, 5.0, 5.0], "shrinking truncates without a fill");
     }
 
     #[test]
     fn peak_bytes_tracks_concurrent_buffers() {
         let mut ws = Workspace::new();
-        let a = ws.acquire(&[10]);
-        let b = ws.acquire(&[20]);
+        let a = ws.acquire([10]);
+        let b = ws.acquire([20]);
         assert_eq!(ws.stats().peak_bytes, 30 * 4);
         ws.release(a);
         ws.release(b);
-        let c = ws.acquire(&[10]);
+        let c = ws.acquire([10]);
         assert_eq!(ws.stats().peak_bytes, 30 * 4, "peak is a high-water mark");
         ws.release(c);
     }
@@ -307,26 +252,16 @@ mod tests {
     }
 
     #[test]
-    fn set_dims_requires_matching_element_count() {
-        let mut ws = Workspace::new();
-        let mut a = ws.acquire(&[2, 3]);
-        a.set_dims(&[6]);
-        assert_eq!(a.dims(), &[6]);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.set_dims(&[7])));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn thread_workspace_persists_across_calls() {
         let before = thread_workspace_stats();
         with_thread_workspace(|ws| {
-            let buf = ws.acquire(&[128]);
+            let buf = ws.acquire([128]);
             ws.release(buf);
         });
         let mid = thread_workspace_stats();
         assert!(mid.grows >= before.grows);
         with_thread_workspace(|ws| {
-            let buf = ws.acquire(&[128]);
+            let buf = ws.acquire([128]);
             ws.release(buf);
         });
         assert_eq!(thread_workspace_stats().grows, mid.grows, "second pass must reuse");

@@ -504,7 +504,7 @@ mod tests {
         }
         // Forward/backward round trip must preserve shapes.
         let logits = net.forward(&x, true);
-        let grad = Tensor::ones(logits.shape().dims().to_vec());
+        let grad = Tensor::ones(*logits.shape());
         let dx = net.backward(&grad);
         assert_eq!(dx.shape().dims(), x.shape().dims());
     }

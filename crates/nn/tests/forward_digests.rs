@@ -248,6 +248,6 @@ fn training_runs_on_a_workspace_of_its_own() {
     let x = Tensor::uniform(vec![16, 1, 16, 16], -1.0, 1.0, &mut rng);
     let before = thread_workspace_stats();
     let y = net.forward(&x, true);
-    let _ = net.backward(&Tensor::ones(y.shape().dims().to_vec()));
+    let _ = net.backward(&Tensor::ones(*y.shape()));
     assert_eq!(thread_workspace_stats(), before, "training must not touch the inference arena");
 }

@@ -30,8 +30,8 @@ fn check_spec(spec: ArchSpec, tolerance: f32) {
     let logits = net.forward(&x, true);
     let (_, grad) = softmax_cross_entropy(&logits, &labels);
     net.backward(&grad);
-    let mut grads: Vec<Tensor> = Vec::new();
-    net.visit_slots(&mut |s| grads.push(s.grad.snapshot()));
+    let mut grads: Vec<Vec<f32>> = Vec::new();
+    net.visit_slots(&mut |s| grads.push(s.grad().to_vec()));
     let state = net.state_dict();
 
     let eps = 1e-2;
@@ -48,7 +48,7 @@ fn check_spec(spec: ArchSpec, tolerance: f32) {
             net.load_state(&sm);
             let fm = loss_of(&mut net, &x, &labels);
             let numeric = (fp - fm) / (2.0 * eps);
-            let analytic = grads[pi].data()[flat];
+            let analytic = grads[pi][flat];
             assert!(
                 (numeric - analytic).abs() < tolerance,
                 "{}: param {pi} flat {flat}: numeric {numeric} vs analytic {analytic}",

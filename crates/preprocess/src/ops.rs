@@ -91,7 +91,7 @@ fn flip_x(image: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(vec![1, c, h, w], out)
+    Tensor::from_vec([1, c, h, w], out)
 }
 
 fn flip_y(image: &Tensor) -> Tensor {
@@ -106,7 +106,7 @@ fn flip_y(image: &Tensor) -> Tensor {
                 .copy_from_slice(&src[ch * plane + sy * w..ch * plane + sy * w + w]);
         }
     }
-    Tensor::from_vec(vec![1, c, h, w], out)
+    Tensor::from_vec([1, c, h, w], out)
 }
 
 fn gamma(image: &Tensor, g: f32) -> Tensor {
@@ -222,7 +222,7 @@ fn connorm(image: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(vec![1, c, h, w], out)
+    Tensor::from_vec([1, c, h, w], out)
 }
 
 /// Per-channel percentile stretch: the 2nd percentile maps to 0 and the
@@ -280,7 +280,7 @@ fn scale(image: &Tensor, p: u32) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(vec![1, c, h, w], out)
+    Tensor::from_vec([1, c, h, w], out)
 }
 
 fn bilinear(data: &[f32], ch: usize, h: usize, w: usize, plane: usize, fy: f32, fx: f32) -> f32 {

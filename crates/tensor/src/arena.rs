@@ -2,19 +2,17 @@
 //! every tenant of a model blob.
 //!
 //! A [`WeightArena`] owns a single cache-line-aligned allocation sized at
-//! construction; [`ArenaView`]s are `(Arc<arena>, offset, shape)` triples
-//! that borrow disjoint sub-ranges of it. Cloning a view clones the `Arc`,
-//! not the weights — the mechanism behind multi-tenant member sharing and
-//! cheap per-worker serve replicas. The arena is mutable only while being
-//! filled (before any view is handed out); afterwards every access is
-//! read-only, so views are freely shared across threads.
+//! construction; shared [`Tensor`](crate::Tensor)s
+//! ([`Tensor::shared`](crate::Tensor::shared)) read disjoint sub-ranges
+//! of it through an `Arc`. Cloning such a tensor clones the `Arc`, not the
+//! weights — the mechanism behind multi-tenant member sharing and cheap
+//! per-worker serve replicas. The arena is mutable only while being
+//! filled (before it is wrapped in an `Arc`); afterwards every access is
+//! read-only, so its tensors are freely shared across threads.
 
-use crate::shape::Shape;
-use crate::tensor::Tensor;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::Arc;
 
 /// Cache-line alignment of every arena allocation, in bytes. 64 bytes is
 /// one x86 cache line and covers every SIMD alignment the GEMM kernels
@@ -22,7 +20,7 @@ use std::sync::Arc;
 pub const ARENA_ALIGN: usize = 64;
 
 /// `f32` elements per [`ARENA_ALIGN`] boundary — tensor offsets inside an
-/// arena are rounded up to multiples of this so every view starts on a
+/// arena are rounded up to multiples of this so every tensor starts on a
 /// cache line.
 pub const ARENA_ALIGN_ELEMS: usize = ARENA_ALIGN / std::mem::size_of::<f32>();
 
@@ -71,6 +69,7 @@ impl WeightArena {
     }
 
     /// The whole arena as a read-only slice.
+    #[inline]
     pub fn data(&self) -> &[f32] {
         // SAFETY: ptr/len describe this arena's own allocation (or a
         // dangling pointer with len 0, for which from_raw_parts is fine).
@@ -78,8 +77,8 @@ impl WeightArena {
     }
 
     /// Mutable access for the fill phase. Exclusive by construction: the
-    /// loader fills the arena before wrapping it in an `Arc`, so no view
-    /// can alias this borrow.
+    /// loader fills the arena before wrapping it in an `Arc`, so no shared
+    /// tensor can alias this borrow.
     pub fn data_mut(&mut self) -> &mut [f32] {
         // SAFETY: &mut self guarantees exclusivity.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
@@ -109,81 +108,11 @@ impl fmt::Debug for WeightArena {
     }
 }
 
-/// A shaped, read-only view into a [`WeightArena`]. Cloning a view is an
-/// `Arc` bump — weights are never copied.
-#[derive(Clone)]
-pub struct ArenaView {
-    arena: Arc<WeightArena>,
-    offset: usize,
-    shape: Shape,
-}
-
-impl ArenaView {
-    /// Creates a view of `shape` starting `offset` elements into `arena`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view would run past the end of the arena.
-    pub fn new(arena: Arc<WeightArena>, offset: usize, shape: Shape) -> Self {
-        assert!(
-            offset + shape.len() <= arena.len(),
-            "arena view [{offset}, {}) out of bounds for arena of {} elems",
-            offset + shape.len(),
-            arena.len()
-        );
-        ArenaView { arena, offset, shape }
-    }
-
-    /// The view's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Number of elements in the view.
-    pub fn len(&self) -> usize {
-        self.shape.len()
-    }
-
-    /// True when the view holds no elements (never constructible: shapes
-    /// reject zero dims).
-    pub fn is_empty(&self) -> bool {
-        self.shape.len() == 0
-    }
-
-    /// The viewed weights as a read-only slice.
-    pub fn data(&self) -> &[f32] {
-        &self.arena.data()[self.offset..self.offset + self.shape.len()]
-    }
-
-    /// Copies the viewed weights into an owned [`Tensor`] (the
-    /// copy-on-write detach point for tenants that need to mutate).
-    /// Named `snapshot`, not `to_tensor`, so the lint's name-based call
-    /// graph cannot confuse this cold detach with the hot-path
-    /// `ActBuf::to_tensor`.
-    pub fn snapshot(&self) -> Tensor {
-        Tensor::from_vec(self.shape.dims().to_vec(), self.data().to_vec())
-    }
-
-    /// The backing arena.
-    pub fn arena(&self) -> &Arc<WeightArena> {
-        &self.arena
-    }
-
-    /// True when `self` and `other` read from the same arena allocation.
-    pub fn same_arena(&self, other: &ArenaView) -> bool {
-        Arc::ptr_eq(&self.arena, &other.arena)
-    }
-}
-
-impl fmt::Debug for ArenaView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ArenaView {{ offset: {}, shape: {:?} }}", self.offset, self.shape)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
+    use std::sync::Arc;
 
     #[test]
     fn arena_is_aligned_and_zeroed() {
@@ -202,20 +131,18 @@ mod tests {
     }
 
     #[test]
-    fn views_share_without_copying() {
+    fn tensors_share_without_copying() {
         let mut arena = WeightArena::new_zeroed(align_offset(6) + 4);
         for (i, v) in arena.data_mut().iter_mut().enumerate() {
             *v = i as f32;
         }
         let arena = Arc::new(arena);
-        let a = ArenaView::new(Arc::clone(&arena), 0, Shape::new(vec![2, 3]));
-        let b = ArenaView::new(Arc::clone(&arena), align_offset(6), Shape::new(vec![4]));
+        let a = Tensor::shared(Arc::clone(&arena), 0, [2, 3]);
+        let b = Tensor::shared(Arc::clone(&arena), align_offset(6), [4]);
         assert_eq!(a.data(), &[0., 1., 2., 3., 4., 5.]);
         assert_eq!(b.data().len(), 4);
-        assert!(a.same_arena(&b));
-        let c = a.clone();
-        assert!(c.same_arena(&a));
-        assert_eq!(c.snapshot().shape().dims(), &[2, 3]);
+        assert_eq!(b.data().as_ptr() as usize % ARENA_ALIGN, 0, "offsets land on cache lines");
+        assert_eq!(Arc::strong_count(&arena), 3);
     }
 
     #[test]
@@ -224,12 +151,5 @@ mod tests {
         assert_eq!(align_offset(1), ARENA_ALIGN_ELEMS);
         assert_eq!(align_offset(16), 16);
         assert_eq!(align_offset(17), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn oversized_view_rejected() {
-        let arena = Arc::new(WeightArena::new_zeroed(8));
-        ArenaView::new(arena, 4, Shape::new(vec![8]));
     }
 }

@@ -208,7 +208,7 @@ pub fn col2im(cols: &[f32], geom: &Conv2dGeometry) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(vec![1, c, h, w], out)
+    Tensor::from_vec([1, c, h, w], out)
 }
 
 #[cfg(test)]

@@ -3,12 +3,13 @@
 //! A minimal, dependency-light tensor and linear-algebra substrate used by the
 //! PolygraphMR reproduction. It provides:
 //!
-//! * [`Tensor`] — an owned, dense, row-major `f32` tensor with an arbitrary
-//!   number of dimensions (the networks in this repository use the NCHW
-//!   convention for image batches),
-//! * [`Shape`] — lightweight shape algebra with strides and bounds checking,
+//! * [`Tensor`] — a dense, row-major `f32` tensor of at most four
+//!   dimensions (the networks in this repository use the NCHW convention
+//!   for image batches), over owned storage or a copy-on-write slice of a
+//!   shared [`WeightArena`],
+//! * [`Shape`] — an inline, `Copy` shape of up to [`MAX_RANK`] extents,
 //! * [`gemm()`](gemm::gemm) — a packed, cache-blocked, register-tiled matrix
-//!   multiply with quantized `i8`/`i16` variants,
+//!   multiply,
 //! * [`conv`] — im2col/col2im convolution lowering,
 //! * [`ops`] — elementwise and reduction kernels (ReLU, softmax, argmax, …).
 //!
@@ -23,8 +24,8 @@
 //! ```
 //! use pgmr_tensor::Tensor;
 //!
-//! let a = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
-//! let b = Tensor::zeros(vec![2, 3]);
+//! let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]);
+//! let b = Tensor::zeros([2, 3]);
 //! let c = a.add(&b);
 //! assert_eq!(c.data(), a.data());
 //! ```
@@ -37,7 +38,7 @@ pub mod ops;
 pub mod shape;
 pub mod tensor;
 
-pub use arena::{align_offset, ArenaView, WeightArena, ARENA_ALIGN, ARENA_ALIGN_ELEMS};
+pub use arena::{align_offset, WeightArena, ARENA_ALIGN, ARENA_ALIGN_ELEMS};
 pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums};
 pub use conv::{col2im, im2col_into, Conv2dGeometry};
 pub use gemm::{
@@ -45,5 +46,5 @@ pub use gemm::{
     GemmTuning, DEFAULT_TUNING,
 };
 pub use ops::{argmax, log_softmax, relu_backward, softmax, softmax_in_place};
-pub use shape::Shape;
+pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;

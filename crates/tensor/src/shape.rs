@@ -3,25 +3,30 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The shape of a dense, row-major tensor.
+/// The largest rank a [`Shape`] holds: every tensor in the tree is at most
+/// an NCHW image batch.
+pub const MAX_RANK: usize = 4;
+
+/// The shape of a dense, row-major tensor: up to [`MAX_RANK`] extents held
+/// inline, so a shape is `Copy` and never touches the heap.
 ///
-/// A `Shape` records the extent of every dimension. The last dimension is the
-/// fastest-varying one (C order). An empty dimension list denotes a scalar
-/// with one element.
+/// The last dimension is the fastest-varying one (C order). Rank 0 denotes
+/// a scalar with one element.
 ///
 /// # Example
 ///
 /// ```
 /// use pgmr_tensor::Shape;
 ///
-/// let s = Shape::new(vec![2, 3, 4]);
+/// let s = Shape::new(&[2, 3, 4]);
 /// assert_eq!(s.len(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
-/// assert_eq!(s.flat_index(&[1, 2, 3]), 23);
+/// assert_eq!(s.dims(), &[2, 3, 4]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// Extents; the slots past `rank` stay zero so derived equality holds.
+    dims: [usize; MAX_RANK],
+    rank: u8,
 }
 
 impl Shape {
@@ -29,29 +34,34 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero; zero-sized tensors are never
-    /// meaningful in this codebase and almost always indicate a bug.
-    pub fn new(dims: Vec<usize>) -> Self {
+    /// Panics if there are more than [`MAX_RANK`] dimensions or any
+    /// dimension is zero; zero-sized tensors are never meaningful in this
+    /// codebase and almost always indicate a bug.
+    pub fn new(dims: &[usize]) -> Self {
+        assert!(dims.len() <= MAX_RANK, "shape rank {} exceeds {MAX_RANK}: {dims:?}", dims.len());
         assert!(dims.iter().all(|&d| d > 0), "shape dimensions must be positive, got {dims:?}");
-        Shape { dims }
+        let mut shape = Shape { dims: [0; MAX_RANK], rank: dims.len() as u8 };
+        shape.dims[..dims.len()].copy_from_slice(dims);
+        shape
     }
 
     /// The dimension extents.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.dims[..self.rank as usize]
     }
 
     /// Number of dimensions (rank).
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.rank as usize
     }
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
-    /// True when the shape holds exactly one element (rank 0 counts).
+    /// True when the shape holds no elements (never constructible: every
+    /// dimension is positive, and rank 0 holds one element).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -62,40 +72,7 @@ impl Shape {
     ///
     /// Panics if `i >= self.rank()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.dims[i]
-    }
-
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Maps a multi-dimensional index to its flat offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank mismatches or any coordinate is out of
-    /// bounds.
-    pub fn flat_index(&self, index: &[usize]) -> usize {
-        assert_eq!(
-            index.len(),
-            self.dims.len(),
-            "index rank {} does not match shape rank {}",
-            index.len(),
-            self.dims.len()
-        );
-        // Horner form over the row-major dims — no strides vector, so
-        // per-element `Tensor::get`/`set` stay allocation-free.
-        let mut flat = 0;
-        for (i, (&ix, &dim)) in index.iter().zip(&self.dims).enumerate() {
-            assert!(ix < dim, "index {ix} out of bounds for dim {i} (extent {dim})");
-            flat = flat * dim + ix;
-        }
-        flat
+        self.dims()[i]
     }
 
     /// Interprets this shape as an NCHW image batch `(n, c, h, w)`.
@@ -107,48 +84,39 @@ impl Shape {
         assert_eq!(self.rank(), 4, "expected rank-4 NCHW shape, got {self:?}");
         (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
     }
-
-    /// Returns a new shape with the same element count but different
-    /// dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshaped(&self, dims: Vec<usize>) -> Shape {
-        let new = Shape::new(dims);
-        assert_eq!(
-            self.len(),
-            new.len(),
-            "cannot reshape {self:?} ({} elems) into {new:?} ({} elems)",
-            self.len(),
-            new.len()
-        );
-        new
-    }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.dims)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.dims.iter().map(|d| d.to_string()).collect();
-        write!(f, "[{}]", parts.join("x"))
-    }
-}
-
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape::new(dims)
+        write!(f, "[")?;
+        for (i, d) in self.dims().iter().enumerate() {
+            write!(f, "{}{d}", if i == 0 { "" } else { "x" })?;
+        }
+        write!(f, "]")
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::new(dims)
+    }
+}
+
+impl<const N: usize> From<[usize; N]> for Shape {
+    fn from(dims: [usize; N]) -> Self {
+        Shape::new(&dims)
+    }
+}
+
+impl From<Vec<usize>> for Shape {
+    fn from(dims: Vec<usize>) -> Self {
+        Shape::new(&dims)
     }
 }
 
@@ -157,60 +125,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strides_are_row_major() {
-        let s = Shape::new(vec![4, 3, 2]);
-        assert_eq!(s.strides(), vec![6, 2, 1]);
-    }
-
-    #[test]
-    fn flat_index_round_trip() {
-        let s = Shape::new(vec![2, 3, 4]);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..2 {
-            for j in 0..3 {
-                for k in 0..4 {
-                    let flat = s.flat_index(&[i, j, k]);
-                    assert!(flat < s.len());
-                    assert!(seen.insert(flat), "duplicate flat index {flat}");
-                }
-            }
-        }
-        assert_eq!(seen.len(), s.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn flat_index_rejects_out_of_bounds() {
-        Shape::new(vec![2, 2]).flat_index(&[2, 0]);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_dim_rejected() {
-        Shape::new(vec![3, 0]);
+        Shape::new(&[3, 0]);
     }
 
     #[test]
-    fn reshape_preserves_len() {
-        let s = Shape::new(vec![6, 4]);
-        let r = s.reshaped(vec![2, 12]);
-        assert_eq!(r.len(), 24);
+    #[should_panic(expected = "exceeds 4")]
+    fn rank_above_four_rejected() {
+        Shape::new(&[1, 1, 1, 1, 1]);
     }
 
     #[test]
-    #[should_panic(expected = "cannot reshape")]
-    fn reshape_rejects_mismatched_len() {
-        Shape::new(vec![6, 4]).reshaped(vec![5, 5]);
+    fn inline_dims_compare_by_extent() {
+        assert_eq!(Shape::new(&[2, 3]), Shape::from([2, 3]));
+        assert_ne!(Shape::new(&[2, 3]), Shape::new(&[2, 3, 1]));
+        assert_eq!(Shape::new(&[]).len(), 1, "a scalar holds one element");
+        assert_eq!(Shape::new(&[6, 4]).dims(), &[6, 4]);
     }
 
     #[test]
     fn nchw_accessor() {
-        let s = Shape::new(vec![8, 3, 32, 32]);
+        let s = Shape::new(&[8, 3, 32, 32]);
         assert_eq!(s.as_nchw(), (8, 3, 32, 32));
     }
 
     #[test]
     fn display_formats_dims() {
-        assert_eq!(Shape::new(vec![2, 3]).to_string(), "[2x3]");
+        assert_eq!(Shape::new(&[2, 3]).to_string(), "[2x3]");
+        assert_eq!(format!("{:?}", Shape::new(&[2, 3])), "Shape[2, 3]");
     }
 }

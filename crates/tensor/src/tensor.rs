@@ -1,37 +1,55 @@
-//! Dense, owned, row-major `f32` tensors.
+//! Dense, row-major `f32` tensors over owned or arena-shared storage.
 
+use crate::arena::WeightArena;
 use crate::shape::Shape;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
-/// An owned, dense, row-major tensor of `f32` values.
+/// A dense, row-major tensor of `f32` values: one [`Shape`] over one
+/// storage.
 ///
 /// `Tensor` is the common currency between the dataset generators, the
 /// preprocessors, and the neural-network layers. Batches of images use the
 /// NCHW convention: `[batch, channels, height, width]`.
+///
+/// The storage is either an owned `Vec<f32>` (images, activations,
+/// gradients, trainable weights) or a slice of a shared [`WeightArena`]
+/// (the weights every tenant of one model blob reads; see
+/// [`Tensor::shared`]). Reads are the same for both. Cloning shared
+/// storage bumps the arena's `Arc` and copies no weights; the first
+/// [`Tensor::data_mut`] or [`Tensor::map_in_place`] detaches it
+/// copy-on-write into an owned copy, so a tenant's mutation (fault
+/// injection, precision quantization, an optimizer step) never writes
+/// through to its co-tenants.
 ///
 /// # Example
 ///
 /// ```
 /// use pgmr_tensor::Tensor;
 ///
-/// let t = Tensor::filled(vec![2, 2], 3.0);
+/// let t = Tensor::filled([2, 2], 3.0);
 /// assert_eq!(t.sum(), 12.0);
 /// assert_eq!(t.scale(0.5).data(), &[1.5, 1.5, 1.5, 1.5]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    storage: Storage,
+}
+
+#[derive(Clone)]
+enum Storage {
+    Owned(Vec<f32>),
+    /// `shape.len()` elements starting this many elements into the arena.
+    Shared(Arc<WeightArena>, usize),
 }
 
 impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let len = shape.len();
-        Tensor { shape, data: vec![0.0; len] }
+        Tensor::filled(shape, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -42,8 +60,7 @@ impl Tensor {
     /// Creates a tensor where every element is `value`.
     pub fn filled(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        let len = shape.len();
-        Tensor { shape, data: vec![value; len] }
+        Tensor { shape, storage: Storage::Owned(vec![value; shape.len()]) }
     }
 
     /// Creates a tensor from existing data.
@@ -60,14 +77,31 @@ impl Tensor {
             shape.len(),
             data.len()
         );
-        Tensor { shape, data }
+        Tensor { shape, storage: Storage::Owned(data) }
+    }
+
+    /// A read-only tensor of `shape` over the arena elements starting at
+    /// `offset`. Nothing is copied until the first mutable access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor would run past the end of the arena.
+    pub fn shared(arena: Arc<WeightArena>, offset: usize, shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        assert!(
+            offset + shape.len() <= arena.len(),
+            "arena slice [{offset}, {}) out of bounds for arena of {} elems",
+            offset + shape.len(),
+            arena.len()
+        );
+        Tensor { shape, storage: Storage::Shared(arena, offset) }
     }
 
     /// Creates a tensor with elements drawn uniformly from `[lo, hi)`.
     pub fn uniform<R: Rng>(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut R) -> Self {
         let shape = shape.into();
         let data = (0..shape.len()).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// Creates a tensor with elements drawn from a normal distribution with
@@ -87,66 +121,85 @@ impl Tensor {
                 data.push(mean + std * r * theta.sin());
             }
         }
-        Tensor { shape, data }
+        Tensor::from_vec(shape, data)
     }
 
     /// The tensor's shape.
+    #[inline]
     pub fn shape(&self) -> &Shape {
         &self.shape
     }
 
-    /// Immutable view of the underlying row-major data.
+    /// Immutable view of the row-major data.
+    #[inline]
     pub fn data(&self) -> &[f32] {
-        &self.data
+        match &self.storage {
+            Storage::Owned(data) => data,
+            Storage::Shared(arena, offset) => &arena.data()[*offset..*offset + self.shape.len()],
+        }
     }
 
-    /// Mutable view of the underlying row-major data.
+    /// Mutable view of the row-major data; shared storage detaches into
+    /// an owned copy first.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.detach()
     }
 
-    /// Consumes the tensor and returns its raw data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
+    /// Consumes the tensor and returns its owned data (a copy when the
+    /// storage is shared). The activation workspace reclaims storage for
+    /// reuse through it.
+    pub fn into_data(mut self) -> Vec<f32> {
+        std::mem::take(self.detach())
+    }
+
+    /// True while the tensor reads from a shared [`WeightArena`].
+    pub fn is_shared(&self) -> bool {
+        matches!(self.storage, Storage::Shared(..))
+    }
+
+    /// The owned storage, copying shared storage out of its arena first.
+    #[inline]
+    // pgmr-lint: boundary(hot-path-alloc): copy-on-write detach fires on the first *mutation* of arena-shared storage (training, fault/precision injection) — the shared-weight inference forward only reads weights, and owned activations pass straight through
+    fn detach(&mut self) -> &mut Vec<f32> {
+        if let Storage::Shared(..) = self.storage {
+            self.storage = Storage::Owned(self.data().to_vec());
+        }
+        match &mut self.storage {
+            Storage::Owned(data) => data,
+            Storage::Shared(..) => unreachable!("detach leaves owned storage"),
+        }
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.shape.len()
     }
 
     /// True when the tensor has no elements (never constructible, but
     /// provided for API completeness alongside [`Tensor::len`]).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.shape.is_empty()
     }
 
-    /// Element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank mismatch or out-of-bounds coordinates.
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.flat_index(index)]
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank mismatch or out-of-bounds coordinates.
-    pub fn set(&mut self, index: &[usize], value: f32) {
-        let flat = self.shape.flat_index(index);
-        self.data[flat] = value;
-    }
-
-    /// Returns a tensor with the same data and a new shape.
+    /// The same data under a new shape; nothing is copied.
     ///
     /// # Panics
     ///
     /// Panics if the element counts differ.
-    pub fn reshape(&self, dims: Vec<usize>) -> Tensor {
-        Tensor { shape: self.shape.reshaped(dims), data: self.data.clone() }
+    pub fn reshape(mut self, shape: impl Into<Shape>) -> Tensor {
+        let shape = shape.into();
+        assert_eq!(
+            self.len(),
+            shape.len(),
+            "cannot reshape {:?} ({} elems) into {shape:?} ({} elems)",
+            self.shape,
+            self.len(),
+            shape.len()
+        );
+        self.shape = shape;
+        self
     }
 
     /// Elementwise sum of two tensors.
@@ -167,28 +220,19 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Returns a new tensor with every element multiplied by `factor`.
     pub fn scale(&self, factor: f32) -> Tensor {
         self.map(|x| x * factor)
     }
 
-    /// Applies `f` to every element, returning a new tensor.
+    /// Applies `f` to every element, returning a new (owned) tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
+        Tensor::from_vec(self.shape, self.data().iter().map(|&x| f(x)).collect())
     }
 
-    /// Applies `f` to every element in place.
+    /// Applies `f` to every element in place (detaching shared storage).
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -204,31 +248,13 @@ impl Tensor {
             "shape mismatch: {:?} vs {:?}",
             self.shape, other.shape
         );
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
-    }
-
-    /// Accumulates `other * factor` into `self` (axpy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn axpy(&mut self, factor: f32, other: &Tensor) {
-        assert_eq!(
-            self.shape, other.shape,
-            "shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += factor * b;
-        }
+        let data = self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b)).collect();
+        Tensor::from_vec(self.shape, data)
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Arithmetic mean of all elements.
@@ -239,22 +265,22 @@ impl Tensor {
     /// Largest element. Returns `f32::NEG_INFINITY` only for the impossible
     /// empty case.
     pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// Smallest element.
     pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
+        self.data().iter().copied().fold(f32::INFINITY, f32::min)
     }
 
     /// Squared L2 norm of the tensor, useful for gradient diagnostics.
     pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
+        self.data().iter().map(|x| x * x).sum()
     }
 
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        self.data().iter().any(|x| !x.is_finite())
     }
 
     /// Extracts image `i` of an NCHW batch as a `[1, c, h, w]` tensor.
@@ -266,7 +292,7 @@ impl Tensor {
         let (n, c, h, w) = self.shape.as_nchw();
         assert!(i < n, "image index {i} out of bounds for batch of {n}");
         let stride = c * h * w;
-        Tensor::from_vec(vec![1, c, h, w], self.data[i * stride..(i + 1) * stride].to_vec())
+        Tensor::from_vec([1, c, h, w], self.data()[i * stride..(i + 1) * stride].to_vec())
     }
 
     /// Stacks `[1, c, h, w]` images into an `[n, c, h, w]` batch.
@@ -281,9 +307,16 @@ impl Tensor {
         let mut data = Vec::with_capacity(images.len() * c * h * w);
         for img in images {
             assert_eq!(img.shape.as_nchw(), (1, c, h, w), "inconsistent image shapes in stack");
-            data.extend_from_slice(&img.data);
+            data.extend_from_slice(img.data());
         }
-        Tensor::from_vec(vec![images.len(), c, h, w], data)
+        Tensor::from_vec([images.len(), c, h, w], data)
+    }
+}
+
+impl PartialEq for Tensor {
+    /// Equal shapes and equal elements, whatever the storage.
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
@@ -291,10 +324,11 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const PREVIEW: usize = 8;
         write!(f, "Tensor({}, ", self.shape)?;
-        if self.data.len() <= PREVIEW {
-            write!(f, "{:?})", self.data)
+        let data = self.data();
+        if data.len() <= PREVIEW {
+            write!(f, "{data:?})")
         } else {
-            write!(f, "{:?}…)", &self.data[..PREVIEW])
+            write!(f, "{:?}…)", &data[..PREVIEW])
         }
     }
 }
@@ -302,7 +336,7 @@ impl fmt::Debug for Tensor {
 impl Default for Tensor {
     /// A scalar zero tensor: the simplest valid tensor.
     fn default() -> Self {
-        Tensor::zeros(vec![1])
+        Tensor::zeros([1])
     }
 }
 
@@ -314,17 +348,10 @@ mod tests {
 
     #[test]
     fn construction_and_access() {
-        let t = Tensor::from_vec(vec![2, 3], vec![0., 1., 2., 3., 4., 5.]);
-        assert_eq!(t.at(&[1, 2]), 5.0);
-        assert_eq!(t.at(&[0, 1]), 1.0);
-    }
-
-    #[test]
-    fn set_updates_value() {
-        let mut t = Tensor::zeros(vec![2, 2]);
-        t.set(&[1, 0], 7.0);
-        assert_eq!(t.at(&[1, 0]), 7.0);
-        assert_eq!(t.sum(), 7.0);
+        let t = Tensor::from_vec([2, 3], vec![0., 1., 2., 3., 4., 5.]);
+        assert_eq!(t.shape().dims(), &[2, 3]);
+        assert_eq!(t.data()[5], 5.0);
+        assert!(!t.is_shared());
     }
 
     #[test]
@@ -333,16 +360,8 @@ mod tests {
         let b = Tensor::from_vec(vec![3], vec![4., 5., 6.]);
         assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
         assert_eq!(b.sub(&a).data(), &[3., 3., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 10., 18.]);
+        assert_eq!(a.zip_with(&b, |x, y| x * y).data(), &[4., 10., 18.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::ones(vec![3]);
-        let b = Tensor::from_vec(vec![3], vec![1., 2., 3.]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[1.5, 2.0, 2.5]);
     }
 
     #[test]
@@ -385,7 +404,7 @@ mod tests {
     fn non_finite_detection() {
         let mut t = Tensor::zeros(vec![3]);
         assert!(!t.has_non_finite());
-        t.set(&[1], f32::NAN);
+        t.data_mut()[1] = f32::NAN;
         assert!(t.has_non_finite());
     }
 
@@ -400,8 +419,72 @@ mod tests {
     #[test]
     fn reshape_keeps_data() {
         let t = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
-        let r = t.reshape(vec![4]);
+        let r = t.clone().reshape([4]);
         assert_eq!(r.data(), t.data());
         assert_eq!(r.shape().dims(), &[4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot reshape")]
+    fn reshape_rejects_mismatched_len() {
+        let _ = Tensor::zeros([6, 4]).reshape([5, 5]);
+    }
+
+    /// An arena holding `0, 1, 2, …`.
+    fn counting_arena(len: usize) -> Arc<WeightArena> {
+        let mut arena = WeightArena::new_zeroed(len);
+        for (i, v) in arena.data_mut().iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        Arc::new(arena)
+    }
+
+    #[test]
+    fn shared_storage_reads_its_arena_slice() {
+        let arena = counting_arena(24);
+        let t = Tensor::shared(Arc::clone(&arena), 16, [2, 3]);
+        assert!(t.is_shared());
+        assert_eq!(t.len(), 6);
+        assert_eq!(t.data(), &[16., 17., 18., 19., 20., 21.]);
+        assert_eq!(t.data().as_ptr(), arena.data()[16..].as_ptr(), "a read copies nothing");
+        assert_eq!(t, Tensor::from_vec([2, 3], vec![16., 17., 18., 19., 20., 21.]));
+        assert_eq!(t.map(|v| v - 16.0).data(), &[0., 1., 2., 3., 4., 5.]);
+    }
+
+    #[test]
+    fn shared_storage_clone_bumps_the_arc() {
+        let arena = counting_arena(8);
+        let t = Tensor::shared(Arc::clone(&arena), 0, [8]);
+        let c = t.clone();
+        assert_eq!(Arc::strong_count(&arena), 3);
+        assert!(c.is_shared());
+        assert_eq!(c.data().as_ptr(), t.data().as_ptr(), "clones read one allocation");
+        drop((t, c));
+        assert_eq!(Arc::strong_count(&arena), 1);
+    }
+
+    #[test]
+    fn shared_storage_detaches_on_first_write() {
+        let arena = counting_arena(4);
+        let mut a = Tensor::shared(Arc::clone(&arena), 0, [4]);
+        let b = a.clone();
+        a.data_mut()[0] = 9.0;
+        assert!(!a.is_shared(), "a write detaches the tensor");
+        assert_eq!(a.data(), &[9., 1., 2., 3.]);
+        assert!(b.is_shared(), "a co-tenant keeps reading the arena");
+        assert_eq!(b.data(), &[0., 1., 2., 3.]);
+        assert_eq!(arena.data(), &[0., 1., 2., 3.], "the arena stays untouched");
+
+        let mut m = b.clone();
+        m.map_in_place(|v| v * 2.0);
+        assert_eq!((m.is_shared(), m.data()), (false, &[0., 2., 4., 6.][..]));
+        assert_eq!(b.into_data(), vec![0., 1., 2., 3.], "into_data copies shared storage out");
+        assert_eq!(Arc::strong_count(&arena), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn shared_storage_rejects_an_oversized_slice() {
+        Tensor::shared(counting_arena(8), 4, [8]);
     }
 }

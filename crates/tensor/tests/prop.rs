@@ -1,43 +1,9 @@
 //! Property-based tests for the tensor substrate.
 
-use pgmr_tensor::{argmax, softmax, Shape, Tensor};
+use pgmr_tensor::{argmax, softmax, Tensor};
 use proptest::prelude::*;
 
-fn small_dims() -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(1usize..6, 1..4)
-}
-
 proptest! {
-    /// Every flat index produced by the shape is unique and in range.
-    #[test]
-    fn shape_flat_index_bijective(dims in small_dims()) {
-        let shape = Shape::new(dims.clone());
-        let mut seen = std::collections::HashSet::new();
-        let mut index = vec![0usize; dims.len()];
-        'outer: loop {
-            let flat = shape.flat_index(&index);
-            prop_assert!(flat < shape.len());
-            prop_assert!(seen.insert(flat));
-            // Odometer increment; stop after the last index wraps.
-            let mut d = dims.len();
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                index[d] += 1;
-                if index[d] < dims[d] {
-                    break;
-                }
-                index[d] = 0;
-                if d == 0 {
-                    break 'outer;
-                }
-            }
-        }
-        prop_assert_eq!(seen.len(), shape.len());
-    }
-
     /// Softmax always lands on the probability simplex and preserves ranking.
     #[test]
     fn softmax_on_simplex(logits in prop::collection::vec(-50.0f32..50.0, 1..16)) {

@@ -245,6 +245,33 @@ fn dims_whose_product_wraps_to_a_consistent_length_are_rejected() {
     }
 }
 
+/// A record rewritten to rank 5, one more dim than a tensor holds, with
+/// dims of 1 appended after its own: the element count, the payload and
+/// the rest of the layout still agree, so only the rank bound stops it.
+/// The decoder must refuse the rank before it builds a shape, not leave
+/// the mismatch to `attach`.
+#[test]
+fn rank_above_four_is_rejected_at_decode() {
+    let store = ModelStore::new();
+    for (spec, blob) in zoo_blobs() {
+        let (_, records) = weight_layout(&blob);
+        for record in records {
+            let dims_end = record.rank_at + 1 + 4 * record.dims.len();
+            let mut bad = blob[..dims_end].to_vec();
+            bad[record.rank_at] = 5;
+            for _ in record.dims.len()..5 {
+                bad.extend_from_slice(&1u32.to_le_bytes());
+            }
+            bad.extend_from_slice(&blob[dims_end..]);
+            refresh_frame(&mut bad);
+            let what = format!("{} rank 5 at {}", spec.arch_id(), record.rank_at);
+            let err = StoredModel::from_blob(&bad).err();
+            assert_eq!(err, Some(DecodeError::ShapeMismatch), "{what}");
+            assert_rejected(&store, &bad, &what);
+        }
+    }
+}
+
 #[test]
 fn reordered_dims_decode_but_never_attach() {
     for (spec, blob) in zoo_blobs() {
