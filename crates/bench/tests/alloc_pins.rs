@@ -1,7 +1,8 @@
 //! Allocation pins for tensor storage: the heap allocation events that
-//! constructing, cloning and preprocessing a tensor cost, and a warmed
-//! member forward. A tensor's shape is inline, so each owned tensor costs
-//! one allocation, its data.
+//! constructing, cloning and preprocessing a tensor cost, a warmed member
+//! forward, and a warmed decision of a plain, a RADE and a guarded system.
+//! A tensor's shape is inline, so each owned tensor costs one allocation,
+//! its data.
 //!
 //! Its own test binary with one test: the counting allocator is the
 //! binary's global allocator and counts every thread, so no other test may
@@ -11,7 +12,7 @@ use pgmr_bench::alloc_counter::{alloc_events, CountingAlloc};
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_preprocess::Preprocessor;
 use pgmr_tensor::Tensor;
-use polygraph_mr::Member;
+use polygraph_mr::{Ensemble, FaultPolicy, Member, PolygraphSystem, Thresholds};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -44,4 +45,25 @@ fn owned_tensors_and_a_warmed_member_forward_allocate_only_their_data() {
     let (n, probs) = counted(|| member.predict(&image));
     assert_eq!(probs.len(), 10);
     assert_eq!(n, 2, "a warmed predict: the preprocessed copy and the probabilities");
+
+    // A decision costs its members' predicts (two of three under RADE,
+    // whose stage-1 pair agrees here) and the vote tally's class list;
+    // guarded forwards add the checksum derivation of every dense and
+    // convolution layer. Upper bounds, recorded warmed.
+    for (kind, bound) in [("plain", 7), ("rade", 5), ("guarded", 122)] {
+        let members = [Preprocessor::Identity, Preprocessor::FlipX, Preprocessor::Gamma(2.0)]
+            .iter()
+            .zip(1..)
+            .map(|(&p, seed)| Member::new(p, build(&spec, seed)))
+            .collect();
+        let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.0, 2));
+        match kind {
+            "rade" => system.enable_staged(vec![0, 1, 2]),
+            "guarded" => system.set_fault_policy(Some(FaultPolicy::default())),
+            _ => {}
+        }
+        system.infer_counted(&image); // sizes the arena and resolves the metric handles
+        let (n, _) = counted(|| system.infer_counted(&image));
+        assert!(n <= bound, "a warmed {kind} decision: {n} allocations, pinned at {bound}");
+    }
 }

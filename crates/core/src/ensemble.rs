@@ -213,6 +213,7 @@ impl Member {
 }
 
 /// The Layer-2 heterogeneous MR ensemble: an ordered list of members.
+#[derive(Clone)]
 pub struct Ensemble {
     members: Vec<Member>,
 }
@@ -246,11 +247,6 @@ impl Ensemble {
     /// Mutable access to the members.
     pub fn members_mut(&mut self) -> &mut [Member] {
         &mut self.members
-    }
-
-    /// Adds a member to the end of the ensemble.
-    pub fn push(&mut self, member: Member) {
-        self.members.push(member);
     }
 
     /// Switches every member to the given precision (RAMR).

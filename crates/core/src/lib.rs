@@ -73,7 +73,7 @@ pub mod system;
 
 pub use decision::{DecisionEngine, Thresholds, Verdict};
 pub use ensemble::{Ensemble, Member};
-pub use system::{decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason};
+pub use system::{FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason};
 
 /// Convenient glob-import surface for examples and harnesses.
 pub mod prelude {
@@ -90,7 +90,5 @@ pub mod prelude {
     pub use crate::ramr;
     pub use crate::stream;
     pub use crate::suite;
-    pub use crate::system::{
-        decide_request, FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason,
-    };
+    pub use crate::system::{FaultEvent, FaultPolicy, PolygraphSystem, QuarantineReason};
 }

@@ -1,5 +1,6 @@
 //! The assembled PolygraphMR system: ensemble + decision engine, with an
-//! optional staged (RADE) inference mode.
+//! optional staged (RADE) inference mode and an optional fault policy.
+//! [`PolygraphSystem::decide`] decides every request.
 
 use crate::decision::{Thresholds, Verdict, VoteTally};
 use crate::ensemble::{Ensemble, Member};
@@ -47,29 +48,20 @@ fn note_verdict(verdict: &Verdict) {
 }
 
 /// Policy for ABFT-guarded inference with graceful degradation (§ fault
-/// model in `DESIGN.md`): how tolerant verification is, how hard the
-/// system tries to recover a faulting member, and when it gives up and
-/// quarantines one.
+/// model in `DESIGN.md`): how tolerant checksum verification is. Recovery
+/// is fixed: a faulting member is re-run once, and it is quarantined
+/// after 3 unrecovered faults (strikes) or 5 consecutive solo
+/// disagreements.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Base ABFT verification tolerance (widened per member for reduced
     /// precision, see [`crate::ensemble::Member::abft_tolerance`]).
     pub tolerance: f32,
-    /// Forward-pass retries per member per inference after a checksum
-    /// fault — a transient flip rarely recurs on the re-run.
-    pub retries: usize,
-    /// Unrecovered checksum faults (strikes) before a member is
-    /// quarantined.
-    pub quarantine_after: u32,
-    /// Consecutive solo disagreements (member contradicts an otherwise
-    /// unanimous ensemble) before quarantine — the detector for
-    /// persistent weight corruption, which ABFT checksums cannot see.
-    pub solo_after: u32,
 }
 
 impl Default for FaultPolicy {
     fn default() -> Self {
-        FaultPolicy { tolerance: DEFAULT_TOLERANCE, retries: 1, quarantine_after: 3, solo_after: 5 }
+        FaultPolicy { tolerance: DEFAULT_TOLERANCE }
     }
 }
 
@@ -109,9 +101,43 @@ pub enum FaultEvent {
     },
 }
 
+/// Forward-pass retries per member per request after a checksum fault —
+/// a transient flip rarely recurs on the re-run.
+const RETRIES: usize = 1;
+/// Unrecovered checksum faults (strikes) before a member is quarantined.
+const QUARANTINE_AFTER: u32 = 3;
+/// Consecutive solo disagreements (a member contradicts an otherwise
+/// unanimous ensemble) before quarantine — the detector for persistent
+/// weight corruption, which ABFT checksums cannot see.
+const SOLO_AFTER: u32 = 5;
+
+/// One member's pass of a request: the member, its probabilities or the
+/// checksum fault it kept raising, and the retries spent.
+type Pass = (usize, Result<Vec<f32>, ChecksumFault>, usize);
+
+/// Runs member `m`'s pass: an unguarded forward without a tolerance;
+/// with one, a checksum-verified forward re-run up to [`RETRIES`] times
+/// while it faults.
+fn member_pass(m: usize, member: &mut Member, image: &Tensor, tolerance: Option<f32>) -> Pass {
+    let Some(tol) = tolerance else {
+        return (m, Ok(time_forward(m, || member.predict(image))), 0);
+    };
+    let mut result = time_forward(m, || member.predict_checked(image, tol));
+    let mut retried = 0;
+    while result.is_err() && retried < RETRIES {
+        retried += 1;
+        result = time_forward(m, || member.predict_checked(image, tol));
+    }
+    (m, result, retried)
+}
+
 /// A deployable PolygraphMR system (Fig. 4): Layer-1 preprocessors and
 /// Layer-2 networks inside the [`Ensemble`], Layer-3 thresholds fixed by
 /// offline profiling.
+///
+/// Serving and sharded batches decide on clones: a clone shares the
+/// staged engine and weight arenas, and copies everything else.
+#[derive(Clone)]
 pub struct PolygraphSystem {
     ensemble: Ensemble,
     thresholds: Thresholds,
@@ -163,7 +189,9 @@ impl PolygraphSystem {
         &self.ensemble
     }
 
-    /// Mutable access to the ensemble (RAMR precision switches).
+    /// Mutable access to the ensemble (RAMR precision switches, fault
+    /// injectors). The member count is fixed when the system is built, so
+    /// do not assign an ensemble of another size through it.
     pub fn ensemble_mut(&mut self) -> &mut Ensemble {
         &mut self.ensemble
     }
@@ -188,28 +216,35 @@ impl PolygraphSystem {
         self.staged.is_some()
     }
 
-    /// The active staged engine, if RADE is enabled, behind its shared
-    /// handle — serving front-ends replicate the system's decision policy
-    /// onto their per-worker member replicas by cloning the `Arc` instead
-    /// of deep-copying the probe/threshold state per handle.
+    /// The active staged engine, if RADE is enabled, behind the handle the
+    /// system's clones share — for harnesses that replay the staged
+    /// protocol outside the system.
     pub fn staged_engine_shared(&self) -> Option<Arc<StagedEngine>> {
         self.staged.clone()
     }
 
     /// Enables (or disables) ABFT-guarded fault-tolerant inference. While
-    /// a policy is set, [`PolygraphSystem::infer`] runs every active
+    /// a policy is set, [`PolygraphSystem::decide`] runs every active
     /// member through checksum-verified forward passes, retries members
     /// whose outputs fail verification, and quarantines members that keep
     /// faulting or persistently contradict the rest of the ensemble.
     /// Takes precedence over RADE staging (every active member runs).
     pub fn set_fault_policy(&mut self, policy: Option<FaultPolicy>) {
         self.fault_policy = policy;
-        self.sync_fault_state();
     }
 
     /// The active fault policy, if any.
     pub fn fault_policy(&self) -> Option<&FaultPolicy> {
         self.fault_policy.as_ref()
+    }
+
+    /// True when this system's state changes from request to request, so
+    /// its requests must be decided in order on one system: a fault policy
+    /// evolves strikes and quarantine, a fault injector its RNG stream.
+    /// [`PolygraphSystem::infer_batch`] and the serving front-end read it.
+    pub fn decides_in_order(&self) -> bool {
+        self.fault_policy.is_some()
+            || self.ensemble.members().iter().any(|m| m.fault_injector().is_some())
     }
 
     /// Applies a vulnerability-guided protection level to every member:
@@ -295,94 +330,77 @@ impl PolygraphSystem {
         Thresholds::new(self.thresholds.conf, freq.clamp(1, active))
     }
 
-    /// Resizes the per-member bookkeeping if the ensemble grew or shrank
-    /// (e.g. members pushed through [`PolygraphSystem::ensemble_mut`]).
-    fn sync_fault_state(&mut self) {
-        let n = self.ensemble.len();
-        if self.active.len() != n {
-            self.active.resize(n, true);
-            self.strikes.resize(n, 0);
-            self.solo.resize(n, 0);
-        }
+    /// Decides one request: the one routine behind
+    /// [`PolygraphSystem::infer_counted`], [`PolygraphSystem::infer_batch`]
+    /// and the serving front-end.
+    ///
+    /// RADE without a fault policy runs the staged protocol: the first
+    /// `Thr_Freq` members always run, `may_escalate(activated_so_far)`
+    /// gates every activation beyond them, and a refused escalation
+    /// returns the best-so-far plurality marked
+    /// [`BudgetedDecision::budget_exhausted`]. Otherwise every member
+    /// votes in member order and the budget is never consulted; under a
+    /// fault policy only the members not quarantined vote, through
+    /// checksum-verified forwards with retries, strikes and quarantine (see
+    /// [`FaultPolicy`]). Given a `pool`, those member passes run on it; each
+    /// depends only on its own member, and the outcomes fold in member
+    /// order, so neither the decision nor the fault events depend on the
+    /// pool.
+    pub fn decide(
+        &mut self,
+        image: &Tensor,
+        pool: Option<&WorkerPool>,
+        may_escalate: impl FnMut(usize) -> bool,
+    ) -> BudgetedDecision {
+        let out = match &self.staged {
+            Some(staged) if self.fault_policy.is_none() => {
+                let members = self.ensemble.members_mut();
+                let n = members.len();
+                // Split borrow: the closure indexes members directly.
+                let mut predict = |m: usize| time_forward(m, || members[m].predict(image));
+                staged.decide_with_budget(&mut predict, n, may_escalate)
+            }
+            _ => BudgetedDecision {
+                decision: self.poll_members(image, pool),
+                budget_exhausted: false,
+            },
+        };
+        note_verdict(&out.decision.verdict);
+        out
     }
 
-    /// One fault-tolerant inference: every active member runs an
-    /// ABFT-guarded forward pass; checksum faults trigger up to
-    /// `policy.retries` re-runs, then a strike (the member sits out this
-    /// input). Members reaching `quarantine_after` strikes, or
-    /// `solo_after` consecutive solo disagreements, are quarantined and
-    /// the vote threshold re-derived over the surviving ensemble.
-    ///
-    /// The guarded forward passes (including their retry loops) are
-    /// independent per member — each owns its network and any attached
-    /// injector — so batch mode runs them concurrently on `pool`; the
-    /// outcomes are then folded in member order, which reproduces the
-    /// sequential event stream and decision exactly.
-    fn infer_guarded(&mut self, image: &Tensor, pool: Option<&WorkerPool>) -> StagedDecision {
-        let policy = *self.fault_policy.as_ref().expect("fault policy set");
-        self.sync_fault_state();
-        let tol = policy.tolerance;
-        let retries = policy.retries;
-
-        // Stage 1: guarded forward passes of the active members.
-        let active = &self.active;
-        let jobs: Vec<_> = self
-            .ensemble
-            .members_mut()
-            .iter_mut()
-            .enumerate()
-            .filter(|(m, _)| active[*m])
-            .map(|(m, member)| {
-                move || {
-                    let mut result = time_forward(m, || member.predict_checked(image, tol));
-                    let mut retried = 0;
-                    while result.is_err() && retried < retries {
-                        retried += 1;
-                        result = time_forward(m, || member.predict_checked(image, tol));
-                    }
-                    (m, result, retried)
-                }
-            })
-            .collect();
-        let outcomes: Vec<(usize, Result<Vec<f32>, ChecksumFault>, usize)> = match pool {
-            // pgmr-lint: allow(nested-pool-run): the only closure of infer_batch reaching here is an inline iterator adapter on the caller's thread (the sequential fault-policy path), never a pool job
-            Some(pool) => pool.run(jobs),
-            None => jobs.into_iter().map(|mut job| job()).collect(),
-        };
-
-        // Stage 2: fold outcomes in member order — retry/strike/quarantine
-        // bookkeeping is identical to running the members one by one. The
-        // fold is where obs events are emitted (never from the concurrent
-        // jobs), so the event stream is deterministic at any pool width.
-        let obs = pgmr_obs::global();
+    /// The full-ensemble fold of [`PolygraphSystem::decide`]. Only the
+    /// fold emits obs events, never a pool job, so the event stream is the
+    /// same at any pool width.
+    fn poll_members(&mut self, image: &Tensor, pool: Option<&WorkerPool>) -> StagedDecision {
+        let tolerance = self.fault_policy.map(|p| p.tolerance);
         let mut tally = VoteTally::new(self.thresholds.conf);
-        let mut voters: Vec<(usize, usize)> = Vec::new(); // (member, top-1 class)
-        for (m, result, retried) in outcomes {
-            for _ in 0..retried {
-                self.events.push(FaultEvent::ChecksumRetry { member: m });
-                obs.counter("abft.retries_total").inc();
-                obs.emit("abft.retry", format!("member={m}"));
-            }
-            match result {
-                Ok(p) => {
-                    let class = argmax(&p);
-                    tally.cast_top(class, p[class]);
-                    voters.push((m, class));
+        // pgmr-lint: allow(hot-path-alloc): an empty list; only a fault policy's voters fill it, so a plain request never allocates it
+        let mut voters = Vec::new();
+        // Quarantine holds only under a policy: without one every member votes.
+        match pool {
+            Some(pool) => {
+                let active = &self.active;
+                let jobs: Vec<_> = self
+                    .ensemble
+                    .members_mut()
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(m, _)| tolerance.is_none() || active[*m])
+                    .map(|(m, member)| move || member_pass(m, member, image, tolerance))
+                    // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value; only batch callers pass a pool, and serve passes none
+                    .collect();
+                // pgmr-lint: allow(nested-pool-run): the pool jobs that reach `decide` (the shards of `infer_batch` and of serve) pass `pool: None`
+                for pass in pool.run(jobs) {
+                    self.absorb(&mut tally, &mut voters, pass);
                 }
-                Err(_) => {
-                    self.strikes[m] += 1;
-                    self.events
-                        .push(FaultEvent::ChecksumStrike { member: m, strikes: self.strikes[m] });
-                    obs.counter("abft.strikes_total").inc();
-                    obs.emit("abft.strike", format!("member={m} strikes={}", self.strikes[m]));
-                    if self.strikes[m] >= policy.quarantine_after {
-                        self.active[m] = false;
-                        self.events.push(FaultEvent::Quarantined {
-                            member: m,
-                            reason: QuarantineReason::RepeatedChecksumFaults,
-                        });
-                        obs.counter("abft.quarantines_total").inc();
-                        obs.emit("abft.quarantine", format!("member={m} reason=checksum"));
+            }
+            None => {
+                for m in 0..self.ensemble.len() {
+                    if tolerance.is_none() || self.active[m] {
+                        let pass =
+                            member_pass(m, &mut self.ensemble.members_mut()[m], image, tolerance);
+                        self.absorb(&mut tally, &mut voters, pass);
                     }
                 }
             }
@@ -399,14 +417,10 @@ impl PolygraphSystem {
                 let peers_unanimous = peers.all(|v| v == first);
                 if peers_unanimous && class != first {
                     self.solo[m] += 1;
-                    if self.solo[m] >= policy.solo_after && self.active[m] {
+                    if self.solo[m] >= SOLO_AFTER && self.active[m] {
                         self.active[m] = false;
-                        self.events.push(FaultEvent::Quarantined {
-                            member: m,
-                            reason: QuarantineReason::PersistentDisagreement,
-                        });
-                        obs.counter("abft.quarantines_total").inc();
-                        obs.emit("abft.quarantine", format!("member={m} reason=solo"));
+                        let reason = QuarantineReason::PersistentDisagreement;
+                        self.note_fault(FaultEvent::Quarantined { member: m, reason });
                     }
                 } else {
                     self.solo[m] = 0;
@@ -415,9 +429,66 @@ impl PolygraphSystem {
         }
 
         // Thr_Conf is never re-derived, so only Thr_Freq follows quarantine.
-        let verdict = tally.verdict(self.effective_thresholds().freq);
-        note_verdict(&verdict);
-        StagedDecision { verdict, activated: voters.len() }
+        let (freq, activated) = match self.fault_policy {
+            Some(_) => (self.effective_thresholds().freq, voters.len()),
+            None => (self.thresholds.freq, self.ensemble.len()),
+        };
+        StagedDecision { verdict: tally.verdict(freq), activated }
+    }
+
+    /// Folds one member pass in: its retries, then its vote (also kept in
+    /// `voters` under a policy) or a strike, which quarantines the member
+    /// at [`QUARANTINE_AFTER`].
+    fn absorb(&mut self, tally: &mut VoteTally, voters: &mut Vec<(usize, usize)>, pass: Pass) {
+        let (m, result, retried) = pass;
+        for _ in 0..retried {
+            self.note_fault(FaultEvent::ChecksumRetry { member: m });
+        }
+        match result {
+            Ok(p) => {
+                let class = argmax(&p);
+                tally.cast_top(class, p[class]);
+                if self.fault_policy.is_some() {
+                    voters.push((m, class));
+                }
+            }
+            Err(_) => {
+                self.strikes[m] += 1;
+                self.note_fault(FaultEvent::ChecksumStrike { member: m, strikes: self.strikes[m] });
+                if self.strikes[m] >= QUARANTINE_AFTER {
+                    self.active[m] = false;
+                    let reason = QuarantineReason::RepeatedChecksumFaults;
+                    self.note_fault(FaultEvent::Quarantined { member: m, reason });
+                }
+            }
+        }
+    }
+
+    /// Logs one fault event for [`PolygraphSystem::drain_fault_events`]
+    /// and reports it to obs: its `abft.*_total` counter and an `abft.*`
+    /// event naming the member.
+    // pgmr-lint: boundary(hot-path-alloc): fault events are rare — a retry, a strike or a quarantine — and each formats its obs event text; a request without a checksum fault or quarantine records none
+    fn note_fault(&mut self, event: FaultEvent) {
+        let (counter, kind, detail) = match event {
+            FaultEvent::ChecksumRetry { member } => {
+                ("abft.retries_total", "abft.retry", format!("member={member}"))
+            }
+            FaultEvent::ChecksumStrike { member, strikes } => {
+                ("abft.strikes_total", "abft.strike", format!("member={member} strikes={strikes}"))
+            }
+            FaultEvent::Quarantined { member, reason } => {
+                let reason = match reason {
+                    QuarantineReason::RepeatedChecksumFaults => "checksum",
+                    QuarantineReason::PersistentDisagreement => "solo",
+                };
+                let detail = format!("member={member} reason={reason}");
+                ("abft.quarantines_total", "abft.quarantine", detail)
+            }
+        };
+        let obs = pgmr_obs::global();
+        obs.counter(counter).inc();
+        obs.emit(kind, detail);
+        self.events.push(event);
     }
 
     /// Like [`PolygraphSystem::infer`], but feeds the verdict and any
@@ -443,14 +514,10 @@ impl PolygraphSystem {
     }
 
     /// Like [`PolygraphSystem::infer`] but also reports how many member
-    /// networks were activated (always the full count without RADE).
+    /// networks were activated: [`PolygraphSystem::decide`] with an open
+    /// budget and no pool.
     pub fn infer_counted(&mut self, image: &Tensor) -> StagedDecision {
-        if self.fault_policy.is_some() {
-            return self.infer_guarded(image, None);
-        }
-        let staged = self.staged.as_deref();
-        decide_request(self.ensemble.members_mut(), staged, self.thresholds, image, |_| true)
-            .decision
+        self.decide(image, None, |_| true).decision
     }
 
     /// Batch-mode inference over `pool`: classifies every image with
@@ -458,35 +525,22 @@ impl PolygraphSystem {
     /// are bit-identical to calling [`PolygraphSystem::infer_counted`] on
     /// each image in order.
     ///
-    /// With a fault policy set, inputs stay sequential (strikes and
-    /// quarantine evolve from input to input) but each input's guarded
-    /// member passes run concurrently. Otherwise the input set is sharded
-    /// across the pool on cloned members — forward passes are
-    /// deterministic, so the shards compose bit-identically. Members with
-    /// an attached fault injector force the sequential path: their
-    /// injector's RNG stream advances across inputs and sharding would
-    /// reorder it.
+    /// A system that [decides in order](PolygraphSystem::decides_in_order)
+    /// (and any batch the pool cannot split) runs its images one after
+    /// another on `self`, each request's member passes running on `pool`.
+    /// Any other system is sharded across the pool on clones of itself —
+    /// forward passes are deterministic, so the shards compose
+    /// bit-identically.
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
-        if self.fault_policy.is_some() {
-            return images.iter().map(|img| self.infer_guarded(img, Some(pool))).collect();
+        if self.decides_in_order() || pool.threads() == 1 || images.len() < 2 {
+            // A one-wide pool would run the member passes inline anyway.
+            let pool = (pool.threads() > 1).then_some(pool);
+            return images.iter().map(|img| self.decide(img, pool, |_| true).decision).collect();
         }
-        let injected = self.ensemble.members().iter().any(|m| m.fault_injector().is_some());
-        if pool.threads() == 1 || images.len() < 2 || injected {
-            return images.iter().map(|img| self.infer_counted(img)).collect();
-        }
-        let staged = self.staged.as_deref();
-        let thresholds = self.thresholds;
         let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
             .map(|range| {
-                let mut members: Vec<Member> = self.ensemble.members().to_vec();
-                move || {
-                    images[range]
-                        .iter()
-                        .map(|img| {
-                            decide_request(&mut members, staged, thresholds, img, |_| true).decision
-                        })
-                        .collect::<Vec<_>>()
-                }
+                let mut shard = self.clone();
+                move || images[range].iter().map(|img| shard.infer_counted(img)).collect::<Vec<_>>()
             })
             .collect();
         pool.run(jobs).into_iter().flatten().collect()
@@ -522,54 +576,6 @@ fn summarize_decisions(
     let verdicts: Vec<Verdict> = decisions.iter().map(|d| d.verdict).collect();
     let activations = decisions.iter().map(|d| d.activated).collect();
     (pgmr_metrics::summarize(&outcomes(&verdicts, labels)), activations)
-}
-
-/// One un-guarded (plain or RADE) per-request decision over a member
-/// slice, with an escalation budget — the per-request core the serving
-/// front-end (`pgmr-serve`) runs on its worker-owned member replicas.
-///
-/// With RADE (`staged` set) the first `Thr_Freq` members always run and
-/// `may_escalate(activated_so_far)` gates every activation beyond them;
-/// a refused escalation returns the best-so-far plurality marked
-/// [`BudgetedDecision::budget_exhausted`] — the deadline-degraded answer.
-/// Without RADE every member runs and the budget is ignored (the
-/// always-full-ensemble serving mode). With an always-true budget this is
-/// bit-identical to [`PolygraphSystem::infer_counted`] on an unguarded
-/// system.
-///
-/// Forward passes report into the per-member `infer.forward_ns.m{i}`
-/// timers and the emitted verdict into the reliable/unreliable tallies,
-/// exactly like system-level inference.
-pub fn decide_request(
-    members: &mut [Member],
-    staged: Option<&StagedEngine>,
-    thresholds: Thresholds,
-    image: &Tensor,
-    may_escalate: impl FnMut(usize) -> bool,
-) -> BudgetedDecision {
-    let out = match staged {
-        Some(staged) => {
-            let n = members.len();
-            // Split borrow: the closure indexes members directly.
-            let mut predict = |m: usize| time_forward(m, || members[m].predict(image));
-            staged.decide_with_budget(&mut predict, n, may_escalate)
-        }
-        None => {
-            let mut tally = VoteTally::new(thresholds.conf);
-            for (i, member) in members.iter_mut().enumerate() {
-                tally.cast(&time_forward(i, || member.predict(image)));
-            }
-            BudgetedDecision {
-                decision: StagedDecision {
-                    verdict: tally.verdict(thresholds.freq),
-                    activated: members.len(),
-                },
-                budget_exhausted: false,
-            }
-        }
-    };
-    note_verdict(&out.decision.verdict);
-    out
 }
 
 #[cfg(test)]
@@ -647,8 +653,7 @@ mod tests {
             .with_sites(SiteFilter::Only(guarded));
         system.ensemble_mut().members_mut()[1]
             .set_fault_injector(Some(ActivationInjector::new(&spec)));
-        system
-            .set_fault_policy(Some(FaultPolicy { quarantine_after: 3, ..FaultPolicy::default() }));
+        system.set_fault_policy(Some(FaultPolicy::default()));
 
         for img in &test.images()[..10] {
             system.infer(img);
@@ -762,10 +767,7 @@ mod tests {
                 .with_sites(SiteFilter::Only(guarded));
             system.ensemble_mut().members_mut()[1]
                 .set_fault_injector(Some(ActivationInjector::new(&spec)));
-            system.set_fault_policy(Some(FaultPolicy {
-                quarantine_after: 3,
-                ..FaultPolicy::default()
-            }));
+            system.set_fault_policy(Some(FaultPolicy::default()));
         };
         let (mut seq_system, test) = build_system();
         let (mut batch_system, _) = build_system();
@@ -799,10 +801,7 @@ mod tests {
                 .with_sites(SiteFilter::Only(guarded));
             system.ensemble_mut().members_mut()[1]
                 .set_fault_injector(Some(ActivationInjector::new(&spec)));
-            system.set_fault_policy(Some(FaultPolicy {
-                quarantine_after: 3,
-                ..FaultPolicy::default()
-            }));
+            system.set_fault_policy(Some(FaultPolicy::default()));
         };
         let (mut plain, test) = build_system();
         let (mut protected, _) = build_system();

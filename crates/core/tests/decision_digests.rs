@@ -9,10 +9,13 @@
 //! `StagedEngine::decide_with_budget` under three priority orders with an
 //! open and a refusing budget, and the points `profile::sweep_thresholds`
 //! returns; and, on cheap untrained members, `infer_counted` of a plain
-//! and a RADE system, of an ABFT-guarded one under a seeded fault barrage
-//! and of a guarded one whose odd member out is quarantined for
-//! persistent disagreement, whose `infer_batch` on a 4-wide pool must
-//! give the same digests. Only integers are hashed: verdict kind, class,
+//! and a RADE system, of an ABFT-guarded one under a seeded fault barrage,
+//! of a guarded one whose odd member out is quarantined for persistent
+//! disagreement and of an unguarded one under the same barrage, whose
+//! `infer_batch` on a 4-wide pool must give the same digests. The
+//! unguarded barrage's digest was recorded later, from the code that
+//! still decided it through a sequential `infer_counted` loop in
+//! `infer_batch` and a separate full-ensemble loop. Only integers are hashed: verdict kind, class,
 //! votes, activation count, budget flag, sweep counts and each drained
 //! fault event; RADE's exit counters must agree with the exits the
 //! hashed outputs imply. Never regenerate the digests to make a change
@@ -51,11 +54,12 @@ const DECISIONS: [(SetSpec, [u64; 4]); 4] = [
 
 /// Per system: the digest of its decisions and drained fault events.
 #[rustfmt::skip]
-const SYSTEMS: [(&str, u64); 4] = [
+const SYSTEMS: [(&str, u64); 5] = [
     ("plain", 0xe91bc81758b8ab83),
     ("rade", 0x17a039c421099003),
     ("guarded", 0xdef9dbe4b18bdfa0),
     ("solo", 0x2a94c3aaaf807b04),
+    ("injected", 0xda0772e0d5e98b62),
 ];
 
 /// The `Thr_Conf` grid; every `Thr_Freq` from 1 to the member count runs
@@ -275,9 +279,11 @@ fn decision_layer_matches_recorded_digests() {
 /// and unreliable verdicts. The guarded one carries the seeded barrage of
 /// guarded-output exponent flips on member 1 that the system's batch
 /// fault-path test uses; at `Thr_Freq` 3 its verdicts change when the
-/// quarantine re-derives the vote bar to 2. The solo one runs three
-/// copies of one network beside a fourth that contradicts them, which
-/// the persistent-disagreement rule quarantines.
+/// quarantine re-derives the vote bar to 2. The injected one carries the
+/// same barrage without a fault policy, so member 1's corrupted votes
+/// count. The solo one runs three copies of one network beside a fourth
+/// that contradicts them, which the persistent-disagreement rule
+/// quarantines.
 fn system(kind: &str) -> PolygraphSystem {
     use Preprocessor::{FlipX, Gamma, Identity};
     let spec = ArchSpec::convnet(1, 16, 16, 10);
@@ -292,17 +298,16 @@ fn system(kind: &str) -> PolygraphSystem {
         "plain" => {}
         "rade" => system.enable_staged(vec![3, 0, 2, 1]),
         "solo" => system.set_fault_policy(Some(FaultPolicy::default())),
-        "guarded" => {
+        "guarded" | "injected" => {
             let guarded = pgmr_faults::guarded_sites(system.ensemble().members()[1].network());
             let spec = FaultSpec::transient_activations(13, 0.05)
                 .with_bits(EXPONENT_BITS)
                 .with_sites(SiteFilter::Only(guarded));
             system.ensemble_mut().members_mut()[1]
                 .set_fault_injector(Some(ActivationInjector::new(&spec)));
-            system.set_fault_policy(Some(FaultPolicy {
-                quarantine_after: 3,
-                ..FaultPolicy::default()
-            }));
+            if kind == "guarded" {
+                system.set_fault_policy(Some(FaultPolicy::default()));
+            }
         }
         other => panic!("unknown system kind {other}"),
     }

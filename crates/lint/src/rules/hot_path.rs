@@ -7,8 +7,8 @@
 //! `.to_vec()`, `.collect()`, `Box::new`, `String::from`, `format!`)
 //! outside the workspace-arena APIs. The roots are the serving-path
 //! entries: the forward driver `Network::run`, every layer's
-//! `Layer::forward_into`, `decide_request`, and the serve batcher fold
-//! (`BatchEngine::process`).
+//! `Layer::forward_into`, `PolygraphSystem::decide` (every request's
+//! decision), and the serve batcher fold (`BatchEngine::process`).
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
@@ -37,7 +37,7 @@ pub const RULE: &str = "hot-path-alloc";
 const ROOT_FNS: &[(&str, Option<&str>)] = &[
     ("run", Some("Network")),
     ("forward_into", None),
-    ("decide_request", None),
+    ("decide", Some("PolygraphSystem")),
     ("process", Some("BatchEngine")),
 ];
 

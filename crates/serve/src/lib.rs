@@ -10,13 +10,16 @@
 //! answers exit early, and doubtful inputs escalate toward the full
 //! ensemble only while the request's deadline budget allows. A request
 //! whose budget expires mid-protocol still gets an answer: the
-//! best-so-far plurality, marked deadline-degraded.
+//! best-so-far plurality, marked deadline-degraded. Any system can be
+//! served: plain, RADE, or guarded by a fault policy.
 //!
 //! ## Architecture
 //!
-//! * [`ServeHandle::spawn`] replicates the system's members once per
-//!   inference worker (forward passes are deterministic, so replicas
-//!   answer bit-identically) and starts one *batcher* thread.
+//! * [`ServeHandle::spawn`] clones the system once per inference worker
+//!   (forward passes are deterministic, so replicas answer
+//!   bit-identically; a system that
+//!   [decides in order](PolygraphSystem::decides_in_order) gets one) and
+//!   starts one *batcher* thread.
 //! * [`ServeHandle::submit`] / [`Submitter::submit`] enqueue requests;
 //!   every request carries its own completion channel, so any number of
 //!   client threads can submit concurrently and each drains only its own
@@ -24,23 +27,23 @@
 //! * The batcher is work-conserving: it blocks for the first arrival,
 //!   takes whatever else is already queued (up to
 //!   [`ServeConfig::max_batch`]) without waiting for more, and dispatches
-//!   that batch at once across the member replicas on a serve-owned
+//!   that batch at once across the replicas on a serve-owned
 //!   [`WorkerPool`] (dedicated, because nesting
 //!   `run` calls into the shared global pool can deadlock). A lone
 //!   request runs immediately; requests that arrive while a batch runs
 //!   form the next batch, so batches grow only with load.
-//! * Each request runs [`polygraph_mr::system::decide_request`]: one
-//!   `Member::predict` per activated member (a `Network::run` on the
-//!   worker's thread-local workspace arena) under an escalation budget
-//!   derived from the request's deadline. Verdicts are folded in
-//!   submission order, feeding a [`ReliabilityMonitor`] so stream health
+//! * Each request runs [`PolygraphSystem::decide`] on its replica under
+//!   an escalation budget derived from its deadline. After each batch the
+//!   replicas' quarantines are noted in a [`ReliabilityMonitor`], then the
+//!   verdicts are folded into it in submission order, so stream health
 //!   ([`ServeHandle::health`]) reflects live traffic.
 //!
 //! ## Determinism
 //!
 //! With open deadlines the served verdicts are bit-identical to calling
 //! [`PolygraphSystem::infer_counted`] on the same images in submission
-//! order: batching and sharding only regroup work, never reorder the fold.
+//! order: batching and sharding only regroup work, never reorder the fold,
+//! and a system decided in order runs its requests one after another.
 //! Deadline-expired requests are the one (documented, surfaced) exception
 //! — their verdict depends on how much budget was left.
 //!
@@ -81,11 +84,9 @@
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
 use pgmr_obs::{Counter, Gauge, Histogram};
 use pgmr_tensor::Tensor;
-use polygraph_mr::ensemble::Member;
-use polygraph_mr::rade::{BudgetedDecision, StagedDecision, StagedEngine};
+use polygraph_mr::rade::{BudgetedDecision, StagedDecision};
 use polygraph_mr::stream::{ReliabilityMonitor, StreamHealth};
-use polygraph_mr::system::{decide_request, PolygraphSystem};
-use polygraph_mr::Thresholds;
+use polygraph_mr::{FaultEvent, PolygraphSystem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -110,7 +111,9 @@ pub struct ServeConfig {
     /// Inference worker threads. The front-end owns a dedicated
     /// [`WorkerPool`] of this width plus one batcher thread; it never
     /// submits into the shared global pool (nested `run` calls against
-    /// one pool can deadlock).
+    /// one pool can deadlock). A system that
+    /// [decides in order](PolygraphSystem::decides_in_order) runs on one
+    /// worker whatever this says.
     pub workers: usize,
     /// Sliding window of the stream-health monitor fed by the serve loop.
     pub monitor_window: usize,
@@ -303,36 +306,24 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Starts a front-end serving `system`'s decision policy: its members
-    /// (cloned once per worker), its thresholds, and — when RADE is
-    /// enabled — its staged engine as the deadline policy. Without RADE
-    /// every member runs on every request (the always-full-ensemble
-    /// serving mode); deadlines then only classify completions as missed,
-    /// never degrade them.
+    /// Starts a front-end serving clones of `system`, one per worker. With
+    /// RADE and no fault policy the staged engine is the deadline policy;
+    /// any other system runs every active member on every request, and
+    /// deadlines then only mark completions missed, never degraded. A
+    /// system that [decides in order](PolygraphSystem::decides_in_order)
+    /// gets one replica and one worker, so its verdicts and quarantines
+    /// follow sequential [`PolygraphSystem::infer_counted`].
     ///
     /// The system itself is only read; it stays usable (e.g. as the
     /// bit-identical sequential reference in tests).
     ///
     /// # Panics
     ///
-    /// Panics if `config.max_batch` is zero, the ensemble is empty, a
-    /// fault policy is set (serve runs the unguarded inference path), or
-    /// any member carries a fault injector (injector RNG streams cannot be
-    /// replicated deterministically across workers).
+    /// Panics if `config.max_batch` is zero.
     pub fn spawn(system: &PolygraphSystem, config: ServeConfig) -> ServeHandle {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(
-            system.fault_policy().is_none(),
-            "serve runs the unguarded inference path — disable the fault policy first"
-        );
-        let members = system.ensemble().members();
-        assert!(!members.is_empty(), "cannot serve an empty ensemble");
-        assert!(
-            members.iter().all(|m| m.fault_injector().is_none()),
-            "members with fault injectors cannot be replicated across serve workers"
-        );
-        let workers = config.workers.max(1);
-        let replicas: Vec<Vec<Member>> = (0..workers).map(|_| members.to_vec()).collect();
+        let workers = if system.decides_in_order() { 1 } else { config.workers.max(1) };
+        let replicas = (0..workers).map(|_| system.clone()).collect();
         let monitor =
             ReliabilityMonitor::calibrated(config.monitor_window, config.expected_flag_rate, 3.0);
         let shared = Arc::new(Shared {
@@ -348,8 +339,6 @@ impl ServeHandle {
             receiver,
             replicas,
             pool: WorkerPool::new(workers),
-            staged: system.staged_engine_shared(),
-            thresholds: system.thresholds(),
             monitor,
             shared: Arc::clone(&shared),
             max_batch: config.max_batch,
@@ -458,12 +447,10 @@ impl Drop for ServeHandle {
 /// serve thread.
 struct BatchEngine {
     receiver: Receiver<Envelope>,
-    /// One member replica set per worker — workers answer bit-identically
-    /// because forward passes are deterministic.
-    replicas: Vec<Vec<Member>>,
+    /// One system replica per worker (one for a system decided in order);
+    /// forward passes are deterministic, so replicas answer identically.
+    replicas: Vec<PolygraphSystem>,
     pool: WorkerPool,
-    staged: Option<Arc<StagedEngine>>,
-    thresholds: Thresholds,
     monitor: ReliabilityMonitor,
     shared: Arc<Shared>,
     max_batch: usize,
@@ -487,9 +474,10 @@ impl BatchEngine {
         }
     }
 
-    /// Dispatches the admitted batch across the member replicas and folds
-    /// the outcomes in submission order (completion delivery, monitor
-    /// feed, and stats all follow that order — the determinism contract).
+    /// Dispatches the admitted batch across the replicas, notes the
+    /// quarantines they logged, and folds the outcomes in submission order
+    /// (completion delivery, monitor feed, and stats all follow that
+    /// order — the determinism contract).
     fn process(&mut self) {
         let n = self.batch.len();
         let metrics = &self.shared.metrics;
@@ -499,23 +487,21 @@ impl BatchEngine {
         metrics.batch_size.record(n as u64);
 
         // Shard the batch across the replicas; each shard runs its
-        // requests sequentially on its own member set and writes its own
+        // requests sequentially on its own replica and writes its own
         // slice of `outcomes`, so the slots in order reproduce the
         // sequential fold exactly.
         self.outcomes.clear();
         self.outcomes.resize(n, None);
-        let staged = self.staged.as_deref();
-        let thresholds = self.thresholds;
         let mut slots = &mut self.outcomes[..];
         let jobs: Vec<_> = shard_ranges(n, self.replicas.len())
             .zip(self.replicas.iter_mut())
-            .map(|(range, members)| {
+            .map(|(range, replica)| {
                 let (shard, rest) = std::mem::take(&mut slots).split_at_mut(range.len());
                 slots = rest;
                 let requests = &self.batch[range];
                 move || {
                     for (slot, r) in shard.iter_mut().zip(requests) {
-                        let out = decide_request(members, staged, thresholds, &r.image, |_| {
+                        let out = replica.decide(&r.image, None, |_| {
                             r.deadline.is_none_or(|d| Instant::now() < d)
                         });
                         *slot = Some((out, Instant::now()));
@@ -526,6 +512,16 @@ impl BatchEngine {
             .collect();
         // pgmr-lint: allow(nested-pool-run): false cross-crate edge — polygraph-mr does not depend on pgmr-serve, so no core job closure can reach this dedicated-pool dispatch
         self.pool.run(jobs);
+
+        // Only a replica under a fault policy logs events; its quarantines
+        // reach the monitor before this batch's verdicts do.
+        for replica in &mut self.replicas {
+            for event in replica.drain_fault_events() {
+                if let FaultEvent::Quarantined { member, .. } = event {
+                    self.monitor.note_quarantine(member);
+                }
+            }
+        }
 
         // Both locks are held across the fold, so a client that has its
         // completion sees stats and health that already count it.

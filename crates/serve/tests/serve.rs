@@ -1,8 +1,10 @@
 //! Concurrency and determinism tests for the serving front-end:
 //! admission bounds and liveness, bit-identical parity with sequential
-//! inference under open deadlines, and deadline-expiry degradation.
+//! inference under open deadlines (RADE, full-ensemble and guarded
+//! systems), and deadline-expiry degradation.
 
 use pgmr_datasets::{families, Dataset, Split};
+use pgmr_faults::{ActivationInjector, FaultSpec, SiteFilter, EXPONENT_BITS};
 use pgmr_nn::zoo::ArchSpec;
 use pgmr_nn::TrainConfig;
 use pgmr_preprocess::Preprocessor;
@@ -10,7 +12,7 @@ use pgmr_serve::{ServeConfig, ServeHandle};
 use pgmr_tensor::argmax;
 use polygraph_mr::ensemble::{Ensemble, Member};
 use polygraph_mr::stream::StreamHealth;
-use polygraph_mr::{PolygraphSystem, Thresholds};
+use polygraph_mr::{FaultPolicy, PolygraphSystem, Thresholds};
 use std::time::Duration;
 
 /// The standard 3-member digit ensemble the core system tests use.
@@ -181,6 +183,48 @@ fn full_ensemble_mode_serves_without_staging() {
         assert!(!c.deadline_degraded, "full mode cannot degrade");
     }
     handle.shutdown();
+}
+
+/// A fault-policy system over `members` whose member 1 carries the seeded
+/// barrage of guarded-output exponent flips the core batch fault-path
+/// test uses: its checksums keep failing until it is quarantined.
+fn guarded_system(members: Vec<Member>) -> PolygraphSystem {
+    let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+    let sites = pgmr_faults::guarded_sites(system.ensemble().members()[1].network());
+    let spec = FaultSpec::transient_activations(13, 0.05)
+        .with_bits(EXPONENT_BITS)
+        .with_sites(SiteFilter::Only(sites));
+    system.ensemble_mut().members_mut()[1].set_fault_injector(Some(ActivationInjector::new(&spec)));
+    system.set_fault_policy(Some(FaultPolicy::default()));
+    system
+}
+
+#[test]
+fn guarded_system_serves_in_order_like_sequential_inference() {
+    let (members, test) = trained_members();
+    let images = &test.images()[..12];
+    let mut twin = guarded_system(members.clone());
+    let expected: Vec<_> = images.iter().map(|img| twin.infer_counted(img)).collect();
+    assert_eq!(twin.quarantined(), vec![1], "the barrage must quarantine member 1");
+
+    // Three workers are asked for; strikes and quarantine evolve from
+    // request to request, so the front-end decides on one replica in
+    // submission order and the verdicts follow the twin's exactly.
+    let system = guarded_system(members);
+    let handle = ServeHandle::spawn(
+        &system,
+        ServeConfig { max_batch: 4, workers: 3, ..ServeConfig::default() },
+    );
+    for img in images {
+        handle.submit(img.clone(), None);
+    }
+    let done = handle.drain(images.len());
+    let served: Vec<_> = done.iter().map(|c| c.decision).collect();
+    assert_eq!(served, expected, "served guarded verdicts diverged from sequential inference");
+    assert!(done.iter().all(|c| !c.deadline_degraded && !c.deadline_missed));
+    let stats = handle.shutdown();
+    assert_eq!(stats.completed, 12);
+    assert_eq!(stats.activated_members, expected.iter().map(|d| d.activated as u64).sum::<u64>());
 }
 
 #[test]

@@ -98,7 +98,7 @@ fn checksum_barrage_emits_quarantine_events() {
         .with_bits(EXPONENT_BITS)
         .with_sites(SiteFilter::Only(guarded));
     system.ensemble_mut().members_mut()[1].set_fault_injector(Some(ActivationInjector::new(&spec)));
-    system.set_fault_policy(Some(FaultPolicy { quarantine_after: 3, ..FaultPolicy::default() }));
+    system.set_fault_policy(Some(FaultPolicy::default()));
 
     obs::global().reset();
     let mut monitor = ReliabilityMonitor::new(8, 0.9);
