@@ -150,6 +150,9 @@ pub struct PolygraphSystem {
     strikes: Vec<u32>,
     /// Per-member consecutive solo-disagreement counts.
     solo: Vec<u32>,
+    /// `(member, class)` of each vote under a fault policy, refilled per
+    /// request for the solo scan.
+    voters: Vec<(usize, usize)>,
     events: Vec<FaultEvent>,
 }
 
@@ -166,6 +169,7 @@ impl PolygraphSystem {
             active: vec![true; n],
             strikes: vec![0; n],
             solo: vec![0; n],
+            voters: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -229,7 +233,18 @@ impl PolygraphSystem {
     /// whose outputs fail verification, and quarantines members that keep
     /// faulting or persistently contradict the rest of the ensemble.
     /// Takes precedence over RADE staging (every active member runs).
+    ///
+    /// Clearing the policy (`None`) also clears its state: every member is
+    /// active again with no strikes or solo count, so
+    /// [`PolygraphSystem::quarantined`] and
+    /// [`PolygraphSystem::effective_thresholds`] report the all-members
+    /// vote that an unguarded decision casts.
     pub fn set_fault_policy(&mut self, policy: Option<FaultPolicy>) {
+        if policy.is_none() {
+            self.active.fill(true);
+            self.strikes.fill(0);
+            self.solo.fill(0);
+        }
         self.fault_policy = policy;
     }
 
@@ -375,8 +390,8 @@ impl PolygraphSystem {
     fn poll_members(&mut self, image: &Tensor, pool: Option<&WorkerPool>) -> StagedDecision {
         let tolerance = self.fault_policy.map(|p| p.tolerance);
         let mut tally = VoteTally::new(self.thresholds.conf);
-        // pgmr-lint: allow(hot-path-alloc): an empty list; only a fault policy's voters fill it, so a plain request never allocates it
-        let mut voters = Vec::new();
+        let mut voters = std::mem::take(&mut self.voters);
+        voters.clear();
         // Quarantine holds only under a policy: without one every member votes.
         match pool {
             Some(pool) => {
@@ -433,6 +448,7 @@ impl PolygraphSystem {
             Some(_) => (self.effective_thresholds().freq, voters.len()),
             None => (self.thresholds.freq, self.ensemble.len()),
         };
+        self.voters = voters;
         StagedDecision { verdict: tally.verdict(freq), activated }
     }
 
@@ -875,6 +891,54 @@ mod tests {
         let image = families::synth_digits(0).generate(Split::Test, 1).images()[0].clone();
         system.infer_counted(&image);
         assert_eq!([timer(15).count(), timer(16).count()], [before[0] + 1, before[1] + 1]);
+    }
+
+    #[test]
+    fn clearing_the_fault_policy_clears_quarantine() {
+        // Three untrained members, member 1 under the seeded barrage of
+        // guarded-output exponent flips: guarded requests quarantine it.
+        use pgmr_faults::{ActivationInjector, FaultSpec, SiteFilter, EXPONENT_BITS};
+        use Preprocessor::{FlipX, Gamma, Identity};
+        let spec = ArchSpec::convnet(1, 16, 16, 10);
+        let members = [(Identity, 7), (FlipX, 8), (Gamma(2.0), 9)]
+            .iter()
+            .map(|&(p, seed)| Member::new(p, build(&spec, seed)))
+            .collect();
+        let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.15, 2));
+        let sites = pgmr_faults::guarded_sites(system.ensemble().members()[1].network());
+        let barrage = FaultSpec::transient_activations(13, 0.05)
+            .with_bits(EXPONENT_BITS)
+            .with_sites(SiteFilter::Only(sites));
+        system.ensemble_mut().members_mut()[1]
+            .set_fault_injector(Some(ActivationInjector::new(&barrage)));
+        system.set_fault_policy(Some(FaultPolicy::default()));
+        let images = families::synth_digits(0).generate(Split::Test, 13);
+        for img in &images.images()[..12] {
+            system.infer_counted(img);
+        }
+        assert_eq!(system.quarantined(), vec![1], "the barrage must quarantine member 1");
+        assert_eq!(system.effective_thresholds().freq, 1);
+
+        // Without a policy every member votes under the base Thr_Freq, and
+        // the reports say so.
+        system.set_fault_policy(None);
+        assert!(system.quarantined().is_empty());
+        assert_eq!(system.active_members(), 3);
+        assert_eq!(system.effective_thresholds(), system.thresholds());
+        assert_eq!(system.infer_counted(&images.images()[12]).activated, 3);
+
+        // A policy set again starts from a clean slate: member 1's next
+        // strike is its first.
+        system.drain_fault_events();
+        system.set_fault_policy(Some(FaultPolicy::default()));
+        let first_strike = images.images().iter().cycle().take(60).find_map(|img| {
+            system.infer_counted(img);
+            system.drain_fault_events().into_iter().find_map(|event| match event {
+                FaultEvent::ChecksumStrike { member, strikes } => Some((member, strikes)),
+                _ => None,
+            })
+        });
+        assert_eq!(first_strike, Some((1, 1)));
     }
 
     #[test]

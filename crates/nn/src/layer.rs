@@ -1,7 +1,7 @@
 //! The [`Layer`] trait and parameter/cost accounting types.
 
 use crate::workspace::Workspace;
-use pgmr_tensor::checksum::{ChecksumFault, GemmChecksums};
+use pgmr_tensor::checksum::{ChecksumFault, GemmChecksums, WeightSums};
 use pgmr_tensor::Tensor;
 
 /// A trainable parameter together with its accumulated gradient.
@@ -73,31 +73,60 @@ pub struct LayerCost {
     pub output_elems: u64,
 }
 
-/// ABFT expectations over one layer's output tensor: a list of GEMM-result
-/// checksum blocks, each anchored at a flat offset into the output data.
+/// The ABFT state of a guarded-GEMM layer (dense, convolution).
 ///
-/// Dense layers produce a single block covering the whole `[n, out]`
-/// output; convolutions produce one `[out_c, oh·ow]` block per image.
-#[derive(Debug, Clone)]
-pub struct OutputChecksum {
-    segments: Vec<(usize, GemmChecksums)>,
+/// * The weight-side sums ([`WeightSums`]) are derived on the layer's first
+///   checked forward after its weights change, and dropped whenever the
+///   layer lends its parameter slots out ([`Layer::visit_slots`]): every
+///   weight mutation — `map_params`/`set_precision`, `load_state`,
+///   optimizer steps, fault injection and repair — goes through it.
+/// * The expectations of the latest checked forward, one block per GEMM
+///   (one per image for a convolution, one per batch for a dense layer),
+///   live in buffers refilled in place, so a warmed checked forward
+///   allocates nothing. An unchecked forward leaves them as they are: the
+///   duplicated recompute of a checked layer runs between its forward and
+///   [`Layer::verify_output`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GemmGuard {
+    weight: Option<WeightSums>,
+    blocks: Vec<GemmChecksums>,
+    /// Blocks the latest checked forward filled.
+    pending: usize,
 }
 
-impl OutputChecksum {
-    /// Builds an expectation from `(flat_offset, checksums)` blocks.
-    pub fn new(segments: Vec<(usize, GemmChecksums)>) -> Self {
-        OutputChecksum { segments }
+impl GemmGuard {
+    /// Drops the weight-side sums: the weights may change.
+    pub(crate) fn invalidate(&mut self) {
+        self.weight = None;
     }
 
-    /// Verifies a (possibly corrupted) output against every block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a block extends past the data.
-    pub fn verify(&self, data: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
-        for (offset, sums) in &self.segments {
+    /// The weight-side sums of `weight: rows×k` and `bias` (derived first
+    /// if the weights changed since the last derivation) and `count`
+    /// expectation blocks for the forward about to run.
+    pub(crate) fn begin(
+        &mut self,
+        count: usize,
+        rows: usize,
+        k: usize,
+        weight: &[f32],
+        bias: &[f32],
+    ) -> (&WeightSums, &mut [GemmChecksums]) {
+        let sums = self.weight.get_or_insert_with(|| WeightSums::derive(rows, k, weight, bias));
+        if self.blocks.len() < count {
+            self.blocks.resize_with(count, GemmChecksums::default);
+        }
+        self.pending = count;
+        (sums, &mut self.blocks[..count])
+    }
+
+    /// Verifies an output against the latest checked forward's blocks,
+    /// laid out one after another.
+    pub(crate) fn verify(&self, data: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
+        let mut offset = 0;
+        for sums in &self.blocks[..self.pending] {
             let len = sums.rows() * sums.cols();
-            sums.verify(&data[*offset..*offset + len], tolerance)?;
+            sums.verify(&data[offset..offset + len], tolerance)?;
+            offset += len;
         }
         Ok(())
     }
@@ -116,7 +145,8 @@ impl OutputChecksum {
 ///    layer's input. It must be called after a training forward on the
 ///    same batch.
 /// 3. `visit_slots` exposes parameters to the optimizer and serializer in a
-///    stable order.
+///    stable order. It is the only way to reach a layer's parameters, so a
+///    guarded layer drops its weight-side checksum sums there.
 ///
 /// Layers must be `Send` so ensembles can be trained on worker threads.
 pub trait Layer: Send {
@@ -130,14 +160,23 @@ pub trait Layer: Send {
     /// `train` records the backward caches in the same body (those are the
     /// only allocations a layer makes). `checked` asks a guarded-GEMM layer
     /// (dense, convolution) to derive ABFT checksum expectations over its
-    /// output; every other layer returns `None`.
+    /// output, which it keeps for [`Layer::verify_output`]; every other
+    /// layer ignores it.
     fn forward_into(
         &mut self,
         input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>);
+    ) -> Tensor;
+
+    /// Verifies `output` — the latest checked forward's output, after the
+    /// activation hook ran on it — against the checksum expectations that
+    /// forward derived, returning the first violation. Layers without a
+    /// guarded GEMM have nothing to verify.
+    fn verify_output(&self, _output: &[f32], _tolerance: f32) -> Result<(), ChecksumFault> {
+        Ok(())
+    }
 
     /// Propagates gradients; returns the gradient w.r.t. the forward input.
     ///

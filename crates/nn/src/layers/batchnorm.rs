@@ -1,6 +1,6 @@
 //! Per-channel batch normalization for NCHW batches.
 
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::Tensor;
 
@@ -103,7 +103,7 @@ impl Layer for BatchNorm2d {
         _ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let (n, c, h, w) = input.shape().as_nchw();
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
         let plane = h * w;
@@ -139,7 +139,7 @@ impl Layer for BatchNorm2d {
         if train {
             self.cache = batch;
         }
-        (input, None)
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

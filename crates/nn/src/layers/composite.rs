@@ -2,7 +2,7 @@
 //! (DenseNet-style). These give the zoo the two "deep" topologies of the
 //! paper's Table II (ResNet20/ResNet34 and DenseNet40 analogs).
 
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::{relu_backward, Tensor};
 
@@ -83,14 +83,14 @@ impl Layer for Residual {
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         // The body consumes a copy; the original buffer feeds the skip path.
         let mut y = ws.acquire_copy(&input);
         for layer in &mut self.body {
-            y = layer.forward_into(y, ws, train, false).0;
+            y = layer.forward_into(y, ws, train, false);
         }
         let skip = match &mut self.projection {
-            Some(p) => p.forward_into(input, ws, train, false).0,
+            Some(p) => p.forward_into(input, ws, train, false),
             None => input,
         };
         for (a, &b) in y.data_mut().iter_mut().zip(skip.data()) {
@@ -105,7 +105,7 @@ impl Layer for Residual {
         for v in y.data_mut() {
             *v = v.max(0.0);
         }
-        (y, None)
+        y
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -232,7 +232,7 @@ impl Layer for DenseBlock {
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let (_, c, _, _) = input.shape().as_nchw();
         assert_eq!(c, self.in_c, "dense block input channel mismatch");
         self.pre_relu_cache.clear();
@@ -240,7 +240,7 @@ impl Layer for DenseBlock {
         for unit in &mut self.units {
             // The unit consumes a copy of the running concatenation.
             let unit_in = ws.acquire_copy(&features);
-            let mut y = unit.forward_into(unit_in, ws, train, false).0;
+            let mut y = unit.forward_into(unit_in, ws, train, false);
             if train {
                 Self::cache_pre_relu(&mut self.pre_relu_cache, &y);
             }
@@ -263,7 +263,7 @@ impl Layer for DenseBlock {
             ws.release(y);
             features = cat;
         }
-        (features, None)
+        features
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

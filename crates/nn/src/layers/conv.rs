@@ -1,9 +1,9 @@
 //! 2-D convolution via im2col + GEMM.
 
 use crate::init::he_normal;
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{GemmGuard, Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
-use pgmr_tensor::checksum::GemmChecksums;
+use pgmr_tensor::checksum::ChecksumFault;
 use pgmr_tensor::gemm::{gemm_a_bt, gemm_at_b, gemm_into, GemmScratch};
 use pgmr_tensor::{col2im, im2col_into, Conv2dGeometry, Tensor};
 use rand::Rng;
@@ -21,6 +21,8 @@ pub struct Conv2d {
     bias: ParamSlot,
     /// Cached im2col matrices for each image in the last forward batch.
     cols_cache: Vec<Vec<f32>>,
+    /// ABFT state: weight-side sums and one expectation block per image.
+    guard: GemmGuard,
 }
 
 impl Conv2d {
@@ -48,6 +50,7 @@ impl Conv2d {
             weight: ParamSlot::new(he_normal(vec![out_c, fan_in], fan_in, rng)),
             bias: ParamSlot::new(Tensor::zeros([out_c])),
             cols_cache: Vec::new(),
+            guard: GemmGuard::default(),
         }
     }
 
@@ -83,21 +86,8 @@ impl Conv2d {
 
     /// Keeps one image's patch matrix for `backward`.
     // pgmr-lint: boundary(hot-path-alloc): training-only backward cache; inference forwards never record it
-    fn cache_cols(&mut self, cols: &[f32]) {
-        self.cols_cache.push(cols.to_vec());
-    }
-
-    /// ABFT expectations for one image's bias-initialized GEMM.
-    fn image_checksums(&self, cols: &[f32]) -> GemmChecksums {
-        let mut sums = GemmChecksums::for_ab(
-            self.out_c,
-            self.geom.patch_len(),
-            self.geom.out_spatial(),
-            self.weight.value.data(),
-            cols,
-        );
-        sums.add_broadcast_col(self.bias.value.data());
-        sums
+    fn cache_cols(cache: &mut Vec<Vec<f32>>, cols: &[f32]) {
+        cache.push(cols.to_vec());
     }
 }
 
@@ -105,15 +95,15 @@ impl Layer for Conv2d {
     /// The im2col patch matrix lives in the arena's shared scratch, which
     /// `im2col_into` overwrites in full for each image (padded taps
     /// included), so it is reused without clearing; the output comes from
-    /// the arena. Checksum expectations are derived per image while its
-    /// patch matrix is still in the scratch.
+    /// the arena. A checked forward derives each image's checksum
+    /// expectations while its patch matrix is still in the scratch.
     fn forward_into(
         &mut self,
         input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let (n, c, h, w) = input.shape().as_nchw();
         assert_eq!(
             (c, h, w),
@@ -124,8 +114,8 @@ impl Layer for Conv2d {
         let patch = self.geom.patch_len();
         self.cols_cache.clear();
         let mut out = ws.acquire([n, self.out_c, self.geom.out_h, self.geom.out_w]);
-        // pgmr-lint: allow(hot-path-alloc): the unchecked arm builds a capacity-0 Vec — no heap allocation; the checked arm is the ABFT tier
-        let mut segments = if checked { Vec::with_capacity(n) } else { Vec::new() };
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        let mut guard = checked.then(|| self.guard.begin(n, self.out_c, patch, weight, bias));
         {
             let (cols, gemm_scratch) = ws.scratch_with_gemm(patch * spatial);
             let in_stride = c * h * w;
@@ -136,23 +126,26 @@ impl Layer for Conv2d {
                     self.out_c,
                     patch,
                     spatial,
-                    self.weight.value.data(),
-                    self.bias.value.data(),
+                    weight,
+                    bias,
                     cols,
                     &mut out.data_mut()[i * out_stride..(i + 1) * out_stride],
                     gemm_scratch,
                 );
-                if checked {
-                    segments.push((i * out_stride, self.image_checksums(cols)));
+                if let Some((sums, blocks)) = &mut guard {
+                    blocks[i].derive_ab(self.out_c, patch, spatial, weight, cols, bias, sums);
                 }
                 if train {
-                    self.cache_cols(cols);
+                    Self::cache_cols(&mut self.cols_cache, cols);
                 }
             }
         }
         ws.release(input);
-        let sums = if checked { Some(OutputChecksum::new(segments)) } else { None };
-        (out, sums)
+        out
+    }
+
+    fn verify_output(&self, output: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
+        self.guard.verify(output, tolerance)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -195,6 +188,7 @@ impl Layer for Conv2d {
     }
 
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
+        self.guard.invalidate();
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -307,8 +301,8 @@ mod tests {
         assert!(conv.cols_cache.is_empty(), "inference must not retain im2col buffers");
         let mut ws = Workspace::new();
         let buf = ws.acquire_copy(&x);
-        let (out, sums) = conv.forward_into(buf, &mut ws, false, true);
-        sums.expect("conv emits checksums").verify(out.data(), 1e-4).unwrap();
+        let out = conv.forward_into(buf, &mut ws, false, true);
+        conv.verify_output(out.data(), 1e-4).unwrap();
         assert!(conv.cols_cache.is_empty(), "checked inference must not retain im2col buffers");
     }
 

@@ -1,9 +1,9 @@
 //! Fully-connected (dense) layers.
 
 use crate::init::he_normal;
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{GemmGuard, Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
-use pgmr_tensor::checksum::GemmChecksums;
+use pgmr_tensor::checksum::ChecksumFault;
 use pgmr_tensor::gemm::{gemm_a_bt_into, gemm_at_b};
 use pgmr_tensor::Tensor;
 use rand::Rng;
@@ -19,6 +19,8 @@ pub struct Dense {
     weight: ParamSlot,
     bias: ParamSlot,
     input_cache: Option<Tensor>,
+    /// ABFT state: weight-side sums and the batch's expectation block.
+    guard: GemmGuard,
 }
 
 impl Dense {
@@ -30,6 +32,7 @@ impl Dense {
             weight: ParamSlot::new(he_normal(vec![out_features, in_features], in_features, rng)),
             bias: ParamSlot::new(Tensor::zeros([out_features])),
             input_cache: None,
+            guard: GemmGuard::default(),
         }
     }
 
@@ -51,48 +54,45 @@ impl Dense {
 }
 
 impl Layer for Dense {
+    /// A checked forward computes the product and its checksum
+    /// expectations together ([`GemmChecksums::gemm_a_bt`]: at batch 1 in
+    /// one pass over the weight); an unchecked one runs the GEMM alone.
+    ///
+    /// [`GemmChecksums::gemm_a_bt`]: pgmr_tensor::checksum::GemmChecksums::gemm_a_bt
     fn forward_into(
         &mut self,
         input: Tensor,
         ws: &mut Workspace,
         train: bool,
         checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let &[n, features] = input.shape().dims() else { panic!("dense expects [n, features]") };
         assert_eq!(features, self.in_features, "dense input feature mismatch");
         // y = x (n x in) * W^T (in x out) + bias
         let mut out = ws.acquire([n, self.out_features]);
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
         for row in out.data_mut().chunks_mut(self.out_features) {
-            row.copy_from_slice(self.bias.value.data());
+            row.copy_from_slice(bias);
         }
-        gemm_a_bt_into(
-            n,
-            self.in_features,
-            self.out_features,
-            input.data(),
-            self.weight.value.data(),
-            out.data_mut(),
-            ws.gemm_scratch(),
-        );
-        let sums = checked.then(|| {
-            let mut sums = GemmChecksums::for_a_bt(
-                n,
-                self.in_features,
-                self.out_features,
-                input.data(),
-                self.weight.value.data(),
-            );
-            sums.add_broadcast_row(self.bias.value.data());
-            // pgmr-lint: allow(hot-path-alloc): inside the `checked.then` ABFT arm — runs only for guarded passes, never on the unguarded serving path
-            OutputChecksum::new(vec![(0, sums)])
-        });
+        let (fin, fout) = (self.in_features, self.out_features);
+        if checked {
+            let (sums, blocks) = self.guard.begin(1, fout, fin, weight, bias);
+            let (x, y) = (input.data(), out.data_mut());
+            blocks[0].gemm_a_bt(n, fin, fout, x, weight, bias, sums, y, ws.gemm_scratch());
+        } else {
+            gemm_a_bt_into(n, fin, fout, input.data(), weight, out.data_mut(), ws.gemm_scratch());
+        }
         if train {
             self.cache_input(&input);
         } else {
             self.input_cache = None;
         }
         ws.release(input);
-        (out, sums)
+        out
+    }
+
+    fn verify_output(&self, output: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
+        self.guard.verify(output, tolerance)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -130,6 +130,7 @@ impl Layer for Dense {
     }
 
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
+        self.guard.invalidate();
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -213,9 +214,9 @@ mod tests {
         let x = Tensor::uniform(vec![3, 5], -1.0, 1.0, &mut rng);
         let mut ws = crate::workspace::Workspace::new();
         let buf = ws.acquire_copy(&x);
-        let (out, sums) = dense.forward_into(buf, &mut ws, false, true);
+        let out = dense.forward_into(buf, &mut ws, false, true);
         assert_eq!(out.shape().dims(), &[3, 4]);
-        sums.expect("dense emits checksums").verify(out.data(), 1e-4).unwrap();
+        dense.verify_output(out.data(), 1e-4).unwrap();
         assert!(dense.input_cache.is_none(), "inference must not cache the input");
     }
 

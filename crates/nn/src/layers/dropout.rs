@@ -8,7 +8,7 @@
 //! work) needs: several stochastic forward passes approximate the
 //! predictive distribution.
 
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
@@ -65,11 +65,11 @@ impl Layer for Dropout {
         _ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         self.mask_cache = None;
         // pgmr-lint: allow(float-eq): p == 0.0 is the exact no-op configuration, not an arithmetic result
         if (!train && !self.mc_mode) || self.p == 0.0 {
-            return (input, None);
+            return input;
         }
         // Draw the mask in element order and apply it in place; only
         // training keeps it for `backward`.
@@ -83,7 +83,7 @@ impl Layer for Dropout {
             }
         }
         self.mask_cache = mask;
-        (input, None)
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -154,7 +154,7 @@ mod tests {
         let mut ws = crate::workspace::Workspace::new();
         let mut buf = ws.acquire([1, 8]);
         buf.data_mut().fill(2.0);
-        let (out, _) = d.forward_into(buf, &mut ws, false, false);
+        let out = d.forward_into(buf, &mut ws, false, false);
         // pgmr-lint: allow(float-eq): identity pass-through must preserve the exact seed value
         assert!(out.data().iter().all(|&v| v == 2.0));
     }

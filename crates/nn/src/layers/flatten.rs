@@ -1,6 +1,6 @@
 //! Shape adapter between convolutional and dense stages.
 
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::{Shape, Tensor};
 
@@ -24,12 +24,12 @@ impl Layer for Flatten {
         _ws: &mut Workspace,
         _train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let dims = input.shape().dims();
         assert!(dims.len() >= 2, "flatten expects a batched tensor");
         let flat = [dims[0], dims[1..].iter().product()];
         self.input_shape = Some(*input.shape());
-        (input.reshape(flat), None)
+        input.reshape(flat)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

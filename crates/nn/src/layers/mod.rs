@@ -30,5 +30,5 @@ pub(crate) fn forward(
 ) -> pgmr_tensor::Tensor {
     let mut ws = crate::workspace::Workspace::new();
     let buf = ws.acquire_copy(input);
-    layer.forward_into(buf, &mut ws, train, false).0
+    layer.forward_into(buf, &mut ws, train, false)
 }

@@ -1,7 +1,7 @@
 //! Parallel multi-branch layers (GoogLeNet/Inception-style blocks).
 
 use super::composite::slice_channels;
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::Tensor;
 
@@ -57,13 +57,13 @@ impl Layer for Parallel {
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         self.branch_channels.clear();
         let mut outs = std::mem::take(&mut self.branch_outs);
         for branch in &mut self.branches {
             let mut y = ws.acquire_copy(&input);
             for layer in branch.iter_mut() {
-                y = layer.forward_into(y, ws, train, false).0;
+                y = layer.forward_into(y, ws, train, false);
             }
             let (_, c, _, _) = y.shape().as_nchw();
             self.branch_channels.push(c);
@@ -95,7 +95,7 @@ impl Layer for Parallel {
             ws.release(t);
         }
         self.branch_outs = outs;
-        (cat, None)
+        cat
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::layer::{Layer, LayerCost, OutputChecksum, ParamSlot};
+use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::{Shape, Tensor};
 
@@ -36,7 +36,7 @@ impl Layer for MaxPool2d {
         ws: &mut Workspace,
         train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let (n, c, h, w) = input.shape().as_nchw();
         let k = self.window;
         assert!(h >= k && w >= k, "pool window {k} larger than spatial dims {h}x{w}");
@@ -77,7 +77,7 @@ impl Layer for MaxPool2d {
         self.input_shape = Some(*input.shape());
         self.output_elems_per_image = (c * oh * ow) as u64;
         ws.release(input);
-        (out, None)
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -133,7 +133,7 @@ impl Layer for AvgPoolGlobal {
         ws: &mut Workspace,
         _train: bool,
         _checked: bool,
-    ) -> (Tensor, Option<OutputChecksum>) {
+    ) -> Tensor {
         let (n, c, h, w) = input.shape().as_nchw();
         let plane = h * w;
         let mut out = ws.acquire([n, c]);
@@ -147,7 +147,7 @@ impl Layer for AvgPoolGlobal {
         }
         self.input_shape = Some(*input.shape());
         ws.release(input);
-        (out, None)
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

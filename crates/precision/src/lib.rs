@@ -161,13 +161,34 @@ impl Precision {
     }
 
     /// Quantizes a raw activation slice in place — the [`pgmr_nn::Network`]
-    /// hook form of [`Precision::quantize_tensor`].
+    /// hook form of [`Precision::quantize_tensor`], bit-identical to
+    /// [`Precision::quantize`] on every input.
+    ///
+    /// The loop has no branches, so it vectorizes: adding `half − 1` plus
+    /// the lowest kept bit to the magnitude carries into the kept bits
+    /// exactly when round-to-nearest-even rounds up, and the mask then
+    /// drops the rest. A finite input whose result reaches exponent 255
+    /// saturates to the largest finite magnitude; Inf and NaN keep their
+    /// bits. Zero and subnormal inputs round like any other.
     pub fn quantize_slice(&self, data: &mut [f32]) {
-        if self.mantissa_bits() >= 23 {
+        const SIGN: u32 = 0x8000_0000;
+        const EXP_ALL_ONES: u32 = 0x7f80_0000;
+        let m = self.mantissa_bits();
+        if m >= 23 {
             return;
         }
+        let shift = 23 - m;
+        let keep = !((1u32 << shift) - 1);
+        let half_minus_one = (1u32 << (shift - 1)) - 1;
+        let saturated = self.max_finite_magnitude_bits();
         for v in data {
-            *v = self.quantize(*v);
+            let bits = v.to_bits();
+            let mag = bits & !SIGN;
+            let lsb = (mag >> shift) & 1;
+            let rounded = (mag + half_minus_one + lsb) & keep;
+            let rounded = if rounded >= EXP_ALL_ONES { saturated } else { rounded };
+            let out = if mag >= EXP_ALL_ONES { mag } else { rounded };
+            *v = f32::from_bits((bits & SIGN) | out);
         }
     }
 }
@@ -298,6 +319,55 @@ mod tests {
             assert_eq!(p.total_bits(), good);
             assert!(p.mantissa_bits() >= 1, "every valid format keeps a mantissa bit");
             assert_eq!(p.mantissa_bits(), good - 9);
+        }
+    }
+
+    /// Checks `quantize_slice` against `quantize` on every bit pattern of
+    /// the range `[lo, hi)`, a block at a time.
+    fn assert_slice_matches_scalar(p: Precision, lo: u64, hi: u64) {
+        let mut block = Vec::with_capacity(1 << 16);
+        for start in (lo..hi).step_by(1 << 16) {
+            block.clear();
+            block.extend((start..hi.min(start + (1 << 16))).map(|b| f32::from_bits(b as u32)));
+            let want: Vec<u32> = block.iter().map(|&v| p.quantize(v).to_bits()).collect();
+            p.quantize_slice(&mut block);
+            for (i, (v, w)) in block.iter().zip(&want).enumerate() {
+                assert_eq!(v.to_bits(), *w, "{p} on {:#010x}", start + i as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_slice_matches_quantize_on_edges() {
+        // Zeros, subnormals, ties, the saturation point, Inf and NaN at
+        // every width, each with its neighbours.
+        let edges: [u32; 9] = [
+            0,
+            1,
+            0x007f_ffff,
+            0x0080_0000,
+            0x3f80_0000,
+            0x3f82_0000,
+            0x7f7f_ffff,
+            0x7f80_0000,
+            0x7fc0_0000,
+        ];
+        for bits in 10..=32 {
+            let p = Precision::new(bits);
+            for &e in &edges {
+                for sign in [0u64, 0x8000_0000] {
+                    let lo = (e as u64 | sign).saturating_sub(300);
+                    assert_slice_matches_scalar(p, lo, (e as u64 | sign) + 300);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 inputs; CI runs it in release"]
+    fn quantize_slice_matches_quantize_on_every_input() {
+        for bits in [14, 17] {
+            assert_slice_matches_scalar(Precision::new(bits), 0, 1 << 32);
         }
     }
 

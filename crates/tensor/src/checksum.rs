@@ -14,6 +14,39 @@
 //! the attainable round-off. A deviation counts as a fault only when it
 //! exceeds `tolerance × scale + tolerance`, making the guard robust across
 //! layers with wildly different activation magnitudes.
+//!
+//! ## Weight side and activation side
+//!
+//! A guarded layer multiplies a fixed weight by a fresh activation on
+//! every forward. The terms that depend on the parameters alone — the
+//! weight's column sums `eᵀW` and `eᵀ|W|`, whether the weight and bias are
+//! finite, and the bias totals — are a [`WeightSums`], which the layer
+//! derives once per weight version (`pgmr_nn` drops it whenever the layer
+//! lends its parameter slots out). Each forward then derives only the
+//! activation-side terms, into the buffers of a [`GemmChecksums`] the
+//! layer reuses, so a warmed guarded forward allocates nothing:
+//! [`GemmChecksums::derive_ab`] for a convolution (`W·B`, the weight on
+//! the left) and [`GemmChecksums::gemm_a_bt`] for a dense layer
+//! (`x·Wᵀ`), which also computes the product — at batch 1 in the same
+//! pass of the dot kernel as its column checksums.
+//!
+//! ## Kernels and numerics
+//!
+//! Every sum is one chain in the order of the serial loop it replaced: it
+//! starts where that loop started (+0.0, or -0.0 for `verify`'s row sums,
+//! as `Iterator::sum` does) and adds its terms in ascending index order;
+//! the kernels only keep several chains in flight. Row sums (`B·e`,
+//! `|B|·e` and the actual row sums in [`GemmChecksums::verify`]) run
+//! eight rows at once; matrix–vector terms (`W·(B·e)`, `x·(Wᵀe)`, the dense column
+//! checksums) run through the tiled dot kernel of [`mod@crate::gemm`], eight
+//! outputs per transposed tile; column sums run as vectorized axpy
+//! passes. The finiteness scan reads the magnitude sums: a finite sum of
+//! magnitudes bounds every term, so only a non-finite one (a non-finite
+//! input, or an overflow) needs the element scan. The loops these replaced
+//! are kept as `#[cfg(test)]` oracles, and every expected sum, scale,
+//! finiteness flag and fault must match them bit for bit.
+
+use crate::gemm::GemmScratch;
 
 /// Which checksum direction caught a deviation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,176 +109,302 @@ impl std::fmt::Display for ChecksumFault {
 
 impl std::error::Error for ChecksumFault {}
 
+/// The weight-side terms of a guarded GEMM whose weight is a row-major
+/// `rows×k` matrix with an optional bias: the weight's column sums `eᵀW`
+/// and `eᵀ|W|`, whether the weight and the bias are all finite, and the
+/// bias totals `Σ b` and `Σ |b|`.
+///
+/// They depend on the parameters alone, so a layer derives them once per
+/// weight version and hands them to every derivation
+/// ([`GemmChecksums::derive_ab`], [`GemmChecksums::gemm_a_bt`]) until its
+/// weights change.
+#[derive(Debug, Clone)]
+pub struct WeightSums {
+    rows: usize,
+    k: usize,
+    bias_len: usize,
+    /// `[eᵀW | eᵀ|W|]`, `k` each, every column summed in ascending row
+    /// order from +0.0.
+    col: Vec<f32>,
+    /// Every weight and bias entry is finite.
+    finite: bool,
+    /// `Σ b` and `Σ |b|` as iterator sums (empty bias: no bias).
+    bias_total: f32,
+    bias_abs_total: f32,
+}
+
+impl WeightSums {
+    /// Derives the weight-side terms of `weight: rows×k` (row-major) and
+    /// `bias` (empty for a GEMM without one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight.len() != rows·k`.
+    // pgmr-lint: boundary(hot-path-alloc): derived once per weight version — a layer's first guarded forward after its slots were lent out — never per forward
+    pub fn derive(rows: usize, k: usize, weight: &[f32], bias: &[f32]) -> Self {
+        assert_eq!(weight.len(), rows * k, "weight must be {rows}x{k}");
+        let mut col = vec![0.0f32; 2 * k];
+        add_col_sums(weight, k, &mut col);
+        WeightSums {
+            rows,
+            k,
+            bias_len: bias.len(),
+            col,
+            finite: weight.iter().chain(bias).all(|v| v.is_finite()),
+            bias_total: bias.iter().sum(),
+            bias_abs_total: bias.iter().map(|v| v.abs()).sum(),
+        }
+    }
+}
+
+/// Adds the column sums of a row-major `?×k` matrix to `out[..k]` and
+/// those of its magnitudes to `out[k..2k]`, rows in ascending order.
+fn add_col_sums(matrix: &[f32], k: usize, out: &mut [f32]) {
+    let (sum, abs) = out.split_at_mut(k);
+    for row in matrix.chunks_exact(k.max(1)) {
+        for ((s, a), &v) in sum.iter_mut().zip(abs.iter_mut()).zip(row) {
+            *s += v;
+            *a += v.abs();
+        }
+    }
+}
+
+/// Whether every element of `data` is finite, given the sums of its
+/// magnitudes: a finite sum of magnitudes bounds each of its terms, so
+/// only a non-finite one (a non-finite element, or an overflow) needs the
+/// element scan.
+fn all_finite(abs_sums: &[f32], data: &[f32]) -> bool {
+    abs_sums.iter().all(|v| v.is_finite()) || data.iter().all(|v| v.is_finite())
+}
+
+/// Folds a bias into `[sums | scales]` expectations: each entry of `each`
+/// (the direction the bias runs along) gains `count · b` of its own bias
+/// value, and every entry of `every` the bias totals. An empty bias adds
+/// nothing.
+fn fold_bias(bias: &[f32], count: usize, each: &mut [f32], every: &mut [f32], w: &WeightSums) {
+    if bias.is_empty() {
+        return;
+    }
+    let c = count as f32;
+    let (sums, scales) = each.split_at_mut(bias.len());
+    for ((s, sa), &b) in sums.iter_mut().zip(scales.iter_mut()).zip(bias) {
+        *s += c * b;
+        *sa += c * b.abs();
+    }
+    let (sums, scales) = every.split_at_mut(every.len() / 2);
+    for (s, sa) in sums.iter_mut().zip(scales.iter_mut()) {
+        *s += w.bias_total;
+        *sa += w.bias_abs_total;
+    }
+}
+
+/// Independent chains the row-sum kernel keeps in flight.
+const CHAINS: usize = 8;
+
+/// Columns [`GemmChecksums::verify`] sums down the rows at once, in a
+/// stack buffer.
+const COL_BLOCK: usize = 64;
+
+/// Sums each `n`-long row of `data` into `sums` and, with `ABS`, the
+/// magnitudes of each row into `abs_sums`: every sum starts from `start`
+/// and adds its row in ascending order, the serial loop's order. Eight
+/// rows are in flight at once, so their chains overlap where one chain
+/// per row would wait on every add; in a block of fewer than eight rows
+/// the spare lanes repeat its last row and are discarded.
+#[inline(always)]
+fn row_sums<const ABS: bool>(
+    data: &[f32],
+    n: usize,
+    start: f32,
+    sums: &mut [f32],
+    abs_sums: &mut [f32],
+) {
+    debug_assert_eq!(data.len(), sums.len() * n);
+    if n == 0 {
+        sums.fill(start);
+        abs_sums.fill(start);
+        return;
+    }
+    for (b, (block, out)) in data.chunks(CHAINS * n).zip(sums.chunks_mut(CHAINS)).enumerate() {
+        let last = out.len() - 1;
+        let rows: [&[f32]; CHAINS] = std::array::from_fn(|r| &block[r.min(last) * n..][..n]);
+        let mut acc = [start; CHAINS];
+        let mut acc_abs = [start; CHAINS];
+        for j in 0..n {
+            for ((s, sa), row) in acc.iter_mut().zip(acc_abs.iter_mut()).zip(&rows) {
+                let v = row[j];
+                *s += v;
+                if ABS {
+                    *sa += v.abs();
+                }
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
+        if ABS {
+            abs_sums[b * CHAINS..][..out.len()].copy_from_slice(&acc_abs[..out.len()]);
+        }
+    }
+}
+
+/// The dot kernel's transform for a two-row `[sums | magnitude sums]`
+/// operand: the second row reads `|x|`.
+fn abs_on_row_1(row: usize, v: f32) -> f32 {
+    if row == 1 {
+        v.abs()
+    } else {
+        v
+    }
+}
+
 /// Expected row/column sums (plus round-off scales) for one `m×n` GEMM
-/// result.
-#[derive(Debug, Clone, PartialEq)]
+/// result, in buffers each derivation refills: a guarded layer keeps one
+/// per GEMM and reuses it from forward to forward without allocating.
+#[derive(Debug, Clone, Default)]
 pub struct GemmChecksums {
     m: usize,
     n: usize,
-    /// Expected row sums: `row_sum[i] = Σ_j C[i,j]`.
-    row_sum: Vec<f32>,
-    /// Expected column sums: `col_sum[j] = Σ_i C[i,j]`.
-    col_sum: Vec<f32>,
-    /// Absolute-magnitude row sums bounding round-off per row.
-    row_scale: Vec<f32>,
-    /// Absolute-magnitude column sums bounding round-off per column.
-    col_scale: Vec<f32>,
-    /// False when any input operand (or folded bias) was NaN/Inf at
-    /// derivation time — see [`ChecksumKind::NonFinite`].
+    /// `[row sums | row scales]`, `m` each: `Σ_j C[i,j]` expected, and the
+    /// absolute-magnitude sum bounding its round-off.
+    rows: Vec<f32>,
+    /// `[col sums | col scales]`, `n` each; a batch-1 dense derivation
+    /// appends the product row it computed in the same pass.
+    cols: Vec<f32>,
+    /// False when any input operand (or bias) was NaN/Inf at derivation
+    /// time — see [`ChecksumKind::NonFinite`].
     inputs_finite: bool,
+    /// The activation-side sums of the latest derivation.
+    act: Vec<f32>,
 }
 
 impl GemmChecksums {
-    /// Derives checksums for `C = A·B` with `A: m×k`, `B: k×n` (both
-    /// row-major).
+    /// One-shot checksums for `C = A·B` with `A: m×k`, `B: k×n` (both
+    /// row-major) and no bias: derives `A`'s weight-side sums on the spot.
+    /// Guarded layers keep their [`WeightSums`] and call
+    /// [`GemmChecksums::derive_ab`] instead.
     ///
     /// # Panics
     ///
     /// Panics if a slice length disagrees with its stated dimensions.
-    // pgmr-lint: boundary(hot-path-alloc): checksum derivation allocates its O(m+n+k) sum vectors once per *guarded* layer invocation — the ABFT tier trades that for fault coverage, and the unguarded serving path never enters it
     pub fn for_ab(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Self {
-        assert_eq!(a.len(), m * k, "a must be {m}x{k}");
+        let mut sums = GemmChecksums::default();
+        sums.derive_ab(m, k, n, a, b, &[], &WeightSums::derive(m, k, a, &[]));
+        sums
+    }
+
+    /// Derives the checksums of `C = W·B + bias·eᵀ` — the convolution
+    /// orientation, every column of row `i` starting at `bias[i]` — with
+    /// `W: m×k` the weight `w` was derived from, `B: k×n` and `bias` of
+    /// length `m` (or empty).
+    ///
+    /// The activation-side terms `B·e` and `|B|·e` run through the
+    /// eight-chain row-sum kernel, and `W·(B·e)` and `|W|·(|B|·e)` through
+    /// the dot kernel's transposed tile, eight rows of `W` at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with its stated dimensions or
+    /// `w` describes another shape.
+    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + weight sums
+    pub fn derive_ab(
+        &mut self,
+        m: usize,
+        k: usize,
+        n: usize,
+        weight: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        w: &WeightSums,
+    ) {
+        assert_eq!(weight.len(), m * k, "weight must be {m}x{k}");
         assert_eq!(b.len(), k * n, "b must be {k}x{n}");
-        let mut inputs_finite = true;
-        // b_row_sum[p] = Σ_j B[p,j]; b_abs_row_sum likewise on |B|.
-        let mut b_row_sum = vec![0.0f32; k];
-        let mut b_abs_row_sum = vec![0.0f32; k];
-        for p in 0..k {
-            for &v in &b[p * n..(p + 1) * n] {
-                inputs_finite &= v.is_finite();
-                b_row_sum[p] += v;
-                b_abs_row_sum[p] += v.abs();
+        assert!(bias.is_empty() || bias.len() == m, "bias must have length {m}");
+        assert_eq!((w.rows, w.k, w.bias_len), (m, k, bias.len()), "weight sums of another shape");
+        (self.m, self.n) = (m, n);
+        // B·e and |B|·e.
+        self.act.clear();
+        self.act.resize(2 * k, 0.0);
+        let (be, abe) = self.act.split_at_mut(k);
+        row_sums::<true>(b, n, 0.0, be, abe);
+        self.inputs_finite = w.finite && all_finite(abe, b);
+        // W·(B·e) and |W|·(|B|·e): each sum from +0.0 in ascending k.
+        self.rows.clear();
+        self.rows.resize(2 * m, 0.0);
+        crate::gemm::dot_a_bt(2, k, m, &self.act, weight, &mut self.rows, abs_on_row_1);
+        // (eᵀW)·B and (eᵀ|W|)·|B|, one row of B at a time.
+        self.cols.clear();
+        self.cols.resize(2 * n, 0.0);
+        let (cs, cabs) = self.cols.split_at_mut(n);
+        for (p, b_row) in b.chunks_exact(n.max(1)).enumerate() {
+            let (s, sa) = (w.col[p], w.col[k + p]);
+            for ((c, ca), &v) in cs.iter_mut().zip(cabs.iter_mut()).zip(b_row) {
+                *c += s * v;
+                *ca += sa * v.abs();
             }
         }
-        // e·A: column sums of A (and of |A|).
-        let mut a_col_sum = vec![0.0f32; k];
-        let mut a_abs_col_sum = vec![0.0f32; k];
-        let mut row_sum = vec![0.0f32; m];
-        let mut row_scale = vec![0.0f32; m];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            let mut acc_abs = 0.0f32;
-            for (p, &v) in a_row.iter().enumerate() {
-                inputs_finite &= v.is_finite();
-                acc += v * b_row_sum[p];
-                acc_abs += v.abs() * b_abs_row_sum[p];
-                a_col_sum[p] += v;
-                a_abs_col_sum[p] += v.abs();
-            }
-            row_sum[i] = acc;
-            row_scale[i] = acc_abs;
-        }
-        let mut col_sum = vec![0.0f32; n];
-        let mut col_scale = vec![0.0f32; n];
-        for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            let (s, sa) = (a_col_sum[p], a_abs_col_sum[p]);
-            for (j, &v) in b_row.iter().enumerate() {
-                col_sum[j] += s * v;
-                col_scale[j] += sa * v.abs();
-            }
-        }
-        GemmChecksums { m, n, row_sum, col_sum, row_scale, col_scale, inputs_finite }
+        fold_bias(bias, n, &mut self.rows, &mut self.cols, w);
     }
 
-    /// Derives checksums for `C = A·Bᵀ` with `A: m×k`, `B: n×k` — the
-    /// dense-layer orientation (`y = x·Wᵀ`).
+    /// Computes `c += a·wᵀ` — bit for bit as
+    /// [`crate::gemm::gemm_a_bt_into`] — and derives the checksums of the
+    /// result, `c` having held `bias` (length `n`, or empty for none) in
+    /// every row: the dense orientation, `y = x·Wᵀ + bias`, with `a: m×k`
+    /// and `weight: n×k` the weight `w` was derived from.
+    ///
+    /// At `m = 1` (every serving dense layer) the product row and the two
+    /// column-checksum rows `(eᵀa)·Wᵀ` and `(eᵀ|a|)·|W|ᵀ` share one pass of
+    /// the dot kernel's transposed tile; each sum keeps its order, so the
+    /// product and every checksum are bit-identical to separate passes.
     ///
     /// # Panics
     ///
-    /// Panics if a slice length disagrees with its stated dimensions.
-    // pgmr-lint: boundary(hot-path-alloc): checksum derivation allocates its O(m+n+k) sum vectors once per *guarded* layer invocation — the ABFT tier trades that for fault coverage, and the unguarded serving path never enters it
-    pub fn for_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Self {
+    /// Panics if a slice length disagrees with its stated dimensions or
+    /// `w` describes another shape.
+    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + weight sums + scratch
+    pub fn gemm_a_bt(
+        &mut self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        w: &WeightSums,
+        c: &mut [f32],
+        scratch: &mut GemmScratch,
+    ) {
         assert_eq!(a.len(), m * k, "a must be {m}x{k}");
-        assert_eq!(b.len(), n * k, "b must be {n}x{k}");
-        let mut inputs_finite = true;
-        // (Bᵀ·e)[p] = Σ_j B[j,p]: column sums of B.
-        let mut bt_row_sum = vec![0.0f32; k];
-        let mut bt_abs_row_sum = vec![0.0f32; k];
-        for j in 0..n {
-            for (p, &v) in b[j * k..(j + 1) * k].iter().enumerate() {
-                inputs_finite &= v.is_finite();
-                bt_row_sum[p] += v;
-                bt_abs_row_sum[p] += v.abs();
+        assert_eq!(weight.len(), n * k, "weight must be {n}x{k}");
+        assert_eq!(c.len(), m * n, "c must be {m}x{n}");
+        assert!(bias.is_empty() || bias.len() == n, "bias must have length {n}");
+        assert_eq!((w.rows, w.k, w.bias_len), (n, k, bias.len()), "weight sums of another shape");
+        (self.m, self.n) = (m, n);
+        // eᵀa and eᵀ|a|, rows added in ascending order from +0.0; at m = 1
+        // the product's own operand row follows them.
+        self.act.clear();
+        self.act.resize(2 * k, 0.0);
+        add_col_sums(a, k, &mut self.act);
+        self.inputs_finite = w.finite && all_finite(&self.act[k..], a);
+        self.cols.clear();
+        if m == 1 {
+            // [col sums | col scales | product], each from +0.0; the
+            // product is then added to the bias in `c` as the GEMM adds
+            // its sums.
+            self.act.extend_from_slice(a);
+            self.cols.resize(3 * n, 0.0);
+            crate::gemm::dot_a_bt(3, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
+            for (out, &s) in c.iter_mut().zip(&self.cols[2 * n..]) {
+                *out += s;
             }
+        } else {
+            crate::gemm::gemm_a_bt_into(m, k, n, a, weight, c, scratch);
+            self.cols.resize(2 * n, 0.0);
+            crate::gemm::dot_a_bt(2, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
         }
-        // e·A and e·|A| as the two rows of one 2×k matrix.
-        let mut a_col_sums = vec![0.0f32; 2 * k];
-        let (a_col_sum, a_abs_col_sum) = a_col_sums.split_at_mut(k);
-        let mut row_sum = vec![0.0f32; m];
-        let mut row_scale = vec![0.0f32; m];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            let mut acc_abs = 0.0f32;
-            for (p, &v) in a_row.iter().enumerate() {
-                inputs_finite &= v.is_finite();
-                acc += v * bt_row_sum[p];
-                acc_abs += v.abs() * bt_abs_row_sum[p];
-                a_col_sum[p] += v;
-                a_abs_col_sum[p] += v.abs();
-            }
-            row_sum[i] = acc;
-            row_scale[i] = acc_abs;
-        }
-        // (e·A)·Bᵀ and (e·|A|)·|B|ᵀ in one pass of the tiled dot kernel:
-        // each tile of B serves both rows. A sum that starts from +0.0 is
-        // never -0.0, so adding it to the zeroed output stores it bit for
-        // bit.
-        let mut col_sum = vec![0.0f32; 2 * n];
-        crate::gemm::dot_a_bt(2, k, n, &a_col_sums, b, &mut col_sum, |row, v| {
-            if row == 0 {
-                v
-            } else {
-                v.abs()
-            }
-        });
-        let col_scale = col_sum.split_off(n);
-        GemmChecksums { m, n, row_sum, col_sum, row_scale, col_scale, inputs_finite }
-    }
-
-    /// Folds a bias that the producer added to every *row* of the result
-    /// (dense layers: `y = x·Wᵀ + bias`, `bias.len() == n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != n`.
-    pub fn add_broadcast_row(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.n, "bias must have length {}", self.n);
-        self.inputs_finite &= bias.iter().all(|v| v.is_finite());
-        let total: f32 = bias.iter().sum();
-        let total_abs: f32 = bias.iter().map(|v| v.abs()).sum();
-        for (s, sc) in self.row_sum.iter_mut().zip(&mut self.row_scale) {
-            *s += total;
-            *sc += total_abs;
-        }
-        for (j, (&b, s)) in bias.iter().zip(&mut self.col_sum).enumerate() {
-            *s += self.m as f32 * b;
-            self.col_scale[j] += self.m as f32 * b.abs();
-        }
-    }
-
-    /// Folds a bias the producer added to every *column* of row `i`
-    /// (convolution: every spatial position of channel `i` starts at
-    /// `bias[i]`, `bias.len() == m`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != m`.
-    pub fn add_broadcast_col(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.m, "bias must have length {}", self.m);
-        self.inputs_finite &= bias.iter().all(|v| v.is_finite());
-        for (i, (&b, s)) in bias.iter().zip(&mut self.row_sum).enumerate() {
-            *s += self.n as f32 * b;
-            self.row_scale[i] += self.n as f32 * b.abs();
-        }
-        let total: f32 = bias.iter().sum();
-        let total_abs: f32 = bias.iter().map(|v| v.abs()).sum();
-        for (s, sc) in self.col_sum.iter_mut().zip(&mut self.col_scale) {
-            *s += total;
-            *sc += total_abs;
-        }
+        // a·(Wᵀe) and |a|·(|W|ᵀe): eight rows of a at a time.
+        self.rows.clear();
+        self.rows.resize(2 * m, 0.0);
+        crate::gemm::dot_a_bt(2, k, m, &w.col, a, &mut self.rows, abs_on_row_1);
+        fold_bias(bias, m, &mut self.cols[..2 * n], &mut self.rows, w);
     }
 
     /// Result rows.
@@ -262,18 +421,24 @@ impl GemmChecksums {
     ///
     /// `tolerance` is relative: a sum may deviate by up to
     /// `tolerance × scale + tolerance` where `scale` is the matching
-    /// absolute-magnitude sum. Returns the first violated checksum. If any
-    /// input was NaN/Inf at derivation time the result is rejected
-    /// outright ([`ChecksumKind::NonFinite`]) — a NaN-poisoned output
-    /// would otherwise make every sum comparison NaN-vs-NaN and the
-    /// deviation test vacuous.
+    /// absolute-magnitude sum. Returns the first violated checksum: rows
+    /// first, in ascending order, then columns. If any input was NaN/Inf
+    /// at derivation time the result is rejected outright
+    /// ([`ChecksumKind::NonFinite`]) — a NaN-poisoned output would
+    /// otherwise make every sum comparison NaN-vs-NaN and the deviation
+    /// test vacuous.
+    ///
+    /// The row sums run eight rows at a time, each from -0.0 in ascending
+    /// order as `Iterator::sum` adds, and the column sums in blocks of
+    /// columns summed down the rows into a stack buffer, so verification
+    /// allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `c.len() != m·n`.
-    // pgmr-lint: boundary(hot-path-alloc): verification allocates one O(n) column-sum vector per *guarded* layer invocation — the ABFT tier trades that for fault coverage, and the unguarded serving path never enters it
     pub fn verify(&self, c: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
-        assert_eq!(c.len(), self.m * self.n, "c must be {}x{}", self.m, self.n);
+        let (m, n) = (self.m, self.n);
+        assert_eq!(c.len(), m * n, "c must be {m}x{n}");
         // Non-finite inputs fault unconditionally: NaN expected sums would
         // make the deviation test vacuous, and an Inf expected sum likewise
         // (`Inf > Inf` is false) — scan verdicts beat undefined comparisons.
@@ -285,24 +450,37 @@ impl GemmChecksums {
                 bound: 0.0,
             });
         }
-        let mut col_actual = vec![0.0f32; self.n];
-        for (i, row) in c.chunks(self.n).enumerate() {
-            let actual: f32 = row.iter().sum();
-            let deviation = (actual - self.row_sum[i]).abs();
-            let bound = tolerance * self.row_scale[i] + tolerance;
-            // A NaN deviation (Inf/NaN in the sums) must fault too.
+        // A NaN deviation (Inf/NaN in the sums) must fault too.
+        let check = |kind, index, actual: f32, expected: f32, scale: f32| {
+            let deviation = (actual - expected).abs();
+            let bound = tolerance * scale + tolerance;
             if deviation.is_nan() || deviation > bound {
-                return Err(ChecksumFault { kind: ChecksumKind::Row, index: i, deviation, bound });
+                Err(ChecksumFault { kind, index, deviation, bound })
+            } else {
+                Ok(())
             }
-            for (acc, &v) in col_actual.iter_mut().zip(row) {
-                *acc += v;
+        };
+        let mut sums = [0.0f32; CHAINS];
+        for (b, block) in c.chunks(CHAINS * n.max(1)).enumerate() {
+            let sums = &mut sums[..block.len() / n.max(1)];
+            row_sums::<false>(block, n, -0.0, sums, &mut []);
+            for (r, &actual) in sums.iter().enumerate() {
+                let i = b * CHAINS + r;
+                check(ChecksumKind::Row, i, actual, self.rows[i], self.rows[m + i])?;
             }
         }
-        for (j, &actual) in col_actual.iter().enumerate() {
-            let deviation = (actual - self.col_sum[j]).abs();
-            let bound = tolerance * self.col_scale[j] + tolerance;
-            if deviation.is_nan() || deviation > bound {
-                return Err(ChecksumFault { kind: ChecksumKind::Col, index: j, deviation, bound });
+        let mut acc = [0.0f32; COL_BLOCK];
+        for j0 in (0..n).step_by(COL_BLOCK) {
+            let acc = &mut acc[..COL_BLOCK.min(n - j0)];
+            acc.fill(0.0);
+            for row in c.chunks_exact(n) {
+                for (s, &v) in acc.iter_mut().zip(&row[j0..]) {
+                    *s += v;
+                }
+            }
+            for (jj, &actual) in acc.iter().enumerate() {
+                let j = j0 + jj;
+                check(ChecksumKind::Col, j, actual, self.cols[j], self.cols[n + j])?;
             }
         }
         Ok(())
@@ -345,6 +523,7 @@ pub fn checked_gemm(
 mod tests {
     use super::*;
     use crate::gemm::tests::{same_bits, special_operands, tile_straddling_dims};
+    use crate::gemm::{gemm_a_bt_into, gemm_into};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -352,9 +531,83 @@ mod tests {
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
-    /// The `for_a_bt` that ran its column sums as serial dot loops, kept
-    /// as the oracle of the tiled pass.
-    fn for_a_bt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> GemmChecksums {
+    /// Checksums of `c = bias + a·wᵀ` (dense orientation) and `c` itself.
+    fn dense(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        w: &[f32],
+        bias: &[f32],
+    ) -> (GemmChecksums, Vec<f32>) {
+        let mut c = vec![0.0; m * n];
+        if !bias.is_empty() {
+            for row in c.chunks_mut(n) {
+                row.copy_from_slice(bias);
+            }
+        }
+        let mut sums = GemmChecksums::default();
+        let ws = WeightSums::derive(n, k, w, bias);
+        sums.gemm_a_bt(m, k, n, a, w, bias, &ws, &mut c, &mut GemmScratch::new());
+        (sums, c)
+    }
+
+    /// The expectations as the serial loops computed them.
+    struct Oracle {
+        row_sum: Vec<f32>,
+        col_sum: Vec<f32>,
+        row_scale: Vec<f32>,
+        col_scale: Vec<f32>,
+        inputs_finite: bool,
+    }
+
+    /// The `for_ab` loops the eight-chain kernels and the weight-side
+    /// sums replaced, kept as their oracle.
+    fn for_ab_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Oracle {
+        let mut inputs_finite = true;
+        let mut b_row_sum = vec![0.0f32; k];
+        let mut b_abs_row_sum = vec![0.0f32; k];
+        for p in 0..k {
+            for &v in &b[p * n..(p + 1) * n] {
+                inputs_finite &= v.is_finite();
+                b_row_sum[p] += v;
+                b_abs_row_sum[p] += v.abs();
+            }
+        }
+        let mut a_col_sum = vec![0.0f32; k];
+        let mut a_abs_col_sum = vec![0.0f32; k];
+        let mut row_sum = vec![0.0f32; m];
+        let mut row_scale = vec![0.0f32; m];
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let mut acc = 0.0f32;
+            let mut acc_abs = 0.0f32;
+            for (p, &v) in a_row.iter().enumerate() {
+                inputs_finite &= v.is_finite();
+                acc += v * b_row_sum[p];
+                acc_abs += v.abs() * b_abs_row_sum[p];
+                a_col_sum[p] += v;
+                a_abs_col_sum[p] += v.abs();
+            }
+            row_sum[i] = acc;
+            row_scale[i] = acc_abs;
+        }
+        let mut col_sum = vec![0.0f32; n];
+        let mut col_scale = vec![0.0f32; n];
+        for p in 0..k {
+            let b_row = &b[p * n..(p + 1) * n];
+            let (s, sa) = (a_col_sum[p], a_abs_col_sum[p]);
+            for (j, &v) in b_row.iter().enumerate() {
+                col_sum[j] += s * v;
+                col_scale[j] += sa * v.abs();
+            }
+        }
+        Oracle { row_sum, col_sum, row_scale, col_scale, inputs_finite }
+    }
+
+    /// The `for_a_bt` loops (its column sums as serial dot loops), kept as
+    /// the oracle of the weight-side sums and the shared dot pass.
+    fn for_a_bt_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Oracle {
         let mut inputs_finite = true;
         let mut bt_row_sum = vec![0.0f32; k];
         let mut bt_abs_row_sum = vec![0.0f32; k];
@@ -396,32 +649,236 @@ mod tests {
             col_sum[j] = acc;
             col_scale[j] = acc_abs;
         }
-        GemmChecksums { m, n, row_sum, col_sum, row_scale, col_scale, inputs_finite }
+        Oracle { row_sum, col_sum, row_scale, col_scale, inputs_finite }
+    }
+
+    impl Oracle {
+        /// The old `add_broadcast_row`: a bias added to every row.
+        fn add_broadcast_row(&mut self, m: usize, bias: &[f32]) {
+            self.inputs_finite &= bias.iter().all(|v| v.is_finite());
+            let total: f32 = bias.iter().sum();
+            let total_abs: f32 = bias.iter().map(|v| v.abs()).sum();
+            for (s, sc) in self.row_sum.iter_mut().zip(&mut self.row_scale) {
+                *s += total;
+                *sc += total_abs;
+            }
+            for (j, (&b, s)) in bias.iter().zip(&mut self.col_sum).enumerate() {
+                *s += m as f32 * b;
+                self.col_scale[j] += m as f32 * b.abs();
+            }
+        }
+
+        /// The old `add_broadcast_col`: a bias added to every column.
+        fn add_broadcast_col(&mut self, n: usize, bias: &[f32]) {
+            self.inputs_finite &= bias.iter().all(|v| v.is_finite());
+            for (i, (&b, s)) in bias.iter().zip(&mut self.row_sum).enumerate() {
+                *s += n as f32 * b;
+                self.row_scale[i] += n as f32 * b.abs();
+            }
+            let total: f32 = bias.iter().sum();
+            let total_abs: f32 = bias.iter().map(|v| v.abs()).sum();
+            for (s, sc) in self.col_sum.iter_mut().zip(&mut self.col_scale) {
+                *s += total;
+                *sc += total_abs;
+            }
+        }
+
+        /// The old `verify` loop: serial row sums, one column vector.
+        fn verify(&self, c: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
+            let n = self.col_sum.len();
+            if !self.inputs_finite {
+                return Err(ChecksumFault {
+                    kind: ChecksumKind::NonFinite,
+                    index: 0,
+                    deviation: f32::NAN,
+                    bound: 0.0,
+                });
+            }
+            let mut col_actual = vec![0.0f32; n];
+            for (i, row) in c.chunks(n).enumerate() {
+                let actual: f32 = row.iter().sum();
+                let deviation = (actual - self.row_sum[i]).abs();
+                let bound = tolerance * self.row_scale[i] + tolerance;
+                if deviation.is_nan() || deviation > bound {
+                    return Err(ChecksumFault {
+                        kind: ChecksumKind::Row,
+                        index: i,
+                        deviation,
+                        bound,
+                    });
+                }
+                for (acc, &v) in col_actual.iter_mut().zip(row) {
+                    *acc += v;
+                }
+            }
+            for (j, &actual) in col_actual.iter().enumerate() {
+                let deviation = (actual - self.col_sum[j]).abs();
+                let bound = tolerance * self.col_scale[j] + tolerance;
+                if deviation.is_nan() || deviation > bound {
+                    return Err(ChecksumFault {
+                        kind: ChecksumKind::Col,
+                        index: j,
+                        deviation,
+                        bound,
+                    });
+                }
+            }
+            Ok(())
+        }
+
+        fn assert_matches(&self, got: &GemmChecksums, label: &str) {
+            let (m, n) = (got.m, got.n);
+            assert_eq!(got.inputs_finite, self.inputs_finite, "{label} finiteness");
+            for (name, x, y) in [
+                ("row_sum", &got.rows[..m], &self.row_sum[..]),
+                ("row_scale", &got.rows[m..2 * m], &self.row_scale[..]),
+                ("col_sum", &got.cols[..n], &self.col_sum[..]),
+                ("col_scale", &got.cols[n..2 * n], &self.col_scale[..]),
+            ] {
+                assert_eq!(x.len(), y.len(), "{label} {name} length");
+                let differs = x.iter().zip(y).position(|(&u, &v)| !same_bits(u, v));
+                assert!(differs.is_none(), "{label} {name} differs at {differs:?}");
+            }
+        }
+    }
+
+    fn assert_same_verdict(got: &GemmChecksums, want: &Oracle, c: &[f32], label: &str) {
+        for tol in [DEFAULT_TOLERANCE, 1e-6] {
+            match (got.verify(c, tol), want.verify(c, tol)) {
+                (Ok(()), Ok(())) => {}
+                (Err(x), Err(y)) => {
+                    assert_eq!((x.kind, x.index), (y.kind, y.index), "{label} fault");
+                    assert!(same_bits(x.deviation, y.deviation), "{label} deviation {x} vs {y}");
+                    assert!(same_bits(x.bound, y.bound), "{label} bound {x} vs {y}");
+                }
+                (x, y) => panic!("{label}: verdict {x:?}, oracle {y:?}"),
+            }
+        }
+    }
+
+    /// `c` as it arrives at `verify`, clean and then corrupted: one
+    /// element pushed far off (a row fault), the last element pushed past
+    /// its column's bound but, where the row's bound is wider, not past
+    /// its row's (a fault in the last column only), two pairs moved by ±d
+    /// inside the last row (only column sums move: the first and last
+    /// columns, then the last two), and a NaN.
+    fn corruptions(c: &[f32], n: usize, want: &Oracle) -> Vec<Vec<f32>> {
+        let mut out = vec![c.to_vec()];
+        let last = c.len() - 1;
+        let mut col_only = c.to_vec();
+        col_only[last] += 1.5 * (DEFAULT_TOLERANCE * want.col_scale[n - 1] + DEFAULT_TOLERANCE);
+        out.push(col_only);
+        let mut far = c.to_vec();
+        far[last / 2] += 1e3;
+        out.push(far);
+        if n > 1 {
+            for first in [last + 1 - n, last - 1] {
+                let mut pair = c.to_vec();
+                pair[first] += 0.5;
+                pair[last] -= 0.5;
+                out.push(pair);
+            }
+        }
+        let mut nan = c.to_vec();
+        nan[last] = f32::NAN;
+        out.push(nan);
+        out
+    }
+
+    /// A bias for the oracle tests: seeded, with -0.0 first.
+    fn special_bias(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bias = random(len, &mut rng);
+        bias[0] = -0.0;
+        bias
     }
 
     #[test]
-    fn a_bt_checksums_are_bit_identical_to_the_serial_loops() {
-        // The GEMM oracle's shapes and operands: every row and column sum
-        // and scale must match the serial loops bit for bit.
-        for m in [1, 2, 3, 11] {
+    fn derivations_and_verify_are_bit_identical_to_the_serial_loops() {
+        // Every expected sum and scale, the finiteness flag, the product
+        // and every fault of the serial loops, bit for bit: both
+        // orientations with and without a bias, over the GEMM oracle's
+        // operands (±0, NaN, ±Inf) and a finite copy of them, through the
+        // eight-row blocks of the row-sum kernels.
+        for m in [1, 2, 3, 8, 11, 24, 48] {
             for &n in tile_straddling_dims() {
                 for &k in tile_straddling_dims() {
-                    let (a, b) = special_operands(m, k, n);
-                    let got = GemmChecksums::for_a_bt(m, k, n, &a, &b);
-                    let want = for_a_bt_serial(m, k, n, &a, &b);
-                    assert_eq!(got.inputs_finite, want.inputs_finite);
-                    for (name, x, y) in [
-                        ("row_sum", &got.row_sum, &want.row_sum),
-                        ("row_scale", &got.row_scale, &want.row_scale),
-                        ("col_sum", &got.col_sum, &want.col_sum),
-                        ("col_scale", &got.col_scale, &want.col_scale),
-                    ] {
-                        assert_eq!(x.len(), y.len(), "({m},{k},{n}) {name} length");
-                        let differs = x.iter().zip(y).position(|(&u, &v)| !same_bits(u, v));
-                        assert!(differs.is_none(), "({m},{k},{n}) {name} differs at {differs:?}");
+                    let (a, w) = special_operands(m, k, n);
+                    let finite = |v: &Vec<f32>| -> Vec<f32> {
+                        v.iter().map(|&x| if x.is_finite() { x } else { 0.5 }).collect()
+                    };
+                    for (a, w) in [(a.clone(), w.clone()), (finite(&a), finite(&w))] {
+                        let label = format!("({m},{k},{n})");
+                        // Convolution orientation: weight a (m×k), B (k×n).
+                        let b = &w;
+                        for bias in [vec![], special_bias(m, (m + k) as u64)] {
+                            let mut got = GemmChecksums::default();
+                            let ws = WeightSums::derive(m, k, &a, &bias);
+                            got.derive_ab(m, k, n, &a, b, &bias, &ws);
+                            let mut want = for_ab_serial(m, k, n, &a, b);
+                            let mut c = vec![0.0; m * n];
+                            if !bias.is_empty() {
+                                want.add_broadcast_col(n, &bias);
+                                for (row, &bv) in c.chunks_mut(n).zip(&bias) {
+                                    row.fill(bv);
+                                }
+                            }
+                            gemm_into(m, k, n, &a, b, &mut c, &mut GemmScratch::new());
+                            want.assert_matches(&got, &format!("ab {label}"));
+                            for c in corruptions(&c, n, &want) {
+                                assert_same_verdict(&got, &want, &c, &format!("ab {label}"));
+                            }
+                        }
+                        // Dense orientation: a (m×k), weight w (n×k).
+                        for bias in [vec![], special_bias(n, (n + k) as u64)] {
+                            let (got, c) = dense(m, k, n, &a, &w, &bias);
+                            let mut want = for_a_bt_serial(m, k, n, &a, &w);
+                            let mut product = vec![0.0; m * n];
+                            if !bias.is_empty() {
+                                want.add_broadcast_row(m, &bias);
+                                for row in product.chunks_mut(n) {
+                                    row.copy_from_slice(&bias);
+                                }
+                            }
+                            gemm_a_bt_into(m, k, n, &a, &w, &mut product, &mut GemmScratch::new());
+                            let differs =
+                                c.iter().zip(&product).position(|(&x, &y)| !same_bits(x, y));
+                            assert!(
+                                differs.is_none(),
+                                "a_bt {label} product differs at {differs:?}"
+                            );
+                            want.assert_matches(&got, &format!("a_bt {label}"));
+                            for c in corruptions(&c, n, &want) {
+                                assert_same_verdict(&got, &want, &c, &format!("a_bt {label}"));
+                            }
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reused_checksums_match_fresh_ones() {
+        // A layer refills one `GemmChecksums` across shapes and batches.
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut reused = GemmChecksums::default();
+        for &(m, k, n) in &[(1, 40, 9), (5, 7, 30), (1, 3, 2), (12, 64, 17)] {
+            let a = random(m * k, &mut rng);
+            let w = random(n * k, &mut rng);
+            let bias = random(n, &mut rng);
+            let (fresh, c) = dense(m, k, n, &a, &w, &bias);
+            let mut c2 = vec![0.0; m * n];
+            for row in c2.chunks_mut(n) {
+                row.copy_from_slice(&bias);
+            }
+            let ws = WeightSums::derive(n, k, &w, &bias);
+            reused.gemm_a_bt(m, k, n, &a, &w, &bias, &ws, &mut c2, &mut GemmScratch::new());
+            assert_eq!(c, c2);
+            let mut want = for_a_bt_serial(m, k, n, &a, &w);
+            want.add_broadcast_row(m, &bias);
+            want.assert_matches(&fresh, "fresh");
+            want.assert_matches(&reused, "reused");
         }
     }
 
@@ -464,9 +921,10 @@ mod tests {
         let (m, k, n) = (5, 9, 4);
         let a = random(m * k, &mut rng);
         let b = random(n * k, &mut rng); // n×k, used transposed
-        let mut c = vec![0.0; m * n];
-        crate::gemm::gemm_a_bt(m, k, n, &a, &b, &mut c);
-        let sums = GemmChecksums::for_a_bt(m, k, n, &a, &b);
+        let (sums, c) = dense(m, k, n, &a, &b, &[]);
+        let mut want = vec![0.0; m * n];
+        crate::gemm::gemm_a_bt(m, k, n, &a, &b, &mut want);
+        assert_eq!(c, want);
         sums.verify(&c, DEFAULT_TOLERANCE).expect("clean A·Bᵀ verifies");
         let mut bad = c;
         bad[2 * n + 1] += 10.0;
@@ -476,18 +934,14 @@ mod tests {
     #[test]
     fn row_bias_broadcast_is_folded() {
         let mut rng = StdRng::seed_from_u64(3);
-        let (m, k, n) = (6, 8, 5);
-        let a = random(m * k, &mut rng);
-        let b = random(n * k, &mut rng);
-        let bias = random(n, &mut rng);
-        let mut c = vec![0.0; m * n];
-        for row in c.chunks_mut(n) {
-            row.copy_from_slice(&bias);
+        for m in [1, 6] {
+            let (k, n) = (8, 5);
+            let a = random(m * k, &mut rng);
+            let b = random(n * k, &mut rng);
+            let bias = random(n, &mut rng);
+            let (sums, c) = dense(m, k, n, &a, &b, &bias);
+            sums.verify(&c, DEFAULT_TOLERANCE).expect("bias-aware checksums verify");
         }
-        crate::gemm::gemm_a_bt(m, k, n, &a, &b, &mut c);
-        let mut sums = GemmChecksums::for_a_bt(m, k, n, &a, &b);
-        sums.add_broadcast_row(&bias);
-        sums.verify(&c, DEFAULT_TOLERANCE).expect("bias-aware checksums verify");
     }
 
     #[test]
@@ -502,8 +956,8 @@ mod tests {
             row.fill(bias[i]);
         }
         crate::gemm::gemm(m, k, n, &a, &b, &mut c);
-        let mut sums = GemmChecksums::for_ab(m, k, n, &a, &b);
-        sums.add_broadcast_col(&bias);
+        let mut sums = GemmChecksums::default();
+        sums.derive_ab(m, k, n, &a, &b, &bias, &WeightSums::derive(m, k, &a, &bias));
         sums.verify(&c, DEFAULT_TOLERANCE).expect("bias-aware checksums verify");
     }
 
@@ -569,9 +1023,8 @@ mod tests {
         let a2 = vec![0.0f32; m * k];
         let mut b2 = random(n * k, &mut rng);
         b2[k + 2] = f32::INFINITY;
-        let mut c2 = vec![0.0; m * n];
-        crate::gemm::gemm_a_bt(m, k, n, &a2, &b2, &mut c2);
-        let fault = GemmChecksums::for_a_bt(m, k, n, &a2, &b2)
+        let (sums, c2) = dense(m, k, n, &a2, &b2, &[]);
+        let fault = sums
             .verify(&c2, DEFAULT_TOLERANCE)
             .expect_err("Inf weight behind zero activations must be detected");
         assert_eq!(fault.kind, ChecksumKind::NonFinite);
@@ -590,8 +1043,7 @@ mod tests {
         let b = random(n * k, &mut rng);
         let mut bias = random(n, &mut rng);
         bias[2] = f32::NAN;
-        let mut sums = GemmChecksums::for_a_bt(m, k, n, &a, &b);
-        sums.add_broadcast_row(&bias);
+        let (sums, _) = dense(m, k, n, &a, &b, &bias);
         let fault = sums.verify(&vec![0.0; m * n], DEFAULT_TOLERANCE).unwrap_err();
         assert_eq!(fault.kind, ChecksumKind::NonFinite);
     }

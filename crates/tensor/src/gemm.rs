@@ -14,9 +14,12 @@
 //! Products too small to pack go through unpacked loops instead: an axpy
 //! loop for `A·B`, and for `A·Bᵀ` — every dense layer at batch 1 — a dot
 //! kernel that transposes `DOT_N × DOT_K` blocks of `B` into a stack tile
-//! and runs eight output chains at once, so they vectorize. The same
-//! kernel computes the dense ABFT guard's column sums
-//! ([`crate::checksum::GemmChecksums::for_a_bt`]).
+//! and runs eight output chains at once, so they vectorize. The ABFT
+//! guard ([`crate::checksum`]) runs its matrix–vector terms through the
+//! same kernel: a guarded batch-1 dense layer computes its product row and
+//! both column-checksum rows from one tile
+//! ([`crate::checksum::GemmChecksums::gemm_a_bt`]), and a convolution's
+//! expected row sums `W·(B·e)` take eight rows of `W` per tile.
 //!
 //! ## Numerics
 //!
@@ -450,11 +453,11 @@ pub fn gemm_a_bt_into(
 }
 
 /// The dot kernel behind every `A·Bᵀ` product too small to pack, and
-/// behind the column sums of the dense ABFT guard. For `a: m×k` and
+/// behind the matrix–vector terms of the ABFT guard. For `a: m×k` and
 /// `b: n×k`, both row-major, it adds `Σ_p a[i,p] · f(i, b[j,p])` to
 /// `c[i·n + j]`. Each sum starts from +0.0 and runs in ascending `p` before
 /// it is added to `c` — the order of the textbook dot loop, so the result
-/// is bit-identical to it. `f` lets a row read a transform of `b` (the
+/// is bit-identical to it. `f` lets a row read a transform of `b` (a
 /// checksum's `|B|` row); the GEMM passes `b` through.
 ///
 /// A `DOT_N × DOT_K` block of `b` is transposed into a stack tile once per

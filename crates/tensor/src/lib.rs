@@ -39,7 +39,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use arena::{align_offset, WeightArena, ARENA_ALIGN, ARENA_ALIGN_ELEMS};
-pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums};
+pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums, WeightSums};
 pub use conv::{col2im, im2col_into, Conv2dGeometry};
 pub use gemm::{
     gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_into, gemm_into_tuned, GemmScratch,
