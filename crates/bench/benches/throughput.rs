@@ -25,11 +25,8 @@
 //! (`infer.workspace_peak_bytes`, also exported as the
 //! `infer.workspace_bytes` observability gauge).
 //!
-//! A GEMM-level autotune sweep of cache-blocking candidates rounds out the
-//! artifact (every candidate asserted bit-identical to the default — the
-//! tuning-independence contract exercised on real runs).
 //! `infer.items_per_s` is the number CI's `perf_gate` compares against the
-//! committed artifact.
+//! committed artifact. Per-layer kernel speed is the `layers` bench's job.
 
 use std::time::Instant;
 
@@ -40,7 +37,6 @@ use pgmr_faults::{run_campaign, CampaignConfig};
 use pgmr_nn::network::RunPlan;
 use pgmr_nn::WorkerPool;
 use pgmr_preprocess::Preprocessor;
-use pgmr_tensor::gemm::{gemm_into_tuned, GemmScratch, GemmTuning, DEFAULT_TUNING};
 use polygraph_mr::decision::Thresholds;
 use polygraph_mr::ensemble::Ensemble;
 use polygraph_mr::suite::Benchmark;
@@ -64,69 +60,6 @@ fn time<T>(items: usize, f: impl FnOnce() -> T) -> (T, f64) {
     let out = f();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     (out, items as f64 / secs)
-}
-
-/// Deterministic pseudo-random fill in [-1, 1) for the GEMM sections.
-fn fill(seed: u64, len: usize) -> Vec<f32> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    (0..len)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
-        })
-        .collect()
-}
-
-/// GEMM shape for the autotune sweep: a dense-sized `[batch, in] × [in,
-/// out]` product, big enough that the packed path engages and cache
-/// blocking matters.
-const GEMM_SHAPE: (usize, usize, usize) = (64, 512, 512);
-
-/// Sweep repetitions per candidate (first rep warms the scratch).
-const GEMM_REPS: usize = 12;
-
-/// Blocking candidates for the autotune sweep. [`DEFAULT_TUNING`] first.
-const TUNE_CANDIDATES: [GemmTuning; 5] = [
-    DEFAULT_TUNING,
-    GemmTuning { mc: 32, kc: 128, nc: 256 },
-    GemmTuning { mc: 64, kc: 256, nc: 256 },
-    GemmTuning { mc: 128, kc: 256, nc: 256 },
-    GemmTuning { mc: 256, kc: 512, nc: 128 },
-];
-
-/// Sweeps [`TUNE_CANDIDATES`] over [`GEMM_SHAPE`], returning
-/// `(tuning, gmacs)` per candidate, best first kept in input order.
-/// Every candidate's result is asserted bit-identical to the default's —
-/// the tuning-independence contract, re-checked on real measured runs.
-fn autotune_gemm() -> Vec<(GemmTuning, f64)> {
-    let (m, k, n) = GEMM_SHAPE;
-    let a = fill(0xA, m * k);
-    let b = fill(0xB, k * n);
-    let mut reference = vec![0.0f32; m * n];
-    let mut scratch = GemmScratch::new();
-    gemm_into_tuned(m, k, n, &a, &b, &mut reference, &mut scratch, DEFAULT_TUNING);
-    let macs = (m * k * n) as f64;
-    TUNE_CANDIDATES
-        .iter()
-        .map(|&t| {
-            let mut c = vec![0.0f32; m * n];
-            let mut best = f64::INFINITY;
-            for rep in 0..GEMM_REPS {
-                c.fill(0.0);
-                let start = Instant::now();
-                gemm_into_tuned(m, k, n, &a, &b, &mut c, &mut scratch, t);
-                let secs = start.elapsed().as_secs_f64().max(1e-9);
-                if rep > 0 {
-                    best = best.min(secs);
-                }
-                std::hint::black_box(&c);
-            }
-            assert_eq!(c, reference, "tuning {t:?} diverged from the default blocking");
-            (t, macs / best / 1e9)
-        })
-        .collect()
 }
 
 fn main() {
@@ -197,12 +130,6 @@ fn main() {
         camp_rates.push((width, rate));
     }
 
-    // GEMM autotune sweep: cache-blocking candidates over a dense-sized
-    // shape, each verified bit-identical to the default blocking.
-    let sweep = autotune_gemm();
-    let &(best_tuning, best_gmacs) =
-        sweep.iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty sweep");
-
     println!("{:>22} {:>14} {:>10}", "workload / width", "items/s", "speedup");
     println!("{:>22} {:>14.1} {:>10.2}", "eval seq", seq_eval_rate, 1.0);
     for &(width, rate) in &eval_rates {
@@ -219,31 +146,17 @@ fn main() {
         println!("{:>20}x{width} {rate:>14.1} {:>10.2}", "campaign", rate / seq_camp_rate);
     }
 
-    let (gm, gk, gn) = GEMM_SHAPE;
-    println!();
-    println!("gemm autotune ({gm}x{gk}x{gn}, GMAC/s; all candidates bit-identical):");
-    for &(t, gmacs) in &sweep {
-        let marker = if t == best_tuning { "  <- best" } else { "" };
-        println!("  mc={:<4} kc={:<4} nc={:<4} {gmacs:>8.2}{marker}", t.mc, t.kc, t.nc);
-    }
-
     // Hand-rolled JSON artifact (the workspace has no JSON dependency).
     let workers = |rates: &[(usize, f64)]| -> String {
         let fields: Vec<String> = rates.iter().map(|(w, r)| format!("\"{w}\": {r:.3}")).collect();
         format!("{{{}}}", fields.join(", "))
     };
-    let sweep_fields: Vec<String> =
-        sweep.iter().map(|(t, g)| format!("\"{}x{}x{}\": {g:.3}", t.mc, t.kc, t.nc)).collect();
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}},\n  \"gemm_autotune\": {{\"shape\": \"{gm}x{gk}x{gn}\", \"best\": {{\"mc\": {}, \"kc\": {}, \"nc\": {}, \"gmacs\": {best_gmacs:.3}}}, \"candidates_gmacs\": {{{}}}}}\n}}\n",
+        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}}\n}}\n",
         data.len(),
         workers(&eval_rates),
         cfg.trials,
         workers(&camp_rates),
-        best_tuning.mc,
-        best_tuning.kc,
-        best_tuning.nc,
-        sweep_fields.join(", "),
     );
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     let obs_json = pgmr_obs::global().snapshot().to_json();

@@ -1,4 +1,14 @@
 //! Pooling layers.
+//!
+//! Max pooling runs one of two loops. Training walks each window with the
+//! index of its best value, which `backward` routes the gradient to.
+//! Inference needs only the value, so it keeps `best` with a select,
+//! `if v > best { v } else { best }`, over the same values in the same
+//! order: no data-dependent branch to mispredict on real activations, and
+//! the result the training loop gives — the first of equal values wins
+//! (−0.0 beats a later +0.0), NaN is never taken, and an all-NaN window
+//! gives −∞. The windows the zoo uses (2 and 4) run a copy specialised
+//! for their width.
 
 use crate::layer::{Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
@@ -48,30 +58,36 @@ impl Layer for MaxPool2d {
         self.argmax_cache.clear();
         let data = input.data();
         let od = out.data_mut();
-        let mut oi = 0;
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                let idx = base + (oy * k + dy) * w + (ox * k + dx);
-                                if data[idx] > best {
-                                    best = data[idx];
-                                    best_idx = idx;
+        if train {
+            let mut oi = 0;
+            for img in 0..n {
+                for ch in 0..c {
+                    let base = (img * c + ch) * h * w;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut best = f32::NEG_INFINITY;
+                            let mut best_idx = 0;
+                            for dy in 0..k {
+                                for dx in 0..k {
+                                    let idx = base + (oy * k + dy) * w + (ox * k + dx);
+                                    if data[idx] > best {
+                                        best = data[idx];
+                                        best_idx = idx;
+                                    }
                                 }
                             }
-                        }
-                        od[oi] = best;
-                        if train {
+                            od[oi] = best;
                             self.argmax_cache.push(best_idx);
+                            oi += 1;
                         }
-                        oi += 1;
                     }
                 }
+            }
+        } else {
+            match k {
+                2 => max_windows(data, n * c, 2, h, w, od),
+                4 => max_windows(data, n * c, 4, h, w, od),
+                _ => max_windows(data, n * c, k, h, w, od),
             }
         }
         self.input_shape = Some(*input.shape());
@@ -108,6 +124,34 @@ impl Layer for MaxPool2d {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
+    }
+}
+
+/// Inference max-pool of `planes` planes of `h × w` values in `data` into
+/// `out`, one `k × k` window per output: the training loop without its
+/// argmax. `best` starts at −∞ and takes each value of the window that
+/// exceeds it, rows top to bottom and each row left to right — the
+/// training loop's order and comparison, so the outputs match it bit for
+/// bit. Inlined, so a constant `k` gets a loop specialised for its width.
+#[inline(always)]
+fn max_windows(data: &[f32], planes: usize, k: usize, h: usize, w: usize, out: &mut [f32]) {
+    let (oh, ow) = (h / k, w / k);
+    let mut oi = 0;
+    for plane in 0..planes {
+        let base = plane * h * w;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                for dy in 0..k {
+                    for dx in 0..k {
+                        let v = data[base + (oy * k + dy) * w + (ox * k + dx)];
+                        best = if v > best { v } else { best };
+                    }
+                }
+                out[oi] = best;
+                oi += 1;
+            }
+        }
     }
 }
 
@@ -189,6 +233,8 @@ impl Layer for AvgPoolGlobal {
 mod tests {
     use super::*;
     use crate::layers::forward;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn maxpool_picks_maximum() {
@@ -233,6 +279,33 @@ mod tests {
         let y = forward(&mut pool, &x, false);
         assert_eq!(y.data(), &[9.]);
         assert!(pool.argmax_cache.is_empty(), "inference must not build argmax routing");
+    }
+
+    #[test]
+    fn inference_max_matches_the_training_loop() {
+        // The training loop is the oracle. Values come from a small set,
+        // so windows tie (±0 among them) and hold NaN and ±∞; the first
+        // window of each batch is all NaN (−∞ out). Planes that the
+        // window does not divide leave ragged edges.
+        let set = [-1.0, -0.0, 0.0, 0.5, f32::NAN, f32::NEG_INFINITY, f32::INFINITY];
+        let mut rng = StdRng::seed_from_u64(24);
+        for k in [2, 3, 4] {
+            for (h, w) in [(k, k), (2 * k + 1, 3 * k + 2), (4 * k, 3 * k - 1)] {
+                let (n, c) = (2, 3);
+                let mut data: Vec<f32> =
+                    (0..n * c * h * w).map(|_| set[rng.gen_range(0..set.len())]).collect();
+                for dy in 0..k {
+                    data[dy * w..dy * w + k].fill(f32::NAN);
+                }
+                let x = Tensor::from_vec(vec![n, c, h, w], data);
+                let mut pool = MaxPool2d::new(k);
+                let want = forward(&mut pool, &x, true);
+                let got = forward(&mut pool, &x, false);
+                assert_eq!(got.data()[0], f32::NEG_INFINITY, "an all-NaN window gives -inf");
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "window {k} on {h}x{w}");
+            }
+        }
     }
 
     #[test]

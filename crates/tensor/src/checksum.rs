@@ -266,8 +266,7 @@ pub struct GemmChecksums {
     /// `[row sums | row scales]`, `m` each: `Σ_j C[i,j]` expected, and the
     /// absolute-magnitude sum bounding its round-off.
     rows: Vec<f32>,
-    /// `[col sums | col scales]`, `n` each; a batch-1 dense derivation
-    /// appends the product row it computed in the same pass.
+    /// `[col sums | col scales]`, `n` each.
     cols: Vec<f32>,
     /// False when any input operand (or bias) was NaN/Inf at derivation
     /// time — see [`ChecksumKind::NonFinite`].
@@ -350,10 +349,14 @@ impl GemmChecksums {
     /// every row: the dense orientation, `y = x·Wᵀ + bias`, with `a: m×k`
     /// and `weight: n×k` the weight `w` was derived from.
     ///
-    /// At `m = 1` (every serving dense layer) the product row and the two
-    /// column-checksum rows `(eᵀa)·Wᵀ` and `(eᵀ|a|)·|W|ᵀ` share one pass of
-    /// the dot kernel's transposed tile; each sum keeps its order, so the
-    /// product and every checksum are bit-identical to separate passes.
+    /// At `m = 1` (every serving dense layer) the column-checksum row
+    /// `(eᵀa)·Wᵀ` *is* the product row `a·Wᵀ`: `eᵀa = 0.0 + a` differs
+    /// from `a` only where `a` holds −0.0, and a sum that starts at +0.0
+    /// never becomes −0.0, so a ±0 term leaves it unchanged either way. The
+    /// dot kernel's transposed tile computes that row and `(eᵀ|a|)·|W|ᵀ`
+    /// in one pass, and the first row is added to `c` as the product; each
+    /// sum keeps its order, so the product and every checksum are
+    /// bit-identical to separate passes.
     ///
     /// # Panics
     ///
@@ -378,27 +381,22 @@ impl GemmChecksums {
         assert!(bias.is_empty() || bias.len() == n, "bias must have length {n}");
         assert_eq!((w.rows, w.k, w.bias_len), (n, k, bias.len()), "weight sums of another shape");
         (self.m, self.n) = (m, n);
-        // eᵀa and eᵀ|a|, rows added in ascending order from +0.0; at m = 1
-        // the product's own operand row follows them.
+        // eᵀa and eᵀ|a|, rows added in ascending order from +0.0.
         self.act.clear();
         self.act.resize(2 * k, 0.0);
         add_col_sums(a, k, &mut self.act);
         self.inputs_finite = w.finite && all_finite(&self.act[k..], a);
         self.cols.clear();
+        self.cols.resize(2 * n, 0.0);
+        crate::gemm::dot_a_bt(2, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
         if m == 1 {
-            // [col sums | col scales | product], each from +0.0; the
-            // product is then added to the bias in `c` as the GEMM adds
-            // its sums.
-            self.act.extend_from_slice(a);
-            self.cols.resize(3 * n, 0.0);
-            crate::gemm::dot_a_bt(3, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
-            for (out, &s) in c.iter_mut().zip(&self.cols[2 * n..]) {
+            // The column sums are the product row (see above): add them to
+            // the bias in `c` as the GEMM adds its sums.
+            for (out, &s) in c.iter_mut().zip(&self.cols[..n]) {
                 *out += s;
             }
         } else {
             crate::gemm::gemm_a_bt_into(m, k, n, a, weight, c, scratch);
-            self.cols.resize(2 * n, 0.0);
-            crate::gemm::dot_a_bt(2, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
         }
         // a·(Wᵀe) and |a|·(|W|ᵀe): eight rows of a at a time.
         self.rows.clear();

@@ -1,51 +1,73 @@
-//! Packed, cache-blocked matrix multiplication — the computational core of
-//! the CNN substrate.
+//! Register-tiled matrix multiplication — the computational core of the
+//! CNN substrate.
 //!
 //! Convolutions are lowered to GEMM via im2col (see [`crate::conv`]) and
 //! fully-connected layers call GEMM directly, so every forward pass funnels
-//! through this module. The implementation is a BLIS-style microkernel:
-//! operand panels are packed into contiguous, tile-aligned buffers
-//! ([`GemmScratch`]), and an `MR×NR` register tile accumulates along `k` so
-//! the output is touched once per `k`-block instead of once per `k`-step.
-//! Callers on the zero-allocation inference path pass their own scratch
-//! ([`gemm_into`] / [`gemm_a_bt_into`]); the plain entry points allocate a
-//! transient scratch and are used by backward passes and tests.
+//! through this module. Callers on the zero-allocation inference path pass
+//! their own [`GemmScratch`] ([`gemm_into`] / [`gemm_a_bt_into`]); the
+//! plain entry points allocate a transient scratch and are used by
+//! backward passes and tests.
 //!
-//! Products too small to pack go through unpacked loops instead: an axpy
-//! loop for `A·B`, and for `A·Bᵀ` — every dense layer at batch 1 — a dot
-//! kernel that transposes `DOT_N × DOT_K` blocks of `B` into a stack tile
-//! and runs eight output chains at once, so they vectorize. The ABFT
-//! guard ([`crate::checksum`]) runs its matrix–vector terms through the
-//! same kernel: a guarded batch-1 dense layer computes its product row and
-//! both column-checksum rows from one tile
+//! `A·B` — every convolution, one image at a time, in inference and
+//! training, and a dense layer's input gradient — runs one register tile
+//! over its operands in place: `AB_R` rows of `A` against `AB_W` columns
+//! of `B`, seeded from `c` and stored back once, so `c` is touched once per
+//! tile rather than once per `k`-step. Nothing is packed. Column tails run
+//! narrower tiles in place, and a remainder narrower than the narrowest
+//! tile is copied into a zero-padded panel of the caller's scratch.
+//!
+//! `A·Bᵀ` — the dense-layer orientation — packs both operands into
+//! `MR × NR` panels once a product with at least `MR` rows is large enough
+//! to pay for packing. Below that (every dense layer at batch 1) a dot
+//! kernel transposes `DOT_N × DOT_K` blocks of `B` into a stack tile and
+//! runs eight output chains at once, so they vectorize. The ABFT guard
+//! ([`crate::checksum`]) runs its matrix–vector terms through the same dot
+//! kernel: a guarded batch-1 dense layer computes its product and its
+//! column-checksum rows from one tile
 //! ([`crate::checksum::GemmChecksums::gemm_a_bt`]), and a convolution's
 //! expected row sums `W·(B·e)` take eight rows of `W` per tile.
 //!
 //! ## Numerics
 //!
 //! Every kernel accumulates each output element in ascending-`k` order —
-//! exactly the order of the textbook triple loop — so the packed path is
-//! bit-identical to the naive reference for finite inputs regardless of the
-//! blocking configuration ([`GemmTuning`]). There is **no** data-dependent
-//! zero-skip fast path: earlier revisions skipped `a == 0` multiplicands,
-//! which was hostile to vectorization and silently masked `0 × NaN/Inf`
-//! (and did so *inconsistently* across the forward/backward kernels).
-//! Non-finite operands now poison the output exactly as IEEE arithmetic
-//! dictates, and ABFT catches them via the explicit input scan
+//! exactly the order of the textbook loop it replaced — so no result
+//! depends on a tile shape, a panel boundary or the target's vector width.
+//! `A·B` adds each product straight into its output, as the axpy loop
+//! `c += a·b` does; `A·Bᵀ` sums from +0.0 and adds the sum to `c` once, as
+//! the dot loop does. There is **no** data-dependent zero-skip fast path:
+//! earlier revisions skipped `a == 0` multiplicands, which was hostile to
+//! vectorization and silently masked `0 × NaN/Inf` (and did so
+//! *inconsistently* across the forward/backward kernels). Non-finite
+//! operands now poison the output exactly as IEEE arithmetic dictates, and
+//! ABFT catches them via the explicit input scan
 //! ([`crate::checksum::ChecksumKind::NonFinite`]).
 
-/// Rows of the register tile: each microkernel call produces an
-/// `MR × NR` block of the output held entirely in registers.
-const MR: usize = 2;
-/// Columns of the register tile.
-const NR: usize = 16;
+/// Rows of the `A·B` register tile; row tails run the same tile at 2 and
+/// at 1 row.
+const AB_R: usize = 4;
+/// Columns of the `A·B` register tile. The tile's accumulators, a row of
+/// `B` and a broadcast of `A` must fit the vector register file: AVX-512's
+/// 32 registers hold a 4 × 32 tile as 16 eight-lane accumulators, AVX2's
+/// 16 registers a 4 × 16 tile as 8. The width changes speed only, never a
+/// result.
+const AB_W: usize = if cfg!(target_feature = "avx512f") { 32 } else { 16 };
+/// The narrowest `A·B` tile. A column remainder narrower than it runs
+/// through a zero-padded panel of this width.
+const AB_MIN_W: usize = 8;
 
-/// Below this many multiply-accumulates the packing overhead outweighs the
-/// register-tile payoff and the kernels fall through to the unpacked loops
-/// (identical numerics, see the module docs). The threshold is measured:
-/// per-image conv products (≤ ~154k MACs on the LeNet zoo) run faster
-/// through the vectorized unpacked loops, while packing wins from ~256k
-/// MACs up and widens to ~2× at batch-sized products.
+/// Rows of the packed `A·Bᵀ` register tile: each microkernel call
+/// produces an `MR × NR` block of the output held entirely in registers.
+const MR: usize = 2;
+/// Columns of the packed `A·Bᵀ` register tile.
+const NR: usize = 16;
+/// Rows of `A` the packed `A·Bᵀ` path packs at once (L2-resident).
+const MC: usize = 64;
+/// Rows of `B` (output columns) the packed `A·Bᵀ` path packs at once.
+const NC: usize = 512;
+
+/// Below this many multiply-accumulates the packing overhead of `A·Bᵀ`
+/// outweighs the register-tile payoff and the dot kernel runs instead
+/// (identical numerics, see the module docs).
 const SMALL_MACS: usize = 200_000;
 
 /// Outputs the dot kernel computes at once: the width of its transposed
@@ -60,37 +82,8 @@ const DOT_K: usize = 128;
 /// built.
 const DOT_M: usize = 8;
 
-/// Cache-blocking configuration for the packed kernels.
-///
-/// `kc` bounds the packed-panel depth (one `kc × NR` B-panel plus one
-/// `MR × kc` A-panel should fit in L1), `mc` bounds the packed A block
-/// (L2-resident), and `nc` bounds the packed B block. Results are
-/// bit-identical across tunings — blocking changes *when* panels are
-/// packed, never the per-element accumulation order — so tuning is purely
-/// a throughput knob. The default is the best configuration measured by
-/// the `throughput` bench's autotune sweep (recorded in
-/// `BENCH_throughput.json`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmTuning {
-    /// Row-block size of packed A (multiple of `MR` recommended).
-    pub mc: usize,
-    /// Depth-block size of packed panels.
-    pub kc: usize,
-    /// Column-block size of packed B (multiple of `NR` recommended).
-    pub nc: usize,
-}
-
-/// Default blocking, sized for a ~32 KiB L1d: the `kc × NR` B-panel is
-/// 8 KiB and the `mc × kc` A-block is L2-resident.
-pub const DEFAULT_TUNING: GemmTuning = GemmTuning { mc: 64, kc: 256, nc: 512 };
-
-impl Default for GemmTuning {
-    fn default() -> Self {
-        DEFAULT_TUNING
-    }
-}
-
-/// Reusable packing buffers for the blocked kernels.
+/// Reusable panels: the packed `A·Bᵀ` path's operand panels, and the
+/// zero-padded column-tail panel of `A·B`.
 ///
 /// Capacities only grow, so a scratch owned by a long-lived workspace (see
 /// `pgmr_nn::workspace`) reaches a steady state after the first pass over a
@@ -108,7 +101,7 @@ impl GemmScratch {
         GemmScratch::default()
     }
 
-    /// Total bytes currently reserved across all packing buffers.
+    /// Total bytes currently reserved across all panels.
     pub fn bytes(&self) -> usize {
         self.pack_a.capacity() * 4 + self.pack_b.capacity() * 4
     }
@@ -133,61 +126,109 @@ impl GemmScratch {
     }
 }
 
-/// Packs the `mb × kb` block of row-major `a` (full width `k`) at origin
-/// `(i0, p0)` into `MR`-row, `k`-major panels, zero-padding the tail panel.
-fn pack_a_f32(a: &[f32], k: usize, i0: usize, mb: usize, p0: usize, kb: usize, pa: &mut [f32]) {
-    for (pi, panel) in pa.chunks_mut(MR * kb).enumerate().take(mb.div_ceil(MR)) {
-        let rows = (mb - pi * MR).min(MR);
-        for p in 0..kb {
-            let col = &mut panel[p * MR..p * MR + MR];
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = if r < rows { a[(i0 + pi * MR + r) * k + p0 + p] } else { 0.0 };
-            }
-        }
-    }
-}
-
-/// Packs the `kb × nb` block of row-major `b` (full width `n`) at origin
-/// `(p0, j0)` into `NR`-column, `k`-major panels.
-fn pack_b_f32(b: &[f32], n: usize, p0: usize, kb: usize, j0: usize, nb: usize, pb: &mut [f32]) {
-    for (pj, panel) in pb.chunks_mut(NR * kb).enumerate().take(nb.div_ceil(NR)) {
-        let cols = (nb - pj * NR).min(NR);
-        for p in 0..kb {
-            let src = &b[(p0 + p) * n + j0 + pj * NR..];
-            let dst = &mut panel[p * NR..p * NR + NR];
-            for (j, slot) in dst.iter_mut().enumerate() {
-                *slot = if j < cols { src[j] } else { 0.0 };
-            }
-        }
-    }
-}
-
-/// The register-tile microkernel: accumulates `kb` steps of the packed
-/// panels into an `MR × NR` accumulator block and merges it with the
-/// output tile at `c` (row stride `ldc`, `mi × nj` valid).
-///
-/// `FROM_C = true` seeds the accumulators from the existing output
-/// (progressive `c += a·b`, matching the axpy loop's per-element order);
-/// `FROM_C = false` sums the panel product separately and adds it once at
-/// the end (matching the dot-product loop's `c += Σ` order). The two modes
-/// preserve the exact accumulation orders of the historical kernels they
-/// replaced.
+/// One `A·B` register tile: adds `a[r, p] · b[p, j]` into an `R × W`
+/// block of `c`, in ascending `p`. `a` starts at the tile's first row (row
+/// stride `k`), `b` at its first column (row stride `ldb`) and `c` at its
+/// origin (row stride `ldc`). The accumulators are seeded from `c` and
+/// stored back once, so each element sees exactly the axpy loop's
+/// operations. Every length the tile touches is a constant, which keeps
+/// the accumulators in registers.
 #[inline(always)]
-fn micro_f32<const FROM_C: bool>(
-    kb: usize,
-    pa: &[f32],
-    pb: &[f32],
+fn ab_tile<const R: usize, const W: usize>(
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
     c: &mut [f32],
     ldc: usize,
-    mi: usize,
-    nj: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if FROM_C {
-        for i in 0..mi {
-            acc[i][..nj].copy_from_slice(&c[i * ldc..i * ldc + nj]);
+    let mut acc = [[0.0f32; W]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[r * ldc..][..W]);
+    }
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
+    for p in 0..k {
+        let b_row = &b[p * ldb..][..W];
+        for (row, a_row) in acc.iter_mut().zip(a_rows) {
+            let av = a_row[p];
+            for (s, &bv) in row.iter_mut().zip(b_row) {
+                *s += av * bv;
+            }
         }
     }
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..][..W].copy_from_slice(row);
+    }
+}
+
+/// Runs [`ab_tile`] of width `W` down all `m` rows of one column block:
+/// `AB_R` rows at a time, then a tail of 2 rows and of 1.
+#[inline(always)]
+fn ab_column<const W: usize>(
+    m: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut i = 0;
+    while m - i >= AB_R {
+        ab_tile::<AB_R, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+        i += AB_R;
+    }
+    if m - i >= 2 {
+        ab_tile::<2, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+        i += 2;
+    }
+    if m > i {
+        ab_tile::<1, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+    }
+}
+
+/// Packs rows `i0..i0 + mb` of row-major `a: m×k` into `MR`-row, `k`-major
+/// panels, zero-padding the tail panel.
+fn pack_a_f32(a: &[f32], k: usize, i0: usize, mb: usize, pa: &mut [f32]) {
+    for (pi, panel) in pa.chunks_mut(MR * k).enumerate().take(mb.div_ceil(MR)) {
+        let rows = (mb - pi * MR).min(MR);
+        for p in 0..k {
+            let col = &mut panel[p * MR..p * MR + MR];
+            for (r, slot) in col.iter_mut().enumerate() {
+                *slot = if r < rows { a[(i0 + pi * MR + r) * k + p] } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// Packs rows `j0..j0 + nb` of row-major `b: n×k` — columns of `Bᵀ` — into
+/// `NR`-column, `k`-major panels, zero-padding the tail panel. Only the f32
+/// kernel needs this orientation: quantized weights are stored
+/// pre-transposed by `pgmr-precision`.
+fn pack_bt_f32(b: &[f32], k: usize, j0: usize, nb: usize, pb: &mut [f32]) {
+    for (pj, panel) in pb.chunks_mut(NR * k).enumerate().take(nb.div_ceil(NR)) {
+        let cols = (nb - pj * NR).min(NR);
+        for jr in 0..NR {
+            if jr < cols {
+                let row = &b[(j0 + pj * NR + jr) * k..][..k];
+                for (p, &v) in row.iter().enumerate() {
+                    panel[p * NR + jr] = v;
+                }
+            } else {
+                for p in 0..k {
+                    panel[p * NR + jr] = 0.0;
+                }
+            }
+        }
+    }
+}
+
+/// The packed `A·Bᵀ` microkernel: sums `kb` steps of the packed panels
+/// into an `MR × NR` block from +0.0 and adds it to the output tile at `c`
+/// (row stride `ldc`, `mi × nj` valid) — the dot loop's `c += Σ` order.
+#[inline(always)]
+fn micro_f32(kb: usize, pa: &[f32], pb: &[f32], c: &mut [f32], ldc: usize, mi: usize, nj: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kb {
         let a_col = &pa[p * MR..p * MR + MR];
         let b_row = &pb[p * NR..p * NR + NR];
@@ -199,75 +240,10 @@ fn micro_f32<const FROM_C: bool>(
         }
     }
     for i in 0..mi {
-        let row = &mut c[i * ldc..i * ldc + nj];
-        if FROM_C {
-            row.copy_from_slice(&acc[i][..nj]);
-        } else {
-            for (out, add) in row.iter_mut().zip(&acc[i][..nj]) {
-                *out += *add;
-            }
+        for (out, add) in c[i * ldc..i * ldc + nj].iter_mut().zip(&acc[i][..nj]) {
+            *out += *add;
         }
     }
-}
-
-/// Packs the transposed view of row-major `b: n×k` (i.e. `Bᵀ: k×n`) at
-/// origin `(p0, j0)` into the same `NR`-column panel layout as
-/// [`pack_b_f32`], so the A·Bᵀ kernel shares the microkernel. Only the f32
-/// kernel needs this orientation: quantized weights are stored
-/// pre-transposed by `pgmr-precision`.
-fn pack_bt_f32(b: &[f32], k: usize, p0: usize, kb: usize, j0: usize, nb: usize, pb: &mut [f32]) {
-    for (pj, panel) in pb.chunks_mut(NR * kb).enumerate().take(nb.div_ceil(NR)) {
-        let cols = (nb - pj * NR).min(NR);
-        for jr in 0..NR {
-            if jr < cols {
-                let row = &b[(j0 + pj * NR + jr) * k + p0..][..kb];
-                for (p, &v) in row.iter().enumerate() {
-                    panel[p * NR + jr] = v;
-                }
-            } else {
-                for p in 0..kb {
-                    panel[p * NR + jr] = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// Blocked driver shared by the packed kernels: `jc → pc → ic` loop nest
-/// with B packed per `(jc, pc)` block and A per `(ic, pc)` block.
-macro_rules! blocked_driver {
-    ($m:expr, $k:expr, $n:expr, $a:expr, $b:expr, $c:expr, $tuning:expr,
-     $ensure:ident, $scratch:expr, $pack_a:ident, $pack_b:expr, $micro:ident, $from_c:literal) => {{
-        let (m, k, n) = ($m, $k, $n);
-        let t = $tuning;
-        let mc = t.mc.max(MR);
-        let kc = t.kc.max(1);
-        let nc = t.nc.max(NR);
-        let pa_len = mc.min(m).next_multiple_of(MR) * kc.min(k);
-        let pb_len = nc.min(n).next_multiple_of(NR) * kc.min(k);
-        let (pa, pb) = $scratch.$ensure(pa_len, pb_len);
-        for j0 in (0..n).step_by(nc) {
-            let nb = nc.min(n - j0);
-            for p0 in (0..k).step_by(kc) {
-                let kb = kc.min(k - p0);
-                ($pack_b)($b, p0, kb, j0, nb, pb);
-                for i0 in (0..m).step_by(mc) {
-                    let mb = mc.min(m - i0);
-                    $pack_a($a, k, i0, mb, p0, kb, pa);
-                    for jp in 0..nb.div_ceil(NR) {
-                        let nj = NR.min(nb - jp * NR);
-                        let pb_panel = &pb[jp * NR * kb..(jp + 1) * NR * kb];
-                        for ip in 0..mb.div_ceil(MR) {
-                            let mi = MR.min(mb - ip * MR);
-                            let pa_panel = &pa[ip * MR * kb..(ip + 1) * MR * kb];
-                            let c_off = (i0 + ip * MR) * n + j0 + jp * NR;
-                            $micro::<$from_c>(kb, pa_panel, pb_panel, &mut $c[c_off..], n, mi, nj);
-                        }
-                    }
-                }
-            }
-        }
-    }};
 }
 
 fn assert_ab_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
@@ -305,7 +281,19 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_into(m, k, n, a, b, c, &mut GemmScratch::new());
 }
 
-/// [`gemm`] with caller-provided packing buffers and the default blocking.
+/// [`gemm`] with a caller-provided scratch for the column-tail panels.
+///
+/// Column blocks of the register tile's full width run first, then one
+/// block each of the narrower widths down to `AB_MIN_W` that still fit,
+/// all on `b` and `c` in place. A remainder narrower than `AB_MIN_W` has
+/// its columns of `b` and `c` copied into zero-padded panels of `scratch`,
+/// runs through the same tile, and only its valid columns are stored.
+/// Each column block runs down every row, so its rows of `b` stay in cache
+/// across the row tiles.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with the stated dimensions.
 pub fn gemm_into(
     m: usize,
     k: usize,
@@ -315,56 +303,42 @@ pub fn gemm_into(
     c: &mut [f32],
     scratch: &mut GemmScratch,
 ) {
-    gemm_into_tuned(m, k, n, a, b, c, scratch, DEFAULT_TUNING);
-}
-
-/// [`gemm`] with caller-provided packing buffers and explicit blocking.
-/// Results are bit-identical across tunings (see [`GemmTuning`]).
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the stated dimensions.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature plus scratch
-pub fn gemm_into_tuned(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    scratch: &mut GemmScratch,
-    tuning: GemmTuning,
-) {
     assert_ab_dims(m, k, n, a, b, c);
-    if m * k * n < SMALL_MACS {
-        // Unpacked axpy loop: identical per-element accumulation order.
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                let b_row = &b[p * n..(p + 1) * n];
-                for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
-                    *c_val += a_ip * b_val;
-                }
-            }
-        }
-        return;
+    let mut j = 0;
+    while n - j >= AB_W {
+        ab_column::<AB_W>(m, k, a, &b[j..], n, &mut c[j..], n);
+        j += AB_W;
     }
-    blocked_driver!(
-        m,
-        k,
-        n,
-        a,
-        b,
-        c,
-        tuning,
-        ensure_f32,
-        scratch,
-        pack_a_f32,
-        |b: &[f32], p0, kb, j0, nb, pb: &mut [f32]| pack_b_f32(b, n, p0, kb, j0, nb, pb),
-        micro_f32,
-        true
-    );
+    if AB_W > 16 && n - j >= 16 {
+        ab_column::<16>(m, k, a, &b[j..], n, &mut c[j..], n);
+        j += 16;
+    }
+    if n - j >= AB_MIN_W {
+        ab_column::<AB_MIN_W>(m, k, a, &b[j..], n, &mut c[j..], n);
+        j += AB_MIN_W;
+    }
+    let rest = n - j;
+    if rest > 0 {
+        let (c_panel, b_panel) = scratch.ensure_f32(m * AB_MIN_W, k * AB_MIN_W);
+        // Element by element: a copy of `rest` floats per row would be a
+        // `memcpy` call per row.
+        let pad = |dst: &mut [f32], src: &[f32]| {
+            let src = &src[..rest];
+            for (jj, d) in dst.iter_mut().enumerate() {
+                *d = src.get(jj).copied().unwrap_or(0.0);
+            }
+        };
+        for (dst, src) in b_panel.chunks_exact_mut(AB_MIN_W).zip(b[j..].chunks(n)) {
+            pad(dst, src);
+        }
+        for (dst, src) in c_panel.chunks_exact_mut(AB_MIN_W).zip(c[j..].chunks(n)) {
+            pad(dst, src);
+        }
+        ab_column::<AB_MIN_W>(m, k, a, b_panel, AB_MIN_W, c_panel, AB_MIN_W);
+        for (src, dst) in c_panel.chunks_exact(AB_MIN_W).zip(c[j..].chunks_mut(n)) {
+            dst[..rest].copy_from_slice(&src[..rest]);
+        }
+    }
 }
 
 /// Computes `c += a^T * b` where `a` is `k×m` (so `a^T` is `m×k`), `b` is
@@ -412,10 +386,11 @@ pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// [`gemm_a_bt`] with caller-provided packing buffers.
 ///
 /// The packed path packs the full reduction depth at once (panels of
-/// `k × NR`), which keeps the separate-sum accumulation order exact. For
-/// tile-starved shapes (`m < MR` — e.g. single-image dense layers — or
-/// tiny products) it runs the tiled dot kernel instead, with identical
-/// numerics and without touching `scratch`.
+/// `k × NR`), which keeps the separate-sum accumulation order exact, and
+/// walks `NC` output columns by `MC` rows at a time. For tile-starved
+/// shapes (`m < MR` — e.g. single-image dense layers — or tiny products)
+/// it runs the tiled dot kernel instead, with identical numerics and
+/// without touching `scratch`.
 pub fn gemm_a_bt_into(
     m: usize,
     k: usize,
@@ -432,24 +407,29 @@ pub fn gemm_a_bt_into(
         dot_a_bt(m, k, n, a, b, c, |_, v| v);
         return;
     }
-    // Full-depth panels (kc = k): the separate-sum store order admits no
-    // depth blocking without perturbing the historical accumulation order.
-    let tuning = GemmTuning { kc: k, ..DEFAULT_TUNING };
-    blocked_driver!(
-        m,
-        k,
-        n,
-        a,
-        b,
-        c,
-        tuning,
-        ensure_f32,
-        scratch,
-        pack_a_f32,
-        |b: &[f32], p0, kb, j0, nb, pb: &mut [f32]| pack_bt_f32(b, k, p0, kb, j0, nb, pb),
-        micro_f32,
-        false
-    );
+    // Full-depth panels: the separate-sum store order admits no depth
+    // blocking without perturbing the historical accumulation order.
+    let pa_len = MC.min(m).next_multiple_of(MR) * k;
+    let pb_len = NC.min(n).next_multiple_of(NR) * k;
+    let (pa, pb) = scratch.ensure_f32(pa_len, pb_len);
+    for j0 in (0..n).step_by(NC) {
+        let nb = NC.min(n - j0);
+        pack_bt_f32(b, k, j0, nb, pb);
+        for i0 in (0..m).step_by(MC) {
+            let mb = MC.min(m - i0);
+            pack_a_f32(a, k, i0, mb, pa);
+            for jp in 0..nb.div_ceil(NR) {
+                let nj = NR.min(nb - jp * NR);
+                let pb_panel = &pb[jp * NR * k..(jp + 1) * NR * k];
+                for ip in 0..mb.div_ceil(MR) {
+                    let mi = MR.min(mb - ip * MR);
+                    let pa_panel = &pa[ip * MR * k..(ip + 1) * MR * k];
+                    let c_off = (i0 + ip * MR) * n + j0 + jp * NR;
+                    micro_f32(k, pa_panel, pb_panel, &mut c[c_off..], n, mi, nj);
+                }
+            }
+        }
+    }
 }
 
 /// The dot kernel behind every `A·Bᵀ` product too small to pack, and
@@ -634,6 +614,50 @@ pub(crate) mod tests {
         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
+    /// The axpy loop the register tile replaced, kept as its oracle: each
+    /// output starts from `c` and adds `a[i,p]·b[p,j]` in ascending `p`.
+    fn ab_axpy_loop(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (p, &a_ip) in a_row.iter().enumerate() {
+                let b_row = &b[p * n..(p + 1) * n];
+                for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
+                    *c_val += a_ip * b_val;
+                }
+            }
+        }
+    }
+
+    /// Row counts and output widths for the `A·B` oracle: every row tail
+    /// of the 4-row tile, and widths one short of, at and one past each
+    /// tile width, the two column tails of the zoo (144 = 4·32 + 16,
+    /// 36 = 32 + 4) and the straddling dims. Miri gets short ones that
+    /// still reach every tile and row tail at either tile width: 5 and 3
+    /// rows end in 1- and 2-row tiles, 27 = 16 + 8 + 3 columns, 33 and 36
+    /// a full tile and a padded remainder.
+    fn ab_dims() -> (&'static [usize], &'static [usize]) {
+        if cfg!(miri) {
+            (&[1, 2, 3, 5], &[1, 9, 27, 33, 36])
+        } else {
+            (
+                &[1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 24, 48],
+                &[1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 36, 64, 127, 128, 129, 144, 257],
+            )
+        }
+    }
+
+    /// Row-major `rows × cols` matrix transposed to `cols × rows`.
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; x.len()];
+        for (r, row) in x.chunks(cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                t[c * rows + r] = v;
+            }
+        }
+        t
+    }
+
     #[test]
     fn identity_multiplication() {
         let a = vec![1., 0., 0., 1.];
@@ -645,9 +669,8 @@ pub(crate) mod tests {
 
     #[test]
     fn matches_oracle_on_tile_straddling_shapes() {
-        // Odd/prime shapes straddle every MR/NR/kc boundary: below one
-        // tile, one-past a tile, prime strides, and shapes large enough to
-        // exercise multiple cache blocks.
+        // Odd/prime shapes straddle every tile boundary: below one tile,
+        // one past a tile, prime strides, row and column tails.
         let mut rng = StdRng::seed_from_u64(42);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -671,37 +694,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn packed_path_is_bit_identical_to_unpacked_and_tuning_independent() {
-        // The blocked kernel must reproduce the axpy loop exactly — the
-        // accumulation order per element is ascending-k in both — and the
-        // result must not depend on the blocking configuration.
-        let mut rng = StdRng::seed_from_u64(7);
-        let (m, k, n) = (37, 211, 53); // above SMALL_MACS, prime-ish
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut reference = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let a_ip = a[i * k + p];
-                for j in 0..n {
-                    reference[i * n + j] += a_ip * b[p * n + j];
-                }
-            }
-        }
-        let mut scratch = GemmScratch::new();
-        for tuning in [
-            DEFAULT_TUNING,
-            GemmTuning { mc: 8, kc: 16, nc: 16 },
-            GemmTuning { mc: 32, kc: 64, nc: 24 },
-            GemmTuning { mc: 256, kc: 512, nc: 1024 },
-        ] {
-            let mut c = vec![0.0f32; m * n];
-            gemm_into_tuned(m, k, n, &a, &b, &mut c, &mut scratch, tuning);
-            assert_eq!(c, reference, "tuning {tuning:?} diverged from the unpacked loop");
-        }
-    }
-
-    #[test]
     fn gemm_accumulates_into_c() {
         let a = vec![1., 2.];
         let b = vec![3., 4.];
@@ -711,24 +703,36 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn packed_accumulate_seeds_from_existing_c() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let (m, k, n) = (32, 128, 64); // above SMALL_MACS: packed path
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let init: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut c = init.clone();
-        gemm(m, k, n, &a, &b, &mut c);
-        let mut expect = init;
-        for i in 0..m {
-            for p in 0..k {
-                let a_ip = a[i * k + p];
-                for j in 0..n {
-                    expect[i * n + j] += a_ip * b[p * n + j];
+    fn ab_is_bit_identical_to_the_axpy_loop() {
+        // Every row tail (m mod 4 = 0..3, with 2- and 1-row tiles), every
+        // column tail (the full tile, in-place 16- and 8-wide tiles and a
+        // padded remainder, at either tile width), every straddling k;
+        // non-finite and signed-zero operands; a seeded `c` with -0.0 in
+        // its second and last columns; a fresh scratch and one reused
+        // across shapes, whose stale tail panel must not leak in.
+        let (rows, cols) = ab_dims();
+        let mut reused = GemmScratch::new();
+        for &m in rows {
+            for &n in cols {
+                for &k in tile_straddling_dims() {
+                    let (a, bt) = special_operands(m, k, n);
+                    let b = transposed(&bt, n, k);
+                    let mut init = seeded(m * n, (m * 7 + n + k) as u64);
+                    for row in init.chunks_mut(n) {
+                        row[n.min(2) - 1] = -0.0;
+                        row[n - 1] = -0.0;
+                    }
+                    let mut want = init.clone();
+                    ab_axpy_loop(m, k, n, &a, &b, &mut want);
+                    for scratch in [&mut reused, &mut GemmScratch::new()] {
+                        let mut got = init.clone();
+                        gemm_into(m, k, n, &a, &b, &mut got, scratch);
+                        let differs = got.iter().zip(&want).position(|(&x, &y)| !same_bits(x, y));
+                        assert!(differs.is_none(), "({m},{k},{n}) differs at {differs:?}");
+                    }
                 }
             }
         }
-        assert_eq!(c, expect);
     }
 
     #[test]
@@ -835,18 +839,21 @@ pub(crate) mod tests {
     #[test]
     fn scratch_reaches_steady_state() {
         let mut rng = StdRng::seed_from_u64(6);
-        // Above SMALL_MACS so the packed path (and its scratch) engages.
-        let (m, k, n) = (64, 64, 64);
+        // n = 36 leaves a ragged column tail at either tile width (32 + 4
+        // or 2·16 + 4), which runs through the scratch's padded panel.
+        let (m, k, n) = (12, 64, 36);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut scratch = GemmScratch::new();
         let mut c = vec![0.0f32; m * n];
         gemm_into(m, k, n, &a, &b, &mut c, &mut scratch);
         let grows = scratch.grows();
-        assert!(scratch.bytes() > 0, "packed path must reserve panels");
+        assert!(scratch.bytes() > 0, "a ragged column tail must take its panel from the scratch");
         for _ in 0..3 {
             c.fill(0.0);
             gemm_into(m, k, n, &a, &b, &mut c, &mut scratch);
+            // A shallower product fits the panel already there.
+            gemm_into(m, k / 2, n, &a[..m * k / 2], &b[..k / 2 * n], &mut c, &mut scratch);
         }
         assert_eq!(scratch.grows(), grows, "repeat calls at one shape must not regrow");
     }

@@ -8,8 +8,7 @@
 //!   for image batches), over owned storage or a copy-on-write slice of a
 //!   shared [`WeightArena`],
 //! * [`Shape`] — an inline, `Copy` shape of up to [`MAX_RANK`] extents,
-//! * [`gemm()`](gemm::gemm) — a packed, cache-blocked, register-tiled matrix
-//!   multiply,
+//! * [`gemm()`](gemm::gemm) — a register-tiled matrix multiply,
 //! * [`conv`] — im2col/col2im convolution lowering,
 //! * [`ops`] — elementwise and reduction kernels (ReLU, softmax, argmax, …).
 //!
@@ -41,10 +40,7 @@ pub mod tensor;
 pub use arena::{align_offset, WeightArena, ARENA_ALIGN, ARENA_ALIGN_ELEMS};
 pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums, WeightSums};
 pub use conv::{col2im, im2col_into, Conv2dGeometry};
-pub use gemm::{
-    gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_into, gemm_into_tuned, GemmScratch,
-    GemmTuning, DEFAULT_TUNING,
-};
+pub use gemm::{gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_into, GemmScratch};
 pub use ops::{argmax, log_softmax, relu_backward, softmax, softmax_in_place};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
