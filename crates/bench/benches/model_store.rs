@@ -37,7 +37,7 @@ static ALLOC: pgmr_bench::alloc_counter::CountingAlloc = pgmr_bench::alloc_count
 /// are resident in the shared arena, not in the tenant.
 fn private_bytes(net: &mut Network) -> usize {
     let mut bytes = 0usize;
-    net.visit_slots(&mut |s| {
+    net.read_slots(&mut |s| {
         if !s.value.is_shared() {
             bytes += s.value.len() * 4;
         }

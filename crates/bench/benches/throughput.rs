@@ -23,7 +23,10 @@
 //! perform **zero** heap allocations per image (`infer.allocs_per_image`
 //! in the JSON, asserted to be 0), alongside the arena's peak footprint
 //! (`infer.workspace_peak_bytes`, also exported as the
-//! `infer.workspace_bytes` observability gauge).
+//! `infer.workspace_bytes` observability gauge). A warmed
+//! [`PolygraphSystem::decide`] loop over the same images must allocate
+//! nothing either (`decide.allocs_per_request`, asserted to be 0): every
+//! member votes from its own buffers and the vote tally counts inline.
 //!
 //! `infer.items_per_s` is the number CI's `perf_gate` compares against the
 //! committed artifact. Per-layer kernel speed is the `layers` bench's job.
@@ -116,6 +119,25 @@ fn main() {
         "steady-state inference must not allocate ({infer_allocs} events over {INFER_PASSES} passes)"
     );
 
+    // Steady-state zero-alloc decisions: after one warmup pass, deciding
+    // each image through the three-member system allocates nothing.
+    let decide = |system: &mut PolygraphSystem| {
+        for img in images {
+            system.decide(img, |_| true);
+        }
+    };
+    decide(&mut system); // sizes the members' buffers
+    let decide_before = alloc_counter::alloc_events();
+    decide(&mut system);
+    let decide_allocs = alloc_counter::alloc_events() - decide_before;
+    let decide_allocs_per_request = decide_allocs as f64 / images.len() as f64;
+    assert_eq!(
+        decide_allocs,
+        0,
+        "a warmed decision must not allocate ({decide_allocs} events over {} requests)",
+        images.len()
+    );
+
     // Activation-fault campaign over the baseline member's network.
     let inputs: Vec<_> = data.images().iter().take(16).cloned().collect();
     let cfg = CampaignConfig { trials: 200, seed: 2020, rate: 1e-3, ..CampaignConfig::default() };
@@ -141,6 +163,7 @@ fn main() {
         "",
         ws_peak_bytes as f64 / 1024.0
     );
+    println!("{:>22} allocs/request: {decide_allocs_per_request:.1}", "decide zero-alloc");
     println!("{:>22} {:>14.1} {:>10.2}", "campaign seq", seq_camp_rate, 1.0);
     for &(width, rate) in &camp_rates {
         println!("{:>20}x{width} {rate:>14.1} {:>10.2}", "campaign", rate / seq_camp_rate);
@@ -152,9 +175,10 @@ fn main() {
         format!("{{{}}}", fields.join(", "))
     };
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}}\n}}\n",
+        "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"decide\": {{\"requests\": {}, \"allocs_per_request\": {decide_allocs_per_request:.1}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}}\n}}\n",
         data.len(),
         workers(&eval_rates),
+        images.len(),
         cfg.trials,
         workers(&camp_rates),
     );

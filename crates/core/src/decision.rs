@@ -139,16 +139,36 @@ impl DecisionEngine {
     }
 }
 
+/// A softmax vector's top-1 vote, `(class, confidence)`: the lowest class
+/// holding the maximum.
+///
+/// # Panics
+///
+/// Panics if `probs` is empty.
+pub(crate) fn top_vote(probs: &[f32]) -> (usize, f32) {
+    let class = argmax(probs);
+    (class, probs[class])
+}
+
+/// Distinct classes a [`VoteTally`] counts inline. A vote names at most
+/// one class per member, so ensembles of up to this many members never
+/// spill.
+const INLINE_CLASSES: usize = 8;
+
 /// The Layer-3 vote rule of [`DecisionEngine::decide`], the one place it
 /// is written down. A vote is a member's top-1 class, counted only when
 /// its confidence reaches `Thr_Conf`; the lowest class among tied leaders
 /// is reported. Votes are cast one at a time and the verdict can be read
 /// between them: RADE (§III-F) is this rule over the members activated so
-/// far.
+/// far. The class counts live inline, so a decision's tally touches the
+/// heap only past [`INLINE_CLASSES`] distinct counted classes.
 pub(crate) struct VoteTally {
     conf: f32,
-    /// `(class, votes)` per class that has a counted vote.
-    counts: Vec<(usize, usize)>,
+    /// `(class, votes)` per class that has a counted vote: the first
+    /// `inline_len` here, any further ones in `spill`.
+    inline: [(usize, usize); INLINE_CLASSES],
+    inline_len: usize,
+    spill: Vec<(usize, usize)>,
     /// The leading vote count.
     best: usize,
     /// The lowest class holding `best` votes.
@@ -159,9 +179,17 @@ pub(crate) struct VoteTally {
 
 impl VoteTally {
     /// An empty tally that discards votes below `conf` (`Thr_Conf`).
-    // pgmr-lint: boundary(hot-path-alloc): the class list is allocated once per decision on its first counted vote and holds one entry per distinct class voted, so its size follows the member count, not the image; the zero-alloc invariant governs the forward kernels beneath the decision
     pub(crate) fn new(conf: f32) -> Self {
-        VoteTally { conf, counts: Vec::new(), best: 0, leader: 0, tied: false }
+        VoteTally {
+            conf,
+            inline: [(0, 0); INLINE_CLASSES],
+            inline_len: 0,
+            // pgmr-lint: allow(hot-path-alloc): an empty Vec holds no heap memory; it grows only past INLINE_CLASSES distinct counted classes
+            spill: Vec::new(),
+            best: 0,
+            leader: 0,
+            tied: false,
+        }
     }
 
     /// Casts one member's vote from its softmax vector.
@@ -170,21 +198,27 @@ impl VoteTally {
     ///
     /// Panics if `probs` is empty.
     pub(crate) fn cast(&mut self, probs: &[f32]) {
-        let class = argmax(probs);
-        self.cast_top(class, probs[class]);
+        let (class, confidence) = top_vote(probs);
+        self.cast_top(class, confidence);
     }
 
     /// Casts one member's vote from its precomputed top-1 class and
     /// confidence. A NaN confidence never reaches `Thr_Conf`.
     pub(crate) fn cast_top(&mut self, class: usize, confidence: f32) {
         if confidence >= self.conf {
-            let votes = match self.counts.iter_mut().find(|(c, _)| *c == class) {
+            let mut counted = self.inline[..self.inline_len].iter_mut().chain(&mut self.spill);
+            let votes = match counted.find(|(c, _)| *c == class) {
                 Some((_, n)) => {
                     *n += 1;
                     *n
                 }
+                None if self.inline_len < INLINE_CLASSES => {
+                    self.inline[self.inline_len] = (class, 1);
+                    self.inline_len += 1;
+                    1
+                }
                 None => {
-                    self.counts.push((class, 1));
+                    self.spill.push((class, 1));
                     1
                 }
             };
@@ -294,6 +328,26 @@ mod tests {
             }
             was_reliable = v.is_reliable();
         }
+    }
+
+    #[test]
+    fn votes_past_the_inline_classes_spill_and_still_count() {
+        // One vote each for classes 19 down to 1 (eight counted inline,
+        // eleven spilled), then more for spilled class 5 and inline class
+        // 19: ties and leads form across both stores alike.
+        let mut tally = VoteTally::new(0.5);
+        for class in (1..20).rev() {
+            tally.cast_top(class, 0.9);
+        }
+        assert_eq!(tally.verdict(1), Verdict::Unreliable { class: Some(1), votes: 1 });
+        tally.cast_top(5, 0.9);
+        assert_eq!(tally.verdict(2), Verdict::Reliable { class: 5, votes: 2 });
+        tally.cast_top(19, 0.9);
+        assert_eq!(tally.verdict(2), Verdict::Unreliable { class: Some(5), votes: 2 });
+        tally.cast_top(19, 0.9);
+        assert_eq!(tally.verdict(3), Verdict::Reliable { class: 19, votes: 3 });
+        tally.cast_top(0, 0.4);
+        assert_eq!(tally.best(), 3, "a vote below Thr_Conf is not counted");
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Layers 1 and 2: preprocessor-paired networks and the heterogeneous MR
 //! ensemble.
+//!
+//! A [`Member`] owns the buffers of its pass: the preprocessed input and
+//! the probability vector. Every pass (preprocess, [`Network::run`], the
+//! in-place softmax) writes into them, so a warmed pass allocates
+//! nothing. The system casts votes from them as top-1 `(class,
+//! confidence)` pairs; [`Member::predict`] and [`Member::predict_checked`]
+//! return a copy of the probabilities, their one allocation.
 
+use crate::decision::top_vote;
 use pgmr_datasets::Dataset;
 use pgmr_faults::ActivationInjector;
 use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
@@ -24,12 +32,25 @@ pub struct Member {
     precision: Precision,
     fault: Option<ActivationInjector>,
     protection: Option<CheckPlan>,
+    /// The preprocessed input of the latest pass, reused while the image
+    /// shape stays the same.
+    input: Tensor,
+    /// The softmax probabilities of the latest pass, reused.
+    probs: Vec<f32>,
 }
 
 impl Member {
     /// Wraps an already-trained network.
     pub fn new(preprocessor: Preprocessor, network: Network) -> Self {
-        Member { preprocessor, network, precision: Precision::FULL, fault: None, protection: None }
+        Member {
+            preprocessor,
+            network,
+            precision: Precision::FULL,
+            fault: None,
+            protection: None,
+            input: Tensor::default(),
+            probs: Vec::new(),
+        }
     }
 
     /// Builds a fresh network from `spec` with `seed` and trains it on the
@@ -135,9 +156,8 @@ impl Member {
     /// first, then the (possibly quantized, possibly fault-injected)
     /// forward pass.
     pub fn predict(&mut self, image: &Tensor) -> Vec<f32> {
-        let probs = self.probabilities(image, None).expect("an unguarded run cannot fault");
-        debug_assert_eq!(probs.len(), self.network.num_classes());
-        probs
+        self.pass(image, None).expect("an unguarded run cannot fault");
+        self.probs.clone()
     }
 
     /// ABFT-guarded prediction: like [`Member::predict`] but every dense
@@ -152,21 +172,33 @@ impl Member {
         image: &Tensor,
         tolerance: f32,
     ) -> Result<Vec<f32>, ChecksumFault> {
-        let tol = self.abft_tolerance(tolerance);
-        self.probabilities(image, Some(tol))
+        self.pass(image, Some(self.abft_tolerance(tolerance)))?;
+        Ok(self.probs.clone())
     }
 
-    /// The one member forward: preprocess, then [`Network::run`] with the
-    /// fault/precision hook (omitted entirely when neither is active) and,
-    /// given a tolerance, the member's guard; softmax in place over the
-    /// logits.
-    // pgmr-lint: boundary(hot-path-alloc): the predict tier returns a fresh per-request probability vector by contract; the zero-alloc invariant governs the forward_into kernels beneath it
-    fn probabilities(
+    /// The member's top-1 vote on one raw image, `(class, confidence)`:
+    /// the pass of [`Member::predict`] (`tolerance: None`) or of
+    /// [`Member::predict_checked`], without copying the probabilities
+    /// out. A warmed vote allocates nothing.
+    pub(crate) fn vote(
         &mut self,
         image: &Tensor,
         tolerance: Option<f32>,
-    ) -> Result<Vec<f32>, ChecksumFault> {
-        let x = self.preprocessor.apply(image);
+    ) -> Result<(usize, f32), ChecksumFault> {
+        self.pass(image, tolerance.map(|t| self.abft_tolerance(t)))?;
+        Ok(top_vote(&self.probs))
+    }
+
+    /// The one member pass: preprocess into the member's input buffer,
+    /// then [`Network::run`] into its probability buffer with the
+    /// fault/precision hook (omitted entirely when neither is active) and,
+    /// given a tolerance, the member's guard; softmax in place over the
+    /// logits.
+    fn pass(&mut self, image: &Tensor, tolerance: Option<f32>) -> Result<(), ChecksumFault> {
+        if self.input.shape() != image.shape() {
+            self.input = input_buffer(image);
+        }
+        self.preprocessor.apply_into(image, self.input.data_mut());
         let p = self.precision;
         let fault = self.fault.as_ref();
         if let Some(inj) = fault {
@@ -188,10 +220,10 @@ impl Member {
         };
         let needs_hook = fault.is_some() || p != Precision::FULL;
         let plan = RunPlan { hook: needs_hook.then_some(hook), guard, ..RunPlan::default() };
-        let mut probs = Vec::new();
-        self.network.run(&x, &plan, &mut probs)?;
-        pgmr_tensor::softmax_in_place(&mut probs);
-        Ok(probs)
+        self.network.run(&self.input, &plan, &mut self.probs)?;
+        debug_assert_eq!(self.probs.len(), self.network.num_classes());
+        pgmr_tensor::softmax_in_place(&mut self.probs);
+        Ok(())
     }
 
     /// Probabilities for a set of raw images, one vector per image.
@@ -210,6 +242,12 @@ impl Member {
         }
         correct as f64 / data.len() as f64
     }
+}
+
+/// A member input buffer of `image`'s shape.
+// pgmr-lint: boundary(hot-path-alloc): a member sizes its input buffer on its first pass and again only when the image shape changes
+fn input_buffer(image: &Tensor) -> Tensor {
+    Tensor::zeros(*image.shape())
 }
 
 /// The Layer-2 heterogeneous MR ensemble: an ordered list of members.

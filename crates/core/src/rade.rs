@@ -16,8 +16,14 @@
 //! seeing the votes it did not activate, which is exactly the paper's
 //! trade-off: Fig. 10 reports a modest FP increase in exchange for the
 //! large energy/latency cut.
+//!
+//! The protocol reads top-1 votes. The system casts them straight from
+//! its members' reused buffers, so a warmed staged decision allocates
+//! nothing; the public [`StagedEngine::decide`], `decide_with` and
+//! `decide_with_budget` take probability vectors and reduce each one to
+//! its vote.
 
-use crate::decision::{Thresholds, Verdict, VoteTally};
+use crate::decision::{top_vote, Thresholds, Verdict, VoteTally};
 use pgmr_obs::{Counter, Histogram};
 use pgmr_tensor::argmax;
 use serde::{Deserialize, Serialize};
@@ -154,6 +160,17 @@ impl StagedEngine {
         &self,
         mut predict: impl FnMut(usize) -> P,
         n_members: usize,
+        may_escalate: impl FnMut(usize) -> bool,
+    ) -> BudgetedDecision {
+        self.decide_votes(|m| top_vote(predict(m).as_ref()), n_members, may_escalate)
+    }
+
+    /// [`StagedEngine::decide_with_budget`] over a provider of top-1 votes,
+    /// `vote(m)` = member `m`'s `(class, confidence)`.
+    pub(crate) fn decide_votes(
+        &self,
+        mut vote: impl FnMut(usize) -> (usize, f32),
+        n_members: usize,
         mut may_escalate: impl FnMut(usize) -> bool,
     ) -> BudgetedDecision {
         assert_eq!(n_members, self.priority.len(), "member count mismatch with priority order");
@@ -170,7 +187,8 @@ impl StagedEngine {
             if activated >= freq && !may_escalate(activated) {
                 break Exit::BudgetStopped;
             }
-            tally.cast(predict(self.priority[activated]).as_ref());
+            let (class, confidence) = vote(self.priority[activated]);
+            tally.cast_top(class, confidence);
             activated += 1;
             // Early unreliable: even if every remaining network voted for
             // the current leader it could not reach Thr_Freq. This can

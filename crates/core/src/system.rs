@@ -1,6 +1,17 @@
 //! The assembled PolygraphMR system: ensemble + decision engine, with an
 //! optional staged (RADE) inference mode and an optional fault policy.
-//! [`PolygraphSystem::decide`] decides every request.
+//! [`PolygraphSystem::decide`] decides every request; a warmed decision
+//! allocates nothing.
+//!
+//! The full-ensemble vote (no RADE, or a fault policy set) runs as a
+//! *segment*: each voting member's passes over the segment's images,
+//! then a fold of their top-1 votes image by image, in member order,
+//! through retries, strikes, quarantine and the solo scan. A request is a
+//! one-image segment. [`PolygraphSystem::infer_batch`] on a system that
+//! [decides in order](PolygraphSystem::decides_in_order) runs its images
+//! as segments bounded by the solo horizon, one pool job per voting
+//! member per segment, and still gives exactly what deciding the images
+//! one at a time gives (see `DESIGN.md` §4a).
 
 use crate::decision::{Thresholds, Verdict, VoteTally};
 use crate::ensemble::{Ensemble, Member};
@@ -13,7 +24,6 @@ use pgmr_metrics::RateSummary;
 use pgmr_nn::pool::{shard_ranges, WorkerPool};
 use pgmr_nn::ProtectionLevel;
 use pgmr_obs::{Counter, Histogram};
-use pgmr_tensor::argmax;
 use pgmr_tensor::checksum::{ChecksumFault, DEFAULT_TOLERANCE};
 use pgmr_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
@@ -111,24 +121,48 @@ const QUARANTINE_AFTER: u32 = 3;
 /// weight corruption, which ABFT checksums cannot see.
 const SOLO_AFTER: u32 = 5;
 
-/// One member's pass of a request: the member, its probabilities or the
-/// checksum fault it kept raising, and the retries spent.
-type Pass = (usize, Result<Vec<f32>, ChecksumFault>, usize);
+/// One member's pass of one image: its top-1 vote `(class, confidence)`
+/// or the checksum fault it kept raising, and the retries spent.
+type Pass = (Result<(usize, f32), ChecksumFault>, usize);
 
-/// Runs member `m`'s pass: an unguarded forward without a tolerance;
-/// with one, a checksum-verified forward re-run up to [`RETRIES`] times
-/// while it faults.
+/// Runs member `m`'s pass: an unguarded vote without a tolerance; with
+/// one, a checksum-verified vote re-run up to [`RETRIES`] times while it
+/// faults.
 fn member_pass(m: usize, member: &mut Member, image: &Tensor, tolerance: Option<f32>) -> Pass {
-    let Some(tol) = tolerance else {
-        return (m, Ok(time_forward(m, || member.predict(image))), 0);
-    };
-    let mut result = time_forward(m, || member.predict_checked(image, tol));
+    let mut result = time_forward(m, || member.vote(image, tolerance));
     let mut retried = 0;
     while result.is_err() && retried < RETRIES {
         retried += 1;
-        result = time_forward(m, || member.predict_checked(image, tol));
+        result = time_forward(m, || member.vote(image, tolerance));
     }
-    (m, result, retried)
+    (result, retried)
+}
+
+/// Runs member `m`'s passes over a segment's `images`, in order, into
+/// `slots`. It stops after the pass that gives the member its
+/// [`QUARANTINE_AFTER`]-th strike, counting from `strikes`: the fold
+/// quarantines the member at that image, so the sequential path runs it
+/// on none of the later ones. Only the member's own faults move its
+/// strikes.
+fn member_passes(
+    m: usize,
+    member: &mut Member,
+    images: &[Tensor],
+    tolerance: Option<f32>,
+    mut strikes: u32,
+    slots: &mut [Option<Pass>],
+) {
+    for (image, slot) in images.iter().zip(slots) {
+        let pass = member_pass(m, member, image, tolerance);
+        let struck = pass.0.is_err();
+        *slot = Some(pass);
+        if struck {
+            strikes += 1;
+            if strikes >= QUARANTINE_AFTER {
+                break;
+            }
+        }
+    }
 }
 
 /// A deployable PolygraphMR system (Fig. 4): Layer-1 preprocessors and
@@ -153,6 +187,10 @@ pub struct PolygraphSystem {
     /// `(member, class)` of each vote under a fault policy, refilled per
     /// request for the solo scan.
     voters: Vec<(usize, usize)>,
+    /// The passes of the segment being decided, member-major: member
+    /// `m`'s pass on the segment's image `i` sits at `m * len + i`.
+    /// Reused across segments.
+    passes: Vec<Option<Pass>>,
     events: Vec<FaultEvent>,
 }
 
@@ -170,6 +208,7 @@ impl PolygraphSystem {
             strikes: vec![0; n],
             solo: vec![0; n],
             voters: Vec::new(),
+            passes: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -347,7 +386,7 @@ impl PolygraphSystem {
 
     /// Decides one request: the one routine behind
     /// [`PolygraphSystem::infer_counted`], [`PolygraphSystem::infer_batch`]
-    /// and the serving front-end.
+    /// and the serving front-end. A warmed decision allocates nothing.
     ///
     /// RADE without a fault policy runs the staged protocol: the first
     /// `Thr_Freq` members always run, `may_escalate(activated_so_far)`
@@ -357,113 +396,173 @@ impl PolygraphSystem {
     /// votes in member order and the budget is never consulted; under a
     /// fault policy only the members not quarantined vote, through
     /// checksum-verified forwards with retries, strikes and quarantine (see
-    /// [`FaultPolicy`]). Given a `pool`, those member passes run on it; each
-    /// depends only on its own member, and the outcomes fold in member
-    /// order, so neither the decision nor the fault events depend on the
-    /// pool.
+    /// [`FaultPolicy`]). That full-ensemble vote is a one-image segment of
+    /// the fold [`PolygraphSystem::infer_batch`] runs.
     pub fn decide(
         &mut self,
         image: &Tensor,
-        pool: Option<&WorkerPool>,
         may_escalate: impl FnMut(usize) -> bool,
     ) -> BudgetedDecision {
-        let out = match &self.staged {
+        match &self.staged {
             Some(staged) if self.fault_policy.is_none() => {
                 let members = self.ensemble.members_mut();
                 let n = members.len();
                 // Split borrow: the closure indexes members directly.
-                let mut predict = |m: usize| time_forward(m, || members[m].predict(image));
-                staged.decide_with_budget(&mut predict, n, may_escalate)
+                let vote = |m: usize| {
+                    let vote = time_forward(m, || members[m].vote(image, None));
+                    vote.expect("an unguarded run cannot fault")
+                };
+                let out = staged.decide_votes(vote, n, may_escalate);
+                note_verdict(&out.decision.verdict);
+                out
             }
-            _ => BudgetedDecision {
-                decision: self.poll_members(image, pool),
-                budget_exhausted: false,
-            },
-        };
-        note_verdict(&out.decision.verdict);
-        out
+            _ => {
+                let mut decision = None;
+                self.poll_segment(std::slice::from_ref(image), None, |d| decision = Some(d));
+                let decision = decision.expect("a segment decides each of its images");
+                BudgetedDecision { decision, budget_exhausted: false }
+            }
+        }
     }
 
-    /// The full-ensemble fold of [`PolygraphSystem::decide`]. Only the
-    /// fold emits obs events, never a pool job, so the event stream is the
-    /// same at any pool width.
-    fn poll_members(&mut self, image: &Tensor, pool: Option<&WorkerPool>) -> StagedDecision {
+    /// True when requests go through the full-ensemble vote of
+    /// [`PolygraphSystem::poll_segment`]: no RADE, or a fault policy set.
+    fn polls_every_member(&self) -> bool {
+        self.staged.is_none() || self.fault_policy.is_some()
+    }
+
+    /// The length of the next in-order segment over `remaining` images:
+    /// up to and including the solo horizon, the first image at which a
+    /// persistent-disagreement quarantine could fire. A member's solo
+    /// count rises by at most one per image, so that image is
+    /// `SOLO_AFTER − solo[m]` images away for the nearest active member.
+    /// The solo scan needs three voters and runs only under a fault
+    /// policy; without them the segment is the rest of the call.
+    fn solo_horizon(&self, remaining: usize) -> usize {
+        if self.fault_policy.is_none() || self.active_members() < 3 {
+            return remaining;
+        }
+        let active = self.active.iter().zip(&self.solo).filter(|(&active, _)| active);
+        let horizon = active.map(|(_, &solo)| SOLO_AFTER.saturating_sub(solo).max(1)).min();
+        horizon.map_or(remaining, |h| remaining.min(h as usize))
+    }
+
+    /// Decides `images` in order through the full-ensemble vote, as one
+    /// segment. First each voting member runs its passes over all of
+    /// `images` ([`member_passes`]): one pool job per member given a pool,
+    /// inline otherwise. Then the votes fold image by image, in member
+    /// order, through [`PolygraphSystem::absorb`], the solo scan and the
+    /// verdict, skipping members quarantined earlier in the fold; `emit`
+    /// receives each decision in order.
+    ///
+    /// `images` must be non-empty and end at or before the
+    /// [solo horizon](PolygraphSystem::solo_horizon). Inside it the voting
+    /// set shrinks only through a member's own strikes, which its job
+    /// follows, so no pass runs that deciding the images one at a time
+    /// would not run: verdicts, fault events, injector streams and forward
+    /// timers match [`PolygraphSystem::infer_counted`] per image at any
+    /// pool width. Only the fold emits obs events, never a pool job.
+    fn poll_segment(
+        &mut self,
+        images: &[Tensor],
+        pool: Option<&WorkerPool>,
+        mut emit: impl FnMut(StagedDecision),
+    ) {
         let tolerance = self.fault_policy.map(|p| p.tolerance);
-        let mut tally = VoteTally::new(self.thresholds.conf);
-        let mut voters = std::mem::take(&mut self.voters);
-        voters.clear();
+        let n = self.ensemble.len();
+        let len = images.len();
+        self.passes.clear();
+        self.passes.resize(n * len, None);
         // Quarantine holds only under a policy: without one every member votes.
+        let (active, strikes) = (&self.active, &self.strikes);
+        let runs = (self.ensemble.members_mut().iter_mut().zip(self.passes.chunks_mut(len)))
+            .enumerate()
+            .filter(|(m, _)| tolerance.is_none() || active[*m]);
         match pool {
             Some(pool) => {
-                let active = &self.active;
-                let jobs: Vec<_> = self
-                    .ensemble
-                    .members_mut()
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(m, _)| tolerance.is_none() || active[*m])
-                    .map(|(m, member)| move || member_pass(m, member, image, tolerance))
-                    // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value; only batch callers pass a pool, and serve passes none
+                let jobs: Vec<_> = runs
+                    .map(|(m, (member, slots))| {
+                        move || member_passes(m, member, images, tolerance, strikes[m], slots)
+                    })
+                    // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per voting member per segment; only `infer_batch` passes a pool
                     .collect();
-                // pgmr-lint: allow(nested-pool-run): the pool jobs that reach `decide` (the shards of `infer_batch` and of serve) pass `pool: None`
-                for pass in pool.run(jobs) {
-                    self.absorb(&mut tally, &mut voters, pass);
-                }
+                // pgmr-lint: allow(nested-pool-run): the pool jobs that reach this fold (the shards of `infer_batch` and of serve) come through `decide`, which passes no pool
+                pool.run(jobs);
             }
             None => {
-                for m in 0..self.ensemble.len() {
-                    if tolerance.is_none() || self.active[m] {
-                        let pass =
-                            member_pass(m, &mut self.ensemble.members_mut()[m], image, tolerance);
-                        self.absorb(&mut tally, &mut voters, pass);
-                    }
+                for (m, (member, slots)) in runs {
+                    member_passes(m, member, images, tolerance, strikes[m], slots);
                 }
             }
         }
 
-        // Persistent-disagreement tracking: a member that contradicts an
-        // otherwise unanimous ensemble over and over is running on
-        // corrupted state (ABFT-invisible weight faults land here).
-        if voters.len() >= 3 {
-            for (i, &(m, class)) in voters.iter().enumerate() {
-                let mut peers =
-                    voters.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &(_, v))| v);
-                let first = peers.next().expect("at least two peers");
-                let peers_unanimous = peers.all(|v| v == first);
-                if peers_unanimous && class != first {
-                    self.solo[m] += 1;
-                    if self.solo[m] >= SOLO_AFTER && self.active[m] {
-                        self.active[m] = false;
-                        let reason = QuarantineReason::PersistentDisagreement;
-                        self.note_fault(FaultEvent::Quarantined { member: m, reason });
-                    }
-                } else {
-                    self.solo[m] = 0;
+        let mut voters = std::mem::take(&mut self.voters);
+        for i in 0..len {
+            let mut tally = VoteTally::new(self.thresholds.conf);
+            voters.clear();
+            for m in 0..n {
+                if tolerance.is_none() || self.active[m] {
+                    let pass = self.passes[m * len + i].take();
+                    let pass = pass.expect("a voting member's job ran its pass");
+                    self.absorb(&mut tally, &mut voters, m, pass);
                 }
             }
+            self.note_solo_votes(&voters);
+            // Thr_Conf is never re-derived, so only Thr_Freq follows quarantine.
+            let (freq, activated) = match self.fault_policy {
+                Some(_) => (self.effective_thresholds().freq, voters.len()),
+                None => (self.thresholds.freq, n),
+            };
+            let decision = StagedDecision { verdict: tally.verdict(freq), activated };
+            note_verdict(&decision.verdict);
+            emit(decision);
         }
-
-        // Thr_Conf is never re-derived, so only Thr_Freq follows quarantine.
-        let (freq, activated) = match self.fault_policy {
-            Some(_) => (self.effective_thresholds().freq, voters.len()),
-            None => (self.thresholds.freq, self.ensemble.len()),
-        };
         self.voters = voters;
-        StagedDecision { verdict: tally.verdict(freq), activated }
+    }
+
+    /// Persistent-disagreement tracking over one image's `voters`: a
+    /// member that contradicts an otherwise unanimous ensemble over and
+    /// over is running on corrupted state (ABFT-invisible weight faults
+    /// land here).
+    fn note_solo_votes(&mut self, voters: &[(usize, usize)]) {
+        if voters.len() < 3 {
+            return;
+        }
+        for (i, &(m, class)) in voters.iter().enumerate() {
+            let mut peers =
+                voters.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &(_, v))| v);
+            let first = peers.next().expect("at least two peers");
+            let peers_unanimous = peers.all(|v| v == first);
+            if peers_unanimous && class != first {
+                self.solo[m] += 1;
+                if self.solo[m] >= SOLO_AFTER && self.active[m] {
+                    self.active[m] = false;
+                    let reason = QuarantineReason::PersistentDisagreement;
+                    self.note_fault(FaultEvent::Quarantined { member: m, reason });
+                }
+            } else {
+                self.solo[m] = 0;
+            }
+        }
     }
 
     /// Folds one member pass in: its retries, then its vote (also kept in
     /// `voters` under a policy) or a strike, which quarantines the member
     /// at [`QUARANTINE_AFTER`].
-    fn absorb(&mut self, tally: &mut VoteTally, voters: &mut Vec<(usize, usize)>, pass: Pass) {
-        let (m, result, retried) = pass;
+    fn absorb(
+        &mut self,
+        tally: &mut VoteTally,
+        voters: &mut Vec<(usize, usize)>,
+        m: usize,
+        pass: Pass,
+    ) {
+        let (result, retried) = pass;
         for _ in 0..retried {
             self.note_fault(FaultEvent::ChecksumRetry { member: m });
         }
         match result {
-            Ok(p) => {
-                let class = argmax(&p);
-                tally.cast_top(class, p[class]);
+            Ok((class, confidence)) => {
+                tally.cast_top(class, confidence);
                 if self.fault_policy.is_some() {
                     voters.push((m, class));
                 }
@@ -531,35 +630,68 @@ impl PolygraphSystem {
 
     /// Like [`PolygraphSystem::infer`] but also reports how many member
     /// networks were activated: [`PolygraphSystem::decide`] with an open
-    /// budget and no pool.
+    /// budget.
     pub fn infer_counted(&mut self, image: &Tensor) -> StagedDecision {
-        self.decide(image, None, |_| true).decision
+        self.decide(image, |_| true).decision
     }
 
     /// Batch-mode inference over `pool`: classifies every image with
-    /// decision semantics preserved exactly — decisions and fault events
-    /// are bit-identical to calling [`PolygraphSystem::infer_counted`] on
-    /// each image in order.
+    /// decision semantics preserved exactly — decisions, fault events,
+    /// injector streams and forward timers are what calling
+    /// [`PolygraphSystem::infer_counted`] on each image in order gives.
     ///
     /// A system that [decides in order](PolygraphSystem::decides_in_order)
-    /// (and any batch the pool cannot split) runs its images one after
-    /// another on `self`, each request's member passes running on `pool`.
-    /// Any other system is sharded across the pool on clones of itself —
-    /// forward passes are deterministic, so the shards compose
-    /// bit-identically.
+    /// through the full-ensemble vote runs member-major, in segments that
+    /// each end at the first image where a persistent-disagreement
+    /// quarantine could fire: a segment is one pool job per voting member,
+    /// whose votes then fold image by image in request order (see
+    /// `DESIGN.md` §4a). RADE decided in order (an injector without a
+    /// policy) runs its images one after another, as does any batch the
+    /// pool cannot split. Any other system is sharded across the pool on
+    /// clones of itself — forward passes are deterministic, so the shards
+    /// compose bit-identically.
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
-        if self.decides_in_order() || pool.threads() == 1 || images.len() < 2 {
-            // A one-wide pool would run the member passes inline anyway.
-            let pool = (pool.threads() > 1).then_some(pool);
-            return images.iter().map(|img| self.decide(img, pool, |_| true).decision).collect();
+        let mut decisions = Vec::with_capacity(images.len());
+        let in_order = self.decides_in_order();
+        let one_by_one = in_order || pool.threads() == 1 || images.len() < 2;
+        if in_order && self.polls_every_member() {
+            // A one-wide pool would run the member jobs inline anyway.
+            let jobs_pool = (pool.threads() > 1).then_some(pool);
+            let mut rest = images;
+            while !rest.is_empty() {
+                let (segment, tail) = rest.split_at(self.solo_horizon(rest.len()));
+                self.poll_segment(segment, jobs_pool, |d| decisions.push(d));
+                rest = tail;
+            }
+        } else if one_by_one {
+            for image in images {
+                decisions.push(self.decide(image, |_| true).decision);
+            }
+        } else {
+            // Each shard fills its own run of the result slots.
+            let unset = StagedDecision {
+                verdict: Verdict::Unreliable { class: None, votes: 0 },
+                activated: 0,
+            };
+            decisions.resize(images.len(), unset);
+            let mut slots = &mut decisions[..];
+            let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
+                .map(|range| {
+                    let (shard_slots, rest) = std::mem::take(&mut slots).split_at_mut(range.len());
+                    slots = rest;
+                    let mut shard = self.clone();
+                    let images = &images[range];
+                    move || {
+                        for (slot, image) in shard_slots.iter_mut().zip(images) {
+                            *slot = shard.infer_counted(image);
+                        }
+                    }
+                })
+                // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per shard per call
+                .collect();
+            pool.run(jobs);
         }
-        let jobs: Vec<_> = shard_ranges(images.len(), pool.threads())
-            .map(|range| {
-                let mut shard = self.clone();
-                move || images[range].iter().map(|img| shard.infer_counted(img)).collect::<Vec<_>>()
-            })
-            .collect();
-        pool.run(jobs).into_iter().flatten().collect()
+        decisions
     }
 
     /// Batch-mode [`PolygraphSystem::evaluate`]: the identical summary and

@@ -8,7 +8,8 @@
 //! outside the workspace-arena APIs. The roots are the serving-path
 //! entries: the forward driver `Network::run`, every layer's
 //! `Layer::forward_into`, `PolygraphSystem::decide` (every request's
-//! decision), and the serve batcher fold (`BatchEngine::process`).
+//! decision), `PolygraphSystem::infer_batch` (batch decisions) and the
+//! serve batcher fold (`BatchEngine::process`).
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
@@ -20,9 +21,8 @@
 //!   memory legitimately comes from;
 //! - any function annotated `pgmr-lint: boundary(hot-path-alloc):
 //!   reason` — a *documented* allocating tier (e.g. a layer's
-//!   training-only backward cache, the member predict tier returning
-//!   its per-request probability vector, or the decision layer's vote
-//!   tally).
+//!   training-only backward cache, or the preprocessors that allocate
+//!   scratch per call).
 //!
 //! Individual intentional allocations inside the rule's world instead
 //! take `pgmr-lint: allow(hot-path-alloc): reason` on the site.
@@ -38,6 +38,7 @@ const ROOT_FNS: &[(&str, Option<&str>)] = &[
     ("run", Some("Network")),
     ("forward_into", None),
     ("decide", Some("PolygraphSystem")),
+    ("infer_batch", Some("PolygraphSystem")),
     ("process", Some("BatchEngine")),
 ];
 

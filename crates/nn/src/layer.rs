@@ -185,8 +185,14 @@ pub trait Layer: Send {
     /// Implementations may panic if called before a training forward.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
-    /// Visits every `(value, grad)` parameter slot in a stable order.
+    /// Visits every `(value, grad)` parameter slot in a stable order. A
+    /// layer that derives forms from its weights (a guarded layer's ABFT
+    /// weight sums) drops them here, since the visitor may change them.
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot));
+
+    /// Visits every parameter slot read-only, in the order of
+    /// [`Layer::visit_slots`]. Nothing derived from the weights is dropped.
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot));
 
     /// Layer kind for debugging and cost reporting.
     fn name(&self) -> &'static str;

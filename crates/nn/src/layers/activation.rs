@@ -52,6 +52,8 @@ impl Layer for Relu {
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}
 
+    fn read_slots(&self, _f: &mut dyn FnMut(&ParamSlot)) {}
+
     fn name(&self) -> &'static str {
         "relu"
     }

@@ -193,6 +193,11 @@ impl Layer for BatchNorm2d {
         f(&mut self.beta);
     }
 
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        f(&self.gamma);
+        f(&self.beta);
+    }
+
     fn name(&self) -> &'static str {
         "batchnorm2d"
     }

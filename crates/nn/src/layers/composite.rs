@@ -133,6 +133,15 @@ impl Layer for Residual {
         }
     }
 
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        for layer in &self.body {
+            layer.read_slots(f);
+        }
+        if let Some(p) = &self.projection {
+            p.read_slots(f);
+        }
+    }
+
     fn name(&self) -> &'static str {
         "residual"
     }
@@ -290,6 +299,12 @@ impl Layer for DenseBlock {
     fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
         for unit in &mut self.units {
             unit.visit_slots(f);
+        }
+    }
+
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        for unit in &self.units {
+            unit.read_slots(f);
         }
     }
 

@@ -193,6 +193,11 @@ impl Layer for Conv2d {
         f(&mut self.bias);
     }
 
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        f(&self.weight);
+        f(&self.bias);
+    }
+
     fn name(&self) -> &'static str {
         "conv2d"
     }

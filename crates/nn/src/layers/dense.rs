@@ -135,6 +135,11 @@ impl Layer for Dense {
         f(&mut self.bias);
     }
 
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        f(&self.weight);
+        f(&self.bias);
+    }
+
     fn name(&self) -> &'static str {
         "dense"
     }

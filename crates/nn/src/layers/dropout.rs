@@ -95,6 +95,8 @@ impl Layer for Dropout {
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}
 
+    fn read_slots(&self, _f: &mut dyn FnMut(&ParamSlot)) {}
+
     fn name(&self) -> &'static str {
         "dropout"
     }

@@ -39,6 +39,8 @@ impl Layer for Flatten {
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}
 
+    fn read_slots(&self, _f: &mut dyn FnMut(&ParamSlot)) {}
+
     fn name(&self) -> &'static str {
         "flatten"
     }

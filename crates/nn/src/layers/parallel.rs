@@ -129,6 +129,14 @@ impl Layer for Parallel {
         }
     }
 
+    fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        for branch in &self.branches {
+            for layer in branch {
+                layer.read_slots(f);
+            }
+        }
+    }
+
     fn name(&self) -> &'static str {
         "parallel"
     }

@@ -109,6 +109,8 @@ impl Layer for MaxPool2d {
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}
 
+    fn read_slots(&self, _f: &mut dyn FnMut(&ParamSlot)) {}
+
     fn name(&self) -> &'static str {
         "maxpool2d"
     }
@@ -214,6 +216,8 @@ impl Layer for AvgPoolGlobal {
     }
 
     fn visit_slots(&mut self, _f: &mut dyn FnMut(&mut ParamSlot)) {}
+
+    fn read_slots(&self, _f: &mut dyn FnMut(&ParamSlot)) {}
 
     fn name(&self) -> &'static str {
         "avgpool_global"

@@ -328,10 +328,20 @@ impl Network {
         logits.data().chunks(self.num_classes).map(|c| c.to_vec()).collect()
     }
 
-    /// Visits every parameter slot in a stable order.
+    /// Visits every parameter slot in a stable order. Guarded layers drop
+    /// their ABFT weight sums and derive them afresh on their next guarded
+    /// forward: the visitor may change the weights.
     pub fn visit_slots(&mut self, f: &mut dyn FnMut(&mut ParamSlot)) {
         for layer in &mut self.layers {
             layer.visit_slots(f);
+        }
+    }
+
+    /// Visits every parameter slot read-only, in the order of
+    /// [`Network::visit_slots`], keeping every layer's ABFT weight sums.
+    pub fn read_slots(&self, f: &mut dyn FnMut(&ParamSlot)) {
+        for layer in &self.layers {
+            layer.read_slots(f);
         }
     }
 
@@ -341,9 +351,9 @@ impl Network {
     }
 
     /// Total trainable parameter count.
-    pub fn param_count(&mut self) -> usize {
+    pub fn param_count(&self) -> usize {
         let mut count = 0;
-        self.visit_slots(&mut |slot| count += slot.value.len());
+        self.read_slots(&mut |slot| count += slot.value.len());
         count
     }
 
@@ -356,9 +366,9 @@ impl Network {
     /// Snapshots all parameter values in visiting order. Arena-shared
     /// values stay shared (an `Arc` bump, no weight copy): copy-on-write
     /// keeps the snapshot intact whatever later mutates the slot.
-    pub fn state_dict(&mut self) -> Vec<Tensor> {
+    pub fn state_dict(&self) -> Vec<Tensor> {
         let mut out = Vec::new();
-        self.visit_slots(&mut |slot| out.push(slot.value.clone()));
+        self.read_slots(&mut |slot| out.push(slot.value.clone()));
         out
     }
 
@@ -581,7 +591,7 @@ mod tests {
     #[test]
     fn param_count_counts_everything() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         assert_eq!(net.param_count(), 8 * 6 + 6 + 6 * 3 + 3);
     }
 

@@ -309,7 +309,7 @@ mod tests {
         let mut tenant = build(&spec, 99);
         stored.attach(&mut tenant).unwrap();
         let mut shared = 0;
-        tenant.visit_slots(&mut |s| shared += usize::from(s.value.is_shared()));
+        tenant.read_slots(&mut |s| shared += usize::from(s.value.is_shared()));
         assert!(shared > 0, "attached tenant must borrow from the arena");
 
         let mut rng = StdRng::seed_from_u64(0);

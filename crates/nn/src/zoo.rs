@@ -581,9 +581,7 @@ mod tests {
     #[test]
     fn seeds_control_initialization() {
         let spec = ArchSpec::convnet(1, 8, 8, 4);
-        let mut a = build(&spec, 1);
-        let mut b = build(&spec, 1);
-        let mut c = build(&spec, 2);
+        let (a, b, c) = (build(&spec, 1), build(&spec, 1), build(&spec, 2));
         assert_eq!(a.state_dict(), b.state_dict());
         assert_ne!(a.state_dict(), c.state_dict());
     }

@@ -28,7 +28,7 @@ proptest! {
     fn seed_determinism(spec in small_spec(), seed in 0u64..100, input_seed in 0u64..100) {
         let mut a = build(&spec, seed);
         let mut b = build(&spec, seed);
-        let mut c = build(&spec, seed + 1);
+        let c = build(&spec, seed + 1);
         let mut rng = StdRng::seed_from_u64(input_seed);
         let x = Tensor::uniform(vec![2, spec.in_c, spec.in_h, spec.in_w], 0.0, 1.0, &mut rng);
         prop_assert_eq!(a.predict_proba(&x), b.predict_proba(&x));

@@ -54,35 +54,54 @@ impl Preprocessor {
     }
 
     /// Applies the preprocessor to a `[1, c, h, w]` image, returning a new
-    /// image of the same shape with values clamped to `[0, 1]`.
+    /// image of the same shape with values clamped to `[0, 1]`: one
+    /// allocation, then [`Preprocessor::apply_into`].
     ///
     /// # Panics
     ///
     /// Panics if the input is not a single NCHW image, or for
     /// `Scale(p)` with `p == 0` or `p > 100`.
+    // pgmr-lint: boundary(hot-path-alloc): returns a fresh tensor by contract; callers that reuse a buffer call `apply_into`
     pub fn apply(&self, image: &Tensor) -> Tensor {
-        let (n, _, _, _) = image.shape().as_nchw();
-        assert_eq!(n, 1, "preprocessors operate on single images");
-        let mut out = match self {
-            Preprocessor::Identity => image.clone(),
-            Preprocessor::AdHist => adhist(image),
-            Preprocessor::ConNorm => connorm(image),
-            Preprocessor::FlipX => flip_x(image),
-            Preprocessor::FlipY => flip_y(image),
-            Preprocessor::Gamma(g) => gamma(image, *g),
-            Preprocessor::Hist => hist_equalize(image),
-            Preprocessor::ImAdj => imadj(image),
-            Preprocessor::Scale(p) => scale(image, *p),
-        };
-        out.map_in_place(|v| v.clamp(0.0, 1.0));
+        let mut out = Tensor::zeros(*image.shape());
+        self.apply_into(image, out.data_mut());
         out
+    }
+
+    /// [`Preprocessor::apply`] into `out`, a buffer of the image's length
+    /// that the caller owns and may reuse: every value of `out` is
+    /// written, none is read first, and the result is bit for bit what
+    /// `apply` returns. `Identity`, `FlipX`, `FlipY`, `Gamma`, `Hist` and
+    /// `ConNorm` touch no other memory; `AdHist`, `ImAdj` and `Scale`
+    /// allocate scratch on every call.
+    ///
+    /// # Panics
+    ///
+    /// As [`Preprocessor::apply`], and if `out.len()` differs from the
+    /// image's element count.
+    pub fn apply_into(&self, image: &Tensor, out: &mut [f32]) {
+        let (n, c, h, w) = image.shape().as_nchw();
+        assert_eq!(n, 1, "preprocessors operate on single images");
+        let src = image.data();
+        assert_eq!(out.len(), src.len(), "the output buffer must match the image's length");
+        match *self {
+            Preprocessor::Identity => out.copy_from_slice(src),
+            Preprocessor::AdHist => adhist(src, c, h, w, out),
+            Preprocessor::ConNorm => connorm(src, c, h, w, out),
+            Preprocessor::FlipX => flip_x(src, c, h, w, out),
+            Preprocessor::FlipY => flip_y(src, c, h, w, out),
+            Preprocessor::Gamma(g) => gamma(src, g, out),
+            Preprocessor::Hist => hist_equalize(src, c, h * w, out),
+            Preprocessor::ImAdj => imadj(src, c, h * w, out),
+            Preprocessor::Scale(p) => scale(src, c, h, w, p, out),
+        }
+        for v in out.iter_mut() {
+            *v = v.clamp(0.0, 1.0);
+        }
     }
 }
 
-fn flip_x(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let src = image.data();
-    let mut out = vec![0.0f32; src.len()];
+fn flip_x(src: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
     let plane = h * w;
     for ch in 0..c {
         for y in 0..h {
@@ -91,13 +110,9 @@ fn flip_x(image: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec([1, c, h, w], out)
 }
 
-fn flip_y(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let src = image.data();
-    let mut out = vec![0.0f32; src.len()];
+fn flip_y(src: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
     let plane = h * w;
     for ch in 0..c {
         for y in 0..h {
@@ -106,12 +121,13 @@ fn flip_y(image: &Tensor) -> Tensor {
                 .copy_from_slice(&src[ch * plane + sy * w..ch * plane + sy * w + w]);
         }
     }
-    Tensor::from_vec([1, c, h, w], out)
 }
 
-fn gamma(image: &Tensor, g: f32) -> Tensor {
+fn gamma(src: &[f32], g: f32, out: &mut [f32]) {
     assert!(g > 0.0, "gamma must be positive");
-    image.map(|v| v.clamp(0.0, 1.0).powf(g))
+    for (d, &v) in out.iter_mut().zip(src) {
+        *d = v.clamp(0.0, 1.0).powf(g);
+    }
 }
 
 /// Histogram-equalizes one channel slice in place using `BINS` bins.
@@ -141,20 +157,17 @@ fn equalize_slice(data: &mut [f32]) {
     }
 }
 
-fn hist_equalize(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let mut out = image.clone();
-    let plane = h * w;
+fn hist_equalize(src: &[f32], c: usize, plane: usize, out: &mut [f32]) {
+    out.copy_from_slice(src);
     for ch in 0..c {
-        equalize_slice(&mut out.data_mut()[ch * plane..(ch + 1) * plane]);
+        equalize_slice(&mut out[ch * plane..(ch + 1) * plane]);
     }
-    out
 }
 
 /// Tiled (2×2 grid) histogram equalization — a lightweight CLAHE analog.
-fn adhist(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let mut out = image.clone();
+// pgmr-lint: boundary(hot-path-alloc): each tile is gathered into a fresh scratch vector per call; callers that must not allocate use one of the six preprocessors that write in place
+fn adhist(src: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
+    out.copy_from_slice(src);
     let plane = h * w;
     let th = h.div_ceil(2);
     let tw = w.div_ceil(2);
@@ -172,30 +185,26 @@ fn adhist(image: &Tensor) -> Tensor {
                 let mut tile = Vec::with_capacity((y1 - y0) * (x1 - x0));
                 for y in y0..y1 {
                     for x in x0..x1 {
-                        tile.push(out.data()[ch * plane + y * w + x]);
+                        tile.push(out[ch * plane + y * w + x]);
                     }
                 }
                 equalize_slice(&mut tile);
                 let mut i = 0;
                 for y in y0..y1 {
                     for x in x0..x1 {
-                        out.data_mut()[ch * plane + y * w + x] = tile[i];
+                        out[ch * plane + y * w + x] = tile[i];
                         i += 1;
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Local contrast normalization: subtract the 3×3 local mean and divide by
 /// the 3×3 local std, then re-center to mid-gray.
-fn connorm(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let src = image.data();
+fn connorm(src: &[f32], c: usize, h: usize, w: usize, out: &mut [f32]) {
     let plane = h * w;
-    let mut out = vec![0.0f32; src.len()];
     for ch in 0..c {
         for y in 0..h {
             for x in 0..w {
@@ -222,17 +231,15 @@ fn connorm(image: &Tensor) -> Tensor {
             }
         }
     }
-    Tensor::from_vec([1, c, h, w], out)
 }
 
 /// Per-channel percentile stretch: the 2nd percentile maps to 0 and the
 /// 98th to 1.
-fn imadj(image: &Tensor) -> Tensor {
-    let (_, c, h, w) = image.shape().as_nchw();
-    let mut out = image.clone();
-    let plane = h * w;
+// pgmr-lint: boundary(hot-path-alloc): each channel is sorted in a fresh scratch copy per call; callers that must not allocate use one of the six preprocessors that write in place
+fn imadj(src: &[f32], c: usize, plane: usize, out: &mut [f32]) {
+    out.copy_from_slice(src);
     for ch in 0..c {
-        let slice = &mut out.data_mut()[ch * plane..(ch + 1) * plane];
+        let slice = &mut out[ch * plane..(ch + 1) * plane];
         let mut sorted: Vec<f32> = slice.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite pixels"));
         let lo = sorted[(sorted.len() as f32 * 0.02) as usize];
@@ -242,20 +249,19 @@ fn imadj(image: &Tensor) -> Tensor {
             *v = (*v - lo) / range;
         }
     }
-    out
 }
 
 /// Average-pool down to `p`% of each spatial dimension, then bilinearly
 /// upsample back — softens high-frequency content.
-fn scale(image: &Tensor, p: u32) -> Tensor {
+// pgmr-lint: boundary(hot-path-alloc): the down-scaled image is a fresh scratch vector per call; callers that must not allocate use one of the six preprocessors that write in place
+fn scale(src: &[f32], c: usize, h: usize, w: usize, p: u32, out: &mut [f32]) {
     assert!(p > 0 && p <= 100, "scale percentage must be in 1..=100");
-    let (_, c, h, w) = image.shape().as_nchw();
     let sh = ((h as f32 * p as f32 / 100.0).round() as usize).max(1);
     let sw = ((w as f32 * p as f32 / 100.0).round() as usize).max(1);
     if sh == h && sw == w {
-        return image.clone();
+        out.copy_from_slice(src);
+        return;
     }
-    let src = image.data();
     let plane = h * w;
     // Downsample by bilinear sampling at the small grid.
     let mut small = vec![0.0f32; c * sh * sw];
@@ -269,7 +275,6 @@ fn scale(image: &Tensor, p: u32) -> Tensor {
         }
     }
     // Upsample back.
-    let mut out = vec![0.0f32; c * plane];
     let splane = sh * sw;
     for ch in 0..c {
         for y in 0..h {
@@ -280,7 +285,6 @@ fn scale(image: &Tensor, p: u32) -> Tensor {
             }
         }
     }
-    Tensor::from_vec([1, c, h, w], out)
 }
 
 fn bilinear(data: &[f32], ch: usize, h: usize, w: usize, plane: usize, fy: f32, fx: f32) -> f32 {
@@ -419,6 +423,35 @@ mod tests {
             assert_eq!(out.shape(), img.shape(), "{p} changed shape");
             assert!(!out.has_non_finite(), "{p} produced non-finite values");
         }
+    }
+
+    #[test]
+    fn apply_into_a_reused_buffer_equals_apply_bit_for_bit() {
+        // One buffer serves every preprocessor and image in turn, starting
+        // from NaN: a preprocessor that reads or keeps any value of its
+        // output buffer would differ from a fresh `apply`. Inputs reach
+        // outside [0, 1], as raw sensor values may.
+        let mut pool = crate::standard_pool();
+        pool.push(Preprocessor::Identity);
+        assert_eq!(pool.len(), 10, "all nine preprocessors, Gamma at two levels");
+        let mut buffer = vec![f32::NAN; 3 * 9 * 11];
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let img = Tensor::uniform(vec![1, 3, 9, 11], -0.2, 1.3, &mut rng);
+            for p in &pool {
+                let fresh = p.apply(&img);
+                p.apply_into(&img, &mut buffer);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&buffer), bits(fresh.data()), "{p} on image {seed}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "match the image")]
+    fn apply_into_rejects_a_mismatched_buffer() {
+        let img = Tensor::zeros(vec![1, 1, 4, 4]);
+        Preprocessor::FlipX.apply_into(&img, &mut [0.0; 15]);
     }
 
     #[test]

@@ -501,9 +501,8 @@ impl BatchEngine {
                 let requests = &self.batch[range];
                 move || {
                     for (slot, r) in shard.iter_mut().zip(requests) {
-                        let out = replica.decide(&r.image, None, |_| {
-                            r.deadline.is_none_or(|d| Instant::now() < d)
-                        });
+                        let out = replica
+                            .decide(&r.image, |_| r.deadline.is_none_or(|d| Instant::now() < d));
                         *slot = Some((out, Instant::now()));
                     }
                 }

@@ -54,6 +54,10 @@ const AB_W: usize = if cfg!(target_feature = "avx512f") { 32 } else { 16 };
 /// The narrowest `A·B` tile. A column remainder narrower than it runs
 /// through a zero-padded panel of this width.
 const AB_MIN_W: usize = 8;
+/// Lanes of one accumulator chunk of the `A·B` tile, the eight-lane
+/// vectors the tile is held in. Every tile width is a whole number of
+/// chunks.
+const LANES: usize = 8;
 
 /// Rows of the packed `A·Bᵀ` register tile: each microkernel call
 /// produces an `MR × NR` block of the output held entirely in registers.
@@ -126,15 +130,17 @@ impl GemmScratch {
     }
 }
 
-/// One `A·B` register tile: adds `a[r, p] · b[p, j]` into an `R × W`
-/// block of `c`, in ascending `p`. `a` starts at the tile's first row (row
-/// stride `k`), `b` at its first column (row stride `ldb`) and `c` at its
-/// origin (row stride `ldc`). The accumulators are seeded from `c` and
-/// stored back once, so each element sees exactly the axpy loop's
-/// operations. Every length the tile touches is a constant, which keeps
-/// the accumulators in registers.
+/// One `A·B` register tile: adds `a[r, p] · b[p, j]` into an
+/// `R × (C · LANES)` block of `c`, in ascending `p`. `a` starts at the
+/// tile's first row (row stride `k`), `b` at its first column (row stride
+/// `ldb`) and `c` at its origin (row stride `ldc`). The accumulators are
+/// seeded from `c` and stored back once, so each element sees exactly the
+/// axpy loop's operations. Every length the tile touches is a constant,
+/// which keeps the accumulators in registers, and the accumulators and
+/// each row of `B` are split into explicit `LANES`-wide chunks, one
+/// vector each, so no chunk straddles two vectors.
 #[inline(always)]
-fn ab_tile<const R: usize, const W: usize>(
+fn ab_tile<const R: usize, const C: usize>(
     k: usize,
     a: &[f32],
     b: &[f32],
@@ -142,29 +148,38 @@ fn ab_tile<const R: usize, const W: usize>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let mut acc = [[0.0f32; W]; R];
+    let mut acc = [[[0.0f32; LANES]; C]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[r * ldc..][..W]);
+        for (q, chunk) in row.iter_mut().enumerate() {
+            chunk.copy_from_slice(&c[r * ldc + q * LANES..][..LANES]);
+        }
     }
     let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..][..k]);
     for p in 0..k {
-        let b_row = &b[p * ldb..][..W];
+        let b_row = &b[p * ldb..][..C * LANES];
+        let b_chunks: [[f32; LANES]; C] = std::array::from_fn(|q| {
+            b_row[q * LANES..][..LANES].try_into().expect("a chunk is LANES wide")
+        });
         for (row, a_row) in acc.iter_mut().zip(a_rows) {
             let av = a_row[p];
-            for (s, &bv) in row.iter_mut().zip(b_row) {
-                *s += av * bv;
+            for (chunk, b_chunk) in row.iter_mut().zip(&b_chunks) {
+                for (s, &bv) in chunk.iter_mut().zip(b_chunk) {
+                    *s += av * bv;
+                }
             }
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        c[r * ldc..][..W].copy_from_slice(row);
+        for (q, chunk) in row.iter().enumerate() {
+            c[r * ldc + q * LANES..][..LANES].copy_from_slice(chunk);
+        }
     }
 }
 
-/// Runs [`ab_tile`] of width `W` down all `m` rows of one column block:
+/// Runs [`ab_tile`] of `C` chunks down all `m` rows of one column block:
 /// `AB_R` rows at a time, then a tail of 2 rows and of 1.
 #[inline(always)]
-fn ab_column<const W: usize>(
+fn ab_column<const C: usize>(
     m: usize,
     k: usize,
     a: &[f32],
@@ -175,15 +190,15 @@ fn ab_column<const W: usize>(
 ) {
     let mut i = 0;
     while m - i >= AB_R {
-        ab_tile::<AB_R, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+        ab_tile::<AB_R, C>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
         i += AB_R;
     }
     if m - i >= 2 {
-        ab_tile::<2, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+        ab_tile::<2, C>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
         i += 2;
     }
     if m > i {
-        ab_tile::<1, W>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
+        ab_tile::<1, C>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
     }
 }
 
@@ -306,15 +321,15 @@ pub fn gemm_into(
     assert_ab_dims(m, k, n, a, b, c);
     let mut j = 0;
     while n - j >= AB_W {
-        ab_column::<AB_W>(m, k, a, &b[j..], n, &mut c[j..], n);
+        ab_column::<{ AB_W / LANES }>(m, k, a, &b[j..], n, &mut c[j..], n);
         j += AB_W;
     }
     if AB_W > 16 && n - j >= 16 {
-        ab_column::<16>(m, k, a, &b[j..], n, &mut c[j..], n);
+        ab_column::<{ 16 / LANES }>(m, k, a, &b[j..], n, &mut c[j..], n);
         j += 16;
     }
     if n - j >= AB_MIN_W {
-        ab_column::<AB_MIN_W>(m, k, a, &b[j..], n, &mut c[j..], n);
+        ab_column::<{ AB_MIN_W / LANES }>(m, k, a, &b[j..], n, &mut c[j..], n);
         j += AB_MIN_W;
     }
     let rest = n - j;
@@ -334,7 +349,7 @@ pub fn gemm_into(
         for (dst, src) in c_panel.chunks_exact_mut(AB_MIN_W).zip(c[j..].chunks(n)) {
             pad(dst, src);
         }
-        ab_column::<AB_MIN_W>(m, k, a, b_panel, AB_MIN_W, c_panel, AB_MIN_W);
+        ab_column::<{ AB_MIN_W / LANES }>(m, k, a, b_panel, AB_MIN_W, c_panel, AB_MIN_W);
         for (src, dst) in c_panel.chunks_exact(AB_MIN_W).zip(c[j..].chunks_mut(n)) {
             dst[..rest].copy_from_slice(&src[..rest]);
         }
