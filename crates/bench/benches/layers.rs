@@ -1,11 +1,14 @@
 //! Layer profile — ns/image, MACs and GMAC/s for every layer of a member
-//! network at batch 1.
+//! network at batch 1 and at batch 8.
 //!
 //! Not a paper exhibit: this harness measures where a member forward
 //! spends its time, for lenet5 (1×16×16, 10 classes) and alexnet_mini
 //! (3×24×24, 20 classes) — the networks the serve and guarded batch
 //! workloads run — untrained, with weights rounded to 14 bits as a RAMR
-//! member's are. Each network runs in three modes:
+//! member's are. Each network runs one image at a time, as a served
+//! request does, and eight at a time, as a member's batched pass over an
+//! eight-image `infer_batch` segment does; batch-8 times are reported per
+//! image (the run's time divided by 8). Each network runs in three modes:
 //!
 //! - `off`: `Guard::Off`, with a hook that only takes timestamps;
 //! - `hook14`: `Guard::Off`, the hook rounding every activation to 14 bits;
@@ -74,8 +77,12 @@ fn ns(a: Instant, b: Instant) -> f64 {
     b.saturating_duration_since(a).as_nanos() as f64
 }
 
-/// Profiles one network; returns its JSON object.
-fn profile(spec: &ArchSpec) -> String {
+/// Batch sizes each network is profiled at.
+const BATCHES: [usize; 2] = [1, 8];
+
+/// Profiles one network at `batch` images per run; returns its JSON
+/// object.
+fn profile(spec: &ArchSpec, batch: usize) -> String {
     let q14 = Precision::new(14);
     let tolerance = 2f32.powi(-(q14.mantissa_bits() as i32));
     let mut net = build(spec, 1);
@@ -83,7 +90,7 @@ fn profile(spec: &ArchSpec) -> String {
     let costs = net.cost_profile();
     let layers = costs.len();
     let mut rng = StdRng::seed_from_u64(24);
-    let dims = [1, spec.in_c, spec.in_h, spec.in_w];
+    let dims = [batch, spec.in_c, spec.in_h, spec.in_w];
     let pixels = dims.iter().product();
     let image = Tensor::from_vec(dims, (0..pixels).map(|_| rng.gen_range(0.0..1.0)).collect());
 
@@ -110,17 +117,18 @@ fn profile(spec: &ArchSpec) -> String {
             if round >= WARMUP {
                 let s = stamps.borrow();
                 assert_eq!(s.len(), layers + 1, "one stamp for the input and each layer");
+                let per_image = batch as f64;
                 for (l, pair) in s.windows(2).enumerate() {
-                    samples[m][l].push(ns(pair[0], pair[1]));
+                    samples[m][l].push(ns(pair[0], pair[1]) / per_image);
                 }
-                samples[m][layers].push(ns(t0, t1));
+                samples[m][layers].push(ns(t0, t1) / per_image);
             }
         }
     }
 
     let total_macs: u64 = costs.iter().map(|c| c.macs).sum();
     println!();
-    println!("{} ({layers} layers, {total_macs} MACs/image)", spec.arch_id());
+    println!("{} at batch {batch} ({layers} layers, {total_macs} MACs/image)", spec.arch_id());
     print!("{:>3} {:<16} {:>10}", "#", "kind", "MACs");
     for mode in &MODES {
         print!(" {:>16}", format!("{} ns", mode.name));
@@ -180,23 +188,21 @@ fn profile(spec: &ArchSpec) -> String {
     let abft = totals[2] / totals[1] - 1.0;
     println!("ABFT overhead (guarded_hook14 / hook14 - 1, medians): {abft:.3}");
     format!(
-        "{{\"arch\": \"{}\", \"abft_overhead_frac\": {abft:.4}, \"modes\": {{\n      {}\n    }}}}",
+        "{{\"arch\": \"{}\", \"batch\": {batch}, \"abft_overhead_frac\": {abft:.4}, \"modes\": {{\n      {}\n    }}}}",
         spec.arch_id(),
         modes_json.join(",\n      ")
     )
 }
 
 fn main() {
-    banner("Layer profile", "per-layer ns/image, MACs and GMAC/s at batch 1");
+    banner("Layer profile", "per-layer ns/image, MACs and GMAC/s at batch 1 and 8");
     let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host cores: {nproc}   rounds: {ROUNDS} (+{WARMUP} warm-up), modes interleaved");
+    let specs = [ArchSpec::lenet5(1, 16, 16, 10), ArchSpec::alexnet_mini(3, 24, 24, 20)];
     let nets: Vec<String> =
-        [ArchSpec::lenet5(1, 16, 16, 10), ArchSpec::alexnet_mini(3, 24, 24, 20)]
-            .iter()
-            .map(profile)
-            .collect();
+        (specs.iter()).flat_map(|spec| BATCHES.map(|batch| profile(spec, batch))).collect();
     let json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"rounds\": {ROUNDS},\n  \"batch\": 1,\n  \"nets\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"nproc\": {nproc},\n  \"rounds\": {ROUNDS},\n  \"nets\": [\n    {}\n  ]\n}}\n",
         nets.join(",\n    ")
     );
     std::fs::write("BENCH_layers.json", &json).expect("write BENCH_layers.json");

@@ -4,9 +4,12 @@
 //! A [`Member`] owns the buffers of its pass: the preprocessed input and
 //! the probability vector. Every pass (preprocess, [`Network::run`], the
 //! in-place softmax) writes into them, so a warmed pass allocates
-//! nothing. The system casts votes from them as top-1 `(class,
-//! confidence)` pairs; [`Member::predict`] and [`Member::predict_checked`]
-//! return a copy of the probabilities, their one allocation.
+//! nothing. A pass runs a batch of images as one [`Network::run`], which
+//! gives every image the logits and the fault verdict of a run on that
+//! image alone; a single prediction is a batch of one. The system casts
+//! votes from the buffers as top-1 `(class, confidence)` pairs;
+//! [`Member::predict`] and [`Member::predict_checked`] return a copy of
+//! the probabilities, their one allocation.
 
 use crate::decision::top_vote;
 use pgmr_datasets::Dataset;
@@ -32,10 +35,11 @@ pub struct Member {
     precision: Precision,
     fault: Option<ActivationInjector>,
     protection: Option<CheckPlan>,
-    /// The preprocessed input of the latest pass, reused while the image
-    /// shape stays the same.
-    input: Tensor,
-    /// The softmax probabilities of the latest pass, reused.
+    /// The storage of the latest pass's preprocessed `[images, c, h, w]`
+    /// input, reused: it grows only past the largest batch so far.
+    input: Vec<f32>,
+    /// The softmax probabilities of the latest pass, one row per image,
+    /// reused.
     probs: Vec<f32>,
 }
 
@@ -48,7 +52,7 @@ impl Member {
             precision: Precision::FULL,
             fault: None,
             protection: None,
-            input: Tensor::default(),
+            input: Vec::new(),
             probs: Vec::new(),
         }
     }
@@ -156,7 +160,7 @@ impl Member {
     /// first, then the (possibly quantized, possibly fault-injected)
     /// forward pass.
     pub fn predict(&mut self, image: &Tensor) -> Vec<f32> {
-        self.pass(image, None).expect("an unguarded run cannot fault");
+        self.pass(std::slice::from_ref(image), None).expect("an unguarded run cannot fault");
         self.probs.clone()
     }
 
@@ -172,7 +176,7 @@ impl Member {
         image: &Tensor,
         tolerance: f32,
     ) -> Result<Vec<f32>, ChecksumFault> {
-        self.pass(image, Some(self.abft_tolerance(tolerance)))?;
+        self.pass(std::slice::from_ref(image), Some(self.abft_tolerance(tolerance)))?;
         Ok(self.probs.clone())
     }
 
@@ -185,20 +189,43 @@ impl Member {
         image: &Tensor,
         tolerance: Option<f32>,
     ) -> Result<(usize, f32), ChecksumFault> {
-        self.pass(image, tolerance.map(|t| self.abft_tolerance(t)))?;
-        Ok(top_vote(&self.probs))
+        let mut votes = self.votes(std::slice::from_ref(image), tolerance)?;
+        Ok(votes.next().expect("a pass over one image casts one vote"))
     }
 
-    /// The one member pass: preprocess into the member's input buffer,
-    /// then [`Network::run`] into its probability buffer with the
-    /// fault/precision hook (omitted entirely when neither is active) and,
-    /// given a tolerance, the member's guard; softmax in place over the
-    /// logits.
-    fn pass(&mut self, image: &Tensor, tolerance: Option<f32>) -> Result<(), ChecksumFault> {
-        if self.input.shape() != image.shape() {
-            self.input = input_buffer(image);
+    /// The member's top-1 votes on a batch of raw images of one shape, in
+    /// order: one pass over the whole batch, each image's vote and fault
+    /// verdict those of [`Member::vote`] on it. A guarded batch faults if
+    /// any image's own pass would. An attached injector draws per tensor
+    /// of a pass, so a batch draws a different stream than the images run
+    /// one at a time.
+    pub(crate) fn votes(
+        &mut self,
+        images: &[Tensor],
+        tolerance: Option<f32>,
+    ) -> Result<impl Iterator<Item = (usize, f32)> + '_, ChecksumFault> {
+        self.pass(images, tolerance.map(|t| self.abft_tolerance(t)))?;
+        Ok(self.probs.chunks_exact(self.network.num_classes()).map(top_vote))
+    }
+
+    /// The one member pass: preprocess every image into its slice of the
+    /// member's input buffer, then one [`Network::run`] over the batch into
+    /// its probability buffer with the fault/precision hook (omitted
+    /// entirely when neither is active) and, given a tolerance, the
+    /// member's guard; softmax in place over each image's logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is empty or its images differ in shape.
+    fn pass(&mut self, images: &[Tensor], tolerance: Option<f32>) -> Result<(), ChecksumFault> {
+        let (_, c, h, w) = images[0].shape().as_nchw();
+        let mut data = std::mem::take(&mut self.input);
+        data.resize(images.len() * c * h * w, 0.0);
+        for (image, slot) in images.iter().zip(data.chunks_exact_mut((c * h * w).max(1))) {
+            assert_eq!(image.shape(), images[0].shape(), "a batch holds images of one shape");
+            self.preprocessor.apply_into(image, slot);
         }
-        self.preprocessor.apply_into(image, self.input.data_mut());
+        let input = Tensor::from_vec([images.len(), c, h, w], data);
         let p = self.precision;
         let fault = self.fault.as_ref();
         if let Some(inj) = fault {
@@ -220,9 +247,14 @@ impl Member {
         };
         let needs_hook = fault.is_some() || p != Precision::FULL;
         let plan = RunPlan { hook: needs_hook.then_some(hook), guard, ..RunPlan::default() };
-        self.network.run(&self.input, &plan, &mut self.probs)?;
-        debug_assert_eq!(self.probs.len(), self.network.num_classes());
-        pgmr_tensor::softmax_in_place(&mut self.probs);
+        let verdict = self.network.run(&input, &plan, &mut self.probs);
+        self.input = input.into_data();
+        verdict?;
+        let classes = self.network.num_classes();
+        debug_assert_eq!(self.probs.len(), images.len() * classes);
+        for row in self.probs.chunks_exact_mut(classes) {
+            pgmr_tensor::softmax_in_place(row);
+        }
         Ok(())
     }
 
@@ -242,12 +274,6 @@ impl Member {
         }
         correct as f64 / data.len() as f64
     }
-}
-
-/// A member input buffer of `image`'s shape.
-// pgmr-lint: boundary(hot-path-alloc): a member sizes its input buffer on its first pass and again only when the image shape changes
-fn input_buffer(image: &Tensor) -> Tensor {
-    Tensor::zeros(*image.shape())
 }
 
 /// The Layer-2 heterogeneous MR ensemble: an ordered list of members.

@@ -10,8 +10,9 @@
 //! one-image segment. [`PolygraphSystem::infer_batch`] on a system that
 //! [decides in order](PolygraphSystem::decides_in_order) runs its images
 //! as segments bounded by the solo horizon, one pool job per voting
-//! member per segment, and still gives exactly what deciding the images
-//! one at a time gives (see `DESIGN.md` §4a).
+//! member per segment, in which a member without a fault injector runs
+//! the segment in batched forwards; it still gives exactly what deciding
+//! the images one at a time gives (see `DESIGN.md` §4a).
 
 use crate::decision::{Thresholds, Verdict, VoteTally};
 use crate::ensemble::{Ensemble, Member};
@@ -29,18 +30,24 @@ use pgmr_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 
 /// Runs `forward`, timed into member `index`'s latency histogram
-/// `infer.forward_ns.m{index}`. Members 0–15 keep their handle after the
-/// first use, so ensembles of up to 16 members look nothing up and
-/// allocate nothing; members past them resolve their timer by name on
+/// `infer.forward_ns.m{index}` as the `samples` its result asks for, its
+/// time split evenly over them: one per image of a pass, none for a
+/// discarded one (see [`member_passes`]). Members 0–15 keep their handle
+/// after the first use, so ensembles of up to 16 members look nothing up
+/// and allocate nothing; members past them resolve their timer by name on
 /// every call. The registry zeroes metrics in place on reset, so the
 /// cached handles stay wired to it.
-fn time_forward<R>(index: usize, forward: impl FnOnce() -> R) -> R {
+fn time_forward<R>(
+    index: usize,
+    forward: impl FnOnce() -> R,
+    samples: impl FnOnce(&R) -> u64,
+) -> R {
     static TIMERS: [OnceLock<Arc<Histogram>>; 16] = [const { OnceLock::new() }; 16];
     // pgmr-lint: allow(hot-path-alloc): the name is formatted once per member 0–15 and on every forward only for members past them
     let resolve = || pgmr_obs::global().timer(&format!("infer.forward_ns.m{index}"));
     match TIMERS.get(index) {
-        Some(slot) => slot.get_or_init(resolve).time(forward),
-        None => resolve().time(forward),
+        Some(slot) => slot.get_or_init(resolve).time_split(forward, samples),
+        None => resolve().time_split(forward, samples),
     }
 }
 
@@ -121,6 +128,14 @@ const QUARANTINE_AFTER: u32 = 3;
 /// weight corruption, which ABFT checksums cannot see.
 const SOLO_AFTER: u32 = 5;
 
+/// Images a member runs in one batched pass; a longer segment runs in
+/// several. Batching shares each pass over a dense layer's weight, but a
+/// pool worker's arena and the member's buffers grow with the batch: on
+/// perfbench's `batch_guarded`, passes of all 8 images of a call read
+/// 17.7 MB `peak_rss_mb` against 16.1 for passes of 4 (14.3 unbatched)
+/// and ran no faster.
+const PASS_IMAGES: usize = 4;
+
 /// One member's pass of one image: its top-1 vote `(class, confidence)`
 /// or the checksum fault it kept raising, and the retries spent.
 type Pass = (Result<(usize, f32), ChecksumFault>, usize);
@@ -129,18 +144,27 @@ type Pass = (Result<(usize, f32), ChecksumFault>, usize);
 /// one, a checksum-verified vote re-run up to [`RETRIES`] times while it
 /// faults.
 fn member_pass(m: usize, member: &mut Member, image: &Tensor, tolerance: Option<f32>) -> Pass {
-    let mut result = time_forward(m, || member.vote(image, tolerance));
+    let mut result = time_forward(m, || member.vote(image, tolerance), |_| 1);
     let mut retried = 0;
     while result.is_err() && retried < RETRIES {
         retried += 1;
-        result = time_forward(m, || member.vote(image, tolerance));
+        result = time_forward(m, || member.vote(image, tolerance), |_| 1);
     }
     (result, retried)
 }
 
 /// Runs member `m`'s passes over a segment's `images`, in order, into
-/// `slots`. It stops after the pass that gives the member its
-/// [`QUARANTINE_AFTER`]-th strike, counting from `strikes`: the fold
+/// `slots`, [`PASS_IMAGES`] images at a time.
+///
+/// A member without an injector runs two or more images as one batched
+/// pass ([`Member::votes`]), which gives every image the vote and the
+/// fault verdict of its own pass: if it does not fault, every image votes
+/// from it with no retry, and the forward timer records one sample per
+/// image. A batched pass that faults is discarded, timed into no sample,
+/// and its images run one at a time, as an injected member's always do (an
+/// injector draws per tensor, so a batch would reorder its stream): each
+/// through [`member_pass`], stopping after the pass that gives the member
+/// its [`QUARANTINE_AFTER`]-th strike, counting from `strikes`. The fold
 /// quarantines the member at that image, so the sequential path runs it
 /// on none of the later ones. Only the member's own faults move its
 /// strikes.
@@ -152,14 +176,27 @@ fn member_passes(
     mut strikes: u32,
     slots: &mut [Option<Pass>],
 ) {
-    for (image, slot) in images.iter().zip(slots) {
-        let pass = member_pass(m, member, image, tolerance);
-        let struck = pass.0.is_err();
-        *slot = Some(pass);
-        if struck {
-            strikes += 1;
-            if strikes >= QUARANTINE_AFTER {
-                break;
+    let batches = member.fault_injector().is_none();
+    for (images, slots) in images.chunks(PASS_IMAGES).zip(slots.chunks_mut(PASS_IMAGES)) {
+        if batches && images.len() > 1 {
+            let per_image =
+                |votes: &Result<_, _>| if votes.is_ok() { images.len() as u64 } else { 0 };
+            if let Ok(votes) = time_forward(m, || member.votes(images, tolerance), per_image) {
+                for (slot, vote) in slots.iter_mut().zip(votes) {
+                    *slot = Some((Ok(vote), 0));
+                }
+                continue;
+            }
+        }
+        for (image, slot) in images.iter().zip(slots) {
+            let pass = member_pass(m, member, image, tolerance);
+            let struck = pass.0.is_err();
+            *slot = Some(pass);
+            if struck {
+                strikes += 1;
+                if strikes >= QUARANTINE_AFTER {
+                    return;
+                }
             }
         }
     }
@@ -409,7 +446,7 @@ impl PolygraphSystem {
                 let n = members.len();
                 // Split borrow: the closure indexes members directly.
                 let vote = |m: usize| {
-                    let vote = time_forward(m, || members[m].vote(image, None));
+                    let vote = time_forward(m, || members[m].vote(image, None), |_| 1);
                     vote.expect("an unguarded run cannot fault")
                 };
                 let out = staged.decide_votes(vote, n, may_escalate);
@@ -449,19 +486,21 @@ impl PolygraphSystem {
 
     /// Decides `images` in order through the full-ensemble vote, as one
     /// segment. First each voting member runs its passes over all of
-    /// `images` ([`member_passes`]): one pool job per member given a pool,
-    /// inline otherwise. Then the votes fold image by image, in member
-    /// order, through [`PolygraphSystem::absorb`], the solo scan and the
-    /// verdict, skipping members quarantined earlier in the fold; `emit`
-    /// receives each decision in order.
+    /// `images` ([`member_passes`]: batched passes, or one pass per
+    /// image): one pool job per member given a pool, inline otherwise.
+    /// Then the votes fold image by image, in member order, through
+    /// [`PolygraphSystem::absorb`], the solo scan and the verdict, skipping
+    /// members quarantined earlier in the fold; `emit` receives each
+    /// decision in order.
     ///
     /// `images` must be non-empty and end at or before the
     /// [solo horizon](PolygraphSystem::solo_horizon). Inside it the voting
     /// set shrinks only through a member's own strikes, which its job
-    /// follows, so no pass runs that deciding the images one at a time
-    /// would not run: verdicts, fault events, injector streams and forward
-    /// timers match [`PolygraphSystem::infer_counted`] per image at any
-    /// pool width. Only the fold emits obs events, never a pool job.
+    /// follows, so every vote and fault is the one deciding the images one
+    /// at a time gives: verdicts, fault events, injector streams and the
+    /// forward timers' sample counts match
+    /// [`PolygraphSystem::infer_counted`] per image at any pool width.
+    /// Only the fold emits obs events, never a pool job.
     fn poll_segment(
         &mut self,
         images: &[Tensor],
@@ -644,8 +683,9 @@ impl PolygraphSystem {
     /// through the full-ensemble vote runs member-major, in segments that
     /// each end at the first image where a persistent-disagreement
     /// quarantine could fire: a segment is one pool job per voting member,
-    /// whose votes then fold image by image in request order (see
-    /// `DESIGN.md` §4a). RADE decided in order (an injector without a
+    /// batched forwards over the segment for each member without an
+    /// injector, whose votes then fold image by image in request order
+    /// (see `DESIGN.md` §4a). RADE decided in order (an injector without a
     /// policy) runs its images one after another, as does any batch the
     /// pool cannot split. Any other system is sharded across the pool on
     /// clones of itself — forward passes are deterministic, so the shards
@@ -653,7 +693,6 @@ impl PolygraphSystem {
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
         let mut decisions = Vec::with_capacity(images.len());
         let in_order = self.decides_in_order();
-        let one_by_one = in_order || pool.threads() == 1 || images.len() < 2;
         if in_order && self.polls_every_member() {
             // A one-wide pool would run the member jobs inline anyway.
             let jobs_pool = (pool.threads() > 1).then_some(pool);
@@ -663,7 +702,7 @@ impl PolygraphSystem {
                 self.poll_segment(segment, jobs_pool, |d| decisions.push(d));
                 rest = tail;
             }
-        } else if one_by_one {
+        } else if in_order || pool.threads() == 1 || images.len() < 2 {
             for image in images {
                 decisions.push(self.decide(image, |_| true).decision);
             }

@@ -815,20 +815,16 @@ fn closure_regions(w: &Walker<'_>, start: usize, end: usize) -> Vec<(usize, usiz
     let mut out = Vec::new();
     let mut i = start;
     while i < end {
-        let is_closure_head = if w.is_punct(i, "||") {
-            true
-        } else if w.is_punct(i, "|") {
-            // `|` opens a closure only in expression position.
-            i == start
+        // `|` and `||` open a closure only in expression position; after an
+        // operand they are an or (`a | b`, `a || b`).
+        let is_closure_head = (w.is_punct(i, "||") || w.is_punct(i, "|"))
+            && (i == start
                 || w.tok(i - 1).is_some_and(|p| {
                     (p.kind == TokenKind::Punct
                         && ["(", ",", "=", "{", "=>", ";", ":", "&&"].contains(&p.text.as_str()))
                         || (p.kind == TokenKind::Ident
                             && ["move", "return", "else"].contains(&p.text.as_str()))
-                })
-        } else {
-            false
-        };
+                }));
         if !is_closure_head {
             i += 1;
             continue;
@@ -979,6 +975,20 @@ mod tests {
         assert!(work.in_closure);
         let direct = f.calls.iter().find(|c| c.path == ["direct"]).expect("direct call");
         assert!(!direct.in_closure);
+    }
+
+    #[test]
+    fn logical_or_is_not_a_closure_head() {
+        let src = "fn f(a: bool, b: bool) { if a || b { left(); } else { right(); } \
+                   let g = || inner(); }\nfn left() {}\nfn right() {}\nfn inner() {}\n";
+        let ix = index_one("crates/x/src/lib.rs", src);
+        let f = fn_named(&ix, "f");
+        for name in ["left", "right"] {
+            let call = f.calls.iter().find(|c| c.path == [name]).expect("branch call");
+            assert!(!call.in_closure, "{name} sits after a logical or, not in a closure");
+        }
+        let inner = f.calls.iter().find(|c| c.path == ["inner"]).expect("inner call");
+        assert!(inner.in_closure);
     }
 
     #[test]

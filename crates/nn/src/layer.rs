@@ -81,8 +81,9 @@ pub struct LayerCost {
 ///   weight mutation — `map_params`/`set_precision`, `load_state`,
 ///   optimizer steps, fault injection and repair — goes through it.
 /// * The expectations of the latest checked forward, one block per GEMM
-///   (one per image for a convolution, one per batch for a dense layer),
-///   live in buffers refilled in place, so a warmed checked forward
+///   (one per image for a convolution; one per batch for a dense layer,
+///   which checks every image's row on its own), live in buffers refilled
+///   in place, so a warmed checked forward
 ///   allocates nothing. An unchecked forward leaves them as they are: the
 ///   duplicated recompute of a checked layer runs between its forward and
 ///   [`Layer::verify_output`].

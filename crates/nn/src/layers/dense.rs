@@ -4,7 +4,7 @@ use crate::init::he_normal;
 use crate::layer::{GemmGuard, Layer, LayerCost, ParamSlot};
 use crate::workspace::Workspace;
 use pgmr_tensor::checksum::ChecksumFault;
-use pgmr_tensor::gemm::{gemm_a_bt_into, gemm_at_b};
+use pgmr_tensor::gemm::{gemm_a_bt, gemm_at_b};
 use pgmr_tensor::Tensor;
 use rand::Rng;
 
@@ -19,7 +19,8 @@ pub struct Dense {
     weight: ParamSlot,
     bias: ParamSlot,
     input_cache: Option<Tensor>,
-    /// ABFT state: weight-side sums and the batch's expectation block.
+    /// ABFT state: weight-side sums and the batch's expectations, one
+    /// block per image.
     guard: GemmGuard,
 }
 
@@ -54,9 +55,10 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    /// A checked forward computes the product and its checksum
-    /// expectations together ([`GemmChecksums::gemm_a_bt`]: at batch 1 in
-    /// one pass over the weight); an unchecked one runs the GEMM alone.
+    /// A checked forward computes the product and every image's checksum
+    /// expectations together, in one pass over the weight
+    /// ([`GemmChecksums::gemm_a_bt`]); an unchecked one runs the GEMM
+    /// alone. Either way the batch shares each pass over the weight.
     ///
     /// [`GemmChecksums::gemm_a_bt`]: pgmr_tensor::checksum::GemmChecksums::gemm_a_bt
     fn forward_into(
@@ -78,9 +80,9 @@ impl Layer for Dense {
         if checked {
             let (sums, blocks) = self.guard.begin(1, fout, fin, weight, bias);
             let (x, y) = (input.data(), out.data_mut());
-            blocks[0].gemm_a_bt(n, fin, fout, x, weight, bias, sums, y, ws.gemm_scratch());
+            blocks[0].gemm_a_bt(n, fin, fout, x, weight, bias, sums, y);
         } else {
-            gemm_a_bt_into(n, fin, fout, input.data(), weight, out.data_mut(), ws.gemm_scratch());
+            gemm_a_bt(n, fin, fout, input.data(), weight, out.data_mut());
         }
         if train {
             self.cache_input(&input);

@@ -156,11 +156,17 @@ impl Network {
     /// [`ChecksumKind::Recompute`] fault. The first fault is returned
     /// instead of logits.
     ///
+    /// Every image of a batch is computed and verified exactly as a run on
+    /// that image alone would be: a batch faults if and only if one of its
+    /// images' own runs faults, and an image's logits do not depend on the
+    /// others (see `DESIGN.md` §4a). The first fault is reported for the
+    /// whole batch.
+    ///
     /// Guarded runs flush the number of guarded layers verified / skipped
-    /// and duplicate executions to the `abft.checked_total`,
-    /// `abft.skipped_total` and `dup.exec_total` counters once per pass
-    /// (also on the early-fault path); unguarded runs do no protection
-    /// accounting.
+    /// and duplicate executions, per image of the batch, to the
+    /// `abft.checked_total`, `abft.skipped_total` and `dup.exec_total`
+    /// counters once per run (also on the early-fault path); unguarded
+    /// runs do no protection accounting.
     ///
     /// Inference reuses this thread's workspace arena. Training uses a
     /// workspace of its own, so threads that train keep no training-sized
@@ -241,7 +247,7 @@ impl Network {
         }
         ws.release(x);
         if guarded {
-            tally.flush();
+            tally.flush(input.shape().dims().first().map_or(1, |&n| n as u64));
         }
         verdict
     }
@@ -440,16 +446,17 @@ impl ProtectTally {
         }
     }
 
-    fn flush(&self) {
+    /// Adds the run's counts, once per image of its batch.
+    fn flush(&self, images: u64) {
         let obs = pgmr_obs::global();
         if self.checked > 0 {
-            obs.counter("abft.checked_total").add(self.checked);
+            obs.counter("abft.checked_total").add(self.checked * images);
         }
         if self.skipped > 0 {
-            obs.counter("abft.skipped_total").add(self.skipped);
+            obs.counter("abft.skipped_total").add(self.skipped * images);
         }
         if self.duplicated > 0 {
-            obs.counter("dup.exec_total").add(self.duplicated);
+            obs.counter("dup.exec_total").add(self.duplicated * images);
         }
     }
 }

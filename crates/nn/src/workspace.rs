@@ -14,13 +14,12 @@
 //!   on every forward pass, so after the first call at a given
 //!   (architecture, batch) the arena serves every request from recycled
 //!   storage: zero steady-state heap allocations.
-//! * [`Workspace::gemm_scratch`] — packing buffers
-//!   ([`pgmr_tensor::gemm::GemmScratch`]) for the blocked GEMM kernels,
-//!   sized once at the largest panel a workload needs;
-//!   [`Workspace::scratch_with_gemm`] adds one dedicated buffer for im2col
+//! * [`Workspace::scratch_with_gemm`] — one dedicated buffer for im2col
 //!   patch matrices, reused across images, layers, and calls without
-//!   clearing: `im2col_into` writes every element, zeros for padded taps
-//!   included.
+//!   clearing (`im2col_into` writes every element, zeros for padded taps
+//!   included), and the `A·B` kernel's column-tail panels
+//!   ([`pgmr_tensor::gemm::GemmScratch`]), sized once at the largest
+//!   panel a workload needs.
 //!
 //! Inference runs on a per-thread arena via [`with_thread_workspace`];
 //! worker pool threads ([`crate::pool::WorkerPool`]) are persistent, so
@@ -97,7 +96,7 @@ impl Workspace {
     }
 
     /// Returns a tensor's storage to the free list for reuse. Re-samples
-    /// the peak first: the GEMM packing buffers may have grown since
+    /// the peak first: the GEMM tail panels may have grown since
     /// acquisition (they grow inside the layer's kernel call).
     pub fn release(&mut self, buf: Tensor) {
         self.note_usage();
@@ -106,17 +105,10 @@ impl Workspace {
         self.free.push(buf.into_data());
     }
 
-    /// The GEMM packing buffers (dense layers, which have no im2col
-    /// scratch of their own). Capacities only grow — the hot path reaches
-    /// a steady state after the first pass at a given shape set.
-    pub fn gemm_scratch(&mut self) -> &mut GemmScratch {
-        &mut self.gemm
-    }
-
     /// The shared im2col scratch, resized (capacity only grows) to exactly
-    /// `len` elements, *and* the GEMM packing buffers, borrowed together —
-    /// convolution writes patch matrices into the former while the blocked
-    /// kernel packs panels into the latter. Scratch contents are
+    /// `len` elements, *and* the GEMM tail panels, borrowed together —
+    /// convolution writes patch matrices into the former while the tiled
+    /// kernel pads its column tail into the latter. Scratch contents are
     /// unspecified: `im2col_into` overwrites every element it hands to the
     /// GEMM.
     pub fn scratch_with_gemm(&mut self, len: usize) -> (&mut [f32], &mut GemmScratch) {
@@ -131,8 +123,8 @@ impl Workspace {
         (&mut self.scratch[..len], &mut self.gemm)
     }
 
-    /// Current counters. GEMM packing growth counts toward `grows`, so the
-    /// steady-state regression tests cover the packed kernels too.
+    /// Current counters. GEMM panel growth counts toward `grows`, so the
+    /// steady-state regression tests cover the tail panels too.
     pub fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
             peak_bytes: self

@@ -148,9 +148,21 @@ impl Histogram {
     /// linter (`pgmr-lint`, rule `wall-clock`) keeps raw `Instant::now`
     /// reads confined to this crate and the benches.
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.time_split(f, |_| 1)
+    }
+
+    /// Runs `f`, and records its wall-clock duration split evenly over
+    /// the `samples` its output asks for: `n` samples of `elapsed / n`
+    /// nanoseconds each, or none for 0 — one run over a batch of items,
+    /// timed as one sample per item, or discarded.
+    pub fn time_split<R>(&self, f: impl FnOnce() -> R, samples: impl FnOnce(&R) -> u64) -> R {
         let start = std::time::Instant::now();
         let out = f();
-        self.record_duration(start.elapsed());
+        let n = samples(&out);
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(each) = ns.checked_div(n) {
+            (0..n).for_each(|_| self.record(each));
+        }
         out
     }
 
@@ -260,6 +272,19 @@ mod tests {
         assert_eq!(out, 42);
         assert_eq!(h.count(), 1);
         assert!(h.sum() < 1_000_000_000, "timing a multiply claimed >1s");
+    }
+
+    #[test]
+    fn time_split_records_equal_samples_or_none() {
+        let h = Histogram::new(Unit::Nanos);
+        let out = h.time_split(|| 3, |&n| n);
+        assert_eq!(out, 3);
+        assert_eq!(h.count(), 3);
+        let each = h.sum() / 3;
+        assert_eq!(h.sum(), 3 * each, "three equal samples");
+        assert_eq!(h.bucket(Histogram::bucket_index(each)), 3);
+        h.time_split(|| (), |_| 0);
+        assert_eq!(h.count(), 3, "zero samples record nothing");
     }
 
     #[test]

@@ -27,8 +27,14 @@
 //! layer reuses, so a warmed guarded forward allocates nothing:
 //! [`GemmChecksums::derive_ab`] for a convolution (`W·B`, the weight on
 //! the left) and [`GemmChecksums::gemm_a_bt`] for a dense layer
-//! (`x·Wᵀ`), which also computes the product — at batch 1 in the same
-//! pass of the dot kernel as its column checksums.
+//! (`x·Wᵀ`), which also computes the product in the same pass of the dot
+//! kernel as its column checksums.
+//!
+//! A convolution runs one GEMM per image, so each image has checksums of
+//! its own. A dense layer multiplies the whole batch at once, and checks
+//! every row — every image — against column sums of its own, so each image
+//! of a batch gets bit for bit the expectations and verdict of a batch of
+//! that image alone.
 //!
 //! ## Kernels and numerics
 //!
@@ -37,16 +43,15 @@
 //! as `Iterator::sum` does) and adds its terms in ascending index order;
 //! the kernels only keep several chains in flight. Row sums (`B·e`,
 //! `|B|·e` and the actual row sums in [`GemmChecksums::verify`]) run
-//! eight rows at once; matrix–vector terms (`W·(B·e)`, `x·(Wᵀe)`, the dense column
-//! checksums) run through the tiled dot kernel of [`mod@crate::gemm`], eight
-//! outputs per transposed tile; column sums run as vectorized axpy
-//! passes. The finiteness scan reads the magnitude sums: a finite sum of
+//! eight rows at once; matrix–vector terms (`W·(B·e)`, `x·(Wᵀe)`, the
+//! dense column checksums) run through the tiled dot kernel of
+//! [`mod@crate::gemm`], eight outputs per transposed tile; column sums run
+//! as vectorized axpy passes. The finiteness scan reads the magnitude
+//! sums (a dense row's: its column scales): a finite sum of
 //! magnitudes bounds every term, so only a non-finite one (a non-finite
 //! input, or an overflow) needs the element scan. The loops these replaced
 //! are kept as `#[cfg(test)]` oracles, and every expected sum, scale,
 //! finiteness flag and fault must match them bit for bit.
-
-use crate::gemm::GemmScratch;
 
 /// Which checksum direction caught a deviation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,27 +174,33 @@ fn add_col_sums(matrix: &[f32], k: usize, out: &mut [f32]) {
     }
 }
 
-/// Whether every element of `data` is finite, given the sums of its
+/// Whether every element of `data` is finite, given sums over its
 /// magnitudes: a finite sum of magnitudes bounds each of its terms, so
-/// only a non-finite one (a non-finite element, or an overflow) needs the
-/// element scan.
+/// only a non-finite one (a non-finite element, or an overflow) — or no
+/// sums at all — needs the element scan.
 fn all_finite(abs_sums: &[f32], data: &[f32]) -> bool {
-    abs_sums.iter().all(|v| v.is_finite()) || data.iter().all(|v| v.is_finite())
+    (!abs_sums.is_empty() && abs_sums.iter().all(|v| v.is_finite()))
+        || data.iter().all(|v| v.is_finite())
 }
 
-/// Folds a bias into `[sums | scales]` expectations: each entry of `each`
-/// (the direction the bias runs along) gains `count · b` of its own bias
-/// value, and every entry of `every` the bias totals. An empty bias adds
-/// nothing.
-fn fold_bias(bias: &[f32], count: usize, each: &mut [f32], every: &mut [f32], w: &WeightSums) {
-    if bias.is_empty() {
-        return;
-    }
+/// Folds a bias into the `[sums | scales]` expectations `each` that run
+/// along it: each sum gains `count · b` of its own bias value, and each
+/// scale `count · |b|`. An empty bias adds nothing.
+fn fold_bias_each(bias: &[f32], count: usize, each: &mut [f32]) {
     let c = count as f32;
     let (sums, scales) = each.split_at_mut(bias.len());
     for ((s, sa), &b) in sums.iter_mut().zip(scales.iter_mut()).zip(bias) {
         *s += c * b;
         *sa += c * b.abs();
+    }
+}
+
+/// Folds a bias into the `[sums | scales]` expectations `every` that run
+/// across it: every entry gains the bias totals. An empty bias adds
+/// nothing.
+fn fold_bias_every(bias: &[f32], every: &mut [f32], w: &WeightSums) {
+    if bias.is_empty() {
+        return;
     }
     let (sums, scales) = every.split_at_mut(every.len() / 2);
     for (s, sa) in sums.iter_mut().zip(scales.iter_mut()) {
@@ -246,32 +257,30 @@ fn row_sums<const ABS: bool>(
     }
 }
 
-/// The dot kernel's transform for a two-row `[sums | magnitude sums]`
-/// operand: the second row reads `|x|`.
-fn abs_on_row_1(row: usize, v: f32) -> f32 {
-    if row == 1 {
-        v.abs()
-    } else {
-        v
-    }
-}
-
 /// Expected row/column sums (plus round-off scales) for one `m×n` GEMM
 /// result, in buffers each derivation refills: a guarded layer keeps one
 /// per GEMM and reuses it from forward to forward without allocating.
+///
+/// The result is checked in *blocks* of consecutive rows, each against
+/// its own column sums: one block of all `m` rows for a convolution
+/// ([`GemmChecksums::derive_ab`]), and one block per row for a dense layer
+/// ([`GemmChecksums::gemm_a_bt`]), whose every row is an image checked
+/// exactly as a batch of that image alone would be.
 #[derive(Debug, Clone, Default)]
 pub struct GemmChecksums {
     m: usize,
     n: usize,
+    /// Rows per block: `m` for one block, 1 for one block per row.
+    block_rows: usize,
     /// `[row sums | row scales]`, `m` each: `Σ_j C[i,j]` expected, and the
     /// absolute-magnitude sum bounding its round-off.
     rows: Vec<f32>,
-    /// `[col sums | col scales]`, `n` each.
+    /// `[col sums | col scales]`, `n` each, for every block in order.
     cols: Vec<f32>,
-    /// False when any input operand (or bias) was NaN/Inf at derivation
-    /// time — see [`ChecksumKind::NonFinite`].
-    inputs_finite: bool,
-    /// The activation-side sums of the latest derivation.
+    /// Per block: false when any of its inputs (an operand or the bias)
+    /// was NaN/Inf at derivation time — see [`ChecksumKind::NonFinite`].
+    finite: Vec<bool>,
+    /// The activation-side sums of the latest convolution derivation.
     act: Vec<f32>,
 }
 
@@ -293,7 +302,7 @@ impl GemmChecksums {
     /// Derives the checksums of `C = W·B + bias·eᵀ` — the convolution
     /// orientation, every column of row `i` starting at `bias[i]` — with
     /// `W: m×k` the weight `w` was derived from, `B: k×n` and `bias` of
-    /// length `m` (or empty).
+    /// length `m` (or empty). The result is one block.
     ///
     /// The activation-side terms `B·e` and `|B|·e` run through the
     /// eight-chain row-sum kernel, and `W·(B·e)` and `|W|·(|B|·e)` through
@@ -318,17 +327,18 @@ impl GemmChecksums {
         assert_eq!(b.len(), k * n, "b must be {k}x{n}");
         assert!(bias.is_empty() || bias.len() == m, "bias must have length {m}");
         assert_eq!((w.rows, w.k, w.bias_len), (m, k, bias.len()), "weight sums of another shape");
-        (self.m, self.n) = (m, n);
+        (self.m, self.n, self.block_rows) = (m, n, m);
         // B·e and |B|·e.
         self.act.clear();
         self.act.resize(2 * k, 0.0);
         let (be, abe) = self.act.split_at_mut(k);
         row_sums::<true>(b, n, 0.0, be, abe);
-        self.inputs_finite = w.finite && all_finite(abe, b);
+        self.finite.clear();
+        self.finite.push(w.finite && all_finite(abe, b));
         // W·(B·e) and |W|·(|B|·e): each sum from +0.0 in ascending k.
         self.rows.clear();
         self.rows.resize(2 * m, 0.0);
-        crate::gemm::dot_a_bt(2, k, m, &self.act, weight, &mut self.rows, abs_on_row_1);
+        crate::gemm::dot_a_bt::<1, true>(2, k, m, &self.act, weight, &mut self.rows);
         // (eᵀW)·B and (eᵀ|W|)·|B|, one row of B at a time.
         self.cols.clear();
         self.cols.resize(2 * n, 0.0);
@@ -340,29 +350,34 @@ impl GemmChecksums {
                 *ca += sa * v.abs();
             }
         }
-        fold_bias(bias, n, &mut self.rows, &mut self.cols, w);
+        fold_bias_each(bias, n, &mut self.rows);
+        fold_bias_every(bias, &mut self.cols, w);
     }
 
-    /// Computes `c += a·wᵀ` — bit for bit as
-    /// [`crate::gemm::gemm_a_bt_into`] — and derives the checksums of the
-    /// result, `c` having held `bias` (length `n`, or empty for none) in
-    /// every row: the dense orientation, `y = x·Wᵀ + bias`, with `a: m×k`
-    /// and `weight: n×k` the weight `w` was derived from.
+    /// Computes `c += a·wᵀ` — bit for bit as [`crate::gemm::gemm_a_bt`] —
+    /// and derives the checksums of the result, `c` having held `bias`
+    /// (length `n`, or empty for none) in every row: the dense orientation,
+    /// `y = x·Wᵀ + bias`, with `a: m×k` a batch of `m` images and
+    /// `weight: n×k` the weight `w` was derived from. Every row is its own
+    /// block, with bit for bit the expectations, finiteness flag and
+    /// verdict that deriving it alone (`m = 1`) gives.
     ///
-    /// At `m = 1` (every serving dense layer) the column-checksum row
-    /// `(eᵀa)·Wᵀ` *is* the product row `a·Wᵀ`: `eᵀa = 0.0 + a` differs
-    /// from `a` only where `a` holds −0.0, and a sum that starts at +0.0
-    /// never becomes −0.0, so a ±0 term leaves it unchanged either way. The
-    /// dot kernel's transposed tile computes that row and `(eᵀ|a|)·|W|ᵀ`
-    /// in one pass, and the first row is added to `c` as the product; each
-    /// sum keeps its order, so the product and every checksum are
-    /// bit-identical to separate passes.
+    /// A row's column-checksum row `(eᵀa_i)·Wᵀ` *is* its product row
+    /// `a_i·Wᵀ`: `eᵀa_i = 0.0 + a_i` differs from `a_i` only where `a_i`
+    /// holds −0.0, and a sum that starts at +0.0 never becomes −0.0, so a
+    /// ±0 term leaves it unchanged either way. So the rows `[a_i, |a_i|]`
+    /// of all `m` images run through one dot pass over the weight, `|W|`
+    /// on the odd rows, each row of `a` read twice in place: each pair of
+    /// output rows is one image's `[col sums | col scales]`, and each even
+    /// row is added to `c` as that image's product. Every sum keeps its
+    /// order, so the product and every checksum are bit-identical to
+    /// separate passes.
     ///
     /// # Panics
     ///
     /// Panics if a slice length disagrees with its stated dimensions or
     /// `w` describes another shape.
-    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + weight sums + scratch
+    #[allow(clippy::too_many_arguments)] // GEMM dims + operands + weight sums
     pub fn gemm_a_bt(
         &mut self,
         m: usize,
@@ -373,36 +388,41 @@ impl GemmChecksums {
         bias: &[f32],
         w: &WeightSums,
         c: &mut [f32],
-        scratch: &mut GemmScratch,
     ) {
         assert_eq!(a.len(), m * k, "a must be {m}x{k}");
         assert_eq!(weight.len(), n * k, "weight must be {n}x{k}");
         assert_eq!(c.len(), m * n, "c must be {m}x{n}");
         assert!(bias.is_empty() || bias.len() == n, "bias must have length {n}");
         assert_eq!((w.rows, w.k, w.bias_len), (n, k, bias.len()), "weight sums of another shape");
-        (self.m, self.n) = (m, n);
-        // eᵀa and eᵀ|a|, rows added in ascending order from +0.0.
-        self.act.clear();
-        self.act.resize(2 * k, 0.0);
-        add_col_sums(a, k, &mut self.act);
-        self.inputs_finite = w.finite && all_finite(&self.act[k..], a);
+        (self.m, self.n, self.block_rows) = (m, n, 1);
+        // Per row, (eᵀa_i)·Wᵀ = a_i·Wᵀ and (eᵀ|a_i|)·|W|ᵀ: every row of a
+        // run twice, |·| on the second.
         self.cols.clear();
-        self.cols.resize(2 * n, 0.0);
-        crate::gemm::dot_a_bt(2, k, n, &self.act, weight, &mut self.cols, abs_on_row_1);
-        if m == 1 {
-            // The column sums are the product row (see above): add them to
-            // the bias in `c` as the GEMM adds its sums.
-            for (out, &s) in c.iter_mut().zip(&self.cols[..n]) {
-                *out += s;
+        self.cols.resize(2 * m * n, 0.0);
+        crate::gemm::dot_a_bt::<2, true>(2 * m, k, n, a, weight, &mut self.cols);
+        // A row's column scales sum its magnitudes, so finite scales mean
+        // a finite row.
+        self.finite.clear();
+        self.finite.extend(
+            (0..m).map(|i| {
+                w.finite && all_finite(&self.cols[(2 * i + 1) * n..][..n], &a[i * k..][..k])
+            }),
+        );
+        // The column sums are the product rows (see above): add them to
+        // the bias in `c` as the GEMM adds its sums.
+        for (out, block) in c.chunks_exact_mut(n.max(1)).zip(self.cols.chunks_exact(2 * n.max(1))) {
+            for (o, &s) in out.iter_mut().zip(&block[..n]) {
+                *o += s;
             }
-        } else {
-            crate::gemm::gemm_a_bt_into(m, k, n, a, weight, c, scratch);
         }
         // a·(Wᵀe) and |a|·(|W|ᵀe): eight rows of a at a time.
         self.rows.clear();
         self.rows.resize(2 * m, 0.0);
-        crate::gemm::dot_a_bt(2, k, m, &w.col, a, &mut self.rows, abs_on_row_1);
-        fold_bias(bias, m, &mut self.cols[..2 * n], &mut self.rows, w);
+        crate::gemm::dot_a_bt::<1, true>(2, k, m, &w.col, a, &mut self.rows);
+        for block in self.cols.chunks_exact_mut(2 * n.max(1)) {
+            fold_bias_each(bias, 1, block);
+        }
+        fold_bias_every(bias, &mut self.rows, w);
     }
 
     /// Result rows.
@@ -419,17 +439,17 @@ impl GemmChecksums {
     ///
     /// `tolerance` is relative: a sum may deviate by up to
     /// `tolerance × scale + tolerance` where `scale` is the matching
-    /// absolute-magnitude sum. Returns the first violated checksum: rows
-    /// first, in ascending order, then columns. If any input was NaN/Inf
-    /// at derivation time the result is rejected outright
-    /// ([`ChecksumKind::NonFinite`]) — a NaN-poisoned output would
-    /// otherwise make every sum comparison NaN-vs-NaN and the deviation
-    /// test vacuous.
+    /// absolute-magnitude sum. Returns the first violated checksum, block
+    /// by block: a block whose inputs were NaN/Inf at derivation time is
+    /// rejected outright ([`ChecksumKind::NonFinite`]) — a NaN-poisoned
+    /// output would otherwise make every sum comparison NaN-vs-NaN and the
+    /// deviation test vacuous — and any other block checks its rows first,
+    /// in ascending order, then its columns.
     ///
     /// The row sums run eight rows at a time, each from -0.0 in ascending
     /// order as `Iterator::sum` adds, and the column sums in blocks of
-    /// columns summed down the rows into a stack buffer, so verification
-    /// allocates nothing.
+    /// columns summed down the block's rows into a stack buffer, so
+    /// verification allocates nothing.
     ///
     /// # Panics
     ///
@@ -437,17 +457,6 @@ impl GemmChecksums {
     pub fn verify(&self, c: &[f32], tolerance: f32) -> Result<(), ChecksumFault> {
         let (m, n) = (self.m, self.n);
         assert_eq!(c.len(), m * n, "c must be {m}x{n}");
-        // Non-finite inputs fault unconditionally: NaN expected sums would
-        // make the deviation test vacuous, and an Inf expected sum likewise
-        // (`Inf > Inf` is false) — scan verdicts beat undefined comparisons.
-        if !self.inputs_finite {
-            return Err(ChecksumFault {
-                kind: ChecksumKind::NonFinite,
-                index: 0,
-                deviation: f32::NAN,
-                bound: 0.0,
-            });
-        }
         // A NaN deviation (Inf/NaN in the sums) must fault too.
         let check = |kind, index, actual: f32, expected: f32, scale: f32| {
             let deviation = (actual - expected).abs();
@@ -458,27 +467,46 @@ impl GemmChecksums {
                 Ok(())
             }
         };
-        let mut sums = [0.0f32; CHAINS];
-        for (b, block) in c.chunks(CHAINS * n.max(1)).enumerate() {
-            let sums = &mut sums[..block.len() / n.max(1)];
-            row_sums::<false>(block, n, -0.0, sums, &mut []);
-            for (r, &actual) in sums.iter().enumerate() {
-                let i = b * CHAINS + r;
-                check(ChecksumKind::Row, i, actual, self.rows[i], self.rows[m + i])?;
+        // A result of no rows (`block_rows` 0) is one empty block.
+        let blocks = m.checked_div(self.block_rows).unwrap_or(1);
+        for b in 0..blocks {
+            // Non-finite inputs fault unconditionally: NaN expected sums
+            // would make the deviation test vacuous, and an Inf expected
+            // sum likewise (`Inf > Inf` is false) — scan verdicts beat
+            // undefined comparisons.
+            if !self.finite[b] {
+                return Err(ChecksumFault {
+                    kind: ChecksumKind::NonFinite,
+                    index: 0,
+                    deviation: f32::NAN,
+                    bound: 0.0,
+                });
             }
-        }
-        let mut acc = [0.0f32; COL_BLOCK];
-        for j0 in (0..n).step_by(COL_BLOCK) {
-            let acc = &mut acc[..COL_BLOCK.min(n - j0)];
-            acc.fill(0.0);
-            for row in c.chunks_exact(n) {
-                for (s, &v) in acc.iter_mut().zip(&row[j0..]) {
-                    *s += v;
+            let first = b * self.block_rows;
+            let block = &c[first * n..(first + self.block_rows) * n];
+            let mut sums = [0.0f32; CHAINS];
+            for (g, group) in block.chunks(CHAINS * n.max(1)).enumerate() {
+                let sums = &mut sums[..group.len() / n.max(1)];
+                row_sums::<false>(group, n, -0.0, sums, &mut []);
+                for (r, &actual) in sums.iter().enumerate() {
+                    let i = first + g * CHAINS + r;
+                    check(ChecksumKind::Row, i, actual, self.rows[i], self.rows[m + i])?;
                 }
             }
-            for (jj, &actual) in acc.iter().enumerate() {
-                let j = j0 + jj;
-                check(ChecksumKind::Col, j, actual, self.cols[j], self.cols[n + j])?;
+            let cols = &self.cols[b * 2 * n..(b + 1) * 2 * n];
+            let mut acc = [0.0f32; COL_BLOCK];
+            for j0 in (0..n).step_by(COL_BLOCK) {
+                let acc = &mut acc[..COL_BLOCK.min(n - j0)];
+                acc.fill(0.0);
+                for row in block.chunks_exact(n) {
+                    for (s, &v) in acc.iter_mut().zip(&row[j0..]) {
+                        *s += v;
+                    }
+                }
+                for (jj, &actual) in acc.iter().enumerate() {
+                    let j = j0 + jj;
+                    check(ChecksumKind::Col, j, actual, cols[j], cols[n + j])?;
+                }
             }
         }
         Ok(())
@@ -521,7 +549,7 @@ pub fn checked_gemm(
 mod tests {
     use super::*;
     use crate::gemm::tests::{same_bits, special_operands, tile_straddling_dims};
-    use crate::gemm::{gemm_a_bt_into, gemm_into};
+    use crate::gemm::{gemm_a_bt, gemm_into, GemmScratch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -546,7 +574,7 @@ mod tests {
         }
         let mut sums = GemmChecksums::default();
         let ws = WeightSums::derive(n, k, w, bias);
-        sums.gemm_a_bt(m, k, n, a, w, bias, &ws, &mut c, &mut GemmScratch::new());
+        sums.gemm_a_bt(m, k, n, a, w, bias, &ws, &mut c);
         (sums, c)
     }
 
@@ -726,7 +754,7 @@ mod tests {
 
         fn assert_matches(&self, got: &GemmChecksums, label: &str) {
             let (m, n) = (got.m, got.n);
-            assert_eq!(got.inputs_finite, self.inputs_finite, "{label} finiteness");
+            assert_eq!(got.finite, [self.inputs_finite], "{label} finiteness");
             for (name, x, y) in [
                 ("row_sum", &got.rows[..m], &self.row_sum[..]),
                 ("row_scale", &got.rows[m..2 * m], &self.row_scale[..]),
@@ -750,6 +778,78 @@ mod tests {
                     assert!(same_bits(x.bound, y.bound), "{label} bound {x} vs {y}");
                 }
                 (x, y) => panic!("{label}: verdict {x:?}, oracle {y:?}"),
+            }
+        }
+    }
+
+    /// The serial loops' expectations of a dense batch, one oracle per
+    /// row: each row derived alone, as a batch of one image.
+    fn dense_serial(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        w: &[f32],
+        bias: &[f32],
+    ) -> Vec<Oracle> {
+        (0..m)
+            .map(|i| {
+                let mut want = for_a_bt_serial(1, k, n, &a[i * k..][..k], w);
+                if !bias.is_empty() {
+                    want.add_broadcast_row(1, bias);
+                }
+                want
+            })
+            .collect()
+    }
+
+    impl GemmChecksums {
+        /// Row `i`'s block of a dense derivation, as the checksums of a
+        /// batch of that row alone.
+        fn row_block(&self, i: usize) -> GemmChecksums {
+            let (m, n) = (self.m, self.n);
+            assert_eq!(self.block_rows, 1, "a dense derivation checks every row alone");
+            GemmChecksums {
+                m: 1,
+                n,
+                block_rows: 1,
+                rows: vec![self.rows[i], self.rows[m + i]],
+                cols: self.cols[i * 2 * n..(i + 1) * 2 * n].to_vec(),
+                finite: vec![self.finite[i]],
+                act: Vec::new(),
+            }
+        }
+    }
+
+    /// A dense derivation against one batch-1 oracle per row: every
+    /// row's expectations and finiteness, its own verdict on `c`'s row,
+    /// and the batch's verdict as the first of the rows' verdicts, in row
+    /// order (a row fault at the row's index).
+    fn assert_rows_match(got: &GemmChecksums, want: &[Oracle], c: &[f32], label: &str) {
+        let n = got.n;
+        assert_eq!(got.m, want.len(), "{label} rows");
+        for (i, (oracle, row)) in want.iter().zip(c.chunks(n)).enumerate() {
+            let block = got.row_block(i);
+            oracle.assert_matches(&block, &format!("{label} row {i}"));
+            assert_same_verdict(&block, oracle, row, &format!("{label} row {i}"));
+        }
+        for tol in [DEFAULT_TOLERANCE, 1e-6] {
+            let first = want.iter().zip(c.chunks(n)).enumerate().find_map(|(i, (oracle, row))| {
+                oracle.verify(row, tol).err().map(|mut fault| {
+                    if fault.kind == ChecksumKind::Row {
+                        fault.index = i;
+                    }
+                    fault
+                })
+            });
+            match (got.verify(c, tol), first) {
+                (Ok(()), None) => {}
+                (Err(x), Some(y)) => {
+                    assert_eq!((x.kind, x.index), (y.kind, y.index), "{label} batch fault");
+                    assert!(same_bits(x.deviation, y.deviation), "{label} deviation {x} vs {y}");
+                    assert!(same_bits(x.bound, y.bound), "{label} bound {x} vs {y}");
+                }
+                (x, y) => panic!("{label}: batch verdict {x:?}, rows' first {y:?}"),
             }
         }
     }
@@ -827,27 +927,26 @@ mod tests {
                                 assert_same_verdict(&got, &want, &c, &format!("ab {label}"));
                             }
                         }
-                        // Dense orientation: a (m×k), weight w (n×k).
+                        // Dense orientation: a (m×k), weight w (n×k), every
+                        // row checked as a batch of one.
                         for bias in [vec![], special_bias(n, (n + k) as u64)] {
                             let (got, c) = dense(m, k, n, &a, &w, &bias);
-                            let mut want = for_a_bt_serial(m, k, n, &a, &w);
+                            let want = dense_serial(m, k, n, &a, &w, &bias);
                             let mut product = vec![0.0; m * n];
                             if !bias.is_empty() {
-                                want.add_broadcast_row(m, &bias);
                                 for row in product.chunks_mut(n) {
                                     row.copy_from_slice(&bias);
                                 }
                             }
-                            gemm_a_bt_into(m, k, n, &a, &w, &mut product, &mut GemmScratch::new());
+                            gemm_a_bt(m, k, n, &a, &w, &mut product);
                             let differs =
                                 c.iter().zip(&product).position(|(&x, &y)| !same_bits(x, y));
                             assert!(
                                 differs.is_none(),
                                 "a_bt {label} product differs at {differs:?}"
                             );
-                            want.assert_matches(&got, &format!("a_bt {label}"));
-                            for c in corruptions(&c, n, &want) {
-                                assert_same_verdict(&got, &want, &c, &format!("a_bt {label}"));
+                            for (r, c) in corruptions(&c, n, &want[m - 1]).iter().enumerate() {
+                                assert_rows_match(&got, &want, c, &format!("a_bt {label} #{r}"));
                             }
                         }
                     }
@@ -871,12 +970,11 @@ mod tests {
                 row.copy_from_slice(&bias);
             }
             let ws = WeightSums::derive(n, k, &w, &bias);
-            reused.gemm_a_bt(m, k, n, &a, &w, &bias, &ws, &mut c2, &mut GemmScratch::new());
+            reused.gemm_a_bt(m, k, n, &a, &w, &bias, &ws, &mut c2);
             assert_eq!(c, c2);
-            let mut want = for_a_bt_serial(m, k, n, &a, &w);
-            want.add_broadcast_row(m, &bias);
-            want.assert_matches(&fresh, "fresh");
-            want.assert_matches(&reused, "reused");
+            let want = dense_serial(m, k, n, &a, &w, &bias);
+            assert_rows_match(&fresh, &want, &c, "fresh");
+            assert_rows_match(&reused, &want, &c, "reused");
         }
     }
 

@@ -4,9 +4,9 @@
 //! Convolutions are lowered to GEMM via im2col (see [`crate::conv`]) and
 //! fully-connected layers call GEMM directly, so every forward pass funnels
 //! through this module. Callers on the zero-allocation inference path pass
-//! their own [`GemmScratch`] ([`gemm_into`] / [`gemm_a_bt_into`]); the
-//! plain entry points allocate a transient scratch and are used by
-//! backward passes and tests.
+//! their own [`GemmScratch`] to [`gemm_into`]; [`gemm`] allocates a
+//! transient one and is used by backward passes and tests. The `A·Bᵀ`
+//! kernels need no scratch.
 //!
 //! `A·B` — every convolution, one image at a time, in inference and
 //! training, and a dense layer's input gradient — runs one register tile
@@ -16,14 +16,16 @@
 //! narrower tiles in place, and a remainder narrower than the narrowest
 //! tile is copied into a zero-padded panel of the caller's scratch.
 //!
-//! `A·Bᵀ` — the dense-layer orientation — packs both operands into
-//! `MR × NR` panels once a product with at least `MR` rows is large enough
-//! to pay for packing. Below that (every dense layer at batch 1) a dot
-//! kernel transposes `DOT_N × DOT_K` blocks of `B` into a stack tile and
-//! runs eight output chains at once, so they vectorize. The ABFT guard
-//! ([`crate::checksum`]) runs its matrix–vector terms through the same dot
-//! kernel: a guarded batch-1 dense layer computes its product and its
-//! column-checksum rows from one tile
+//! `A·Bᵀ` — the dense-layer orientation, at every batch size, and a
+//! convolution's weight gradient — runs one dot kernel: it transposes
+//! `DOT_N × DOT_K` blocks of `B` into a stack tile once per `DOT_M` rows of
+//! `A` and feeds each tile row to `DOT_R` rows of `A` at once, eight output
+//! chains per row, so the chains vectorize and four rows' adds overlap. A
+//! batch of images shares every tile, so a dense layer streams its weight
+//! once per batch rather than once per image. The ABFT guard
+//! ([`crate::checksum`]) runs its matrix–vector terms through the same
+//! kernel: a guarded dense layer computes its product and every image's
+//! column-checksum rows in one pass over its weight
 //! ([`crate::checksum::GemmChecksums::gemm_a_bt`]), and a convolution's
 //! expected row sums `W·(B·e)` take eight rows of `W` per tile.
 //!
@@ -31,8 +33,8 @@
 //!
 //! Every kernel accumulates each output element in ascending-`k` order —
 //! exactly the order of the textbook loop it replaced — so no result
-//! depends on a tile shape, a panel boundary or the target's vector width.
-//! `A·B` adds each product straight into its output, as the axpy loop
+//! depends on a tile shape, a panel boundary, the batch size or the
+//! target's vector width. `A·B` adds each product straight into its output, as the axpy loop
 //! `c += a·b` does; `A·Bᵀ` sums from +0.0 and adds the sum to `c` once, as
 //! the dot loop does. There is **no** data-dependent zero-skip fast path:
 //! earlier revisions skipped `a == 0` multiplicands, which was hostile to
@@ -59,21 +61,6 @@ const AB_MIN_W: usize = 8;
 /// chunks.
 const LANES: usize = 8;
 
-/// Rows of the packed `A·Bᵀ` register tile: each microkernel call
-/// produces an `MR × NR` block of the output held entirely in registers.
-const MR: usize = 2;
-/// Columns of the packed `A·Bᵀ` register tile.
-const NR: usize = 16;
-/// Rows of `A` the packed `A·Bᵀ` path packs at once (L2-resident).
-const MC: usize = 64;
-/// Rows of `B` (output columns) the packed `A·Bᵀ` path packs at once.
-const NC: usize = 512;
-
-/// Below this many multiply-accumulates the packing overhead of `A·Bᵀ`
-/// outweighs the register-tile payoff and the dot kernel runs instead
-/// (identical numerics, see the module docs).
-const SMALL_MACS: usize = 200_000;
-
 /// Outputs the dot kernel computes at once: the width of its transposed
 /// tile, one vector of independent chains.
 const DOT_N: usize = 8;
@@ -84,18 +71,22 @@ const DOT_N: usize = 8;
 const DOT_K: usize = 128;
 /// Rows of `a` each transposed tile is applied to before the next tile is
 /// built.
-const DOT_M: usize = 8;
+const DOT_M: usize = 16;
+/// Rows of `a` one loop body applies each row of the transposed tile to:
+/// four independent vectors of `DOT_N` chains, so their adds overlap where
+/// one row's vector would wait on every add. Row tails run the body at 2
+/// and at 1 row.
+const DOT_R: usize = 4;
 
-/// Reusable panels: the packed `A·Bᵀ` path's operand panels, and the
-/// zero-padded column-tail panel of `A·B`.
+/// The zero-padded column-tail panels of `A·B`, reused.
 ///
 /// Capacities only grow, so a scratch owned by a long-lived workspace (see
 /// `pgmr_nn::workspace`) reaches a steady state after the first pass over a
 /// network and the hot path performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    pack_a: Vec<f32>,
-    pack_b: Vec<f32>,
+    c_panel: Vec<f32>,
+    b_panel: Vec<f32>,
     grows: u64,
 }
 
@@ -107,7 +98,7 @@ impl GemmScratch {
 
     /// Total bytes currently reserved across all panels.
     pub fn bytes(&self) -> usize {
-        self.pack_a.capacity() * 4 + self.pack_b.capacity() * 4
+        self.c_panel.capacity() * 4 + self.b_panel.capacity() * 4
     }
 
     /// Capacity-growth events (stops advancing once a workload's shapes
@@ -116,17 +107,18 @@ impl GemmScratch {
         self.grows
     }
 
-    fn ensure_f32(&mut self, a_len: usize, b_len: usize) -> (&mut [f32], &mut [f32]) {
-        if self.pack_a.capacity() < a_len || self.pack_b.capacity() < b_len {
+    /// The `c` and `b` panels, `c_len` and `b_len` long.
+    fn panels(&mut self, c_len: usize, b_len: usize) -> (&mut [f32], &mut [f32]) {
+        if self.c_panel.capacity() < c_len || self.b_panel.capacity() < b_len {
             self.grows += 1;
         }
-        if self.pack_a.len() < a_len {
-            self.pack_a.resize(a_len, 0.0);
+        if self.c_panel.len() < c_len {
+            self.c_panel.resize(c_len, 0.0);
         }
-        if self.pack_b.len() < b_len {
-            self.pack_b.resize(b_len, 0.0);
+        if self.b_panel.len() < b_len {
+            self.b_panel.resize(b_len, 0.0);
         }
-        (&mut self.pack_a[..a_len], &mut self.pack_b[..b_len])
+        (&mut self.c_panel[..c_len], &mut self.b_panel[..b_len])
     }
 }
 
@@ -199,65 +191,6 @@ fn ab_column<const C: usize>(
     }
     if m > i {
         ab_tile::<1, C>(k, &a[i * k..], b, ldb, &mut c[i * ldc..], ldc);
-    }
-}
-
-/// Packs rows `i0..i0 + mb` of row-major `a: m×k` into `MR`-row, `k`-major
-/// panels, zero-padding the tail panel.
-fn pack_a_f32(a: &[f32], k: usize, i0: usize, mb: usize, pa: &mut [f32]) {
-    for (pi, panel) in pa.chunks_mut(MR * k).enumerate().take(mb.div_ceil(MR)) {
-        let rows = (mb - pi * MR).min(MR);
-        for p in 0..k {
-            let col = &mut panel[p * MR..p * MR + MR];
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = if r < rows { a[(i0 + pi * MR + r) * k + p] } else { 0.0 };
-            }
-        }
-    }
-}
-
-/// Packs rows `j0..j0 + nb` of row-major `b: n×k` — columns of `Bᵀ` — into
-/// `NR`-column, `k`-major panels, zero-padding the tail panel. Only the f32
-/// kernel needs this orientation: quantized weights are stored
-/// pre-transposed by `pgmr-precision`.
-fn pack_bt_f32(b: &[f32], k: usize, j0: usize, nb: usize, pb: &mut [f32]) {
-    for (pj, panel) in pb.chunks_mut(NR * k).enumerate().take(nb.div_ceil(NR)) {
-        let cols = (nb - pj * NR).min(NR);
-        for jr in 0..NR {
-            if jr < cols {
-                let row = &b[(j0 + pj * NR + jr) * k..][..k];
-                for (p, &v) in row.iter().enumerate() {
-                    panel[p * NR + jr] = v;
-                }
-            } else {
-                for p in 0..k {
-                    panel[p * NR + jr] = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// The packed `A·Bᵀ` microkernel: sums `kb` steps of the packed panels
-/// into an `MR × NR` block from +0.0 and adds it to the output tile at `c`
-/// (row stride `ldc`, `mi × nj` valid) — the dot loop's `c += Σ` order.
-#[inline(always)]
-fn micro_f32(kb: usize, pa: &[f32], pb: &[f32], c: &mut [f32], ldc: usize, mi: usize, nj: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kb {
-        let a_col = &pa[p * MR..p * MR + MR];
-        let b_row = &pb[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let av = a_col[i];
-            for j in 0..NR {
-                acc[i][j] += av * b_row[j];
-            }
-        }
-    }
-    for i in 0..mi {
-        for (out, add) in c[i * ldc..i * ldc + nj].iter_mut().zip(&acc[i][..nj]) {
-            *out += *add;
-        }
     }
 }
 
@@ -334,7 +267,7 @@ pub fn gemm_into(
     }
     let rest = n - j;
     if rest > 0 {
-        let (c_panel, b_panel) = scratch.ensure_f32(m * AB_MIN_W, k * AB_MIN_W);
+        let (c_panel, b_panel) = scratch.panels(m * AB_MIN_W, k * AB_MIN_W);
         // Element by element: a copy of `rest` floats per row would be a
         // `memcpy` call per row.
         let pad = |dst: &mut [f32], src: &[f32]| {
@@ -385,99 +318,59 @@ pub fn gemm_at_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
 
 /// Computes `c += a * b^T` where `a` is `m×k`, `b` is `n×k` (so `b^T` is
 /// `k×n`), and `c` is `m×n` — the dense-layer orientation (`y = x·Wᵀ`).
-/// Allocates a transient scratch; the hot path uses [`gemm_a_bt_into`].
 ///
 /// Each output element is formed as `c += Σ_k a·b` with the inner sum
-/// accumulated separately in ascending `k` (the historical dot-product
-/// order), so results are bit-identical to the unpacked loop.
+/// accumulated separately from +0.0 in ascending `k` (the textbook dot
+/// loop's order), so results are bit-identical to that loop at every `m`.
+/// Every product runs the dot kernel; nothing is allocated or packed.
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the stated dimensions.
 pub fn gemm_a_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_a_bt_into(m, k, n, a, b, c, &mut GemmScratch::new());
-}
-
-/// [`gemm_a_bt`] with caller-provided packing buffers.
-///
-/// The packed path packs the full reduction depth at once (panels of
-/// `k × NR`), which keeps the separate-sum accumulation order exact, and
-/// walks `NC` output columns by `MC` rows at a time. For tile-starved
-/// shapes (`m < MR` — e.g. single-image dense layers — or tiny products)
-/// it runs the tiled dot kernel instead, with identical numerics and
-/// without touching `scratch`.
-pub fn gemm_a_bt_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    scratch: &mut GemmScratch,
-) {
     assert_eq!(a.len(), m * k, "a must be {m}x{k}");
     assert_eq!(b.len(), n * k, "b must be {n}x{k}");
     assert_eq!(c.len(), m * n, "c must be {m}x{n}");
-    if m < MR || m * k * n < SMALL_MACS {
-        dot_a_bt(m, k, n, a, b, c, |_, v| v);
-        return;
-    }
-    // Full-depth panels: the separate-sum store order admits no depth
-    // blocking without perturbing the historical accumulation order.
-    let pa_len = MC.min(m).next_multiple_of(MR) * k;
-    let pb_len = NC.min(n).next_multiple_of(NR) * k;
-    let (pa, pb) = scratch.ensure_f32(pa_len, pb_len);
-    for j0 in (0..n).step_by(NC) {
-        let nb = NC.min(n - j0);
-        pack_bt_f32(b, k, j0, nb, pb);
-        for i0 in (0..m).step_by(MC) {
-            let mb = MC.min(m - i0);
-            pack_a_f32(a, k, i0, mb, pa);
-            for jp in 0..nb.div_ceil(NR) {
-                let nj = NR.min(nb - jp * NR);
-                let pb_panel = &pb[jp * NR * k..(jp + 1) * NR * k];
-                for ip in 0..mb.div_ceil(MR) {
-                    let mi = MR.min(mb - ip * MR);
-                    let pa_panel = &pa[ip * MR * k..(ip + 1) * MR * k];
-                    let c_off = (i0 + ip * MR) * n + j0 + jp * NR;
-                    micro_f32(k, pa_panel, pb_panel, &mut c[c_off..], n, mi, nj);
-                }
-            }
-        }
-    }
+    dot_a_bt::<1, false>(m, k, n, a, b, c);
 }
 
-/// The dot kernel behind every `A·Bᵀ` product too small to pack, and
-/// behind the matrix–vector terms of the ABFT guard. For `a: m×k` and
-/// `b: n×k`, both row-major, it adds `Σ_p a[i,p] · f(i, b[j,p])` to
-/// `c[i·n + j]`. Each sum starts from +0.0 and runs in ascending `p` before
-/// it is added to `c` — the order of the textbook dot loop, so the result
-/// is bit-identical to it. `f` lets a row read a transform of `b` (a
-/// checksum's `|B|` row); the GEMM passes `b` through.
+/// The dot kernel behind every `A·Bᵀ` product and the matrix–vector terms
+/// of the ABFT guard. For `b: n×k` and an `m`-row product it adds
+/// `Σ_p a[i / REP, p] · b[j,p]` to `c[i·n + j]`: row `i` of the product
+/// reads row `i / REP` of `a: (m / REP)×k`, both row-major. With `MAG`,
+/// every odd row of the product multiplies the magnitudes `|a|·|b|`
+/// instead. Each sum starts from +0.0 and runs in ascending `p` before it
+/// is added to `c` — the order of the textbook dot loop, so the result is
+/// bit-identical to it. The GEMM reads every row once, plain; the ABFT
+/// guard's `[sums | magnitude sums]` pairs read a two-row operand (`REP`
+/// = 1) or each row of `a` twice (`REP` = 2), with `MAG`.
 ///
 /// A `DOT_N × DOT_K` block of `b` is transposed into a stack tile once per
-/// group of `DOT_M` rows, and each tile row then feeds `DOT_N` independent
-/// chains, which vectorize where one serial chain per output could not.
-/// In a block of fewer than `DOT_N` outputs the spare lanes repeat the
-/// block's last row of `b` and are discarded; the last tile runs only the
-/// steps left in `k`.
+/// group of `DOT_M` rows of the product. Each tile row then feeds `DOT_R`
+/// rows at once ([`dot_rows`]), `DOT_N` independent chains per row, which
+/// vectorize where one serial chain per output could not. Every row group
+/// starts at an even row, so whether a row is odd is fixed per position in
+/// the group. In a block of fewer than `DOT_N` outputs the spare lanes
+/// repeat the block's last row of `b` and are discarded; the last tile
+/// runs only the steps left in `k`.
 #[inline(always)]
-pub(crate) fn dot_a_bt(
+pub(crate) fn dot_a_bt<const REP: usize, const MAG: bool>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    f: impl Fn(usize, f32) -> f32,
 ) {
-    debug_assert!(a.len() == m * k && b.len() == n * k && c.len() == m * n);
+    debug_assert!(m.is_multiple_of(REP) && a.len() * REP == m * k);
+    debug_assert!(b.len() == n * k && c.len() == m * n);
     let mut tile = [[0.0f32; DOT_N]; DOT_K];
+    let mut acc = [[0.0f32; DOT_N]; DOT_M];
     for j0 in (0..n).step_by(DOT_N) {
         let nj = DOT_N.min(n - j0);
         for i0 in (0..m).step_by(DOT_M) {
             let mi = DOT_M.min(m - i0);
-            let mut acc = [[0.0f32; DOT_N]; DOT_M];
+            acc[..mi].fill([0.0; DOT_N]);
             for p0 in (0..k).step_by(DOT_K) {
                 let kp = DOT_K.min(k - p0);
                 let runs: [&[f32]; DOT_N] =
@@ -485,15 +378,18 @@ pub(crate) fn dot_a_bt(
                 for (pp, row) in tile[..kp].iter_mut().enumerate() {
                     *row = std::array::from_fn(|jj| runs[jj][pp]);
                 }
-                for (r, chains) in acc[..mi].iter_mut().enumerate() {
-                    let a_run = &a[(i0 + r) * k + p0..][..kp];
-                    let mut lanes = *chains;
-                    for (row, &av) in tile.iter().zip(a_run) {
-                        for (s, &bv) in lanes.iter_mut().zip(row) {
-                            *s += av * f(i0 + r, bv);
-                        }
-                    }
-                    *chains = lanes;
+                let tile = &tile[..kp];
+                let mut r = 0;
+                while mi - r >= DOT_R {
+                    dot_rows::<DOT_R, REP, MAG>(tile, a, k, p0, i0 + r, &mut acc[r..]);
+                    r += DOT_R;
+                }
+                if mi - r >= 2 {
+                    dot_rows::<2, REP, MAG>(tile, a, k, p0, i0 + r, &mut acc[r..]);
+                    r += 2;
+                }
+                if mi > r {
+                    dot_rows::<1, REP, MAG>(tile, a, k, p0, i0 + r, &mut acc[r..]);
                 }
             }
             for (r, chains) in acc[..mi].iter().enumerate() {
@@ -504,6 +400,50 @@ pub(crate) fn dot_a_bt(
             }
         }
     }
+}
+
+/// Applies every row of a transposed `tile` (steps `p0..p0 + tile.len()`)
+/// to `R` rows of the product at once, starting at the even row `row`:
+/// row `row + q` reads its run of row `(row + q) / REP` of `a` and adds
+/// `a · b` (`|a|·|b|` for an odd `q` under `MAG`) to the `DOT_N` chains of
+/// `acc[q]`, in ascending step order. The `R` vectors of chains stay in
+/// registers for the whole tile and are independent, so `R` adds are in
+/// flight per step.
+#[inline(always)]
+fn dot_rows<const R: usize, const REP: usize, const MAG: bool>(
+    tile: &[[f32; DOT_N]],
+    a: &[f32],
+    k: usize,
+    p0: usize,
+    row: usize,
+    acc: &mut [[f32; DOT_N]],
+) {
+    debug_assert!(row.is_multiple_of(2), "row groups start at even rows");
+    let runs: [&[f32]; R] = std::array::from_fn(|q| &a[(row + q) / REP * k + p0..][..tile.len()]);
+    if R == 1 {
+        // One row — every dense layer at batch 1 — zips its run with the
+        // tile: the indexed loop below ran lenet5's batch-1 dense1 inside
+        // a forward at 5.9 µs against this loop's 4.9.
+        let mut chains = acc[0];
+        for (b_row, &av) in tile.iter().zip(runs[0]) {
+            for (s, &bv) in chains.iter_mut().zip(b_row) {
+                *s += av * bv;
+            }
+        }
+        acc[0] = chains;
+        return;
+    }
+    let mut lanes: [[f32; DOT_N]; R] = std::array::from_fn(|q| acc[q]);
+    for (p, b_row) in tile.iter().enumerate() {
+        for (q, chains) in lanes.iter_mut().enumerate() {
+            let mag = MAG && q % 2 == 1;
+            let av = if mag { runs[q][p].abs() } else { runs[q][p] };
+            for (s, &bv) in chains.iter_mut().zip(b_row) {
+                *s += av * if mag { bv.abs() } else { bv };
+            }
+        }
+    }
+    acc[..R].copy_from_slice(&lanes);
 }
 
 #[cfg(test)]
@@ -791,7 +731,8 @@ pub(crate) mod tests {
     #[test]
     fn a_bt_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(2);
-        // Straddles the m >= MR packed path and the small fallback.
+        // Single rows, a 4-row group with 2- and 1-row tails, and past a
+        // 16-row group.
         for &(m, k, n) in &[(1, 6, 5), (3, 9, 4), (4, 60, 40), (13, 157, 29), (64, 256, 64)] {
             let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -807,16 +748,39 @@ pub(crate) mod tests {
         }
     }
 
+    /// The dot loop over the checksum's stacked operand: odd rows of the
+    /// product read `|b|`, even rows `b`.
+    fn a_bt_dot_loop_abs_odd(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let abs_b: Vec<f32> = b.iter().map(|v| v.abs()).collect();
+        for (i, (a_row, c_row)) in a.chunks(k).zip(c.chunks_mut(n)).enumerate() {
+            let b = if i % 2 == 1 { &abs_b[..] } else { b };
+            a_bt_dot_loop(1, k, n, a_row, b, c_row);
+        }
+    }
+
+    /// Row counts for the `A·Bᵀ` oracle: every tail of the 4-row interleave
+    /// (m mod 4 = 1, 2, 3) below, at and past a 16-row group, and several
+    /// groups. Miri gets short ones that still reach every tail and a
+    /// second group.
+    fn a_bt_rows() -> &'static [usize] {
+        if cfg!(miri) {
+            &[1, 2, 3, 5, 17]
+        } else {
+            &[1, 2, 3, 4, 5, 7, 8, 11, 15, 16, 17, 33, 64]
+        }
+    }
+
     #[test]
     fn a_bt_is_bit_identical_to_the_dot_loop() {
-        // Rows 1–3 (below MR, one tile group) and 11 (above MR and past a
-        // DOT_M group; packed once the product reaches SMALL_MACS), every
-        // straddling n and k, non-finite and signed-zero operands, and a
-        // `c` that already holds values (with -0.0 in column 1, which an
-        // all-zero sum must turn into +0.0).
+        // Every row count of `a_bt_rows`, every straddling n and k,
+        // non-finite and signed-zero operands, and a `c` that already
+        // holds values (with -0.0 in column 1, which an all-zero sum must
+        // turn into +0.0). Then the checksum's stacked rows: every row of
+        // `a` run twice (`REP` = 2), against `b` and then `|a_i|` against
+        // `|b|`, as the dot loop over the materialized `[a_i, |a_i|]`
+        // stack gives them.
         let dims = tile_straddling_dims();
-        let mut scratch = GemmScratch::new();
-        for m in [1, 2, 3, 11] {
+        for &m in a_bt_rows() {
             for &n in dims {
                 for &k in dims {
                     let (a, b) = special_operands(m, k, n);
@@ -829,26 +793,23 @@ pub(crate) mod tests {
                     let mut want = init.clone();
                     a_bt_dot_loop(m, k, n, &a, &b, &mut want);
                     let mut got = init;
-                    gemm_a_bt_into(m, k, n, &a, &b, &mut got, &mut scratch);
+                    gemm_a_bt(m, k, n, &a, &b, &mut got);
                     let differs = got.iter().zip(&want).position(|(&x, &y)| !same_bits(x, y));
                     assert!(differs.is_none(), "({m},{k},{n}) differs at {differs:?}");
+
+                    let stacked: Vec<f32> = a
+                        .chunks(k)
+                        .flat_map(|row| row.iter().copied().chain(row.iter().map(|v| v.abs())))
+                        .collect();
+                    let mut want = vec![0.0; 2 * m * n];
+                    a_bt_dot_loop_abs_odd(k, n, &stacked, &b, &mut want);
+                    let mut got = vec![0.0; 2 * m * n];
+                    dot_a_bt::<2, true>(2 * m, k, n, &a, &b, &mut got);
+                    let differs = got.iter().zip(&want).position(|(&x, &y)| !same_bits(x, y));
+                    assert!(differs.is_none(), "stacked ({m},{k},{n}) differs at {differs:?}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_bt_packed_matches_row_dot_loop_exactly() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (m, k, n) = (32, 113, 64); // above SMALL_MACS: packed path
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let init: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut reference = init.clone();
-        a_bt_dot_loop(m, k, n, &a, &b, &mut reference);
-        let mut c = init;
-        gemm_a_bt(m, k, n, &a, &b, &mut c);
-        assert_eq!(c, reference, "packed a_bt diverged from the dot loop");
     }
 
     #[test]

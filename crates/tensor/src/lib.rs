@@ -40,7 +40,7 @@ pub mod tensor;
 pub use arena::{align_offset, WeightArena, ARENA_ALIGN, ARENA_ALIGN_ELEMS};
 pub use checksum::{checked_gemm, ChecksumFault, ChecksumKind, GemmChecksums, WeightSums};
 pub use conv::{col2im, im2col_into, Conv2dGeometry};
-pub use gemm::{gemm, gemm_a_bt, gemm_a_bt_into, gemm_at_b, gemm_into, GemmScratch};
+pub use gemm::{gemm, gemm_a_bt, gemm_at_b, gemm_into, GemmScratch};
 pub use ops::{argmax, log_softmax, relu_backward, softmax, softmax_in_place};
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;

@@ -6,7 +6,7 @@
 //! summation — `|Δc| ≤ k·ε·Σ|a·b|` — stays meaningful at every shape, so
 //! that is what these tests enforce, over a proptest-style sweep of
 //! odd/prime shapes chosen to straddle the register tiles, their row and
-//! column tails and the packed `A·Bᵀ` blocks.
+//! column tails and the dot kernel's tiles and row groups.
 
 use pgmr_tensor::gemm::{gemm, gemm_a_bt, gemm_at_b, gemm_into, GemmScratch};
 use proptest::prelude::*;
@@ -60,9 +60,10 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 }
 
 /// Odd/prime values that straddle the register tiles (4 × 16 or 4 × 32
-/// for `A·B`, 2 × 16 packed `A·Bᵀ`) and the packed blocks (64 rows, 512
-/// columns) rather than landing on friendly multiples: below one tile, one
-/// past a tile, primes, one past a block.
+/// for `A·B`), the dot kernel's `A·Bᵀ` tiles (8 outputs × 128 steps) and
+/// its row groups (4 rows per loop body, 16 per tile) rather than landing
+/// on friendly multiples: below one tile, one past a tile, primes, one
+/// past a group.
 const STRADDLING: [usize; 10] = [1, 2, 3, 5, 9, 13, 31, 65, 127, 257];
 
 fn straddling_dim() -> impl Strategy<Value = usize> {
@@ -119,7 +120,7 @@ proptest! {
     }
 
     /// `gemm_a_bt` (c += A·Bᵀ, the dense orientation) tracks the oracle
-    /// on both its packed (m ≥ 2) and fallback (m = 1) paths.
+    /// at every row count: one dot kernel runs every `m`.
     #[test]
     fn gemm_a_bt_matches_oracle(m in straddling_dim(), k in straddling_dim(), n in straddling_dim()) {
         let a = fill((m * 7 + k) as u64, m * k);
