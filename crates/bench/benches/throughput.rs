@@ -24,9 +24,10 @@
 //! in the JSON, asserted to be 0), alongside the arena's peak footprint
 //! (`infer.workspace_peak_bytes`, also exported as the
 //! `infer.workspace_bytes` observability gauge). A warmed
-//! [`PolygraphSystem::decide`] loop over the same images must allocate
-//! nothing either (`decide.allocs_per_request`, asserted to be 0): every
-//! member votes from its own buffers and the vote tally counts inline.
+//! [`PolygraphSystem::decide`] loop over the same images, through the
+//! system and through its RADE twin, must allocate nothing either
+//! (`decide.allocs_per_request`, asserted to be 0): every member votes
+//! from its own buffers and the vote tally counts inline.
 //!
 //! `infer.items_per_s` is the number CI's `perf_gate` compares against the
 //! committed artifact. Per-layer kernel speed is the `layers` bench's job.
@@ -120,22 +121,26 @@ fn main() {
     );
 
     // Steady-state zero-alloc decisions: after one warmup pass, deciding
-    // each image through the three-member system allocates nothing.
-    let decide = |system: &mut PolygraphSystem| {
-        for img in images {
-            system.decide(img, |_| true);
+    // each image through the three-member system, and through its RADE
+    // twin's staged protocol, allocates nothing.
+    let mut staged = system.clone();
+    staged.enable_staged(vec![0, 1, 2]);
+    let decide = |systems: [&mut PolygraphSystem; 2]| {
+        for system in systems {
+            for img in images {
+                system.decide(img, |_| true);
+            }
         }
     };
-    decide(&mut system); // sizes the members' buffers
+    decide([&mut system, &mut staged]); // sizes the members' buffers
     let decide_before = alloc_counter::alloc_events();
-    decide(&mut system);
+    decide([&mut system, &mut staged]);
     let decide_allocs = alloc_counter::alloc_events() - decide_before;
-    let decide_allocs_per_request = decide_allocs as f64 / images.len() as f64;
+    let requests = 2 * images.len();
+    let decide_allocs_per_request = decide_allocs as f64 / requests as f64;
     assert_eq!(
-        decide_allocs,
-        0,
-        "a warmed decision must not allocate ({decide_allocs} events over {} requests)",
-        images.len()
+        decide_allocs, 0,
+        "a warmed decision must not allocate ({decide_allocs} events over {requests} requests)"
     );
 
     // Activation-fault campaign over the baseline member's network.
@@ -178,7 +183,7 @@ fn main() {
         "{{\n  \"nproc\": {nproc},\n  \"batch_eval\": {{\"items\": {}, \"sequential_items_per_s\": {seq_eval_rate:.3}, \"workers_items_per_s\": {}}},\n  \"infer\": {{\"allocs_per_image\": {allocs_per_image:.1}, \"workspace_peak_bytes\": {ws_peak_bytes}, \"items_per_s\": {infer_rate:.3}}},\n  \"decide\": {{\"requests\": {}, \"allocs_per_request\": {decide_allocs_per_request:.1}}},\n  \"fault_campaign\": {{\"trials\": {}, \"sequential_items_per_s\": {seq_camp_rate:.3}, \"workers_items_per_s\": {}}}\n}}\n",
         data.len(),
         workers(&eval_rates),
-        images.len(),
+        requests,
         cfg.trials,
         workers(&camp_rates),
     );

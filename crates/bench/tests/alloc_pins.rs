@@ -2,7 +2,8 @@
 //! constructing, cloning and preprocessing a tensor cost, a warmed member
 //! forward, a warmed guarded network forward (also after a read-only
 //! parameter visit), a warmed decision of a plain, a RADE and a guarded
-//! system, and a warmed guarded `infer_batch` call. A tensor's shape is
+//! system, a warmed 4-image run of a plain and a RADE system, and a warmed
+//! guarded `infer_batch` call. A tensor's shape is
 //! inline, so each owned tensor costs one allocation, its data.
 //!
 //! Its own test binary with one test: the counting allocator is the
@@ -104,6 +105,44 @@ fn owned_tensors_and_a_warmed_member_forward_allocate_only_their_data() {
         system.infer_counted(&image); // sizes the buffers and resolves the metric handles
         let (n, _) = counted(|| system.infer_counted(&image));
         assert_eq!(n, 0, "a warmed {kind} decision allocated {n} times");
+    }
+
+    // A warmed run of four images allocates nothing either. A plain run
+    // is one segment, each member one batched pass; a staged run steps
+    // every image's row in buffers the system reuses. Under the priority
+    // [0, 2, 1] the stage-1 pair disagrees on the last two ramps, which
+    // escalate as a sub-batch to member 1.
+    let ramp = |k: usize| {
+        let scale = k as f32 * 4.0 - 6.0;
+        let data = (0..256).map(|i| ((i * 7 + k * 31) % 256) as f32 / 255.0 * scale).collect();
+        Tensor::from_vec([1, 1, 16, 16], data)
+    };
+    let run: Vec<Tensor> = (0..4).map(ramp).collect();
+    for (kind, want) in [("plain", [3; 4]), ("rade", [2, 2, 3, 3])] {
+        let mut system = system("plain", &three);
+        if kind == "rade" {
+            system.enable_staged(vec![0, 2, 1]);
+        }
+        let mut activated = [0; 4];
+        let mut decide = |system: &mut PolygraphSystem| {
+            let mut slots = activated.iter_mut();
+            system.decide_run(
+                &run,
+                None,
+                |_, _| true,
+                |d| {
+                    *slots.next().expect("a slot per image") = d.decision.activated;
+                },
+            );
+        };
+        // Two warm-up runs: the first sizes the buffers, the arena's free
+        // list settles on the second.
+        for _ in 0..2 {
+            decide(&mut system);
+        }
+        let (n, ()) = counted(|| decide(&mut system));
+        assert_eq!(n, 0, "a warmed 4-image {kind} run allocated {n} times");
+        assert_eq!(activated, want, "the {kind} run's activations");
     }
 
     // A warmed guarded `infer_batch` call allocates its returned vector

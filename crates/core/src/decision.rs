@@ -162,6 +162,7 @@ const INLINE_CLASSES: usize = 8;
 /// between them: RADE (§III-F) is this rule over the members activated so
 /// far. The class counts live inline, so a decision's tally touches the
 /// heap only past [`INLINE_CLASSES`] distinct counted classes.
+#[derive(Clone)]
 pub(crate) struct VoteTally {
     conf: f32,
     /// `(class, votes)` per class that has a counted vote: the first

@@ -17,10 +17,12 @@ use pgmr_faults::ActivationInjector;
 use pgmr_nn::network::{ActivationHook, Guard, RunPlan};
 use pgmr_nn::zoo::{build, ArchSpec};
 use pgmr_nn::{CheckPlan, Network, TrainConfig, TrainReport, Trainer};
+use pgmr_obs::Histogram;
 use pgmr_precision::Precision;
 use pgmr_preprocess::Preprocessor;
 use pgmr_tensor::checksum::ChecksumFault;
 use pgmr_tensor::Tensor;
+use std::sync::{Arc, OnceLock};
 
 /// One Layer-1 + Layer-2 slot: a preprocessor feeding a CNN trained on the
 /// preprocessor's view of the data.
@@ -160,7 +162,7 @@ impl Member {
     /// first, then the (possibly quantized, possibly fault-injected)
     /// forward pass.
     pub fn predict(&mut self, image: &Tensor) -> Vec<f32> {
-        self.pass(std::slice::from_ref(image), None).expect("an unguarded run cannot fault");
+        self.pass(std::iter::once(image), None).expect("an unguarded run cannot fault");
         self.probs.clone()
     }
 
@@ -176,32 +178,22 @@ impl Member {
         image: &Tensor,
         tolerance: f32,
     ) -> Result<Vec<f32>, ChecksumFault> {
-        self.pass(std::slice::from_ref(image), Some(self.abft_tolerance(tolerance)))?;
+        self.pass(std::iter::once(image), Some(self.abft_tolerance(tolerance)))?;
         Ok(self.probs.clone())
     }
 
-    /// The member's top-1 vote on one raw image, `(class, confidence)`:
-    /// the pass of [`Member::predict`] (`tolerance: None`) or of
-    /// [`Member::predict_checked`], without copying the probabilities
-    /// out. A warmed vote allocates nothing.
-    pub(crate) fn vote(
+    /// The member's top-1 votes `(class, confidence)` on raw images of one
+    /// shape, in order: one pass over all of them, unguarded
+    /// (`tolerance: None`, the pass of [`Member::predict`]) or guarded (that
+    /// of [`Member::predict_checked`]), without copying the probabilities
+    /// out. Each image's vote and fault verdict are those of its pass
+    /// alone, and a guarded pass faults if any image's own pass would. An
+    /// attached injector draws per tensor of a pass, so a pass over several
+    /// images draws a different stream than the images run one at a time.
+    /// A warmed pass allocates nothing.
+    pub(crate) fn votes<'t>(
         &mut self,
-        image: &Tensor,
-        tolerance: Option<f32>,
-    ) -> Result<(usize, f32), ChecksumFault> {
-        let mut votes = self.votes(std::slice::from_ref(image), tolerance)?;
-        Ok(votes.next().expect("a pass over one image casts one vote"))
-    }
-
-    /// The member's top-1 votes on a batch of raw images of one shape, in
-    /// order: one pass over the whole batch, each image's vote and fault
-    /// verdict those of [`Member::vote`] on it. A guarded batch faults if
-    /// any image's own pass would. An attached injector draws per tensor
-    /// of a pass, so a batch draws a different stream than the images run
-    /// one at a time.
-    pub(crate) fn votes(
-        &mut self,
-        images: &[Tensor],
+        images: impl ExactSizeIterator<Item = &'t Tensor>,
         tolerance: Option<f32>,
     ) -> Result<impl Iterator<Item = (usize, f32)> + '_, ChecksumFault> {
         self.pass(images, tolerance.map(|t| self.abft_tolerance(t)))?;
@@ -212,20 +204,34 @@ impl Member {
     /// member's input buffer, then one [`Network::run`] over the batch into
     /// its probability buffer with the fault/precision hook (omitted
     /// entirely when neither is active) and, given a tolerance, the
-    /// member's guard; softmax in place over each image's logits.
+    /// member's guard; softmax in place over each image's logits. The
+    /// images need not be contiguous, so a stage of a staged run passes
+    /// only its undecided rows. Records the image count into the
+    /// `infer.pass_images` histogram.
     ///
     /// # Panics
     ///
     /// Panics if `images` is empty or its images differ in shape.
-    fn pass(&mut self, images: &[Tensor], tolerance: Option<f32>) -> Result<(), ChecksumFault> {
-        let (_, c, h, w) = images[0].shape().as_nchw();
+    fn pass<'t>(
+        &mut self,
+        images: impl ExactSizeIterator<Item = &'t Tensor>,
+        tolerance: Option<f32>,
+    ) -> Result<(), ChecksumFault> {
+        static PASS_IMAGES: OnceLock<Arc<Histogram>> = OnceLock::new();
+        let len = images.len();
+        let mut images = images.peekable();
+        let shape = *images.peek().expect("a pass runs at least one image").shape();
+        let (_, c, h, w) = shape.as_nchw();
         let mut data = std::mem::take(&mut self.input);
-        data.resize(images.len() * c * h * w, 0.0);
-        for (image, slot) in images.iter().zip(data.chunks_exact_mut((c * h * w).max(1))) {
-            assert_eq!(image.shape(), images[0].shape(), "a batch holds images of one shape");
+        data.resize(len * c * h * w, 0.0);
+        for (image, slot) in images.zip(data.chunks_exact_mut((c * h * w).max(1))) {
+            assert_eq!(*image.shape(), shape, "a batch holds images of one shape");
             self.preprocessor.apply_into(image, slot);
         }
-        let input = Tensor::from_vec([images.len(), c, h, w], data);
+        PASS_IMAGES
+            .get_or_init(|| pgmr_obs::global().histogram("infer.pass_images"))
+            .record(len as u64);
+        let input = Tensor::from_vec([len, c, h, w], data);
         let p = self.precision;
         let fault = self.fault.as_ref();
         if let Some(inj) = fault {
@@ -251,7 +257,7 @@ impl Member {
         self.input = input.into_data();
         verdict?;
         let classes = self.network.num_classes();
-        debug_assert_eq!(self.probs.len(), images.len() * classes);
+        debug_assert_eq!(self.probs.len(), len * classes);
         for row in self.probs.chunks_exact_mut(classes) {
             pgmr_tensor::softmax_in_place(row);
         }

@@ -17,11 +17,15 @@
 //! trade-off: Fig. 10 reports a modest FP increase in exchange for the
 //! large energy/latency cut.
 //!
-//! The protocol reads top-1 votes. The system casts them straight from
-//! its members' reused buffers, so a warmed staged decision allocates
-//! nothing; the public [`StagedEngine::decide`], `decide_with` and
-//! `decide_with_budget` take probability vectors and reduce each one to
-//! its vote.
+//! The protocol reads top-1 votes and keeps one [`StagedRow`] per input:
+//! [`StagedEngine::next_member`] names the member an input activates next
+//! (asking the budget before an escalation), and [`StagedEngine::cast`],
+//! the one RADE step, folds that member's vote in. The public
+//! [`StagedEngine::decide`], `decide_with` and `decide_with_budget` step
+//! one input's row with votes reduced from probability vectors; the
+//! system steps the rows of a whole run stage by stage, with votes cast
+//! straight from its members' reused buffers after batched passes, so a
+//! warmed staged run allocates nothing.
 
 use crate::decision::{top_vote, Thresholds, Verdict, VoteTally};
 use pgmr_obs::{Counter, Histogram};
@@ -160,53 +164,82 @@ impl StagedEngine {
         &self,
         mut predict: impl FnMut(usize) -> P,
         n_members: usize,
-        may_escalate: impl FnMut(usize) -> bool,
-    ) -> BudgetedDecision {
-        self.decide_votes(|m| top_vote(predict(m).as_ref()), n_members, may_escalate)
-    }
-
-    /// [`StagedEngine::decide_with_budget`] over a provider of top-1 votes,
-    /// `vote(m)` = member `m`'s `(class, confidence)`.
-    pub(crate) fn decide_votes(
-        &self,
-        mut vote: impl FnMut(usize) -> (usize, f32),
-        n_members: usize,
         mut may_escalate: impl FnMut(usize) -> bool,
     ) -> BudgetedDecision {
         assert_eq!(n_members, self.priority.len(), "member count mismatch with priority order");
+        let mut row = self.row();
+        while let Some(m) = self.next_member(&mut row, &mut may_escalate) {
+            self.cast(&mut row, top_vote(predict(m).as_ref()));
+        }
+        self.finish(&row)
+    }
+
+    /// An input that has activated no member yet.
+    pub(crate) fn row(&self) -> StagedRow {
+        StagedRow { tally: VoteTally::new(self.thresholds.conf), activated: 0, exit: None }
+    }
+
+    /// The member `row` activates next, or `None` once it has exited.
+    /// Stage 1 (the first `Thr_Freq` members) is unconditional — a verdict
+    /// needs at least that many candidate votes. Before every activation
+    /// past it `may_escalate(activated_so_far)` is asked, and a refusal
+    /// ends the row with its best-so-far plurality; a row that has exited
+    /// asks nothing.
+    pub(crate) fn next_member(
+        &self,
+        row: &mut StagedRow,
+        may_escalate: impl FnOnce(usize) -> bool,
+    ) -> Option<usize> {
+        if row.exit.is_some() {
+            return None;
+        }
+        if row.activated >= self.thresholds.freq && !may_escalate(row.activated) {
+            row.exit = Some(Exit::BudgetStopped);
+            return None;
+        }
+        Some(self.priority[row.activated])
+    }
+
+    /// The one RADE step: folds the vote `(class, confidence)` of the
+    /// member [`StagedEngine::next_member`] named into `row`, and ends the
+    /// row at an early exit or after the last member.
+    pub(crate) fn cast(&self, row: &mut StagedRow, (class, confidence): (usize, f32)) {
         let freq = self.thresholds.freq;
-        let mut tally = VoteTally::new(self.thresholds.conf);
-        let mut activated = 0;
-        let exit = loop {
-            if activated == n_members {
-                break Exit::Exhausted;
-            }
-            // Stage 1 (the first Thr_Freq members) is unconditional — a
-            // verdict needs at least that many candidate votes. Escalating
-            // past it is what the budget gates.
-            if activated >= freq && !may_escalate(activated) {
-                break Exit::BudgetStopped;
-            }
-            let (class, confidence) = vote(self.priority[activated]);
-            tally.cast_top(class, confidence);
-            activated += 1;
+        row.tally.cast_top(class, confidence);
+        row.activated += 1;
+        let remaining = self.priority.len() - row.activated;
+        row.exit = if row.tally.best() + remaining < freq {
             // Early unreliable: even if every remaining network voted for
             // the current leader it could not reach Thr_Freq. This can
-            // trigger mid-batch (e.g. a low-confidence vote was discarded),
-            // which is RADE's "early detection of unreliable answers".
-            let remaining = n_members - activated;
-            if tally.best() + remaining < freq {
-                break if remaining > 0 { Exit::EarlyUnreliable } else { Exit::Exhausted };
-            }
+            // trigger mid-batch (e.g. a low-confidence vote was
+            // discarded), which is RADE's "early detection of unreliable
+            // answers".
+            Some(if remaining > 0 { Exit::EarlyUnreliable } else { Exit::Exhausted })
+        } else if row.tally.verdict(freq).is_reliable() {
             // Early reliable: the leader already meets Thr_Freq and no
             // other class ties it.
-            if tally.verdict(freq).is_reliable() {
-                break Exit::EarlyReliable;
-            }
+            Some(Exit::EarlyReliable)
+        } else if remaining == 0 {
+            Some(Exit::Exhausted)
+        } else {
+            None
         };
-        Self::note_exit(activated, exit);
+    }
+
+    /// The decision of a row that has exited, its activation cost and exit
+    /// path recorded into obs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has not exited.
+    pub(crate) fn finish(&self, row: &StagedRow) -> BudgetedDecision {
+        let exit = row.exit.expect("a staged row is decided once it has exited");
+        Self::note_exit(row.activated, exit);
         BudgetedDecision {
-            decision: StagedDecision { verdict: tally.verdict(freq), activated },
+            decision: StagedDecision {
+                verdict: row.tally.verdict(self.thresholds.freq),
+                activated: row.activated,
+            },
             budget_exhausted: matches!(exit, Exit::BudgetStopped),
         }
     }
@@ -222,6 +255,16 @@ impl StagedEngine {
         let i = exit as usize;
         EXITS[i].get_or_init(|| obs.counter(EXIT_COUNTERS[i])).inc();
     }
+}
+
+/// One input's place in the staged protocol: the votes of the members
+/// activated so far and, once it has ended, how. Rows of many inputs step
+/// side by side when a run of them is decided stage by stage.
+#[derive(Clone)]
+pub(crate) struct StagedRow {
+    tally: VoteTally,
+    activated: usize,
+    exit: Option<Exit>,
 }
 
 /// How a staged decision ended; indexes [`EXIT_COUNTERS`].

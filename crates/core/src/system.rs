@@ -1,23 +1,26 @@
 //! The assembled PolygraphMR system: ensemble + decision engine, with an
 //! optional staged (RADE) inference mode and an optional fault policy.
-//! [`PolygraphSystem::decide`] decides every request; a warmed decision
+//! [`PolygraphSystem::decide_run`] decides every run of independent
+//! requests in order — one request ([`PolygraphSystem::decide`]), an
+//! [`PolygraphSystem::infer_batch`] call or shard, a serve shard — and
+//! gives exactly what deciding them one at a time gives; a warmed run
 //! allocates nothing.
 //!
-//! The full-ensemble vote (no RADE, or a fault policy set) runs as a
-//! *segment*: each voting member's passes over the segment's images,
-//! then a fold of their top-1 votes image by image, in member order,
-//! through retries, strikes, quarantine and the solo scan. A request is a
-//! one-image segment. [`PolygraphSystem::infer_batch`] on a system that
-//! [decides in order](PolygraphSystem::decides_in_order) runs its images
-//! as segments bounded by the solo horizon, one pool job per voting
-//! member per segment, in which a member without a fault injector runs
-//! the segment in batched forwards; it still gives exactly what deciding
-//! the images one at a time gives (see `DESIGN.md` §4a).
+//! The full-ensemble vote (no RADE, or a fault policy set) runs as
+//! *segments*: each voting member's passes over a segment's images, then
+//! a fold of their top-1 votes image by image, in member order, through
+//! retries, strikes, quarantine and the solo scan. A segment ends at the
+//! solo horizon; given a pool, it runs one pool job per voting member.
+//! RADE without a policy runs *stage by stage*: the member at each
+//! priority position runs over only the images still undecided, and each
+//! vote folds into its image's staged row. Either way a member without a
+//! fault injector runs its images in batched forwards (see `DESIGN.md`
+//! §4a).
 
 use crate::decision::{Thresholds, Verdict, VoteTally};
 use crate::ensemble::{Ensemble, Member};
 use crate::evaluate::outcomes;
-use crate::rade::{BudgetedDecision, StagedDecision, StagedEngine};
+use crate::rade::{BudgetedDecision, StagedDecision, StagedEngine, StagedRow};
 use crate::stream::ReliabilityMonitor;
 use pgmr_datasets::Dataset;
 use pgmr_faults::VulnerabilityProfile;
@@ -128,35 +131,41 @@ const QUARANTINE_AFTER: u32 = 3;
 /// weight corruption, which ABFT checksums cannot see.
 const SOLO_AFTER: u32 = 5;
 
-/// Images a member runs in one batched pass; a longer segment runs in
-/// several. Batching shares each pass over a dense layer's weight, but a
-/// pool worker's arena and the member's buffers grow with the batch: on
-/// perfbench's `batch_guarded`, passes of all 8 images of a call read
-/// 17.7 MB `peak_rss_mb` against 16.1 for passes of 4 (14.3 unbatched)
-/// and ran no faster.
+/// Images a member runs in one batched pass; a longer segment or stage
+/// runs in several. Batching shares each pass over a dense layer's
+/// weight, but a pool worker's arena and the member's buffers grow with
+/// the batch: on perfbench's `batch_guarded`, passes of all 8 images of a
+/// call read 17.7 MB `peak_rss_mb` against 16.1 for passes of 4 (14.3
+/// unbatched) and ran no faster.
 const PASS_IMAGES: usize = 4;
 
 /// One member's pass of one image: its top-1 vote `(class, confidence)`
 /// or the checksum fault it kept raising, and the retries spent.
 type Pass = (Result<(usize, f32), ChecksumFault>, usize);
 
-/// Runs member `m`'s pass: an unguarded vote without a tolerance; with
-/// one, a checksum-verified vote re-run up to [`RETRIES`] times while it
-/// faults.
+/// Runs member `m`'s pass on one image: an unguarded vote without a
+/// tolerance; with one, a checksum-verified vote re-run up to [`RETRIES`]
+/// times while it faults.
 fn member_pass(m: usize, member: &mut Member, image: &Tensor, tolerance: Option<f32>) -> Pass {
-    let mut result = time_forward(m, || member.vote(image, tolerance), |_| 1);
+    let mut vote = || {
+        let votes = member.votes(std::iter::once(image), tolerance);
+        votes.map(|mut votes| votes.next().expect("a pass over one image casts one vote"))
+    };
+    let mut result = time_forward(m, &mut vote, |_| 1);
     let mut retried = 0;
     while result.is_err() && retried < RETRIES {
         retried += 1;
-        result = time_forward(m, || member.vote(image, tolerance), |_| 1);
+        result = time_forward(m, &mut vote, |_| 1);
     }
     (result, retried)
 }
 
-/// Runs member `m`'s passes over a segment's `images`, in order, into
-/// `slots`, [`PASS_IMAGES`] images at a time.
+/// Runs member `m`'s passes over the `rows` of a run of `images`, in
+/// order, into `slots` (one per row), [`PASS_IMAGES`] rows at a time. The
+/// rows need not be contiguous: a stage of a staged run passes only the
+/// images still undecided.
 ///
-/// A member without an injector runs two or more images as one batched
+/// A member without an injector runs two or more rows as one batched
 /// pass ([`Member::votes`]), which gives every image the vote and the
 /// fault verdict of its own pass: if it does not fault, every image votes
 /// from it with no retry, and the forward timer records one sample per
@@ -167,29 +176,31 @@ fn member_pass(m: usize, member: &mut Member, image: &Tensor, tolerance: Option<
 /// its [`QUARANTINE_AFTER`]-th strike, counting from `strikes`. The fold
 /// quarantines the member at that image, so the sequential path runs it
 /// on none of the later ones. Only the member's own faults move its
-/// strikes.
+/// strikes; an unguarded pass never faults.
 fn member_passes(
     m: usize,
     member: &mut Member,
     images: &[Tensor],
+    rows: &[usize],
     tolerance: Option<f32>,
     mut strikes: u32,
     slots: &mut [Option<Pass>],
 ) {
     let batches = member.fault_injector().is_none();
-    for (images, slots) in images.chunks(PASS_IMAGES).zip(slots.chunks_mut(PASS_IMAGES)) {
-        if batches && images.len() > 1 {
+    for (rows, slots) in rows.chunks(PASS_IMAGES).zip(slots.chunks_mut(PASS_IMAGES)) {
+        if batches && rows.len() > 1 {
+            let batch = rows.iter().map(|&i| &images[i]);
             let per_image =
-                |votes: &Result<_, _>| if votes.is_ok() { images.len() as u64 } else { 0 };
-            if let Ok(votes) = time_forward(m, || member.votes(images, tolerance), per_image) {
+                |votes: &Result<_, _>| if votes.is_ok() { rows.len() as u64 } else { 0 };
+            if let Ok(votes) = time_forward(m, || member.votes(batch, tolerance), per_image) {
                 for (slot, vote) in slots.iter_mut().zip(votes) {
                     *slot = Some((Ok(vote), 0));
                 }
                 continue;
             }
         }
-        for (image, slot) in images.iter().zip(slots) {
-            let pass = member_pass(m, member, image, tolerance);
+        for (&i, slot) in rows.iter().zip(slots) {
+            let pass = member_pass(m, member, &images[i], tolerance);
             let struck = pass.0.is_err();
             *slot = Some(pass);
             if struck {
@@ -224,10 +235,18 @@ pub struct PolygraphSystem {
     /// `(member, class)` of each vote under a fault policy, refilled per
     /// request for the solo scan.
     voters: Vec<(usize, usize)>,
-    /// The passes of the segment being decided, member-major: member
-    /// `m`'s pass on the segment's image `i` sits at `m * len + i`.
-    /// Reused across segments.
+    /// The passes being folded. In a segment they are member-major:
+    /// member `m`'s pass on the segment's image `i` sits at `m * len + i`.
+    /// In a stage of a staged run, the stage member's pass on `live[k]`
+    /// sits at `k`. Reused.
     passes: Vec<Option<Pass>>,
+    /// The images the passes run over, as indices into the run: all of a
+    /// segment's, or the ones a staged run still has undecided at a stage.
+    /// Reused.
+    live: Vec<usize>,
+    /// Each image's place in the staged protocol during a staged run.
+    /// Reused.
+    staging: Vec<StagedRow>,
     events: Vec<FaultEvent>,
 }
 
@@ -246,6 +265,8 @@ impl PolygraphSystem {
             solo: vec![0; n],
             voters: Vec::new(),
             passes: Vec::new(),
+            live: Vec::new(),
+            staging: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -421,44 +442,110 @@ impl PolygraphSystem {
         Thresholds::new(self.thresholds.conf, freq.clamp(1, active))
     }
 
-    /// Decides one request: the one routine behind
-    /// [`PolygraphSystem::infer_counted`], [`PolygraphSystem::infer_batch`]
-    /// and the serving front-end. A warmed decision allocates nothing.
-    ///
-    /// RADE without a fault policy runs the staged protocol: the first
-    /// `Thr_Freq` members always run, `may_escalate(activated_so_far)`
-    /// gates every activation beyond them, and a refused escalation
-    /// returns the best-so-far plurality marked
-    /// [`BudgetedDecision::budget_exhausted`]. Otherwise every member
-    /// votes in member order and the budget is never consulted; under a
-    /// fault policy only the members not quarantined vote, through
-    /// checksum-verified forwards with retries, strikes and quarantine (see
-    /// [`FaultPolicy`]). That full-ensemble vote is a one-image segment of
-    /// the fold [`PolygraphSystem::infer_batch`] runs.
+    /// Decides one request: a [run](PolygraphSystem::decide_run) of one
+    /// image, whose budget is asked `may_escalate(activated_so_far)`.
     pub fn decide(
         &mut self,
         image: &Tensor,
-        may_escalate: impl FnMut(usize) -> bool,
+        mut may_escalate: impl FnMut(usize) -> bool,
     ) -> BudgetedDecision {
-        match &self.staged {
-            Some(staged) if self.fault_policy.is_none() => {
-                let members = self.ensemble.members_mut();
-                let n = members.len();
-                // Split borrow: the closure indexes members directly.
-                let vote = |m: usize| {
-                    let vote = time_forward(m, || members[m].vote(image, None), |_| 1);
-                    vote.expect("an unguarded run cannot fault")
-                };
-                let out = staged.decide_votes(vote, n, may_escalate);
-                note_verdict(&out.decision.verdict);
-                out
+        let mut decision = None;
+        let budget = |_, activated| may_escalate(activated);
+        self.decide_run(std::slice::from_ref(image), None, budget, |d| decision = Some(d));
+        decision.expect("a run decides each of its images")
+    }
+
+    /// Decides a run of independent `images` in order, `emit` receiving
+    /// each image's decision in turn: the one routine behind
+    /// [`PolygraphSystem::decide`], [`PolygraphSystem::infer_batch`] and
+    /// the serving front-end. Each decision is the one deciding the images
+    /// one at a time with [`PolygraphSystem::decide`] gives, and a warmed
+    /// run without a pool allocates nothing.
+    ///
+    /// RADE without a fault policy runs the staged protocol stage by stage
+    /// over the whole run: the member at each priority position runs
+    /// batched passes over only the images still undecided (an injected
+    /// member one image per pass), and each vote folds into its image's
+    /// staged row. The first `Thr_Freq` members always run; before every
+    /// activation beyond them, image `i` asks `may_escalate(i,
+    /// activated_so_far)`, and a refused escalation returns its best-so-far
+    /// plurality marked [`BudgetedDecision::budget_exhausted`]. Each member
+    /// appears at one priority position, so it sees the images it would
+    /// see deciding them one at a time, in the same order: its injector
+    /// stream, its forward-timer samples and every verdict are unchanged.
+    /// The stages run on the calling thread; `pool` is not used.
+    ///
+    /// Otherwise every member votes in member order and the budget is
+    /// never asked; under a fault policy only the members not quarantined
+    /// vote, through checksum-verified forwards with retries, strikes and
+    /// quarantine (see [`FaultPolicy`]). That full-ensemble vote runs in
+    /// segments, each ending at the first image where a
+    /// persistent-disagreement quarantine could fire: each voting member
+    /// runs its batched passes over a segment's images, as one pool job
+    /// per member given a `pool` and inline otherwise, and then the votes
+    /// fold image by image in member order (see `DESIGN.md` §4a).
+    pub fn decide_run(
+        &mut self,
+        images: &[Tensor],
+        pool: Option<&WorkerPool>,
+        may_escalate: impl FnMut(usize, usize) -> bool,
+        mut emit: impl FnMut(BudgetedDecision),
+    ) {
+        if !self.polls_every_member() {
+            return self.decide_stages(images, may_escalate, emit);
+        }
+        let mut rest = images;
+        while !rest.is_empty() {
+            let (segment, tail) = rest.split_at(self.solo_horizon(rest.len()));
+            self.poll_segment(segment, pool, |decision| {
+                emit(BudgetedDecision { decision, budget_exhausted: false })
+            });
+            rest = tail;
+        }
+    }
+
+    /// The staged protocol over a run of `images`, stage by stage (see
+    /// [`PolygraphSystem::decide_run`]). At every stage each undecided
+    /// image asks [`StagedEngine::next_member`] for its next member, which
+    /// asks its budget before an escalation; all images still running
+    /// have activated the same number of members, so they name the same
+    /// one. That member runs its passes over them ([`member_passes`]), and
+    /// each vote folds through [`StagedEngine::cast`]. Once no image runs,
+    /// the decisions are emitted in order.
+    fn decide_stages(
+        &mut self,
+        images: &[Tensor],
+        mut may_escalate: impl FnMut(usize, usize) -> bool,
+        mut emit: impl FnMut(BudgetedDecision),
+    ) {
+        let PolygraphSystem { ensemble, staged, staging, live, passes, .. } = self;
+        let staged = staged.as_deref().expect("a staged run has a staged engine");
+        let members = ensemble.members_mut();
+        staging.clear();
+        staging.extend(images.iter().map(|_| staged.row()));
+        loop {
+            live.clear();
+            let mut stage_member = None;
+            for (i, row) in staging.iter_mut().enumerate() {
+                if let Some(m) = staged.next_member(row, |activated| may_escalate(i, activated)) {
+                    debug_assert!(stage_member.is_none_or(|s| s == m), "one member per stage");
+                    stage_member = Some(m);
+                    live.push(i);
+                }
             }
-            _ => {
-                let mut decision = None;
-                self.poll_segment(std::slice::from_ref(image), None, |d| decision = Some(d));
-                let decision = decision.expect("a segment decides each of its images");
-                BudgetedDecision { decision, budget_exhausted: false }
+            let Some(m) = stage_member else { break };
+            passes.clear();
+            passes.resize(live.len(), None);
+            member_passes(m, &mut members[m], images, live, None, 0, passes);
+            for (&i, pass) in live.iter().zip(passes.iter_mut()) {
+                let (vote, _) = pass.take().expect("an unguarded member runs every pass");
+                staged.cast(&mut staging[i], vote.expect("an unguarded run cannot fault"));
             }
+        }
+        for row in staging.iter() {
+            let out = staged.finish(row);
+            note_verdict(&out.decision.verdict);
+            emit(out);
         }
     }
 
@@ -512,8 +599,10 @@ impl PolygraphSystem {
         let len = images.len();
         self.passes.clear();
         self.passes.resize(n * len, None);
+        self.live.clear();
+        self.live.extend(0..len);
         // Quarantine holds only under a policy: without one every member votes.
-        let (active, strikes) = (&self.active, &self.strikes);
+        let (active, strikes, rows) = (&self.active, &self.strikes, &self.live[..]);
         let runs = (self.ensemble.members_mut().iter_mut().zip(self.passes.chunks_mut(len)))
             .enumerate()
             .filter(|(m, _)| tolerance.is_none() || active[*m]);
@@ -521,16 +610,16 @@ impl PolygraphSystem {
             Some(pool) => {
                 let jobs: Vec<_> = runs
                     .map(|(m, (member, slots))| {
-                        move || member_passes(m, member, images, tolerance, strikes[m], slots)
+                        move || member_passes(m, member, images, rows, tolerance, strikes[m], slots)
                     })
                     // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per voting member per segment; only `infer_batch` passes a pool
                     .collect();
-                // pgmr-lint: allow(nested-pool-run): the pool jobs that reach this fold (the shards of `infer_batch` and of serve) come through `decide`, which passes no pool
+                // pgmr-lint: allow(nested-pool-run): the pool jobs that reach this fold (the shards of `infer_batch` and of serve) come through `decide_run` with no pool
                 pool.run(jobs);
             }
             None => {
                 for (m, (member, slots)) in runs {
-                    member_passes(m, member, images, tolerance, strikes[m], slots);
+                    member_passes(m, member, images, rows, tolerance, strikes[m], slots);
                 }
             }
         }
@@ -680,32 +769,19 @@ impl PolygraphSystem {
     /// [`PolygraphSystem::infer_counted`] on each image in order gives.
     ///
     /// A system that [decides in order](PolygraphSystem::decides_in_order)
-    /// through the full-ensemble vote runs member-major, in segments that
-    /// each end at the first image where a persistent-disagreement
-    /// quarantine could fire: a segment is one pool job per voting member,
-    /// batched forwards over the segment for each member without an
-    /// injector, whose votes then fold image by image in request order
-    /// (see `DESIGN.md` §4a). RADE decided in order (an injector without a
-    /// policy) runs its images one after another, as does any batch the
-    /// pool cannot split. Any other system is sharded across the pool on
-    /// clones of itself — forward passes are deterministic, so the shards
+    /// decides the call as one [run](PolygraphSystem::decide_run) on the
+    /// pool: its full-ensemble segments run one pool job per voting member
+    /// (see `DESIGN.md` §4a), its staged protocol runs stage by stage. Any
+    /// other system is sharded across the pool, one run per shard on a
+    /// clone of itself — forward passes are deterministic, so the shards
     /// compose bit-identically.
     pub fn infer_batch(&mut self, images: &[Tensor], pool: &WorkerPool) -> Vec<StagedDecision> {
         let mut decisions = Vec::with_capacity(images.len());
         let in_order = self.decides_in_order();
-        if in_order && self.polls_every_member() {
+        if in_order || pool.threads() == 1 || images.len() < 2 {
             // A one-wide pool would run the member jobs inline anyway.
-            let jobs_pool = (pool.threads() > 1).then_some(pool);
-            let mut rest = images;
-            while !rest.is_empty() {
-                let (segment, tail) = rest.split_at(self.solo_horizon(rest.len()));
-                self.poll_segment(segment, jobs_pool, |d| decisions.push(d));
-                rest = tail;
-            }
-        } else if in_order || pool.threads() == 1 || images.len() < 2 {
-            for image in images {
-                decisions.push(self.decide(image, |_| true).decision);
-            }
+            let jobs = (in_order && pool.threads() > 1).then_some(pool);
+            self.decide_run(images, jobs, |_, _| true, |d| decisions.push(d.decision));
         } else {
             // Each shard fills its own run of the result slots.
             let unset = StagedDecision {
@@ -721,9 +797,15 @@ impl PolygraphSystem {
                     let mut shard = self.clone();
                     let images = &images[range];
                     move || {
-                        for (slot, image) in shard_slots.iter_mut().zip(images) {
-                            *slot = shard.infer_counted(image);
-                        }
+                        let mut slots = shard_slots.iter_mut();
+                        shard.decide_run(
+                            images,
+                            None,
+                            |_, _| true,
+                            |d| {
+                                *slots.next().expect("a slot per image") = d.decision;
+                            },
+                        );
                     }
                 })
                 // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per shard per call

@@ -7,9 +7,10 @@
 //! `.to_vec()`, `.collect()`, `Box::new`, `String::from`, `format!`)
 //! outside the workspace-arena APIs. The roots are the serving-path
 //! entries: the forward driver `Network::run`, every layer's
-//! `Layer::forward_into`, `PolygraphSystem::decide` (every request's
-//! decision), `PolygraphSystem::infer_batch` (batch decisions) and the
-//! serve batcher fold (`BatchEngine::process`).
+//! `Layer::forward_into`, `PolygraphSystem::decide` (one request's
+//! decision), `PolygraphSystem::decide_run` (every run of requests),
+//! `PolygraphSystem::infer_batch` (batch decisions) and the serve batcher
+//! fold (`BatchEngine::process`).
 //!
 //! The rule's world has a *frontier* past which it neither traverses
 //! nor reports:
@@ -38,6 +39,7 @@ const ROOT_FNS: &[(&str, Option<&str>)] = &[
     ("run", Some("Network")),
     ("forward_into", None),
     ("decide", Some("PolygraphSystem")),
+    ("decide_run", Some("PolygraphSystem")),
     ("infer_batch", Some("PolygraphSystem")),
     ("process", Some("BatchEngine")),
 ];

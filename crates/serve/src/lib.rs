@@ -32,10 +32,14 @@
 //!   `run` calls into the shared global pool can deadlock). A lone
 //!   request runs immediately; requests that arrive while a batch runs
 //!   form the next batch, so batches grow only with load.
-//! * Each request runs [`PolygraphSystem::decide`] on its replica under
-//!   an escalation budget derived from its deadline. After each batch the
-//!   replicas' quarantines are noted in a [`ReliabilityMonitor`], then the
-//!   verdicts are folded into it in submission order, so stream health
+//! * Each replica decides its shard of the batch as one
+//!   [`PolygraphSystem::decide_run`], so its members run batched forwards
+//!   over the shard; under RADE stage 1 runs over every request of the
+//!   shard and the undecided ones escalate as a sub-batch. Each request's
+//!   escalations are gated by a budget derived from its own deadline,
+//!   asked at every stage boundary. After each batch the replicas'
+//!   quarantines are noted in a [`ReliabilityMonitor`], then the verdicts
+//!   are folded into it in submission order, so stream health
 //!   ([`ServeHandle::health`]) reflects live traffic.
 //!
 //! ## Determinism
@@ -43,9 +47,10 @@
 //! With open deadlines the served verdicts are bit-identical to calling
 //! [`PolygraphSystem::infer_counted`] on the same images in submission
 //! order: batching and sharding only regroup work, never reorder the fold,
-//! and a system decided in order runs its requests one after another.
-//! Deadline-expired requests are the one (documented, surfaced) exception
-//! — their verdict depends on how much budget was left.
+//! a run decides exactly what its requests decided one at a time give,
+//! and a system decided in order runs each batch as one run on one
+//! replica. Deadline-expired requests are the one (documented, surfaced)
+//! exception — their verdict depends on how much budget was left.
 //!
 //! ## Observability
 //!
@@ -101,8 +106,9 @@ const POISONED: &str = "serve shared-state mutex poisoned";
 ///
 /// Admission has no delay knob: the batcher never waits for a batch to
 /// fill. It runs one batch at a time, so every worker is idle while it
-/// admits, and a batch runs per-request forwards, so a fuller batch would
-/// buy nothing for the time spent waiting on it.
+/// waits. Under load the requests queued behind a running batch already
+/// fill the next one, and at light load a wait would add its whole length
+/// to a lone request's latency to share part of one batched forward.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Largest batch one admission step may take from the queue. Under
@@ -176,20 +182,35 @@ pub struct ServeStats {
     pub activated_members: u64,
 }
 
-/// One queued request.
-struct Request {
+/// What the fold needs of a queued request besides its image.
+struct Ticket {
     id: RequestId,
-    image: Tensor,
     submitted: Instant,
     deadline: Option<Instant>,
     reply: Sender<Completion>,
+}
+
+/// The admitted batch, reused across batches: the images, so that a
+/// shard's requests are one contiguous run, and their tickets, index
+/// for index.
+#[derive(Default)]
+struct Batch {
+    images: Vec<Tensor>,
+    tickets: Vec<Ticket>,
+}
+
+impl Batch {
+    fn push(&mut self, image: Tensor, ticket: Ticket) {
+        self.images.push(image);
+        self.tickets.push(ticket);
+    }
 }
 
 /// Queue messages: requests, plus the shutdown marker that lets
 /// [`ServeHandle::shutdown`] terminate the batcher even while submitter
 /// clones are still alive elsewhere.
 enum Envelope {
-    Request(Request),
+    Request { image: Tensor, ticket: Ticket },
     Shutdown,
 }
 
@@ -280,15 +301,14 @@ impl Submitter {
         shared.metrics.queue_depth.set(depth as f64);
         shared.submitted.fetch_add(1, Ordering::Relaxed);
         shared.metrics.submitted.inc();
-        let request = Request {
+        let ticket = Ticket {
             id,
-            image,
             submitted,
             deadline: deadline.map(|d| submitted + d),
             reply: reply.clone(),
         };
         self.sender
-            .send(Envelope::Request(request))
+            .send(Envelope::Request { image, ticket })
             .expect("request submitted to a shut-down serve front-end");
         id
     }
@@ -306,7 +326,8 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Starts a front-end serving clones of `system`, one per worker. With
+    /// Starts a front-end serving clones of `system`, one per worker, each
+    /// deciding its shard of every batch as one run. With
     /// RADE and no fault policy the staged engine is the deadline policy;
     /// any other system runs every active member on every request, and
     /// deadlines then only mark completions missed, never degraded. A
@@ -342,7 +363,7 @@ impl ServeHandle {
             monitor,
             shared: Arc::clone(&shared),
             max_batch: config.max_batch,
-            batch: Vec::new(),
+            batch: Batch::default(),
             outcomes: Vec::new(),
         };
         let batcher = std::thread::Builder::new()
@@ -455,7 +476,7 @@ struct BatchEngine {
     shared: Arc<Shared>,
     max_batch: usize,
     /// The admitted batch, reused across batches.
-    batch: Vec<Request>,
+    batch: Batch,
     /// Per-request outcome and finish time, index-aligned with `batch`;
     /// each shard job fills its own slice. Reused across batches.
     outcomes: Vec<Option<(BudgetedDecision, Instant)>>,
@@ -465,7 +486,7 @@ impl BatchEngine {
     fn run(mut self) {
         loop {
             let open = admit(&self.receiver, self.max_batch, &mut self.batch);
-            if !self.batch.is_empty() {
+            if !self.batch.tickets.is_empty() {
                 self.process();
             }
             if !open {
@@ -479,17 +500,17 @@ impl BatchEngine {
     /// (completion delivery, monitor feed, and stats all follow that
     /// order — the determinism contract).
     fn process(&mut self) {
-        let n = self.batch.len();
+        let n = self.batch.tickets.len();
         let metrics = &self.shared.metrics;
         let depth = self.shared.queue_depth.fetch_sub(n as u64, Ordering::Relaxed) - n as u64;
         metrics.queue_depth.set(depth as f64);
         metrics.batches.inc();
         metrics.batch_size.record(n as u64);
 
-        // Shard the batch across the replicas; each shard runs its
-        // requests sequentially on its own replica and writes its own
-        // slice of `outcomes`, so the slots in order reproduce the
-        // sequential fold exactly.
+        // Shard the batch across the replicas; each shard is one run of
+        // its requests on its own replica, under each request's deadline,
+        // and writes its own slice of `outcomes`, so the slots in order
+        // reproduce the sequential fold exactly.
         self.outcomes.clear();
         self.outcomes.resize(n, None);
         let mut slots = &mut self.outcomes[..];
@@ -498,19 +519,22 @@ impl BatchEngine {
             .map(|(range, replica)| {
                 let (shard, rest) = std::mem::take(&mut slots).split_at_mut(range.len());
                 slots = rest;
-                let requests = &self.batch[range];
+                let images = &self.batch.images[range.clone()];
+                let tickets = &self.batch.tickets[range];
                 move || {
-                    for (slot, r) in shard.iter_mut().zip(requests) {
-                        let out = replica
-                            .decide(&r.image, |_| r.deadline.is_none_or(|d| Instant::now() < d));
-                        *slot = Some((out, Instant::now()));
-                    }
+                    let mut shard = shard.iter_mut();
+                    let may_escalate =
+                        |i: usize, _| tickets[i].deadline.is_none_or(|d| Instant::now() < d);
+                    replica.decide_run(images, None, may_escalate, |out| {
+                        *shard.next().expect("a slot per request") = Some((out, Instant::now()));
+                    });
                 }
             })
             // pgmr-lint: allow(hot-path-alloc): the job list `WorkerPool::run` takes by value, one entry per replica shard
             .collect();
         // pgmr-lint: allow(nested-pool-run): false cross-crate edge — polygraph-mr does not depend on pgmr-serve, so no core job closure can reach this dedicated-pool dispatch
         self.pool.run(jobs);
+        self.batch.images.clear();
 
         // Only a replica under a fault policy logs events; its quarantines
         // reach the monitor before this batch's verdicts do.
@@ -528,11 +552,11 @@ impl BatchEngine {
         let mut health = self.shared.health.lock().expect(POISONED);
         stats.batches += 1;
         stats.max_batch_observed = stats.max_batch_observed.max(n as u64);
-        for (r, slot) in self.batch.drain(..).zip(&mut self.outcomes) {
+        for (ticket, slot) in self.batch.tickets.drain(..).zip(&mut self.outcomes) {
             let (out, finished) = slot.take().expect("every shard job fills its slots");
             let degraded = out.budget_exhausted;
-            let missed = degraded || r.deadline.is_some_and(|d| finished > d);
-            let latency = finished.duration_since(r.submitted);
+            let missed = degraded || ticket.deadline.is_some_and(|d| finished > d);
+            let latency = finished.duration_since(ticket.submitted);
             metrics.latency.record(latency.as_nanos() as u64);
             metrics.completed.inc();
             if missed {
@@ -548,8 +572,8 @@ impl BatchEngine {
             self.monitor.observe(&out.decision.verdict);
             // A client that dropped its reply receiver forfeits the
             // answer; the front-end keeps serving.
-            let _ = r.reply.send(Completion {
-                id: r.id,
+            let _ = ticket.reply.send(Completion {
+                id: ticket.id,
                 decision: out.decision,
                 deadline_degraded: degraded,
                 deadline_missed: missed,
@@ -566,15 +590,16 @@ impl BatchEngine {
 /// and later arrivals form the next batch. Returns `false` once the
 /// shutdown marker (or a disconnected queue) is reached; the requests
 /// admitted ahead of it are still in `batch`.
-fn admit(receiver: &Receiver<Envelope>, max_batch: usize, batch: &mut Vec<Request>) -> bool {
-    batch.clear();
+fn admit(receiver: &Receiver<Envelope>, max_batch: usize, batch: &mut Batch) -> bool {
+    batch.images.clear();
+    batch.tickets.clear();
     match receiver.recv() {
-        Ok(Envelope::Request(r)) => batch.push(r),
+        Ok(Envelope::Request { image, ticket }) => batch.push(image, ticket),
         Ok(Envelope::Shutdown) | Err(_) => return false,
     }
-    while batch.len() < max_batch {
+    while batch.tickets.len() < max_batch {
         match receiver.try_recv() {
-            Ok(Envelope::Request(r)) => batch.push(r),
+            Ok(Envelope::Request { image, ticket }) => batch.push(image, ticket),
             Ok(Envelope::Shutdown) | Err(TryRecvError::Disconnected) => return false,
             Err(TryRecvError::Empty) => break,
         }
@@ -587,17 +612,14 @@ mod tests {
     use super::*;
 
     fn request(id: u64, reply: &Sender<Completion>) -> Envelope {
-        Envelope::Request(Request {
-            id: RequestId(id),
-            image: Tensor::zeros(vec![1]),
-            submitted: Instant::now(),
-            deadline: None,
-            reply: reply.clone(),
-        })
+        let submitted = Instant::now();
+        let ticket = Ticket { id: RequestId(id), submitted, deadline: None, reply: reply.clone() };
+        Envelope::Request { image: Tensor::zeros(vec![1]), ticket }
     }
 
-    fn ids(batch: &[Request]) -> Vec<u64> {
-        batch.iter().map(|r| r.id.0).collect()
+    fn ids(batch: &Batch) -> Vec<u64> {
+        assert_eq!(batch.images.len(), batch.tickets.len(), "an image per ticket");
+        batch.tickets.iter().map(|t| t.id.0).collect()
     }
 
     #[test]
@@ -612,7 +634,7 @@ mod tests {
             for id in 0..=k {
                 sender.send(request(id, &reply)).unwrap();
             }
-            let mut batch = Vec::new();
+            let mut batch = Batch::default();
             let mut next = 0;
             while next <= k {
                 let take = (k + 1 - next).min(MAX_BATCH as u64);
@@ -634,7 +656,7 @@ mod tests {
         sender.send(request(1, &reply)).unwrap();
         sender.send(Envelope::Shutdown).unwrap();
         sender.send(request(2, &reply)).unwrap();
-        let mut batch = Vec::new();
+        let mut batch = Batch::default();
         // The requests ahead of the marker still form the last batch.
         assert!(!admit(&receiver, 8, &mut batch));
         assert_eq!(ids(&batch), [0, 1]);
@@ -643,6 +665,6 @@ mod tests {
         let (sender, receiver) = channel();
         sender.send(Envelope::Shutdown).unwrap();
         assert!(!admit(&receiver, 8, &mut batch));
-        assert!(batch.is_empty());
+        assert!(batch.tickets.is_empty() && batch.images.is_empty());
     }
 }

@@ -1,7 +1,8 @@
 //! Concurrency and determinism tests for the serving front-end:
 //! admission bounds and liveness, bit-identical parity with sequential
-//! inference under open deadlines (RADE, full-ensemble and guarded
-//! systems), and deadline-expiry degradation.
+//! inference under open deadlines (RADE, full-ensemble, guarded and
+//! injected RADE systems), and deadline-expiry degradation, alone and in
+//! a batch that mixes expired and open deadlines.
 
 use pgmr_datasets::{families, Dataset, Split};
 use pgmr_faults::{ActivationInjector, FaultSpec, SiteFilter, EXPONENT_BITS};
@@ -13,6 +14,7 @@ use pgmr_tensor::argmax;
 use polygraph_mr::ensemble::{Ensemble, Member};
 use polygraph_mr::stream::StreamHealth;
 use polygraph_mr::{FaultPolicy, PolygraphSystem, Thresholds};
+use std::sync::mpsc::channel;
 use std::time::Duration;
 
 /// The standard 3-member digit ensemble the core system tests use.
@@ -246,4 +248,107 @@ fn latency_is_a_timer_with_a_count_only_deterministic_entry() {
     let entry = json.lines().find(|l| l.contains("\"serve.latency_ns\"")).expect("latency entry");
     assert!(entry.contains("{\"unit\": \"ns\", \"count\": "), "{entry}");
     assert!(!entry.contains("sum") && !entry.contains("buckets"), "{entry}");
+}
+
+/// A RADE system over `members` (no fault policy) whose member 1 carries
+/// the seeded barrage of guarded-output exponent flips: its injector
+/// stream advances from request to request, so the system decides in
+/// order.
+fn injected_staged_system(members: Vec<Member>) -> PolygraphSystem {
+    let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.4, 2));
+    system.enable_staged(vec![0, 1, 2]);
+    let sites = pgmr_faults::guarded_sites(system.ensemble().members()[1].network());
+    let spec = FaultSpec::transient_activations(13, 0.05)
+        .with_bits(EXPONENT_BITS)
+        .with_sites(SiteFilter::Only(sites));
+    system.ensemble_mut().members_mut()[1].set_fault_injector(Some(ActivationInjector::new(&spec)));
+    assert!(system.decides_in_order());
+    system
+}
+
+#[test]
+fn injected_staged_system_serves_shards_like_sequential_inference() {
+    let (members, test) = trained_members();
+    let images = &test.images()[..24];
+    let mut twin = injected_staged_system(members.clone());
+    let expected: Vec<_> = images.iter().map(|img| twin.infer_counted(img)).collect();
+    let flips = twin.ensemble().members()[1].fault_injector().map(|inj| inj.site_flips());
+    assert!(flips.is_some_and(|sites| !sites.is_empty()), "the barrage must flip bits");
+
+    // One replica decides each admitted batch as one staged run, member 1
+    // running its images one at a time, in submission order.
+    let system = injected_staged_system(members);
+    let handle = ServeHandle::spawn(
+        &system,
+        ServeConfig { max_batch: 8, workers: 3, ..ServeConfig::default() },
+    );
+    for img in images {
+        handle.submit(img.clone(), None);
+    }
+    let done = handle.drain(images.len());
+    let served: Vec<_> = done.iter().map(|c| c.decision).collect();
+    assert_eq!(
+        served, expected,
+        "served injected RADE verdicts diverged from sequential inference"
+    );
+    assert!(done.iter().all(|c| !c.deadline_degraded && !c.deadline_missed));
+    let stats = handle.shutdown();
+    // Requests are submitted far faster than three forwards run, so the
+    // ones queued behind the first form batches of several.
+    assert!(stats.max_batch_observed > 1, "no batch held more than one request");
+    assert_eq!(stats.activated_members, expected.iter().map(|d| d.activated as u64).sum::<u64>());
+}
+
+#[test]
+fn zero_budgets_degrade_only_escalations_in_a_mixed_batch() {
+    let (members, test) = trained_members();
+    // Thr_Conf 0 counts every vote, so a request escalates past stage 1
+    // exactly when the two stage-1 members disagree.
+    let mut reference =
+        PolygraphSystem::new(Ensemble::new(members.clone()), Thresholds::new(0.0, 2));
+    reference.enable_staged(vec![0, 1, 2]);
+    let images = test.images();
+    let open: Vec<_> = images.iter().map(|img| reference.infer_counted(img)).collect();
+    let escalates = |i: usize| open[i].activated > 2;
+    let first = (0..images.len()).find(|&i| escalates(i)).expect("an image that escalates");
+    // Every third request has a zero budget, and so does the first that
+    // escalates: a spent budget refuses every escalation, whatever the
+    // batch it shares.
+    let zero = |i: usize| i.is_multiple_of(3) || i == first;
+    let expected: Vec<_> =
+        (images.iter().enumerate()).map(|(i, img)| reference.decide(img, |_| !zero(i))).collect();
+    for (i, e) in expected.iter().enumerate() {
+        assert_eq!(e.budget_exhausted, zero(i) && escalates(i), "request {i}");
+    }
+    assert!((0..images.len()).any(|i| zero(i) && !escalates(i)), "a zero budget that never asks");
+    assert!((0..images.len()).any(|i| !zero(i) && escalates(i)), "an open escalation");
+
+    let mut system = PolygraphSystem::new(Ensemble::new(members), Thresholds::new(0.0, 2));
+    system.enable_staged(vec![0, 1, 2]);
+    // One worker: each batch is one staged run on one replica.
+    let handle = ServeHandle::spawn(
+        &system,
+        ServeConfig { max_batch: 8, workers: 1, ..ServeConfig::default() },
+    );
+    let submitter = handle.submitter();
+    let (reply, completions) = channel();
+    for (i, img) in images.iter().enumerate() {
+        let deadline = if zero(i) { Some(Duration::ZERO) } else { None };
+        submitter.submit(img.clone(), deadline, &reply);
+    }
+    let done: Vec<_> =
+        (0..images.len()).map(|_| completions.recv().expect("a completion")).collect();
+    for (i, (c, e)) in done.iter().zip(&expected).enumerate() {
+        assert_eq!(c.decision, e.decision, "request {i}");
+        assert_eq!(
+            c.deadline_degraded, e.budget_exhausted,
+            "request {i}: only refused escalations degrade"
+        );
+        // A zero budget has expired by the time its answer arrives.
+        assert_eq!(c.deadline_missed, zero(i), "request {i}");
+    }
+    let stats = handle.shutdown();
+    assert!(stats.max_batch_observed > 1, "no batch mixed requests");
+    let refused = expected.iter().filter(|e| e.budget_exhausted).count() as u64;
+    assert_eq!(stats.deadline_degraded, refused);
 }
